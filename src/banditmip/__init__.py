@@ -11,12 +11,13 @@ from .model import (
     write_mps,
 )
 from .simplex import BoundState, LpResult, LpStatus, SimplexContext, solve_lp
-from .bnb import SolveResult, SolveStatus, SolverSettings, solve
+from .bnb import InvalidSettings, SolveResult, SolveStatus, SolverSettings, solve
 from .scheduler import Scheduler, compute_reward, compute_skip_count
 
 __all__ = [
     "Assignment",
     "BoundState",
+    "InvalidSettings",
     "LpResult",
     "LpStatus",
     "MipModel",

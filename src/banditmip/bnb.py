@@ -50,6 +50,10 @@ class NoFractionalVariable(Exception):
     """Branching was asked for on an integral LP solution."""
 
 
+class InvalidSettings(ValueError):
+    """A ``SolverSettings`` field holds a value the solver cannot run with."""
+
+
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -95,6 +99,27 @@ class SolverSettings:
     plunge_depth: int = 8
     lp_iter_limit: int = 20_000
     shadow_lp_check: bool = False
+
+    def __post_init__(self):
+        if self.mode not in ("scheduler", "default"):
+            raise InvalidSettings(f"mode must be 'scheduler' or 'default', got {self.mode!r}")
+        if self.bandit_mode not in ("average", "recency"):
+            raise InvalidSettings(
+                f"bandit_mode must be 'average' or 'recency', got {self.bandit_mode!r}")
+        if not self.epsilon >= 0:
+            raise InvalidSettings(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if not self.f_min <= self.f_max:
+            raise InvalidSettings(f"f_min {self.f_min!r} exceeds f_max {self.f_max!r}")
+        if not self.q_min <= self.q_max:
+            raise InvalidSettings(f"q_min {self.q_min!r} exceeds q_max {self.q_max!r}")
+        # q sets the dive's forced re-solve period 1/q; the budgets scale rewards
+        if not self.q_init > 0:
+            raise InvalidSettings(f"q_init must be > 0, got {self.q_init!r}")
+        if self.lns_node_budget < 1:
+            raise InvalidSettings(
+                f"lns_node_budget must be >= 1, got {self.lns_node_budget!r}")
+        if self.dive_max_depth < 1:
+            raise InvalidSettings(f"dive_max_depth must be >= 1, got {self.dive_max_depth!r}")
 
 
 @dataclass

@@ -108,14 +108,19 @@ def error_row(uri: str, seed: int, mode: str) -> dict:
 
 
 def bench_rows(uris, seeds, base: SolverSettings, modes=("default", "scheduler")):
-    """Cross product of instances x seeds x modes; failures become error rows."""
+    """Cross product of instances x seeds x modes; failures become error rows.
+
+    Each failure also prints its URI, seed, mode and exception to stderr.
+    """
     for uri in uris:
         for seed in seeds:
             for mode in modes:
                 settings = dataclasses.replace(base, seed=seed, mode=mode)
                 try:
                     stats, _ = run_single(uri, settings)
-                except Exception:
+                except Exception as exc:  # one failed run must not end the sweep
+                    print(f"bench: error on {uri} seed={seed} mode={mode}: "
+                          f"{type(exc).__name__}: {exc}", file=sys.stderr)
                     yield error_row(uri, seed, mode)
                 else:
                     yield stats_to_row(stats)

@@ -143,6 +143,14 @@ def _frac(v: float) -> float:
     return min(f, 1.0 - f)
 
 
+def _open_fractional(ints: np.ndarray, x: np.ndarray, bounds, int_tol: float) -> list:
+    """The integer variables, in the order of ``ints``, with an open domain and fractional x."""
+    f = x[ints] - np.floor(x[ints])
+    keep = ((bounds.upper[ints] - bounds.lower[ints] > 1e-9)
+            & (np.minimum(f, 1.0 - f) > int_tol))
+    return ints[keep].tolist()
+
+
 def _snap_assignment(model: MipModel, x: np.ndarray) -> np.ndarray:
     out = x.copy()
     ints = model.integers
@@ -244,11 +252,7 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limits: DivingLimits,
         return out
 
     while True:
-        cands = [
-            int(j) for j in ints
-            if bounds.upper[j] - bounds.lower[j] > 1e-9
-            and _frac(float(x_ref[j])) > env.int_tol
-        ]
+        cands = _open_fractional(ints, x_ref, bounds, env.int_tol)
         must_solve = False
         if not cands:
             if changed == 0 and since_solve == 0:

@@ -8,6 +8,13 @@ termination.  A :class:`SimplexContext` keeps the expanded matrix and the last
 basis so that repeated solves under changed variable bounds (dives, child
 nodes) can warm start; warm results always agree with a cold solve and an
 optional shadow check asserts exactly that.
+
+The basis inverse is kept explicitly and changed by one product-form (eta)
+update per basis change, shared by phase-1 artificial eviction and the pivot
+loop.  Once the basis has ``ROW_UPDATE_MIN_M`` (128) or more rows and the
+entering column is mostly zeros, the update touches only the rows where that
+column is nonzero.  The inverse is still rebuilt from scratch every
+``REFACTOR_EVERY`` basis changes, which bounds the drift of the updates.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ PIVOT_TOL = 1e-9
 DEFAULT_ITER_LIMIT = 20_000
 BLAND_AFTER = 1_000  # Dantzig pricing before this many pivots, Bland after
 REFACTOR_EVERY = 64
+# Row-restricted eta updates beat the dense outer product from about m=96-128
+# rows; below that the extra indexing costs more than the skipped rows save.
+ROW_UPDATE_MIN_M = 128
 
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
@@ -69,6 +79,43 @@ class BoundState:
 
     def fixed(self, j: int, value: float) -> "BoundState":
         return self.tightened(j, lo=value, hi=value)
+
+
+def _eta_update(binv: np.ndarray, ycol: np.ndarray, r: int) -> None:
+    """Update ``binv`` in place after basis row ``r`` takes the column with B^-1 image ``ycol``.
+
+    Rows where ``ycol`` is zero are unchanged by the update, so with many such
+    rows only the others are touched; the result then differs from the dense
+    update at most in the sign of a zero.
+    """
+    eta = binv[r] / ycol[r]
+    m = len(ycol)
+    nz = np.flatnonzero(ycol) if m >= ROW_UPDATE_MIN_M else None
+    if nz is not None and 2 * nz.size < m:
+        binv[nz] -= np.outer(ycol[nz], eta)
+    else:
+        binv -= np.outer(ycol, eta)
+    binv[r] = eta
+
+
+def _bound_status(lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Nonbasic status that puts each variable at its lower bound, else its upper, else free."""
+    return np.where(lo > -INF, AT_LOWER, np.where(up < INF, AT_UPPER, FREE)).astype(np.int8)
+
+
+def _repair_statuses(vstat: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Saved statuses, with each nonbasic one whose bound went away moved to one that exists."""
+    has_lo, has_up = lo > -INF, up < INF
+    keep = ((vstat == BASIC)
+            | ((vstat == AT_LOWER) & has_lo)
+            | ((vstat == AT_UPPER) & has_up)
+            | ((vstat == FREE) & ~has_lo & ~has_up))
+    return np.where(keep, vstat, _bound_status(lo, up)).astype(np.int8)
+
+
+def _nonbasic_values(vstat: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Value of each variable at the bound its status names; basic and free ones get 0."""
+    return np.where(vstat == AT_LOWER, lo, np.where(vstat == AT_UPPER, up, 0.0))
 
 
 def _slack_bounds(sense: str):
@@ -122,10 +169,6 @@ class SimplexContext:
         self._build()
         self._warm_basis = None
         self._warm_vstat = None
-
-    @property
-    def num_rows(self) -> int:
-        return self.m
 
     def solve(self, bounds: BoundState, iter_limit: int = DEFAULT_ITER_LIMIT,
               warm: bool = True) -> LpResult:
@@ -203,13 +246,8 @@ class SimplexContext:
         nbase = n + m
         vstat = np.empty(nbase, dtype=np.int8)
         val = np.zeros(nbase)
-        for j in range(n):
-            if lo[j] > -INF:
-                vstat[j], val[j] = AT_LOWER, lo[j]
-            elif up[j] < INF:
-                vstat[j], val[j] = AT_UPPER, up[j]
-            else:
-                vstat[j], val[j] = FREE, 0.0
+        vstat[:n] = _bound_status(lo[:n], up[:n])
+        val[:n] = _nonbasic_values(vstat[:n], lo[:n], up[:n])
         basis = np.arange(n, nbase, dtype=np.int64)
         vstat[n:] = BASIC
         resid = self.b - self.A[:, :n] @ val[:n]
@@ -248,22 +286,9 @@ class SimplexContext:
         return basis, vstat, val, A, lo, up, phase1, nart
 
     def _try_warm_start(self, lo, up):
-        n, m = self.n, self.m
-        nbase = n + m
         basis = self._warm_basis.copy()
-        vstat = self._warm_vstat.copy()
-        val = np.zeros(nbase)
-        for j in range(nbase):
-            if vstat[j] == BASIC:
-                continue
-            if vstat[j] == AT_LOWER and lo[j] == -INF:
-                vstat[j] = AT_UPPER if up[j] < INF else FREE
-            elif vstat[j] == AT_UPPER and up[j] == INF:
-                vstat[j] = AT_LOWER if lo[j] > -INF else FREE
-            elif vstat[j] == FREE and (lo[j] > -INF or up[j] < INF):
-                vstat[j] = AT_LOWER if lo[j] > -INF else AT_UPPER
-            val[j] = (lo[j] if vstat[j] == AT_LOWER
-                      else up[j] if vstat[j] == AT_UPPER else 0.0)
+        vstat = _repair_statuses(self._warm_vstat, lo, up)
+        val = _nonbasic_values(vstat, lo, up)
         try:
             binv = np.linalg.inv(self.A[:, basis])
         except np.linalg.LinAlgError:
@@ -277,6 +302,7 @@ class SimplexContext:
 
     def _evict_artificials(self, A, basis, vstat, val, nbase):
         binv = np.linalg.inv(A[:, basis])
+        since_refactor = 0
         for r in range(len(basis)):
             if basis[r] < nbase:
                 continue
@@ -290,77 +316,79 @@ class SimplexContext:
             vstat[old] = AT_LOWER
             val[old] = 0.0
             vstat[j] = BASIC
-            binv = np.linalg.inv(A[:, basis])
+            since_refactor += 1
+            if since_refactor >= REFACTOR_EVERY:
+                binv = np.linalg.inv(A[:, basis])
+                since_refactor = 0
+            else:
+                _eta_update(binv, binv @ A[:, j], r)
 
     def _pivot_loop(self, A, lo, up, basis, vstat, val, cost, iter_limit, iters):
         m = len(basis)
         binv = np.linalg.inv(A[:, basis])
+        movable = up - lo > 0
         since_refactor = 0
-        while True:
-            if iters >= iter_limit:
-                return LpStatus.ITER_LIMIT, iters
-            if since_refactor >= REFACTOR_EVERY:
-                binv = np.linalg.inv(A[:, basis])
-                nb_mask = vstat != BASIC
-                val[basis] = binv @ (self.b - A[:, nb_mask] @ val[nb_mask])
-                since_refactor = 0
-            y = cost[basis] @ binv
-            d = cost - y @ A
-            movable = up - lo > 0
-            elig = movable & (
-                ((vstat == AT_LOWER) & (d < -DUAL_TOL))
-                | ((vstat == AT_UPPER) & (d > DUAL_TOL))
-                | ((vstat == FREE) & (np.abs(d) > DUAL_TOL))
-            )
-            cand = np.nonzero(elig)[0]
-            if cand.size == 0:
-                return LpStatus.OPTIMAL, iters
-            if iters < BLAND_AFTER:
-                scores = np.abs(d[cand])
-                j = int(cand[int(np.argmax(scores))])
-            else:
-                j = int(cand[0])
-            direction = 1.0 if (vstat[j] == AT_LOWER or d[j] < 0) else -1.0
+        with np.errstate(invalid="ignore"):
+            while True:
+                if iters >= iter_limit:
+                    return LpStatus.ITER_LIMIT, iters
+                if since_refactor >= REFACTOR_EVERY:
+                    binv = np.linalg.inv(A[:, basis])
+                    nb_mask = vstat != BASIC
+                    val[basis] = binv @ (self.b - A[:, nb_mask] @ val[nb_mask])
+                    since_refactor = 0
+                y = cost[basis] @ binv
+                d = cost - y @ A
+                elig = movable & (
+                    ((vstat == AT_LOWER) & (d < -DUAL_TOL))
+                    | ((vstat == AT_UPPER) & (d > DUAL_TOL))
+                    | ((vstat == FREE) & (np.abs(d) > DUAL_TOL))
+                )
+                cand = np.nonzero(elig)[0]
+                if cand.size == 0:
+                    return LpStatus.OPTIMAL, iters
+                if iters < BLAND_AFTER:
+                    scores = np.abs(d[cand])
+                    j = int(cand[int(np.argmax(scores))])
+                else:
+                    j = int(cand[0])
+                direction = 1.0 if (vstat[j] == AT_LOWER or d[j] < 0) else -1.0
 
-            ycol = binv @ A[:, j]
-            z = direction * ycol
-            xb = val[basis]
-            blo = lo[basis]
-            bup = up[basis]
-            ratios = np.full(m, INF)
-            pos = z > PIVOT_TOL
-            neg = z < -PIVOT_TOL
-            with np.errstate(invalid="ignore"):
+                ycol = binv @ A[:, j]
+                z = direction * ycol
+                xb = val[basis]
+                blo = lo[basis]
+                bup = up[basis]
+                ratios = np.full(m, INF)
+                pos = z > PIVOT_TOL
+                neg = z < -PIVOT_TOL
                 ratios[pos] = (xb[pos] - blo[pos]) / z[pos]
                 ratios[neg] = (bup[neg] - xb[neg]) / (-z[neg])
-            ratios[np.isnan(ratios)] = INF  # infinite room
+                ratios[np.isnan(ratios)] = INF  # infinite room
 
-            own = up[j] - lo[j] if (lo[j] > -INF and up[j] < INF) else INF
-            t_basic = ratios.min() if m else INF
-            t = min(own, t_basic)
-            if t == INF:
-                return LpStatus.UNBOUNDED, iters
-            t = max(t, 0.0)
+                own = up[j] - lo[j] if (lo[j] > -INF and up[j] < INF) else INF
+                t_basic = ratios.min() if m else INF
+                t = min(own, t_basic)
+                if t == INF:
+                    return LpStatus.UNBOUNDED, iters
+                t = max(t, 0.0)
 
-            val[basis] = xb - t * z
-            val[j] = val[j] + direction * t
-            if own <= t_basic:
-                # bound flip, basis unchanged
-                vstat[j] = AT_UPPER if vstat[j] == AT_LOWER else AT_LOWER
-            else:
-                tied = np.nonzero(ratios <= t + 1e-12)[0]
-                r = int(tied[int(np.argmin(basis[tied]))])
-                leaving = int(basis[r])
-                vstat[leaving] = AT_LOWER if z[r] > 0 else AT_UPPER
-                val[leaving] = lo[leaving] if z[r] > 0 else up[leaving]
-                basis[r] = j
-                vstat[j] = BASIC
-                piv = ycol[r]
-                eta = binv[r] / piv
-                binv -= np.outer(ycol, eta)
-                binv[r] = eta
-            iters += 1
-            since_refactor += 1
+                val[basis] = xb - t * z
+                val[j] = val[j] + direction * t
+                if own <= t_basic:
+                    # bound flip, basis unchanged
+                    vstat[j] = AT_UPPER if vstat[j] == AT_LOWER else AT_LOWER
+                else:
+                    tied = np.nonzero(ratios <= t + 1e-12)[0]
+                    r = int(tied[int(np.argmin(basis[tied]))])
+                    leaving = int(basis[r])
+                    vstat[leaving] = AT_LOWER if z[r] > 0 else AT_UPPER
+                    val[leaving] = lo[leaving] if z[r] > 0 else up[leaving]
+                    basis[r] = j
+                    vstat[j] = BASIC
+                    _eta_update(binv, ycol, r)
+                iters += 1
+                since_refactor += 1
 
 
 def solve_lp(model: MipModel, bounds: BoundState,
@@ -368,8 +396,3 @@ def solve_lp(model: MipModel, bounds: BoundState,
     """One-shot LP relaxation solve under the given bound overrides."""
     return SimplexContext(model).solve(bounds, iter_limit=iter_limit, warm=False)
 
-
-def resolve_with_bounds(ctx: SimplexContext, new_bounds: BoundState,
-                        iter_limit: int = DEFAULT_ITER_LIMIT) -> LpResult:
-    """Re-solve a context under new bounds, reusing the last basis if possible."""
-    return ctx.solve(new_bounds, iter_limit=iter_limit, warm=True)

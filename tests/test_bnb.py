@@ -5,6 +5,7 @@ import pytest
 
 from banditmip.bnb import (
     ConflictPool,
+    InvalidSettings,
     Node,
     NoFractionalVariable,
     SolveStatus,
@@ -38,6 +39,25 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
         upper=np.ones(n) if upper is None else np.array(upper, dtype=float),
         integers=np.arange(n) if integers is None else np.array(integers),
     )
+
+
+# ---------------------------------------------------------------------------
+# settings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [
+    dict(mode="bogus"),
+    dict(bandit_mode="bogus"),
+    dict(epsilon=-1.0),
+    dict(f_min=0.9, f_max=0.3),
+    dict(q_min=0.3, q_max=0.05),
+    dict(q_init=0.0),
+    dict(lns_node_budget=0),
+    dict(dive_max_depth=0),
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_settings_reject_unusable_values(bad):
+    with pytest.raises(InvalidSettings, match=next(iter(bad))):
+        SolverSettings(**bad)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,22 @@ def test_bench_bad_uri_becomes_error_row(tmp_path):
     assert sum(1 for r in rows if r["status"] == "error") == 2
 
 
+def test_bench_error_cause_goes_to_stderr(tmp_path, capsys):
+    manifest = tmp_path / "suite.txt"
+    _write_manifest(manifest, ["nonsense.mps"])
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(manifest), "--seeds", "7", "--out", str(out)]) == 0
+    causes = [line.split(": FileNotFoundError: ")
+              for line in capsys.readouterr().err.splitlines()]
+    assert [c[0] for c in causes] == [
+        "bench: error on nonsense.mps seed=7 mode=default",
+        "bench: error on nonsense.mps seed=7 mode=scheduler",
+    ]
+    assert all("nonsense.mps" in c[1] for c in causes)
+    rows = list(csv.DictReader(out.open()))
+    assert [r["status"] for r in rows] == ["error", "error"]
+
+
 def test_bench_rerun_identical_modulo_time(tmp_path):
     manifest = tmp_path / "suite.txt"
     _write_manifest(manifest, [
@@ -393,6 +409,13 @@ def test_config_file_flows_into_solve(tmp_path):
     final = [json.loads(line) for line in log.read_text().splitlines()][-1]
     assert final["type"] == "run_stats"
     assert int(final["nodes"]) <= 1
+
+
+def test_config_invalid_setting_is_reported(tmp_path, capsys):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("epsilon = -1\n")
+    assert main(["solve", "gen:gap:n=16,m=4,seed=2", "--config", str(cfg)]) == 2
+    assert "epsilon must be >= 0" in capsys.readouterr().err
 
 
 def test_config_bad_file_exits_nonzero(tmp_path):

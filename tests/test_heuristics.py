@@ -10,6 +10,8 @@ from banditmip.heuristics import (
     LnsLimits,
     NotApplicable,
     PORTFOLIO,
+    _frac,
+    _open_fractional,
     run_diving,
     run_lns,
     run_rounding,
@@ -207,6 +209,25 @@ def test_dive_respects_max_depth():
     out = run_diving("coef_dive", lp, env, DivingLimits(max_depth=1),
                      np.random.default_rng(0))
     assert out.nodes_used <= 1
+
+
+def test_dive_candidate_scan_matches_loop():
+    rng = np.random.default_rng(11)
+    n = 60
+    ints = np.sort(rng.choice(n, size=40, replace=False)).astype(np.int64)
+    for _ in range(20):
+        x = rng.uniform(-3, 3, size=n)
+        snap = rng.random(n) < 0.4  # integral, within and just past the tolerance
+        x[snap] = np.round(x[snap]) + rng.choice([0.0, -5e-7, 2e-6], size=snap.sum())
+        lower = np.floor(x) - rng.integers(0, 2, size=n)
+        upper = lower + rng.integers(0, 3, size=n)
+        bounds = BoundState(lower=lower, upper=upper)
+        expected = [
+            int(j) for j in ints
+            if bounds.upper[j] - bounds.lower[j] > 1e-9
+            and _frac(float(x[j])) > 1e-6
+        ]
+        assert _open_fractional(ints, x, bounds, 1e-6) == expected
 
 
 def test_rand_dive_deterministic_per_seed():

@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from banditmip.model import MipModel, evaluate_solution, generate_instance
+from banditmip.model import INF
 from banditmip.simplex import (
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
+    FREE,
+    ROW_UPDATE_MIN_M,
     BoundState,
     LpStatus,
     SimplexContext,
-    resolve_with_bounds,
+    _bound_status,
+    _eta_update,
+    _nonbasic_values,
+    _repair_statuses,
     solve_lp,
 )
 
@@ -86,7 +95,7 @@ def test_resolve_unchanged_bounds_identical_objective():
     ctx = SimplexContext(model)
     bounds = BoundState.from_model(model)
     first = ctx.solve(bounds, warm=False)
-    again = resolve_with_bounds(ctx, bounds)
+    again = ctx.solve(bounds, warm=True)
     assert again.status is LpStatus.OPTIMAL
     assert again.objective == pytest.approx(first.objective, abs=1e-12)
 
@@ -97,7 +106,7 @@ def test_resolve_fixed_variable_matches_cold():
     bounds = BoundState.from_model(model)
     ctx.solve(bounds, warm=False)
     fixed = bounds.fixed(0, 0.0)
-    warmres = resolve_with_bounds(ctx, fixed)
+    warmres = ctx.solve(fixed, warm=True)
     coldres = solve_lp(model, fixed)
     assert warmres.status == coldres.status == LpStatus.OPTIMAL
     assert warmres.objective == pytest.approx(coldres.objective, rel=1e-7)
@@ -116,7 +125,7 @@ def test_resolve_infeasible_fix_matches_cold():
     bounds = BoundState.from_model(model)
     ctx.solve(bounds, warm=False)
     dead = bounds.fixed(0, 0.0).fixed(1, 0.0)
-    warmres = resolve_with_bounds(ctx, dead)
+    warmres = ctx.solve(dead, warm=True)
     coldres = solve_lp(model, dead)
     assert warmres.status is LpStatus.INFEASIBLE
     assert coldres.status is LpStatus.INFEASIBLE
@@ -214,3 +223,107 @@ def test_cut_rows_participate_in_lp():
     ctx.add_cut_row([0, 1], [1.0, 1.0], "L", 1.0)
     cut = ctx.solve(BoundState.from_model(model))
     assert cut.objective == pytest.approx(-1.0)
+
+
+def _dense_eta_update(binv, ycol, r):
+    """The textbook rank-one update over every row, as the reference."""
+    eta = binv[r] / ycol[r]
+    binv -= np.outer(ycol, eta)
+    binv[r] = eta
+
+
+@pytest.mark.parametrize("nonzeros", ["some", "all", "one"])
+@pytest.mark.parametrize("m", [12, ROW_UPDATE_MIN_M, 300])
+def test_eta_update_matches_dense_update(m, nonzeros):
+    rng = np.random.default_rng(m)
+    binv = rng.standard_normal((m, m))
+    r = m // 3
+    ycol = rng.standard_normal(m)
+    if nonzeros == "some":
+        ycol[rng.random(m) < 0.8] = 0.0
+    elif nonzeros == "one":
+        ycol[:] = 0.0
+    ycol[r] = 1.5
+    expected = binv.copy()
+    _dense_eta_update(expected, ycol, r)
+    _eta_update(binv, ycol, r)
+    assert np.array_equal(binv, expected)
+
+
+def test_eviction_heavy_lp_agrees_with_highs():
+    """150 covering rows: phase 1 evicts many artificials and the row-restricted update runs."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    model = generate_instance("set_cover", (300, 150), 0)
+    assert model.m >= ROW_UPDATE_MIN_M
+    bounds = BoundState.from_model(model)
+    res = solve_lp(model, bounds)
+    assert res.status is LpStatus.OPTIMAL
+    assert res.iterations == 504  # a changed pivot path fails here first
+    A = np.zeros((model.m, model.n))
+    for i, (cols, vals) in enumerate(zip(model.row_cols, model.row_vals)):
+        A[i, cols] = vals
+    assert set(model.row_senses) == {"G"}
+    ref = linprog(model.c, A_ub=-A, b_ub=-model.rhs,
+                  bounds=list(zip(model.lower, model.upper)), method="highs")
+    assert ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, abs=1e-6)
+    assert evaluate_solution(model, res.x, feas_tol=1e-7).feasible
+
+
+def test_eviction_heavy_lp_warm_resolves_shadowed():
+    model = generate_instance("set_cover", (300, 150), 0)
+    ctx = SimplexContext(model, shadow_check=True)  # asserts warm == cold inside
+    bounds = BoundState.from_model(model)
+    res = ctx.solve(bounds)
+    for step in range(4):
+        # a column fixed at its value keeps the saved basis feasible (a warm
+        # hit); one forced into the cover can make it infeasible (a cold
+        # re-solve).  Both fixings keep the cover LP feasible.
+        j = int(np.flatnonzero(res.x > 0.5 if step % 2 == 0 else res.x < 0.5)[step])
+        bounds = bounds.fixed(j, 1.0)
+        res = ctx.solve(bounds)
+        assert res.status is LpStatus.OPTIMAL
+
+
+def _random_boxes(rng, n):
+    lo = np.where(rng.random(n) < 0.5, -INF, rng.integers(-3, 1, size=n).astype(float))
+    up = np.where(rng.random(n) < 0.5, INF, rng.integers(1, 4, size=n).astype(float))
+    return lo, up
+
+
+def test_cold_start_statuses_match_loop():
+    rng = np.random.default_rng(5)
+    lo, up = _random_boxes(rng, 200)
+    vstat = _bound_status(lo, up)
+    val = _nonbasic_values(vstat, lo, up)
+    for j in range(len(lo)):
+        if lo[j] > -INF:
+            assert (vstat[j], val[j]) == (AT_LOWER, lo[j])
+        elif up[j] < INF:
+            assert (vstat[j], val[j]) == (AT_UPPER, up[j])
+        else:
+            assert (vstat[j], val[j]) == (FREE, 0.0)
+
+
+def test_warm_start_status_repair_matches_loop():
+    rng = np.random.default_rng(6)
+    lo, up = _random_boxes(rng, 400)
+    saved = rng.choice([BASIC, AT_LOWER, AT_UPPER, FREE], size=400).astype(np.int8)
+    expected = saved.copy()
+    expected_val = np.zeros(len(saved))
+    for j in range(len(saved)):
+        if expected[j] == BASIC:
+            continue
+        if expected[j] == AT_LOWER and lo[j] == -INF:
+            expected[j] = AT_UPPER if up[j] < INF else FREE
+        elif expected[j] == AT_UPPER and up[j] == INF:
+            expected[j] = AT_LOWER if lo[j] > -INF else FREE
+        elif expected[j] == FREE and (lo[j] > -INF or up[j] < INF):
+            expected[j] = AT_LOWER if lo[j] > -INF else AT_UPPER
+        expected_val[j] = (lo[j] if expected[j] == AT_LOWER
+                           else up[j] if expected[j] == AT_UPPER else 0.0)
+    before = saved.copy()
+    vstat = _repair_statuses(saved, lo, up)
+    assert np.array_equal(saved, before)  # the saved basis stays reusable
+    assert vstat.dtype == np.int8 and np.array_equal(vstat, expected)
+    assert np.array_equal(_nonbasic_values(vstat, lo, up), expected_val)
