@@ -4,10 +4,12 @@ Node selection is best-bound with depth-first plunging.  At every node the
 solver re-optimizes the relaxation, prunes by bound or infeasibility, harvests
 integral LP solutions, then runs the cheap rounding heuristic followed by the
 controlled portfolio, either under the online scheduler or under a static
-depth-modulo schedule (the ``default`` baseline).  Conflicts reported by the
-heuristics are counted and, when they describe a pure binary partial
-assignment proven infeasible, stored as no-good cuts that all later node LPs
-include.
+depth-modulo schedule (the ``default`` baseline).  Both modes share one table
+of working limits built from ``SolverSettings``, which only the scheduler
+adapts, and one charging path; only scheduler calls carry a reward.
+Conflicts reported by the heuristics are counted and, when they describe a
+pure binary partial assignment proven infeasible, stored as no-good cuts that
+all later node LPs (and LNS sub-MIPs) include.
 """
 
 from __future__ import annotations
@@ -32,18 +34,13 @@ from .simplex import (
 from . import heuristics as heur
 from .heuristics import (
     DEFAULT_ORDER,
-    DivingLimits,
     HeurEnv,
-    LnsLimits,
     NotApplicable,
     PORTFOLIO,
     SPEC_BY_ID,
+    portfolio_limits,
 )
-from .scheduler import (
-    RewardConfig,
-    Scheduler,
-    run_scheduled_heuristics,
-)
+from .scheduler import RewardBreakdown, Scheduler, run_scheduled_heuristics
 
 
 class NoFractionalVariable(Exception):
@@ -59,6 +56,7 @@ class SolveStatus(Enum):
     INFEASIBLE = "infeasible"
     NODE_LIMIT = "node_limit"
     TIME_LIMIT = "time_limit"
+    ITER_LIMIT = "iter_limit"  # a node LP ran out of simplex iterations
 
 
 @dataclass
@@ -162,12 +160,12 @@ def add_conflict(pool: ConflictPool, model: MipModel, h: str, fixing: dict,
 class HeurStat:
     pulls: int = 0
     successes: int = 0
-    reward_sum: float = 0.0
+    reward_sum: Optional[float] = None  # None until a scheduler reward is charged
     final_limit: Optional[float] = None
 
     @property
     def mean_reward(self) -> Optional[float]:
-        return self.reward_sum / self.pulls if self.pulls else None
+        return self.reward_sum / self.pulls if self.reward_sum is not None else None
 
 
 @dataclass
@@ -236,9 +234,8 @@ class TreeSearch:
                             else BoundState.from_model(model))
         self.inherited_cutoff = cutoff if cutoff is not None else INF
         self.heur_layer = heur_layer  # "auto" or "rounding_only"
-        self.ctx = SimplexContext(model, shadow_check=settings.shadow_lp_check)
-        for cols, vals, sense, rhs in extra_cuts:
-            self.ctx.add_cut_row(cols, vals, sense, rhs)
+        self.ctx = SimplexContext(model, cuts=extra_cuts,
+                                  shadow_check=settings.shadow_lp_check)
         self.pool = ConflictPool()
         self.locks = heur.variable_locks(model)
         self.incumbent: Optional[Assignment] = None
@@ -263,42 +260,10 @@ class TreeSearch:
             for s in PORTFOLIO
         }
         if settings.mode == "scheduler" and heur_layer == "auto":
-            self.sched = Scheduler(
-                epsilon=settings.epsilon,
-                mode=settings.bandit_mode,
-                alpha=settings.recency_alpha,
-                beta=settings.beta,
-                cfg=RewardConfig(
-                    lam_sol=settings.lambda_sol,
-                    lam_gap=settings.lambda_gap,
-                    lam_eff=settings.lambda_eff,
-                    lam_conf=settings.lambda_conf,
-                    beta=settings.beta,
-                    n_max={"lns": settings.lns_node_budget,
-                           "diving": settings.dive_max_depth},
-                ),
-                lns_limits=LnsLimits(
-                    f=settings.f_init, f_min=settings.f_min,
-                    f_max=settings.f_max, gamma=settings.gamma,
-                    node_budget=settings.lns_node_budget,
-                ),
-                dive_limits=DivingLimits(
-                    q=settings.q_init, q_min=settings.q_min,
-                    q_max=settings.q_max, eta=settings.eta,
-                    max_depth=settings.dive_max_depth,
-                ),
-                rng=np.random.default_rng(
-                    np.random.SeedSequence([settings.seed % 2**32, 7])
-                ),
-            )
-        self._static_lns = LnsLimits(
-            f=settings.f_init, f_min=settings.f_min, f_max=settings.f_max,
-            gamma=settings.gamma, node_budget=settings.lns_node_budget,
-        )
-        self._static_dive = DivingLimits(
-            q=settings.q_init, q_min=settings.q_min, q_max=settings.q_max,
-            eta=settings.eta, max_depth=settings.dive_max_depth,
-        )
+            self.sched = Scheduler(settings, np.random.default_rng(
+                np.random.SeedSequence([settings.seed % 2**32, 7])))
+        # one table for both modes; the static schedule never changes it
+        self.limits = self.sched.limits if self.sched else portfolio_limits(settings)
 
     # ------------------------------------------------------------------
     # incumbent and cutoff handling
@@ -368,9 +333,11 @@ class TreeSearch:
     # heuristic layer
     # ------------------------------------------------------------------
 
-    def _charge_outcome(self, h: str, outcome):
+    def _charge_outcome(self, h: str, outcome, reward: Optional[RewardBreakdown] = None):
         st = self.stats.per_heuristic[h]
         st.pulls += 1
+        if reward is not None:
+            st.reward_sum = (st.reward_sum or 0.0) + reward.r_total
         if outcome.found_incumbent:
             st.successes += 1
             self.stats.heuristic_successes += 1
@@ -387,12 +354,10 @@ class TreeSearch:
         if self.heur_layer == "rounding_only":
             return
         if self.sched is not None:
-            outcome = run_scheduled_heuristics(self.sched, lp, env, self.exec_rngs)
-            if outcome is not None:
-                self._charge_outcome(outcome.heuristic, outcome)
-                rec = self.sched.reward_log[-1]
-                st = self.stats.per_heuristic[outcome.heuristic]
-                st.reward_sum += rec["r_total"]
+            charged = run_scheduled_heuristics(self.sched, lp, env, self.exec_rngs)
+            if charged is not None:
+                outcome, reward = charged
+                self._charge_outcome(outcome.heuristic, outcome, reward)
             return
         # static baseline: heuristic k runs at depths congruent to k * offset
         freq = max(1, self.settings.default_freq)
@@ -403,9 +368,8 @@ class TreeSearch:
             spec = SPEC_BY_ID[h]
             if spec.requires_incumbent and self.incumbent is None:
                 continue
-            limits = self._static_lns if spec.klass == "lns" else self._static_dive
             try:
-                outcome = heur.execute(h, lp, env, limits, self.exec_rngs[h])
+                outcome = heur.execute(h, lp, env, self.limits[h], self.exec_rngs[h])
             except NotApplicable:
                 continue
             self._charge_outcome(h, outcome)
@@ -468,7 +432,7 @@ class TreeSearch:
                 # resource exhaustion, never a pruning argument: keep the
                 # subtree open so the reported dual bound stays valid
                 self._push(node)
-                status = SolveStatus.NODE_LIMIT
+                status = SolveStatus.ITER_LIMIT
                 break
             if lp.objective >= cut - 1e-9:
                 self._note_bound_prune()
@@ -526,11 +490,7 @@ class TreeSearch:
         self.stats.objective = (self.incumbent.objective
                                 if self.incumbent is not None else None)
         for h, st in self.stats.per_heuristic.items():
-            if self.sched is not None:
-                lim = self.sched.limits[h]
-            else:
-                lim = (self._static_lns if SPEC_BY_ID[h].klass == "lns"
-                       else self._static_dive)
+            lim = self.limits[h]
             st.final_limit = lim.f if SPEC_BY_ID[h].klass == "lns" else lim.q
 
         return SolveResult(

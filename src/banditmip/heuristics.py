@@ -67,6 +67,15 @@ class DivingLimits:
     max_depth: int = 100
 
 
+def portfolio_limits(settings) -> dict:
+    """Initial working limits of every portfolio heuristic, from ``SolverSettings``."""
+    lns = LnsLimits(f=settings.f_init, f_min=settings.f_min, f_max=settings.f_max,
+                    gamma=settings.gamma, node_budget=settings.lns_node_budget)
+    dive = DivingLimits(q=settings.q_init, q_min=settings.q_min, q_max=settings.q_max,
+                        eta=settings.eta, max_depth=settings.dive_max_depth)
+    return {s.id: (lns if s.klass == "lns" else dive) for s in PORTFOLIO}
+
+
 @dataclass
 class HeurOutcome:
     heuristic: str

@@ -36,6 +36,10 @@ class DuplicateColumnEntry(MpsError):
     """The same (row, column) pair carries two coefficients."""
 
 
+class ObjectiveOffset(MpsError):
+    """RHS gives the objective row a nonzero constant, which the model cannot carry."""
+
+
 class DimensionMismatch(ValueError):
     """A vector does not match the model's variable count."""
 
@@ -346,7 +350,9 @@ def parse_mps(text: str) -> MipModel:
     Supported sections: NAME, OBJSENSE, ROWS, COLUMNS (with INTORG/INTEND
     markers), RHS, RANGES, BOUNDS (LO/UP/FX/BV/MI/PL), ENDATA.  Default
     variable domain is [0, +inf).  RANGES rows are split into two inequality
-    rows.  Maximization inputs are negated into minimize form.
+    rows.  Maximization inputs are negated into minimize form.  A nonzero RHS
+    on the objective row (a constant objective offset) raises
+    :class:`ObjectiveOffset`.
     """
     name = ""
     maximize = False
@@ -450,8 +456,10 @@ def parse_mps(text: str) -> MipModel:
                     raise UnknownRowReference(f"column entry references {rname!r}")
         elif section == "RHS":
             for rname, sval in _pairs(tokens[1:], raw):
+                if rname == obj_row and float(sval) != 0.0:
+                    raise ObjectiveOffset(f"objective row {rname!r} has RHS {sval}")
                 if rname == obj_row or rname in free_rows:
-                    continue  # objective offset not supported
+                    continue
                 if rname not in row_index:
                     raise UnknownRowReference(f"RHS references {rname!r}")
                 rhs_map[row_index[rname]] = float(sval)

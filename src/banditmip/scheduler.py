@@ -20,14 +20,13 @@ import numpy as np
 
 from .heuristics import (
     DEFAULT_ORDER,
-    DivingLimits,
     HeurEnv,
     HeurOutcome,
-    LnsLimits,
     NotApplicable,
     PORTFOLIO,
     SPEC_BY_ID,
     execute,
+    portfolio_limits,
     update_fixing_rate,
     update_lp_resolve_threshold,
 )
@@ -63,7 +62,6 @@ class RewardConfig:
     lam_gap: float = 0.3
     lam_eff: float = 0.2
     lam_conf: float = 0.2
-    beta: float = 0.1
     n_max: dict = field(default_factory=lambda: {"lns": 500, "diving": 100})
     v_max: int = 0  # running max of conflicts found by any call so far
 
@@ -116,7 +114,6 @@ class BanditState:
     weights: dict = field(default_factory=dict)
     sums: dict = field(default_factory=dict)
     pull_counts: dict = field(default_factory=dict)
-    seen: dict = field(default_factory=dict)
     t: int = 0
 
     @classmethod
@@ -134,7 +131,6 @@ class BanditState:
             weights={h: prior for h in arms},
             sums={h: 0.0 for h in arms},
             pull_counts={h: 0 for h in arms},
-            seen={h: False for h in arms},
         )
 
 
@@ -177,32 +173,26 @@ def bandit_update(bandit: BanditState, h: str, reward: float) -> None:
     else:
         bandit.weights[h] = ((1.0 - bandit.alpha) * bandit.weights[h]
                              + bandit.alpha * reward)
-    bandit.seen[h] = True
 
 
 class Scheduler:
-    """Mutable scheduler state owned by a single solve."""
+    """Mutable scheduler state owned by a single solve, configured by ``SolverSettings``."""
 
-    def __init__(self, *, epsilon: float = 0.7, mode: str = "average",
-                 alpha: float = 0.05, beta: float = 0.1,
-                 cfg: Optional[RewardConfig] = None,
-                 lns_limits: Optional[LnsLimits] = None,
-                 dive_limits: Optional[DivingLimits] = None,
-                 rng: Optional[np.random.Generator] = None):
-        self.bandit = BanditState.create(DEFAULT_ORDER, epsilon, mode, alpha)
-        self.cfg = cfg if cfg is not None else RewardConfig(beta=beta)
-        self.beta = beta
-        lns_limits = lns_limits if lns_limits is not None else LnsLimits()
-        dive_limits = dive_limits if dive_limits is not None else DivingLimits()
-        self.limits = {
-            s.id: (lns_limits if s.klass == "lns" else dive_limits)
-            for s in PORTFOLIO
-        }
+    def __init__(self, settings, rng: np.random.Generator):
+        self.bandit = BanditState.create(DEFAULT_ORDER, settings.epsilon,
+                                         settings.bandit_mode, settings.recency_alpha)
+        self.cfg = RewardConfig(
+            lam_sol=settings.lambda_sol, lam_gap=settings.lambda_gap,
+            lam_eff=settings.lambda_eff, lam_conf=settings.lambda_conf,
+            n_max={"lns": settings.lns_node_budget, "diving": settings.dive_max_depth},
+        )
+        self.beta = settings.beta
+        self.limits = portfolio_limits(settings)  # record() replaces entries in place
         self.n_fail = 0
         self.skip_remaining = 0
         self.warmstart_queue = deque(DEFAULT_ORDER)
         self.reward_log = []
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self._warm_call = False
 
     @property
@@ -230,7 +220,7 @@ class Scheduler:
                     self._warm_call = True
                     return h
                 queue.rotate(-1)  # defer inapplicable entries to the end
-            cands = {h for h in applicable if self.bandit.seen[h]}
+            cands = {h for h in applicable if self.bandit.pull_counts[h] > 0}
         else:
             cands = set(applicable)
         if not cands:
@@ -288,12 +278,12 @@ class Scheduler:
 
 
 def run_scheduled_heuristics(sched: Scheduler, lp: LpResult, env: HeurEnv,
-                             exec_rngs: dict) -> Optional[HeurOutcome]:
+                             exec_rngs: dict) -> Optional[tuple]:
     """One scheduler invocation at a node: gate, select, execute, reward, update.
 
-    Returns the executed heuristic's outcome, or None when the invocation was
-    skipped or nothing was applicable.  Inapplicable selections are redrawn
-    without charging a bandit iteration.
+    Returns the executed heuristic's outcome and its reward, or None when the
+    invocation was skipped or nothing was applicable.  Inapplicable selections
+    are redrawn without charging a bandit iteration.
     """
     if not sched.should_run():
         return None
@@ -327,5 +317,4 @@ def run_scheduled_heuristics(sched: Scheduler, lp: LpResult, env: HeurEnv,
                  if outcome.found_incumbent and inc_after is not None else None),
         obj_lp=lp.objective,
     )
-    sched.record(h, outcome, ctx)
-    return outcome
+    return outcome, sched.record(h, outcome, ctx)

@@ -118,6 +118,11 @@ def _nonbasic_values(vstat: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.nd
     return np.where(vstat == AT_LOWER, lo, np.where(vstat == AT_UPPER, up, 0.0))
 
 
+def _cut_row(cols, vals, sense: str, rhs: float):
+    return (np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float),
+            sense, float(rhs))
+
+
 def _slack_bounds(sense: str):
     if sense == "L":
         return 0.0, INF
@@ -127,14 +132,14 @@ def _slack_bounds(sense: str):
 
 
 class SimplexContext:
-    """Reusable solver state for one model plus optional appended cut rows."""
+    """Reusable solver state for one model plus cut rows, given up front or appended."""
 
-    def __init__(self, model: MipModel, feas_tol: float = FEAS_TOL,
+    def __init__(self, model: MipModel, cuts=(), feas_tol: float = FEAS_TOL,
                  shadow_check: bool = False):
         self.model = model
         self.feas_tol = feas_tol
         self.shadow_check = shadow_check
-        self._extra = []  # (cols, vals, sense, rhs)
+        self._extra = [_cut_row(*cut) for cut in cuts]  # (cols, vals, sense, rhs)
         self._build()
         self._warm_basis = None
         self._warm_vstat = None
@@ -146,8 +151,7 @@ class SimplexContext:
         rhs = list(model.rhs) + [row[3] for row in self._extra]
         m = len(rhs)
         A = np.zeros((m, n + m))
-        for i, (idx, val) in enumerate(zip(model.row_cols, model.row_vals)):
-            A[i, idx] = val
+        A[:model.m, :n] = model.dense_matrix()
         for k, (cols, vals, _, _) in enumerate(self._extra):
             A[model.m + k, cols] = vals
         A[:, n:] = np.eye(m)
@@ -162,10 +166,7 @@ class SimplexContext:
 
     def add_cut_row(self, cols, vals, sense: str, rhs: float):
         """Append a valid inequality; invalidates any saved warm basis."""
-        self._extra.append(
-            (np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float),
-             sense, float(rhs))
-        )
+        self._extra.append(_cut_row(cols, vals, sense, rhs))
         self._build()
         self._warm_basis = None
         self._warm_vstat = None
@@ -174,10 +175,7 @@ class SimplexContext:
               warm: bool = True) -> LpResult:
         result = self._solve_inner(bounds, iter_limit, warm)
         if self.shadow_check and warm:
-            cold = SimplexContext(self.model, feas_tol=self.feas_tol)
-            for row in self._extra:
-                cold._extra.append(row)
-            cold._build()
+            cold = SimplexContext(self.model, self._extra, feas_tol=self.feas_tol)
             ref = cold._solve_inner(bounds, iter_limit, warm=False)
             assert ref.status == result.status, (
                 f"warm/cold status mismatch: {result.status} vs {ref.status}"

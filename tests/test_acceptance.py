@@ -215,7 +215,7 @@ def test_acceptance_4_warmstart_and_skip_semantics():
     every = set(DEFAULT_ORDER)
 
     # (a) first |H| applicable selections follow the default order
-    sched = Scheduler(rng=np.random.default_rng(0))
+    sched = Scheduler(SolverSettings(), np.random.default_rng(0))
     first = []
     for _ in range(6):
         h = sched.select(every)
@@ -238,7 +238,7 @@ def test_acceptance_4_warmstart_and_skip_semantics():
     ok_b = skipped == 8 == compute_skip_count(23)
 
     # (c) skips are disabled during warmstart
-    fresh = Scheduler(rng=np.random.default_rng(1))
+    fresh = Scheduler(SolverSettings(), np.random.default_rng(1))
     fresh.skip_remaining = 5
     ok_c = all(fresh.should_run() for _ in range(4)) and fresh.skip_remaining == 5
 

@@ -15,6 +15,7 @@ from banditmip.bnb import (
     select_branch_variable,
     solve,
 )
+from banditmip.heuristics import LNS_KINDS
 from banditmip.model import Assignment, MipModel, generate_instance, load_instance
 from banditmip.simplex import BoundState, LpResult, LpStatus
 
@@ -148,8 +149,43 @@ def test_time_limit_status():
 def test_lp_iteration_exhaustion_never_claims_optimality():
     model = generate_instance("set_cover", (24, 12), 3)
     res = solve(model, SolverSettings(seed=1, lp_iter_limit=1))
-    assert res.status is SolveStatus.NODE_LIMIT
+    assert res.status is SolveStatus.ITER_LIMIT
     assert res.incumbent is None
+
+
+NON_DEFAULT_HEURISTIC_SETTINGS = dict(
+    f_init=0.6, q_init=0.2, lambda_sol=0.4, lambda_gap=0.25, lambda_eff=0.1,
+    lambda_conf=0.25, epsilon=0.5, beta=0.2, lns_node_budget=50, dive_max_depth=40,
+)
+
+
+def test_heuristic_settings_reach_both_modes():
+    model = generate_instance("gap", (24, 4), 5)
+    cfg = NON_DEFAULT_HEURISTIC_SETTINGS
+    for key, value in cfg.items():
+        assert getattr(SolverSettings(), key) != value
+
+    res = solve(model, SolverSettings(mode="default", seed=1, node_limit=60, **cfg))
+    assert sum(st.pulls for st in res.stats.per_heuristic.values()) > 0
+    for h, st in res.stats.per_heuristic.items():
+        assert st.final_limit == (cfg["f_init"] if h in LNS_KINDS else cfg["q_init"])
+
+    tree = TreeSearch(model, SolverSettings(mode="scheduler", seed=1, node_limit=60, **cfg))
+    res = tree.run()
+    first = res.scheduler_log[0]
+    assert first["h"] in LNS_KINDS
+    assert first["n_max"] == cfg["lns_node_budget"]
+    assert first["limit_before"] == cfg["f_init"]
+    dive = next(rec for rec in res.scheduler_log if rec["klass"] == "diving")
+    assert dive["n_max"] == cfg["dive_max_depth"]
+    assert dive["limit_before"] == cfg["q_init"]
+    sched = tree.sched
+    assert sched.bandit.epsilon == cfg["epsilon"]
+    assert sched.beta == cfg["beta"]
+    assert (sched.cfg.lam_sol, sched.cfg.lam_gap, sched.cfg.lam_eff, sched.cfg.lam_conf) == (
+        cfg["lambda_sol"], cfg["lambda_gap"], cfg["lambda_eff"], cfg["lambda_conf"])
+    assert sched.cfg.n_max == {"lns": cfg["lns_node_budget"], "diving": cfg["dive_max_depth"]}
+    assert tree.limits is sched.limits
 
 
 def test_monotone_incumbents():

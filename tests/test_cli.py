@@ -16,6 +16,7 @@ from banditmip.cli import (
     summarize_runs,
 )
 from banditmip.bnb import SolverSettings
+from banditmip.heuristics import DEFAULT_ORDER
 
 GOLDEN_COLUMNS = [
     "instance", "seed", "mode", "status", "time_s", "nodes", "objective",
@@ -216,6 +217,20 @@ def test_bench_cross_product(tmp_path):
     assert len(rows) == 24
     assert {r["mode"] for r in rows} == {"default", "scheduler"}
     assert all(r["status"] == "optimal" for r in rows)
+
+
+def test_bench_default_mode_has_no_mean_reward(tmp_path):
+    manifest = tmp_path / "suite.txt"
+    _write_manifest(manifest, ["gen:gap:n=30,m=5,seed=0"])
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(manifest), "--seeds", "1", "--out", str(out)]) == 0
+    rows = {r["mode"]: r for r in csv.DictReader(out.open())}
+    ran = [h for h in DEFAULT_ORDER if int(rows["default"][f"{h}_pulls"]) > 0]
+    assert ran  # the static schedule ran something, yet computed no reward
+    for h in ran:
+        assert rows["default"][f"{h}_mean_reward"] == ""
+    assert all(rows["scheduler"][f"{h}_mean_reward"] != "" for h in DEFAULT_ORDER
+               if int(rows["scheduler"][f"{h}_pulls"]) > 0)
 
 
 def test_bench_empty_manifest(tmp_path):

@@ -7,6 +7,7 @@ from banditmip.model import (
     DuplicateColumnEntry,
     MalformedSection,
     MipModel,
+    ObjectiveOffset,
     UnknownRowReference,
     evaluate_solution,
     generate_instance,
@@ -81,6 +82,14 @@ def test_parse_duplicate_column_entry():
     )
     with pytest.raises(DuplicateColumnEntry):
         parse_mps(text)
+
+
+def test_parse_objective_offset_rejected_unless_zero():
+    with pytest.raises(ObjectiveOffset):
+        parse_mps(KNAPSACK_MPS.replace(" RHS CAP 5.0", " RHS OBJ -10.0 CAP 5.0"))
+    model = parse_mps(KNAPSACK_MPS.replace(" RHS CAP 5.0", " RHS OBJ 0.0 CAP 5.0"))
+    assert model.rhs[0] == 5.0
+    assert np.array_equal(model.c, [-3.0, -5.0])
 
 
 def test_parse_bound_kinds():

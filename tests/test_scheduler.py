@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from banditmip.bnb import SolverSettings
 from banditmip.heuristics import DEFAULT_ORDER, HeurOutcome
 from banditmip.scheduler import (
     BanditState,
@@ -22,9 +23,8 @@ from oracles import FakeRng
 ALL = set(DEFAULT_ORDER)
 
 
-def _sched(**kw):
-    kw.setdefault("rng", np.random.default_rng(0))
-    return Scheduler(**kw)
+def _sched(rng=None):
+    return Scheduler(SolverSettings(), rng if rng is not None else np.random.default_rng(0))
 
 
 def _outcome(h, found=False, nodes=0, conflicts=0, subinf=False):
