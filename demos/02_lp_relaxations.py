@@ -1,9 +1,11 @@
 """The bounded-variable simplex engine behind every node and dive.
 
 A SimplexContext keeps the expanded matrix and the last basis, so repeated
-solves under changed variable bounds (exactly what a dive does) can warm
-start.  Warm results always agree with a cold solve; flip shadow_check=True
-to have the context assert that on every call.
+solves under changed variable bounds (exactly what a dive does) warm start:
+a fixing that leaves the old basis primal infeasible is repaired by a few
+dual simplex pivots instead of a cold solve.  Warm results always agree
+with a cold solve; flip shadow_check=True to have the context assert that
+on every call.
 """
 
 from banditmip import BoundState, SimplexContext, generate_instance, solve_lp

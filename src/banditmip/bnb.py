@@ -1,7 +1,8 @@
 """LP-based branch and bound with a pluggable primal heuristic layer.
 
 Node selection is best-bound with depth-first plunging.  At every node the
-solver re-optimizes the relaxation, prunes by bound or infeasibility, harvests
+solver re-optimizes the relaxation from its parent's optimal basis (the
+simplex's dual warm start), prunes by bound or infeasibility, harvests
 integral LP solutions, then runs the cheap rounding heuristic followed by the
 controlled portfolio, either under the online scheduler or under a static
 depth-modulo schedule (the ``default`` baseline).  Both modes share one table
@@ -126,6 +127,7 @@ class Node:
     depth: int
     bounds: BoundState
     parent_dualbound: float
+    basis: Optional[tuple] = None  # the parent's optimal LP basis, the warm start
 
 
 @dataclass
@@ -208,12 +210,14 @@ def select_branch_variable(lp: LpResult, model: MipModel,
     Fractionalities within 1e-9 count as tied so that values like 0.3 and 0.7
     compare equal despite binary representation dust.
     """
+    ints = model.integers
+    v = lp.x[ints]
+    fracs = np.minimum(v - np.floor(v), np.ceil(v) - v)
     best_j, best_frac = -1, int_tol
-    for j in model.integers:
-        v = lp.x[j]
-        frac = min(v - math.floor(v), math.ceil(v) - v)
-        if frac > best_frac + 1e-9:
-            best_j, best_frac = int(j), frac
+    # only a fractionality above int_tol + 1e-9 can ever replace the running best
+    for k in np.flatnonzero(fracs > int_tol + 1e-9):
+        if fracs[k] > best_frac + 1e-9:
+            best_j, best_frac = int(ints[k]), fracs[k]
     if best_j < 0:
         raise NoFractionalVariable("LP solution is integral on all integer variables")
     return best_j
@@ -422,7 +426,8 @@ class TreeSearch:
             if node.parent_dualbound >= cut - 1e-9:
                 self._note_bound_prune()
                 continue
-            lp = self.ctx.solve(node.bounds, iter_limit=settings.lp_iter_limit)
+            lp = self.ctx.solve(node.bounds, iter_limit=settings.lp_iter_limit,
+                                basis=node.basis)
             self.nodes_processed += 1
             if lp.status is LpStatus.INFEASIBLE:
                 continue
@@ -456,10 +461,10 @@ class TreeSearch:
             j = select_branch_variable(lp, self.model, settings.int_tol)
             v = lp.x[j]
             down = Node(self.next_id, node.depth + 1,
-                        node.bounds.tightened(j, hi=math.floor(v)), lp.objective)
+                        node.bounds.tightened(j, hi=math.floor(v)), lp.objective, lp.basis)
             self.next_id += 1
             up = Node(self.next_id, node.depth + 1,
-                      node.bounds.tightened(j, lo=math.ceil(v)), lp.objective)
+                      node.bounds.tightened(j, lo=math.ceil(v)), lp.objective, lp.basis)
             self.next_id += 1
             prefer, other = (down, up) if v - math.floor(v) <= 0.5 else (up, down)
             if self.plunge_streak < settings.plunge_depth:

@@ -181,20 +181,15 @@ def run_rounding(lp: LpResult, model: MipModel, locks=None,
     out = HeurOutcome(heuristic="rounding")
     if locks is None:
         locks = variable_locks(model)
-    down, up = locks
+    ints = model.integers
+    down, up = locks[0][ints], locks[1][ints]
     x = lp.x.copy()
-    for j in model.integers:
-        v = x[j]
-        if abs(v - round(v)) <= int_tol:
-            x[j] = round(v)
-            continue
-        if down[j] < up[j]:
-            t = math.floor(v)
-        elif up[j] < down[j]:
-            t = math.ceil(v)
-        else:
-            t = _round_nearest(v)
-        x[j] = min(max(t, model.lower[j]), model.upper[j])
+    v = x[ints]
+    near, below, above = np.round(v), np.floor(v), np.ceil(v)
+    nearest = np.where(v - below <= 0.5, below, below + 1.0)  # _round_nearest
+    t = np.where(down < up, below, np.where(up < down, above, nearest))
+    t = np.minimum(np.maximum(t, model.lower[ints]), model.upper[ints])
+    x[ints] = np.where(np.abs(v - near) <= int_tol, near, t)
     ev = evaluate_solution(model, x, int_tol=int_tol, feas_tol=feas_tol)
     if ev.feasible and ev.integral:
         sol = Assignment.from_values(model, x)

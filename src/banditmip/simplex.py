@@ -1,17 +1,29 @@
-"""Bounded-variable primal simplex for LP relaxations.
+"""Bounded-variable simplex for LP relaxations: primal when cold, dual when warm.
 
 Rows are turned into an equality system by adding one slack per row; the
-solver then runs a textbook two-phase simplex over the combined variable set
-with individual lower/upper bounds.  Pivoting uses Dantzig pricing and falls
-back to Bland's rule after a fixed number of iterations, which guarantees
-termination.  A :class:`SimplexContext` keeps the expanded matrix and the last
-basis so that repeated solves under changed variable bounds (dives, child
-nodes) can warm start; warm results always agree with a cold solve and an
-optional shadow check asserts exactly that.
+solver then runs over the combined variable set with individual lower/upper
+bounds.  A cold solve is a textbook two-phase primal simplex.  Pivoting uses
+Dantzig pricing and falls back to Bland's rule after a fixed number of
+iterations, which guarantees termination.
+
+A :class:`SimplexContext` keeps the expanded matrix and the last optimal
+basis, and every optimal :class:`LpResult` carries its own basis, so branch
+and bound re-solves each child node from its parent's basis and a dive
+chains from the context's last one.  A saved basis that is still primal
+feasible under the new bounds goes straight to the primal loop.  Otherwise
+each boxed nonbasic variable moves to the bound its reduced cost wants and,
+if that leaves the basis dual feasible, a bounded dual simplex (largest
+violation leaves, smallest ``|d_j / alpha_j|`` enters) restores primal
+feasibility; a primal pass then finishes, normally without a pivot.  The
+dual loop reports an infeasible LP only with a Farkas row that cannot reach
+its bound anywhere in the box, and falls back to a cold solve otherwise.  A
+basis saved before cut rows were appended is extended with their slacks.
+Warm results always agree with a cold solve; an optional shadow check
+asserts exactly that, and that every row holds at each optimal solution.
 
 The basis inverse is kept explicitly and changed by one product-form (eta)
 update per basis change, shared by phase-1 artificial eviction and the pivot
-loop.  Once the basis has ``ROW_UPDATE_MIN_M`` (128) or more rows and the
+loops.  Once the basis has ``ROW_UPDATE_MIN_M`` (128) or more rows and the
 entering column is mostly zeros, the update touches only the rows where that
 column is nonzero.  The inverse is still rebuilt from scratch every
 ``REFACTOR_EVERY`` basis changes, which bounds the drift of the updates.
@@ -53,6 +65,7 @@ class LpResult:
     objective: float
     iterations: int
     phase1_residual: float = 0.0
+    basis: tuple | None = None  # (basis, vstat) of an optimal solve; never mutated
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,24 @@ def _nonbasic_values(vstat: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.nd
     return np.where(vstat == AT_LOWER, lo, np.where(vstat == AT_UPPER, up, 0.0))
 
 
+def _descent(vstat: np.ndarray, g: np.ndarray, movable: np.ndarray, tol: float) -> np.ndarray:
+    """Movable nonbasic variables whose allowed move lowers ``g @ x`` by more than ``tol`` per unit."""
+    return movable & (
+        ((vstat == AT_LOWER) & (g < -tol))
+        | ((vstat == AT_UPPER) & (g > tol))
+        | ((vstat == FREE) & (np.abs(g) > tol))
+    )
+
+
+def _activity_range(A: np.ndarray, lo: np.ndarray, up: np.ndarray):
+    """Least and greatest value of each row of ``A @ x`` over the box [lo, up]."""
+    pos, neg = A > 0, A < 0
+    with np.errstate(invalid="ignore"):
+        least = np.where(pos, A * lo, np.where(neg, A * up, 0.0)).sum(axis=1)
+        most = np.where(pos, A * up, np.where(neg, A * lo, 0.0)).sum(axis=1)
+    return least, most
+
+
 def _cut_row(cols, vals, sense: str, rhs: float):
     return (np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float),
             sense, float(rhs))
@@ -141,8 +172,7 @@ class SimplexContext:
         self.shadow_check = shadow_check
         self._extra = [_cut_row(*cut) for cut in cuts]  # (cols, vals, sense, rhs)
         self._build()
-        self._warm_basis = None
-        self._warm_vstat = None
+        self._warm = None  # (basis, vstat) of the last optimal solve
 
     def _build(self):
         model = self.model
@@ -165,31 +195,43 @@ class SimplexContext:
         self.cost = np.concatenate([model.c, np.zeros(m)])
 
     def add_cut_row(self, cols, vals, sense: str, rhs: float):
-        """Append a valid inequality; invalidates any saved warm basis."""
+        """Append a valid inequality; saved bases stay usable, with its slack basic."""
         self._extra.append(_cut_row(cols, vals, sense, rhs))
         self._build()
-        self._warm_basis = None
-        self._warm_vstat = None
 
     def solve(self, bounds: BoundState, iter_limit: int = DEFAULT_ITER_LIMIT,
-              warm: bool = True) -> LpResult:
-        result = self._solve_inner(bounds, iter_limit, warm)
-        if self.shadow_check and warm:
-            cold = SimplexContext(self.model, self._extra, feas_tol=self.feas_tol)
-            ref = cold._solve_inner(bounds, iter_limit, warm=False)
-            assert ref.status == result.status, (
-                f"warm/cold status mismatch: {result.status} vs {ref.status}"
-            )
-            if ref.status == LpStatus.OPTIMAL:
-                scale = max(1.0, abs(ref.objective))
-                assert abs(ref.objective - result.objective) <= 1e-7 * scale
+              warm: bool = True, basis: tuple | None = None) -> LpResult:
+        """Solve under ``bounds``; a warm solve starts from ``basis``, else the last one."""
+        result = self._solve_inner(bounds, iter_limit, warm, basis)
+        if self.shadow_check:
+            if result.status is LpStatus.OPTIMAL:
+                self._assert_rows_hold(result.x)
+            if warm:
+                cold = SimplexContext(self.model, self._extra, feas_tol=self.feas_tol)
+                ref = cold._solve_inner(bounds, iter_limit, warm=False)
+                assert ref.status == result.status, (
+                    f"warm/cold status mismatch: {result.status} vs {ref.status}"
+                )
+                if ref.status == LpStatus.OPTIMAL:
+                    scale = max(1.0, abs(ref.objective))
+                    assert abs(ref.objective - result.objective) <= 1e-7 * scale
         return result
+
+    def _assert_rows_hold(self, x: np.ndarray):
+        """Every model and cut row holds at ``x`` within feas_tol times the row's size."""
+        A = self.A[:, :self.n]
+        slack = self.b - A @ x
+        tol = self.feas_tol * (1.0 + np.abs(self.b) + np.abs(A) @ np.maximum(1.0, np.abs(x)))
+        excess = np.maximum(self.slack_lo - slack, slack - self.slack_up) - tol
+        assert not np.any(excess > 0), (
+            f"row {int(np.argmax(excess))} violated by {float(excess.max()):.3g} beyond tolerance"
+        )
 
     # ------------------------------------------------------------------
     # core solver
     # ------------------------------------------------------------------
 
-    def _solve_inner(self, bounds, iter_limit, warm):
+    def _solve_inner(self, bounds, iter_limit, warm, saved=None):
         if bounds.empty or np.any(bounds.lower > bounds.upper + 1e-9):
             gap = float(np.max(bounds.lower - bounds.upper)) if len(bounds.lower) else 0.0
             return LpResult(LpStatus.INFEASIBLE, None, INF, 0,
@@ -199,14 +241,28 @@ class SimplexContext:
         lo = np.concatenate([bounds.lower, self.slack_lo])
         up = np.concatenate([bounds.upper, self.slack_up])
 
-        start = None
-        if warm and self._warm_basis is not None:
-            start = self._try_warm_start(lo, up)
+        start, binv, iters = None, None, 0
+        saved = saved if saved is not None else self._warm
+        if warm and saved is not None:
+            warmed = self._try_warm_start(lo, up, saved)
+            if warmed is not None:
+                basis, vstat, val, binv, primal_feasible = warmed
+                status = LpStatus.OPTIMAL
+                if not primal_feasible:
+                    status, iters, binv, resid = self._dual_loop(
+                        lo, up, basis, vstat, val, binv, iter_limit)
+                if status is LpStatus.OPTIMAL:
+                    start = basis, vstat, val, self.A, lo, up, None, 0
+                elif status is LpStatus.INFEASIBLE:
+                    return LpResult(status, None, INF, iters, phase1_residual=resid)
+                elif status is LpStatus.ITER_LIMIT:
+                    return LpResult(status, None, float("nan"), iters)
+                else:
+                    binv = None  # infeasibility not certified: solve cold
         if start is None:
             start = self._cold_start(lo, up)
         basis, vstat, val, A, lo, up, phase1_cost, nart = start
 
-        iters = 0
         if nart:
             status, iters = self._pivot_loop(
                 A, lo, up, basis, vstat, val, phase1_cost, iter_limit, iters
@@ -224,17 +280,14 @@ class SimplexContext:
 
         cost = np.concatenate([self.cost, np.zeros(nart)]) if nart else self.cost
         status, iters = self._pivot_loop(
-            A, lo, up, basis, vstat, val, cost, iter_limit, iters
+            A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv
         )
         if status is LpStatus.OPTIMAL:
             x = np.clip(val[:n].copy(), bounds.lower, bounds.upper)
-            if not np.any(basis >= nbase):
-                self._warm_basis = basis.copy()
-                self._warm_vstat = vstat[:nbase].copy()
-            else:
-                self._warm_basis = None
-                self._warm_vstat = None
-            return LpResult(LpStatus.OPTIMAL, x, float(self.model.c @ x), iters)
+            art_basic = np.any(basis >= nbase)
+            self._warm = None if art_basic else (basis.copy(), vstat[:nbase].copy())
+            return LpResult(LpStatus.OPTIMAL, x, float(self.model.c @ x), iters,
+                            basis=self._warm)
         if status is LpStatus.UNBOUNDED:
             return LpResult(status, None, -INF, iters)
         return LpResult(status, None, float("nan"), iters)
@@ -283,9 +336,19 @@ class SimplexContext:
         phase1[nbase:] = 1.0
         return basis, vstat, val, A, lo, up, phase1, nart
 
-    def _try_warm_start(self, lo, up):
-        basis = self._warm_basis.copy()
-        vstat = _repair_statuses(self._warm_vstat, lo, up)
+    def _try_warm_start(self, lo, up, saved):
+        """Set up a saved basis under new bounds, or return None when it cannot start.
+
+        Returns (basis, vstat, val, binv, primal_feasible).  A basis that is
+        no longer primal feasible is returned only if, after moving each boxed
+        nonbasic variable to the bound its reduced cost wants, it is dual
+        feasible, so that the dual loop can start from it.
+        """
+        basis, vstat = saved
+        added = np.arange(self.n + len(basis), self.n + self.m)  # slacks of later cuts
+        basis = np.concatenate([basis, added])
+        vstat = _repair_statuses(
+            np.concatenate([vstat, np.full(added.size, BASIC, dtype=np.int8)]), lo, up)
         val = _nonbasic_values(vstat, lo, up)
         try:
             binv = np.linalg.inv(self.A[:, basis])
@@ -293,10 +356,114 @@ class SimplexContext:
             return None
         nb_mask = vstat != BASIC
         xb = binv @ (self.b - self.A[:, nb_mask] @ val[nb_mask])
-        if np.any(xb < lo[basis] - self.feas_tol) or np.any(xb > up[basis] + self.feas_tol):
-            return None  # previous basis no longer primal feasible
-        val[basis] = xb
-        return basis, vstat, val, self.A, lo, up, None, 0
+        if not (np.any(xb < lo[basis] - self.feas_tol)
+                or np.any(xb > up[basis] + self.feas_tol)):
+            val[basis] = xb
+            return basis, vstat, val, binv, True
+        d = self.cost - (self.cost[basis] @ binv) @ self.A
+        boxed = nb_mask & (lo > -INF) & (up < INF)
+        vstat[boxed & (d > DUAL_TOL)] = AT_LOWER
+        vstat[boxed & (d < -DUAL_TOL)] = AT_UPPER
+        if np.any(_descent(vstat, d, up - lo > 0, DUAL_TOL)):
+            return None  # not dual feasible either
+        val = _nonbasic_values(vstat, lo, up)
+        val[basis] = binv @ (self.b - self.A[:, nb_mask] @ val[nb_mask])
+        return basis, vstat, val, binv, False
+
+    def _dual_loop(self, lo, up, basis, vstat, val, binv, iter_limit):
+        """Bounded dual simplex from a dual feasible basis until no basic variable is out of bounds.
+
+        Returns (status, pivots, binv, residual): OPTIMAL when the basis is
+        primal feasible, INFEASIBLE with the certified violation of a Farkas
+        row, ITER_LIMIT, or None when a row without an entering candidate
+        could not be certified infeasible.
+        """
+        A, b, cost = self.A, self.b, self.cost
+        movable = up - lo > 0
+        iters = since_refactor = 0
+        while True:
+            if since_refactor >= REFACTOR_EVERY:
+                binv = np.linalg.inv(A[:, basis])
+                nb_mask = vstat != BASIC
+                val[basis] = binv @ (b - A[:, nb_mask] @ val[nb_mask])
+                since_refactor = 0
+            xb = val[basis]
+            below = lo[basis] - xb
+            above = xb - up[basis]
+            viol = np.maximum(below, above)
+            if iters < BLAND_AFTER:
+                r = int(np.argmax(viol))
+                if viol[r] <= self.feas_tol:
+                    return LpStatus.OPTIMAL, iters, binv, 0.0
+            else:
+                rows = np.flatnonzero(viol > self.feas_tol)
+                if rows.size == 0:
+                    return LpStatus.OPTIMAL, iters, binv, 0.0
+                r = int(rows[np.argmin(basis[rows])])
+            if iters >= iter_limit:
+                return LpStatus.ITER_LIMIT, iters, binv, 0.0
+            to_lower = below[r] > above[r]
+            alpha = binv[r] @ A
+            # x_B[r] = beta_r - alpha @ x_N must rise when to_lower, fall otherwise
+            cand = np.flatnonzero(
+                _descent(vstat, alpha if to_lower else -alpha, movable, PIVOT_TOL))
+            if cand.size == 0:
+                resid = self._farkas_violation(lo, up, basis, vstat, r, to_lower)
+                if resid > self.feas_tol:
+                    return LpStatus.INFEASIBLE, iters, binv, resid
+                return None, iters, binv, 0.0
+            d = cost - (cost[basis] @ binv) @ A
+            ratios = np.abs(d[cand] / alpha[cand])
+            tied = cand[ratios <= ratios.min() + 1e-12]
+            if iters < BLAND_AFTER:
+                q = int(tied[int(np.argmax(np.abs(alpha[tied])))])
+            else:
+                q = int(tied[0])
+
+            ycol = binv @ A[:, q]
+            leaving = int(basis[r])
+            target = lo[leaving] if to_lower else up[leaving]
+            step = (xb[r] - target) / ycol[r]
+            val[basis] = xb - step * ycol
+            val[q] += step
+            val[leaving] = target
+            vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
+            basis[r] = q
+            vstat[q] = BASIC
+            _eta_update(binv, ycol, r)
+            iters += 1
+            since_refactor += 1
+
+    def _farkas_violation(self, lo, up, basis, vstat, r, to_lower) -> float:
+        """How far basic variable ``r`` stays from its violated bound anywhere in the box.
+
+        Row ``r`` of a fresh B^-1 gives x_B[r] = beta_r - sum_N alpha_j x_j; the
+        result is the distance from the bound to the best value that sum
+        reaches with every nonbasic variable inside its bounds.  A slack with
+        an infinite bound is held to the range its row's activity spans over
+        the structural box, so that round-off dust on its column cannot make
+        the reach infinite.  A positive value proves the LP infeasible.
+        """
+        try:
+            row = np.linalg.inv(self.A[:, basis])[r]
+        except np.linalg.LinAlgError:
+            return -INF
+        nb = np.flatnonzero(vstat != BASIC)
+        sign = 1.0 if to_lower else -1.0
+        h = -sign * (row @ self.A[:, nb])  # gain of sign * x_B[r] per unit of x_j
+        lo_nb, up_nb = lo[nb], up[nb]
+        rows = nb - self.n
+        loose = (rows >= 0) & np.where(h > 0, up_nb == INF, (h < 0) & (lo_nb == -INF))
+        if loose.any():
+            i = rows[loose]
+            amin, amax = _activity_range(self.A[i, :self.n], lo[:self.n], up[:self.n])
+            lo_nb[loose] = np.maximum(lo_nb[loose], self.b[i] - amax)
+            up_nb[loose] = np.minimum(up_nb[loose], self.b[i] - amin)
+        best = np.where(h > 0, up_nb, lo_nb)
+        with np.errstate(invalid="ignore"):
+            reach = sign * (row @ self.b) + np.sum(np.where(h != 0, h * best, 0.0))
+        leaving = basis[r]
+        return float(sign * (lo[leaving] if to_lower else up[leaving]) - reach)
 
     def _evict_artificials(self, A, basis, vstat, val, nbase):
         binv = np.linalg.inv(A[:, basis])
@@ -321,9 +488,10 @@ class SimplexContext:
             else:
                 _eta_update(binv, binv @ A[:, j], r)
 
-    def _pivot_loop(self, A, lo, up, basis, vstat, val, cost, iter_limit, iters):
+    def _pivot_loop(self, A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv=None):
         m = len(basis)
-        binv = np.linalg.inv(A[:, basis])
+        if binv is None:
+            binv = np.linalg.inv(A[:, basis])
         movable = up - lo > 0
         since_refactor = 0
         with np.errstate(invalid="ignore"):
@@ -337,12 +505,7 @@ class SimplexContext:
                     since_refactor = 0
                 y = cost[basis] @ binv
                 d = cost - y @ A
-                elig = movable & (
-                    ((vstat == AT_LOWER) & (d < -DUAL_TOL))
-                    | ((vstat == AT_UPPER) & (d > DUAL_TOL))
-                    | ((vstat == FREE) & (np.abs(d) > DUAL_TOL))
-                )
-                cand = np.nonzero(elig)[0]
+                cand = np.nonzero(_descent(vstat, d, movable, DUAL_TOL))[0]
                 if cand.size == 0:
                     return LpStatus.OPTIMAL, iters
                 if iters < BLAND_AFTER:

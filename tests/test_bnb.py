@@ -118,6 +118,28 @@ def test_full_solves_under_lp_shadow_checking():
             assert res.status is SolveStatus.OPTIMAL
 
 
+def test_each_node_lp_starts_from_its_parents_basis(monkeypatch):
+    from banditmip.simplex import SimplexContext
+
+    calls = {}  # per tree's context: (basis handed in, basis returned) of each node LP
+    solve_lp = SimplexContext.solve
+
+    def recording(self, bounds, *args, **kwargs):
+        res = solve_lp(self, bounds, *args, **kwargs)
+        if "basis" in kwargs:  # dives chain from the context's last basis instead
+            calls.setdefault(id(self), []).append((kwargs["basis"], res.basis))
+        return res
+
+    monkeypatch.setattr(SimplexContext, "solve", recording)
+    res = solve(generate_instance("gap", (24, 4), 5), SolverSettings(mode="default", seed=1))
+    assert res.status is SolveStatus.OPTIMAL
+    assert sum(map(len, calls.values())) > res.nodes_processed > 20  # sub-MIP trees too
+    for tree in calls.values():
+        assert tree[0][0] is None  # each root starts cold
+        for k, (given, _) in enumerate(tree[1:], start=1):
+            assert any(given is out for _, out in tree[:k])
+
+
 def test_bound_sandwich_at_every_node_limit():
     model = generate_instance("gap", (24, 4), 8)
     full = solve(model, SolverSettings(seed=2))
@@ -240,6 +262,34 @@ def test_branch_picks_most_fractional():
 def test_branch_tie_breaks_lowest_index():
     model = _model([0, 0], [], "", [])
     assert select_branch_variable(_lp_with([0.3, 0.7]), model) == 0
+
+
+def _branch_loop(x, model, int_tol):
+    """The per-variable most-fractional rule, as the reference for the vectorized one."""
+    best_j, best_frac = -1, int_tol
+    for j in model.integers:
+        frac = min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j])
+        if frac > best_frac + 1e-9:
+            best_j, best_frac = int(j), frac
+    return best_j
+
+
+def test_vectorized_branching_matches_loop():
+    rng = np.random.default_rng(4)
+    n = 60
+    model = _model([0] * n, [], "", [])
+    for _ in range(300):
+        model.integers = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        base = rng.integers(-3, 4, size=n).astype(float)
+        pool = ([0.0, 0.3, 0.7, 0.5, 0.5 + 5e-10, 0.5 - 5e-10, 2e-6, rng.random()]
+                if rng.random() < 0.5 else [0.0, 1e-6, 1e-6 + 5e-10, 1e-6 + 5e-8])
+        x = base + rng.choice(pool, size=n)
+        expected = _branch_loop(x, model, 1e-6)
+        if expected < 0:
+            with pytest.raises(NoFractionalVariable):
+                select_branch_variable(_lp_with(x), model)
+        else:
+            assert select_branch_variable(_lp_with(x), model) == expected
 
 
 def test_branch_raises_on_integral():

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from banditmip.heuristics import (
     PORTFOLIO,
     _frac,
     _open_fractional,
+    _round_nearest,
     run_diving,
     run_lns,
     run_rounding,
@@ -20,7 +23,7 @@ from banditmip.heuristics import (
     variable_locks,
 )
 from banditmip.model import Assignment, MipModel, evaluate_solution
-from banditmip.simplex import BoundState
+from banditmip.simplex import BoundState, LpResult, LpStatus
 
 from oracles import brute_force_binary
 
@@ -145,6 +148,47 @@ def test_rounding_fails_on_equality_row():
     assert not np.allclose(np.round(lp.x), lp.x)  # LP sits at a fractional split
     out = run_rounding(lp, model, accept=env.accept)
     assert out.solution is None and not out.found_incumbent
+
+
+def _rounding_loop(x, model, locks, int_tol):
+    """The per-variable rounding rule, as the reference for the vectorized one."""
+    down, up = locks
+    x = x.copy()
+    for j in model.integers:
+        v = x[j]
+        if abs(v - round(v)) <= int_tol:
+            x[j] = round(v)
+            continue
+        if down[j] < up[j]:
+            t = math.floor(v)
+        elif up[j] < down[j]:
+            t = math.ceil(v)
+        else:
+            t = _round_nearest(v)
+        x[j] = min(max(t, model.lower[j]), model.upper[j])
+    return x
+
+
+def test_vectorized_rounding_matches_loop(monkeypatch):
+    import banditmip.model as model_mod
+
+    rng = np.random.default_rng(3)
+    n = 400
+    model = _model(np.zeros(n), [], "", [])
+    model.integers = np.sort(rng.choice(n, size=300, replace=False))
+    model.lower = rng.integers(-3, 1, size=n).astype(float)
+    model.upper = model.lower + rng.integers(0, 4, size=n)
+    base = rng.integers(-4, 5, size=n).astype(float)
+    x = base + rng.choice([0.0, 0.5, 1e-7, -1e-7, 0.3, 0.7], size=n)
+    x = np.where(rng.random(n) < 0.3, base + rng.random(n), x)
+    locks = (rng.integers(0, 3, size=n), rng.integers(0, 3, size=n))
+    seen = []
+    evaluate = model_mod.evaluate_solution
+    monkeypatch.setattr(model_mod, "evaluate_solution",
+                        lambda m, cand, **kw: seen.append(cand.copy()) or evaluate(m, cand, **kw))
+    lp = LpResult(LpStatus.OPTIMAL, x, 0.0, 0)
+    run_rounding(lp, model, locks=locks, int_tol=1e-6)
+    assert np.array_equal(seen[0], _rounding_loop(x, model, locks, 1e-6))
 
 
 def test_locks_prefer_fewer_violations():

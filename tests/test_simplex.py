@@ -277,12 +277,143 @@ def test_eviction_heavy_lp_warm_resolves_shadowed():
     res = ctx.solve(bounds)
     for step in range(4):
         # a column fixed at its value keeps the saved basis feasible (a warm
-        # hit); one forced into the cover can make it infeasible (a cold
+        # hit); one forced into the cover can make it infeasible (a dual
         # re-solve).  Both fixings keep the cover LP feasible.
         j = int(np.flatnonzero(res.x > 0.5 if step % 2 == 0 else res.x < 0.5)[step])
         bounds = bounds.fixed(j, 1.0)
         res = ctx.solve(bounds)
         assert res.status is LpStatus.OPTIMAL
+
+
+def test_forced_cover_column_resolves_by_dual_simplex():
+    """Forcing an unused column into the cover takes a few dual pivots, not a cold solve."""
+    model = generate_instance("set_cover", (300, 150), 0)
+    ctx = SimplexContext(model, shadow_check=True)
+    bounds = BoundState.from_model(model)
+    res = ctx.solve(bounds)
+    for step in range(4):
+        j = int(np.flatnonzero(res.x > 0.5 if step % 2 == 0 else res.x < 0.5)[step])
+        bounds = bounds.fixed(j, 1.0)
+        res = ctx.solve(bounds)
+        assert res.status is LpStatus.OPTIMAL
+        if step % 2 == 1:
+            assert res.iterations <= 5  # a cold re-solve takes about 450
+
+
+def _tighten_randomly(rng, lower, upper):
+    """One random integer tightening of one variable's box."""
+    lower, upper = lower.copy(), upper.copy()
+    j = int(rng.integers(len(lower)))
+    v = int(rng.integers(lower[j], upper[j] + 1))
+    if rng.random() < 0.5:
+        lower[j] = v
+    else:
+        upper[j] = v
+    return lower, upper
+
+
+def test_warm_resolves_after_tightening_match_oracle(monkeypatch):
+    """Warm re-solves of 300 random LPs under 3 successive tightenings each, against exact enumeration."""
+    dual_runs = []
+    dual_loop = SimplexContext._dual_loop
+
+    def counted(self, *args):
+        dual_runs.append(1)
+        return dual_loop(self, *args)
+
+    monkeypatch.setattr(SimplexContext, "_dual_loop", counted)
+    rng = np.random.default_rng(11)
+    optimal = infeasible = 0
+    for _ in range(300):
+        c, rows, senses, rhs, lower, upper = _random_lp(rng)
+        model = _model(c, rows.tolist(), senses, rhs, lower, upper)
+        ctx = SimplexContext(model)
+        res = ctx.solve(BoundState.from_model(model), warm=False)
+        for _ in range(3):
+            if res.status is not LpStatus.OPTIMAL:
+                break
+            lower, upper = _tighten_randomly(rng, lower, upper)
+            res = ctx.solve(BoundState(lower=lower.astype(float), upper=upper.astype(float)))
+            case = (c, rows, senses, rhs, lower, upper)
+            status, best = lp_vertex_oracle(
+                c.tolist(), rows.tolist(), senses, rhs.tolist(),
+                lower.tolist(), upper.tolist(),
+            )
+            if status == "infeasible":
+                infeasible += 1
+                assert res.status is LpStatus.INFEASIBLE, case
+                assert res.phase1_residual > 0, case
+            else:
+                optimal += 1
+                assert res.status is LpStatus.OPTIMAL, case
+                assert abs(res.objective - float(best)) <= 1e-6, (res.objective, best, case)
+    assert optimal > 50 and infeasible > 10
+    assert len(dual_runs) > 20  # the dual path, not only primal-feasible warm hits
+
+
+def test_basis_saved_before_a_cut_warm_starts():
+    """A basis from before add_cut_row re-solves with the cut's slack basic, as a cold solve would."""
+    model = generate_instance("gap", (24, 4), 5)
+    bounds = BoundState.from_model(model)
+    ctx = SimplexContext(model, shadow_check=True)
+    root = ctx.solve(bounds)
+    assert root.status is LpStatus.OPTIMAL and len(root.basis[0]) == model.m
+    cut = (np.arange(model.n), model.c, "G", float(np.floor(root.objective)) + 1.0)
+    ctx.add_cut_row(*cut)
+    child = bounds.tightened(int(np.argmax(root.x)), hi=0.0)
+    warm = ctx.solve(child, basis=root.basis)
+    cold = SimplexContext(model, cuts=[cut]).solve(child, warm=False)
+    assert warm.status is cold.status is LpStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+    assert warm.iterations < cold.iterations
+    assert len(warm.basis[0]) == model.m + 1
+
+
+@pytest.mark.parametrize("upper, certified", [
+    ([1, 1], True),  # x0 + x1 <= 2 < 3 anywhere in the box
+    ([2, 2], False),  # x0 = x1 = 1.5 is feasible
+    ([1, INF], False),  # x1 can grow without limit
+])
+def test_farkas_row_certifies_only_a_true_infeasibility(upper, certified):
+    model = _model(c=[1, 1], rows=[[1, 1]], senses="G", rhs=[3], lower=[0, 0], upper=upper)
+    ctx = SimplexContext(model)
+    lo = np.array([0.0, 0.0, -INF])
+    up = np.array(upper + [0.0], dtype=float)
+    vstat = np.array([AT_LOWER, AT_LOWER, BASIC], dtype=np.int8)
+    # the slack s = 3 - x0 - x1 is basic at 3, above its upper bound 0
+    resid = ctx._farkas_violation(lo, up, np.array([2]), vstat, 0, to_lower=False)
+    assert (resid > 0) is certified
+    if certified:
+        assert resid == pytest.approx(1.0)
+
+
+def test_farkas_row_bounds_a_free_slack_by_its_row_activity():
+    """Dust on an unbounded slack's column does not void a certificate its row activity bounds."""
+    model = _model(c=[1, 1], rows=[[1, 0], [1, -1]], senses="GL", rhs=[3, 5],
+                   lower=[0, 0], upper=[1, 1])
+    ctx = SimplexContext(model)
+    ctx.A[0, 3] = 1e-17  # round-off on the second row's slack, which is unbounded above
+    lo = np.array([0.0, 0.0, -INF, 0.0])
+    up = np.array([1.0, 1.0, 0.0, INF])
+    vstat = np.array([AT_LOWER, BASIC, BASIC, AT_LOWER], dtype=np.int8)
+    # row 0: s0 = 3 - x0 stays at 2 or more, above its upper bound 0
+    resid = ctx._farkas_violation(lo, up, np.array([2, 1]), vstat, 0, to_lower=False)
+    assert resid == pytest.approx(2.0)
+
+
+def test_uncertified_infeasibility_solves_cold(monkeypatch):
+    model = _model(c=[1, 1], rows=[[1, 1]], senses="G", rhs=[3], lower=[0, 0], upper=[2, 2])
+    ctx = SimplexContext(model)
+    bounds = BoundState.from_model(model)
+    ctx.solve(bounds, warm=False)
+    cold_starts = []
+    cold_start = SimplexContext._cold_start
+    monkeypatch.setattr(SimplexContext, "_farkas_violation", lambda self, *a: -1.0)
+    monkeypatch.setattr(SimplexContext, "_cold_start",
+                        lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
+    res = ctx.solve(bounds.fixed(0, 0.0).fixed(1, 0.0))
+    assert res.status is LpStatus.INFEASIBLE and res.phase1_residual > 0
+    assert cold_starts == [1]  # the dual loop's verdict was not trusted
 
 
 def _random_boxes(rng, n):

@@ -2,9 +2,11 @@
 
 ``perfbench/spans.py`` wraps solver functions by looking them up on their
 modules at run time.  A rename in the solver silently drops those spans from
-the traced benchmark; here it fails a test instead.
+the traced benchmark; here it fails a test instead.  The same spans, fed to
+the benchmark's ``layer_metrics``, also guard the node-LP warm start.
 """
 
+import functools
 import os
 import sys
 
@@ -27,13 +29,18 @@ FAMILIES = (
 )
 
 
-def _traced_names(mode):
+@functools.lru_cache(maxsize=None)
+def _traced_spans(mode):
     model = generate_instance("gap", (24, 4), 5)
     settings = banditmip.SolverSettings(mode=mode, seed=1, time_limit_s=None)
     tracer = spans.Tracer(banditmip)
     with tracer:
         banditmip.bnb.solve(model, settings)
-    return {s.name for s in tracer.spans}
+    return tuple(tracer.spans)
+
+
+def _traced_names(mode):
+    return {s.name for s in _traced_spans(mode)}
 
 
 @pytest.mark.parametrize("mode", ["scheduler", "default"])
@@ -46,3 +53,14 @@ def test_tracer_patch_points_produce_spans(mode):
                if not any(n == f or (f.endswith(".") and n.startswith(f)) for n in names)]
     assert not missing, f"no spans for {missing}; got {sorted(names)}"
 
+
+@pytest.mark.parametrize("mode", ["scheduler", "default"])
+def test_node_lps_warm_start(mode):
+    """Child node LPs re-solve from their parent's basis in a few pivots.
+
+    Cold two-phase solves took 18-19 pivots per node LP on this instance; a
+    change that sends warm solves cold again fails here.
+    """
+    counts, _ = spans.layer_metrics(list(_traced_spans(mode)))
+    assert counts["simplex.node.calls"] > 20
+    assert counts["simplex.node.pivots_per_call"] <= 8
