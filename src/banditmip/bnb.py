@@ -184,6 +184,8 @@ class RunStats:
     heuristic_successes: int = 0
     heurtime_s: float = 0.0
     per_heuristic: dict = field(default_factory=dict)
+    # largest violation of any row by any optimal LP, over the row's size, sub-MIPs included
+    max_row_residual: float = 0.0
 
 
 @dataclass
@@ -307,7 +309,7 @@ class TreeSearch:
             self.settings, mode="default", node_limit=node_limit,
             time_limit_s=None,
         )
-        return solve(
+        res = solve(
             self.model, sub_settings,
             root_bounds=bounds,
             cutoff=cutoff,
@@ -315,6 +317,9 @@ class TreeSearch:
             heur_layer="rounding_only",
             deadline=self.deadline,
         )
+        self.stats.max_row_residual = max(self.stats.max_row_residual,
+                                          res.stats.max_row_residual)
+        return res
 
     def _make_env(self, node: Node) -> HeurEnv:
         return HeurEnv(
@@ -331,6 +336,7 @@ class TreeSearch:
             conflict=self._on_conflict,
             sub_solve=self._sub_solve,
             lp_iter_limit=self.settings.lp_iter_limit,
+            deadline=self.deadline,
         )
 
     # ------------------------------------------------------------------
@@ -492,6 +498,8 @@ class TreeSearch:
         self.stats.status = status.value
         self.stats.nodes = self.nodes_processed
         self.stats.time_s = time.perf_counter() - t0
+        self.stats.max_row_residual = max(self.stats.max_row_residual,
+                                          self.ctx.max_row_residual)
         self.stats.objective = (self.incumbent.objective
                                 if self.incumbent is not None else None)
         for h, st in self.stats.per_heuristic.items():

@@ -323,7 +323,8 @@ def cmd_solve(args) -> int:
             for rec in result.scheduler_log:
                 fh.write(json.dumps({"type": "call", **rec}, sort_keys=True) + "\n")
             fh.write(json.dumps(
-                {"type": "run_stats", **{k: v for k, v in stats_to_row(stats).items()}},
+                {"type": "run_stats", **stats_to_row(stats),
+                 "max_row_residual": repr(float(stats.max_row_residual))},
                 sort_keys=True,
             ) + "\n")
     obj = "-" if stats.objective is None else f"{stats.objective:.6g}"

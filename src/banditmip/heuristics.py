@@ -140,6 +140,7 @@ class HeurEnv:
     conflict: Callable[[str, dict, bool], None]
     sub_solve: Optional[Callable] = None
     lp_iter_limit: int = 20_000
+    deadline: Optional[float] = None  # time.perf_counter() value after which dives stop
 
 
 def _round_nearest(x: float) -> float:
@@ -256,6 +257,8 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limits: DivingLimits,
         return out
 
     while True:
+        if env.deadline is not None and time.perf_counter() > env.deadline:
+            return finish()
         cands = _open_fractional(ints, x_ref, bounds, env.int_tol)
         must_solve = False
         if not cands:

@@ -17,7 +17,7 @@ from banditmip.bnb import (
 )
 from banditmip.heuristics import LNS_KINDS
 from banditmip.model import Assignment, MipModel, generate_instance, load_instance
-from banditmip.simplex import BoundState, LpResult, LpStatus
+from banditmip.simplex import FEAS_TOL, BoundState, LpResult, LpStatus
 
 from oracles import brute_force_binary
 
@@ -458,3 +458,14 @@ def test_lns_cutoff_infeasible_marked_contaminated():
     genuine = solve(_model([1, 1], [[1, 1]], "G", [3]), SolverSettings())
     assert genuine.status is SolveStatus.INFEASIBLE
     assert not genuine.cutoff_pruned
+
+
+@pytest.mark.parametrize("family, size, seed, mode, node_limit", [
+    ("gap", (24, 4), 5, "scheduler", None),  # dense LPs, dives and sub-MIPs
+    ("set_cover", (300, 150), 0, "default", 1),  # the column store's root LP
+])
+def test_max_row_residual_stays_within_lp_tolerance(family, size, seed, mode, node_limit):
+    model = generate_instance(family, size, seed)
+    res = solve(model, SolverSettings(mode=mode, seed=1, node_limit=node_limit))
+    assert res.nodes_processed >= 1
+    assert 0.0 <= res.stats.max_row_residual <= FEAS_TOL

@@ -84,6 +84,16 @@ def test_solve_writes_jsonl_log(tmp_path):
     assert finals[0]["status"] == "optimal"
 
 
+def test_solve_log_reports_max_row_residual(tmp_path):
+    log = tmp_path / "log.jsonl"
+    assert main(["solve", "gen:set_cover:n=300,m=150,seed=0", "--node-limit", "1",
+                 "--log", str(log)]) == 0
+    final = [json.loads(line) for line in log.read_text().splitlines()][-1]
+    assert final["type"] == "run_stats"
+    assert 0.0 <= float(final["max_row_residual"]) <= 1e-7
+    assert "max_row_residual" not in CSV_COLUMNS  # the bench CSV keeps its columns
+
+
 def _oracle_reward(rec):
     """Reward recomputed from raw call data, coded separately from the package."""
     r_sol = 1.0 if rec["found_incumbent"] else 0.0

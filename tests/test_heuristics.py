@@ -1,5 +1,7 @@
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from banditmip.heuristics import (
     update_lp_resolve_threshold,
     variable_locks,
 )
-from banditmip.model import Assignment, MipModel, evaluate_solution
+from banditmip.model import Assignment, MipModel, evaluate_solution, generate_instance
 from banditmip.simplex import BoundState, LpResult, LpStatus
 
 from oracles import brute_force_binary
@@ -253,6 +255,23 @@ def test_dive_respects_max_depth():
     out = run_diving("coef_dive", lp, env, DivingLimits(max_depth=1),
                      np.random.default_rng(0))
     assert out.nodes_used <= 1
+
+
+def test_dive_stops_once_the_deadline_has_passed():
+    model = generate_instance("gap", (24, 4), 5)
+    tree, lp, env = _root(model)
+    assert env.deadline is not None and env.deadline == tree.deadline
+    solves = []
+    solve = tree.ctx.solve
+    tree.ctx.solve = lambda *a, **k: solves.append(1) or solve(*a, **k)
+    run_diving("frac_dive", lp, replace(env, deadline=None), DivingLimits(),
+               np.random.default_rng(0))
+    assert len(solves) >= 2  # without a deadline this dive re-solves its LP several times
+    solves.clear()
+    out = run_diving("frac_dive", lp, replace(env, deadline=time.perf_counter() - 1.0),
+                     DivingLimits(), np.random.default_rng(0))
+    assert len(solves) <= 1
+    assert out.solution is None and not out.found_incumbent
 
 
 def test_dive_candidate_scan_matches_loop():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from banditmip import simplex
 from banditmip.model import MipModel, evaluate_solution, generate_instance
 from banditmip.model import INF
 from banditmip.simplex import (
@@ -13,7 +14,10 @@ from banditmip.simplex import (
     LpStatus,
     SimplexContext,
     _bound_status,
+    _column_image,
+    _Csc,
     _eta_update,
+    _inverse,
     _nonbasic_values,
     _repair_statuses,
     solve_lp,
@@ -258,7 +262,7 @@ def test_eviction_heavy_lp_agrees_with_highs():
     bounds = BoundState.from_model(model)
     res = solve_lp(model, bounds)
     assert res.status is LpStatus.OPTIMAL
-    assert res.iterations == 504  # a changed pivot path fails here first
+    assert res.iterations == 492  # a changed pivot path fails here first
     A = np.zeros((model.m, model.n))
     for i, (cols, vals) in enumerate(zip(model.row_cols, model.row_vals)):
         A[i, cols] = vals
@@ -458,3 +462,168 @@ def test_warm_start_status_repair_matches_loop():
     assert np.array_equal(saved, before)  # the saved basis stays reusable
     assert vstat.dtype == np.int8 and np.array_equal(vstat, expected)
     assert np.array_equal(_nonbasic_values(vstat, lo, up), expected_val)
+
+
+# ---------------------------------------------------------------------------
+# the column-compressed store and its unit-column basis inverse
+# ---------------------------------------------------------------------------
+
+def _densify(A: _Csc) -> np.ndarray:
+    out = np.zeros((A.m, A.ncols))
+    out[A.rows, A.col] = A.vals
+    return out
+
+
+def _random_sparse_rows(rng, m, n, density=0.1):
+    """Row lists of a random sparse m x n matrix whose column 0 is empty."""
+    dense = np.where(rng.random((m, n)) < density, rng.integers(-5, 6, size=(m, n)), 0)
+    dense[:, 0] = 0
+    cols = [np.flatnonzero(row) for row in dense]
+    return cols, [dense[i, c].astype(float) for i, c in enumerate(cols)], dense.astype(float)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_column_store_products_match_dense(seed):
+    rng = np.random.default_rng(seed)
+    m, n = 40, 70
+    cols, vals, dense = _random_sparse_rows(rng, m, n)
+    full = np.hstack([dense, np.eye(m)])
+    A = _Csc.from_rows(cols, vals, n)
+    assert np.array_equal(_densify(A), full)
+    assert A.counts[0] == 0  # the empty column
+    y, v = rng.standard_normal(m), rng.standard_normal(n + m)
+    assert np.allclose(y @ A, y @ full, rtol=1e-13, atol=1e-13)
+    assert np.allclose(A @ v, full @ v, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(_densify(abs(A)), np.abs(full))
+    mask = rng.random(n + m) < 0.5
+    idx = rng.choice(n + m, size=15, replace=False)
+    for key in (mask, idx, slice(None, n), slice(5, n + 3)):
+        assert np.array_equal(_densify(A[:, key]), full[:, key])
+    assert np.allclose(A[:, mask] @ v[mask], full[:, mask] @ v[mask], rtol=1e-13, atol=1e-13)
+    binv = rng.standard_normal((m, m))
+    for j in (0, 1, n - 1, n + 7):  # the empty column, structurals and a slack
+        assert np.allclose(_column_image(binv, A, j), binv @ full[:, j], rtol=1e-13, atol=1e-13)
+    rows, signs = np.array([3, 0, 17]), np.array([1.0, -1.0, -1.0])
+    units = np.zeros((m, 3))
+    units[rows, np.arange(3)] = signs
+    assert np.array_equal(_densify(A.with_units(rows, signs)), np.hstack([full, units]))
+    pick = np.array([5, 2, 30])
+    assert np.array_equal(A.row_block(pick, n), dense[pick])
+
+
+def test_cut_row_rebuilds_the_column_store():
+    model = generate_instance("set_cover", (300, 150), 0)
+    ctx = SimplexContext(model)
+    assert isinstance(ctx.A, _Csc)
+    cut = (np.array([0, 7, 12, 299]), np.array([1.0, 2.0, 0.0, -1.0]), "L", 2.0)
+    ctx.add_cut_row(*cut)
+    A = np.zeros((model.m + 1, model.n))
+    A[:model.m] = model.dense_matrix()
+    A[model.m, cut[0]] = cut[1]
+    assert np.array_equal(_densify(ctx.A), np.hstack([A, np.eye(model.m + 1)]))
+    assert np.all(ctx.A.vals != 0.0)  # the cut's zero is not stored
+    assert ctx.slack_lo[-1] == 0.0 and ctx.slack_up[-1] == INF and ctx.b[-1] == 2.0
+
+
+def _basis_matrix(rng, m=30):
+    """A store with multi-entry structurals, singletons, slacks and +-1 artificials.
+
+    Columns: 0..m-1 multi-entry, m..m+4 singletons (values 2.5, -1 and 1 on
+    rows 0..4), then m slacks, then artificials -e_i (even i) and +e_i (odd i).
+    """
+    dense = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.3)
+    dense[rng.integers(m, size=m), np.arange(m)] += 3.0  # every column has an entry
+    dense[(np.arange(m) + 1) % m, np.arange(m)] += 1.0  # and a second one
+    singles = np.zeros((m, 5))
+    singles[np.arange(5), np.arange(5)] = [2.5, -1.0, 2.5, -1.0, 1.0]
+    struct = np.hstack([dense, singles])
+    cols = [np.flatnonzero(row) for row in struct]
+    A = _Csc.from_rows(cols, [struct[i, c] for i, c in enumerate(cols)], m + 5)
+    A = A.with_units(np.arange(m), np.where(np.arange(m) % 2, 1.0, -1.0))
+    return A, _densify(A)
+
+
+@pytest.mark.parametrize("kind", ["unit", "structural", "mixed"])
+def test_unit_column_inverse_matches_full_inverse(kind):
+    rng = np.random.default_rng(3)
+    m = 30
+    A, full = _basis_matrix(rng, m)
+    slack, art = m + 5, 2 * m + 5
+    if kind == "unit":  # singletons on rows 0..4, artificials on 5..9, slacks elsewhere
+        basis = np.concatenate([m + np.arange(5), art + np.arange(5, 10), slack + np.arange(10, m)])
+    elif kind == "structural":
+        basis = rng.permutation(m)
+    else:  # a singleton, artificials, slacks and 12 multi-entry columns
+        basis = np.concatenate([[m + 1], art + np.arange(2, 8), slack + np.arange(8, m - 11),
+                                rng.choice(m, size=12, replace=False)])
+    basis = rng.permutation(basis)
+    B = full[:, basis]
+    if kind == "structural":
+        assert (np.count_nonzero(B, axis=0) > 1).all()
+    binv = A.basis_inverse(basis)
+    assert np.allclose(binv, np.linalg.inv(B), rtol=1e-9, atol=1e-10)
+    assert np.allclose(binv @ B, np.eye(m), atol=1e-10)
+    assert np.array_equal(_inverse(A, basis), binv)
+
+
+def test_unit_column_inverse_rejects_singular_bases():
+    rng = np.random.default_rng(4)
+    m = 30
+    A, full = _basis_matrix(rng, m)
+    slack, art = m + 5, 2 * m + 5
+    shared = np.concatenate([[art + 3], slack + np.arange(1, m)])  # slack 3 and artificial 3
+    with pytest.raises(np.linalg.LinAlgError):
+        A.basis_inverse(shared)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(full[:, shared])  # the dense path agrees
+    twice = np.concatenate([[0, 0], slack + np.arange(2, m)])  # one column twice
+    with pytest.raises(np.linalg.LinAlgError):
+        A.basis_inverse(twice)
+
+
+def _solve_with_tightenings(model, rng_seed, store_rows):
+    """Status and objective of a cold solve and three warm re-solves after tightenings."""
+    rng = np.random.default_rng(rng_seed)
+    ctx = SimplexContext(model)
+    assert isinstance(ctx.A, _Csc) == (model.m >= store_rows)
+    res = ctx.solve(BoundState.from_model(model), warm=False)
+    out = [(res.status, res.objective)]
+    lower, upper = model.lower.copy(), model.upper.copy()
+    for _ in range(3):
+        if res.status is not LpStatus.OPTIMAL:
+            break
+        lower, upper = _tighten_randomly(rng, lower, upper)
+        res = ctx.solve(BoundState(lower=lower, upper=upper))
+        out.append((res.status, res.objective))
+    return out
+
+
+def _same_results(a, b):
+    assert [s for s, _ in a] == [s for s, _ in b]
+    for (s, x), (_, y) in zip(a, b):
+        if s is LpStatus.OPTIMAL:
+            assert x == pytest.approx(y, abs=1e-6)
+
+
+def test_random_lps_agree_on_both_stores(monkeypatch):
+    rng = np.random.default_rng(12)
+    models = []
+    for _ in range(150):
+        c, rows, senses, rhs, lower, upper = _random_lp(rng)
+        models.append(_model(c, rows.tolist(), senses, rhs, lower, upper))
+    dense = [_solve_with_tightenings(mo, k, ROW_UPDATE_MIN_M) for k, mo in enumerate(models)]
+    monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", 1)
+    sparse = [_solve_with_tightenings(mo, k, 1) for k, mo in enumerate(models)]
+    statuses = [s for run in sparse for s, _ in run]
+    assert statuses.count(LpStatus.INFEASIBLE) > 10 and statuses.count(LpStatus.OPTIMAL) > 100
+    for a, b in zip(dense, sparse):
+        _same_results(a, b)
+
+
+def test_cover_lp_agrees_on_both_stores(monkeypatch):
+    model = generate_instance("set_cover", (300, 150), 0)
+    sparse = _solve_with_tightenings(model, 0, ROW_UPDATE_MIN_M)
+    monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", 10**6)
+    dense = _solve_with_tightenings(model, 0, 10**6)
+    assert sparse[0][0] is LpStatus.OPTIMAL
+    _same_results(dense, sparse)
