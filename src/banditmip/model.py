@@ -181,32 +181,25 @@ def evaluate_solution(
         raise DimensionMismatch(
             f"assignment has {len(values)} entries, model has {model.n}"
         )
-    viol = 0.0
-    act = model.row_activity(values)
-    for i, sense in enumerate(model.row_senses):
-        if sense == "L":
-            viol = max(viol, act[i] - model.rhs[i])
-        elif sense == "G":
-            viol = max(viol, model.rhs[i] - act[i])
-        else:
-            viol = max(viol, abs(act[i] - model.rhs[i]))
-    finite_lo = model.lower > -INF
-    finite_up = model.upper < INF
-    if finite_lo.any():
-        viol = max(viol, float((model.lower - values)[finite_lo].max(initial=0.0)))
-    if finite_up.any():
-        viol = max(viol, float((values - model.upper)[finite_up].max(initial=0.0)))
-    viol = max(viol, 0.0)
-    if model.integers.size:
+    senses = np.asarray(model.row_senses, dtype="U1")
+    with np.errstate(invalid="ignore"):  # inf - inf from a non-finite entry: see below
+        gap = model.row_activity(values) - model.rhs
+        worst = np.max(np.concatenate([
+            np.where(senses == "L", gap, np.where(senses == "G", -gap, np.abs(gap))),
+            model.lower - values,
+            values - model.upper,
+        ]), initial=0.0)
         xi = values[model.integers]
         integral = bool(np.all(np.abs(xi - np.round(xi)) <= int_tol))
-    else:
-        integral = True
+        objective = float(model.c @ values)
+    # a NaN, from a non-finite entry or an overflow, would compare as no
+    # violation at all: count it as an infinite one
+    viol = INF if np.isnan(worst) else max(0.0, float(worst))
     return Evaluation(
-        feasible=viol <= feas_tol,
+        feasible=bool(viol <= feas_tol),
         integral=integral,
-        objective=float(model.c @ values),
-        max_violation=float(viol),
+        objective=objective,
+        max_violation=viol,
     )
 
 

@@ -121,13 +121,16 @@ def test_full_solves_under_lp_shadow_checking():
 def test_each_node_lp_starts_from_its_parents_basis(monkeypatch):
     from banditmip.simplex import SimplexContext
 
-    calls = {}  # per tree's context: (basis handed in, basis returned) of each node LP
+    # per tree's context: (basis handed in, basis returned) of each node LP.  The
+    # context itself is the key, which keeps it alive: a freed sub-MIP context's
+    # id() can be reused by a later one and would merge two trees' calls.
+    calls = {}
     solve_lp = SimplexContext.solve
 
     def recording(self, bounds, *args, **kwargs):
         res = solve_lp(self, bounds, *args, **kwargs)
         if "basis" in kwargs:  # dives chain from the context's last basis instead
-            calls.setdefault(id(self), []).append((kwargs["basis"], res.basis))
+            calls.setdefault(self, []).append((kwargs["basis"], res.basis))
         return res
 
     monkeypatch.setattr(SimplexContext, "solve", recording)

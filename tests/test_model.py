@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,41 @@ def test_evaluate_violated_row():
     ev = evaluate_solution(_tiny_model(), np.array([1.0, 1.0]))
     assert not ev.feasible
     assert ev.max_violation == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]])
+def test_evaluate_non_finite_entry_is_infeasible(x):
+    # an infinite entry cannot hide behind an infinite bound either
+    model = dataclasses.replace(_tiny_model(), upper=np.array([1.0, np.inf]))
+    ev = evaluate_solution(model, np.array(x))
+    assert ev.feasible is False and ev.max_violation == np.inf
+
+
+def _loop_violation(model, x):
+    """Largest violation by a per-row loop, the reference for the vectorized check."""
+    act = model.row_activity(x)
+    viol = 0.0
+    for i, sense in enumerate(model.row_senses):
+        gap = act[i] - model.rhs[i]
+        viol = max(viol, gap if sense == "L" else -gap if sense == "G" else abs(gap))
+    for j in range(model.n):
+        viol = max(viol, model.lower[j] - x[j], x[j] - model.upper[j])
+    return viol
+
+
+@pytest.mark.parametrize("family", ["knapsack", "set_cover", "gap"])
+def test_evaluate_matches_a_per_row_loop(family):
+    rng = np.random.default_rng(9)
+    model = generate_instance(family, (14, 5), 2)
+    senses = ["L", "G", "E"] + model.row_senses[3:]  # every sense
+    model = dataclasses.replace(model, row_senses=senses)
+    for _ in range(30):
+        x = np.where(rng.random(model.n) < 0.5, rng.integers(0, 2, model.n),
+                     rng.uniform(-0.5, 1.5, model.n))
+        ev = evaluate_solution(model, x, feas_tol=0.3)
+        assert ev.max_violation == _loop_violation(model, x)
+        assert type(ev.feasible) is bool and type(ev.integral) is bool
+        assert ev.feasible == (ev.max_violation <= 0.3)
 
 
 def test_evaluate_dimension_mismatch():

@@ -254,15 +254,9 @@ def test_eta_update_matches_dense_update(m, nonzeros):
     assert np.array_equal(binv, expected)
 
 
-def test_eviction_heavy_lp_agrees_with_highs():
-    """150 covering rows: phase 1 evicts many artificials and the row-restricted update runs."""
+def _assert_cover_optimum_matches_highs(model, res):
     linprog = pytest.importorskip("scipy.optimize").linprog
-    model = generate_instance("set_cover", (300, 150), 0)
-    assert model.m >= ROW_UPDATE_MIN_M
-    bounds = BoundState.from_model(model)
-    res = solve_lp(model, bounds)
     assert res.status is LpStatus.OPTIMAL
-    assert res.iterations == 492  # a changed pivot path fails here first
     A = np.zeros((model.m, model.n))
     for i, (cols, vals) in enumerate(zip(model.row_cols, model.row_vals)):
         A[i, cols] = vals
@@ -272,6 +266,29 @@ def test_eviction_heavy_lp_agrees_with_highs():
     assert ref.status == 0
     assert res.objective == pytest.approx(ref.fun, abs=1e-6)
     assert evaluate_solution(model, res.x, feas_tol=1e-7).feasible
+
+
+def test_eviction_heavy_lp_agrees_with_highs():
+    """150 covering rows, solved by the two-phase primal: phase 1 evicts many
+    artificials and the row-restricted update runs."""
+    model = generate_instance("set_cover", (300, 150), 0)
+    assert model.m >= ROW_UPDATE_MIN_M
+    res = solve_lp(model, BoundState.from_model(model))  # warm=False: two-phase
+    assert res.iterations == 492  # a changed pivot path fails here first
+    _assert_cover_optimum_matches_highs(model, res)
+
+
+def test_cover_lp_dual_cold_start_agrees_with_highs(monkeypatch):
+    """The same LP from a fresh context: the dual loop from the slack basis, no phase 1."""
+    model = generate_instance("set_cover", (300, 150), 0)
+    cold_starts = []
+    cold_start = SimplexContext._cold_start
+    monkeypatch.setattr(SimplexContext, "_cold_start",
+                        lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
+    res = SimplexContext(model, shadow_check=True).solve(BoundState.from_model(model))
+    assert cold_starts == [1]  # the shadow check's reference alone, which stays two-phase
+    assert res.iterations == 132  # a changed pivot path fails here first
+    _assert_cover_optimum_matches_highs(model, res)
 
 
 def test_eviction_heavy_lp_warm_resolves_shadowed():
@@ -627,3 +644,113 @@ def test_cover_lp_agrees_on_both_stores(monkeypatch):
     dense = _solve_with_tightenings(model, 0, 10**6)
     assert sparse[0][0] is LpStatus.OPTIMAL
     _same_results(dense, sparse)
+
+
+# ---------------------------------------------------------------------------
+# the dual cold start from the slack basis
+# ---------------------------------------------------------------------------
+
+def _lp_with_rows_for_bounds(rng):
+    """A random LP in which some columns' bounds are stated as rows instead.
+
+    The solver sees those columns as free or unbounded on one side, so a
+    negative cost with no upper bound (or a positive one with no lower bound)
+    leaves the slack basis dual infeasible.  The oracle gets the original
+    finite box, which the added rows imply: both describe the same LP.
+    """
+    c, rows, senses, rhs, lower, upper = _random_lp(rng)
+    n = len(c)
+    lo, up = lower.astype(float), upper.astype(float)
+    rows_in, senses_in, rhs_in = rows.tolist(), senses, rhs.tolist()
+    for j in np.flatnonzero(rng.random(n) < 0.3):
+        unit = [int(k == j) for k in range(n)]
+        if rng.random() < 0.7:
+            up[j] = INF
+            rows_in, senses_in, rhs_in = rows_in + [unit], senses_in + "L", rhs_in + [upper[j]]
+        if rng.random() < 0.5:
+            lo[j] = -INF
+            rows_in, senses_in, rhs_in = rows_in + [unit], senses_in + "G", rhs_in + [lower[j]]
+    model = _model(c, rows_in, senses_in, rhs_in, lo, up)
+    return model, (c, rows, senses, rhs, lower, upper)
+
+
+def _slack_basis_is_primal_feasible(model):
+    """Whether every row holds with each column at its lower bound, else its upper, else 0."""
+    x = np.where(model.lower > -INF, model.lower, np.where(model.upper < INF, model.upper, 0.0))
+    act = model.row_activity(x)
+    ok = {"L": act <= model.rhs + 1e-7, "G": act >= model.rhs - 1e-7,
+          "E": np.abs(act - model.rhs) <= 1e-7}
+    return all(ok[s][i] for i, s in enumerate(model.row_senses))
+
+
+def _slack_basis_is_dual_feasible(model):
+    """Whether each movable column's cost points to a bound it has (slacks cost nothing)."""
+    movable = model.upper > model.lower
+    wrong = ((model.c < 0) & (model.upper == INF)) | ((model.c > 0) & (model.lower == -INF))
+    return not np.any(movable & wrong)
+
+
+def test_small_lps_keep_the_two_phase_cold_start(monkeypatch):
+    """Below ROW_UPDATE_MIN_M rows a fresh context still starts with phase 1."""
+    model = generate_instance("gap", (24, 4), 5)
+    assert model.m < ROW_UPDATE_MIN_M
+    cold_starts = []
+    cold_start = SimplexContext._cold_start
+    monkeypatch.setattr(SimplexContext, "_cold_start",
+                        lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
+    res = SimplexContext(model).solve(BoundState.from_model(model))
+    assert res.status is LpStatus.OPTIMAL and cold_starts == [1]
+    assert res.iterations == solve_lp(model, BoundState.from_model(model)).iterations
+
+
+def test_dual_cold_start_matches_oracle(monkeypatch):
+    """Fresh-context solves of 300 random LPs on the column store, against exact enumeration.
+
+    Each solve must take the path its slack basis calls for: the primal loop
+    when the basis is primal feasible, else the dual loop when it is dual
+    feasible, else the two-phase primal (also after an uncertified Farkas row).
+    """
+    monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", 1)
+    dual_statuses, cold_starts = [], []
+    dual_loop, cold_start = SimplexContext._dual_loop, SimplexContext._cold_start
+
+    def counted_dual(self, *args):
+        out = dual_loop(self, *args)
+        dual_statuses.append(out[0])
+        return out
+
+    monkeypatch.setattr(SimplexContext, "_dual_loop", counted_dual)
+    monkeypatch.setattr(SimplexContext, "_cold_start",
+                        lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
+    rng = np.random.default_rng(31)
+    paths = {"primal": 0, "dual": 0, "two-phase": 0}
+    certified = optimal = 0
+    for _ in range(300):
+        model, case = _lp_with_rows_for_bounds(rng)
+        dual_statuses.clear()
+        cold_starts.clear()
+        ctx = SimplexContext(model)
+        assert isinstance(ctx.A, _Csc)
+        res = ctx.solve(BoundState.from_model(model))
+        if _slack_basis_is_primal_feasible(model):
+            path, expected = "primal", ([], [])
+        elif _slack_basis_is_dual_feasible(model):
+            path = "dual"
+            assert len(dual_statuses) == 1, case
+            expected = (dual_statuses, [1] if dual_statuses[0] is None else [])
+        else:
+            path, expected = "two-phase", ([], [1])
+        assert (dual_statuses, cold_starts) == expected, (path, case)
+        paths[path] += 1
+        c, rows, senses, rhs, lower, upper = case
+        status, best = lp_vertex_oracle(c.tolist(), rows.tolist(), senses, rhs.tolist(),
+                                        lower.tolist(), upper.tolist())
+        if status == "infeasible":
+            assert res.status is LpStatus.INFEASIBLE and res.phase1_residual > 0, case
+            certified += dual_statuses == [LpStatus.INFEASIBLE]
+        else:
+            optimal += 1
+            assert res.status is LpStatus.OPTIMAL, case
+            assert abs(res.objective - float(best)) <= 1e-6, (res.objective, best, case)
+    assert paths["dual"] > 50 and paths["two-phase"] > 50 and paths["primal"] > 5, paths
+    assert certified > 20 and optimal > 50, (certified, optimal)
