@@ -109,18 +109,13 @@ def update_lp_resolve_threshold(limits: DivingLimits,
 
 def variable_locks(model: MipModel):
     """Count rows that can be violated by rounding each variable down / up."""
-    down = np.zeros(model.n, dtype=np.int64)
-    up = np.zeros(model.n, dtype=np.int64)
-    for idx, val, sense in zip(model.row_cols, model.row_vals, model.row_senses):
-        pos = idx[val > 0]
-        neg = idx[val < 0]
-        if sense in ("L", "E"):
-            up[pos] += 1
-            down[neg] += 1
-        if sense in ("G", "E"):
-            down[pos] += 1
-            up[neg] += 1
-    return down, up
+    sense = np.asarray(model.row_senses, dtype="U1")[model.entry_rows]
+    pos = model.data > 0
+    # a positive entry locks rounding up in an L or E row and down in a G or E row
+    up = np.where(pos, sense != "G", sense != "L")
+    down = np.where(pos, sense != "L", sense != "G")
+    return (np.bincount(model.indices[down], minlength=model.n),
+            np.bincount(model.indices[up], minlength=model.n))
 
 
 @dataclass

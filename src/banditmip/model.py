@@ -48,10 +48,14 @@ class DimensionMismatch(ValueError):
 class MipModel:
     """A mixed integer program ``min c.x  s.t. rows, bounds, x_i integral for i in I``.
 
-    Rows are stored sparsely as parallel (column-index, value) arrays per row.
-    ``maximize`` records that the original input was a maximization whose
-    objective was negated on the way in; reported objectives should be
-    un-negated by the caller when that flag is set.
+    The constructor takes the rows as parallel (column-index, value) arrays
+    per row and stores them once, read-only, in compressed sparse row form:
+    row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, and ``entry_rows`` names the row of
+    each entry.  ``row_cols`` and ``row_vals`` become views into ``indices``
+    and ``data``.  ``maximize`` records that the original input was a
+    maximization whose objective was negated on the way in; reported
+    objectives should be un-negated by the caller when that flag is set.
     """
 
     name: str
@@ -64,6 +68,10 @@ class MipModel:
     upper: np.ndarray
     integers: np.ndarray
     maximize: bool = False
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    data: np.ndarray = field(init=False, repr=False)
+    entry_rows: np.ndarray = field(init=False, repr=False)
     _intset: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -71,41 +79,62 @@ class MipModel:
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        self.integers = np.unique(np.asarray(self.integers, dtype=np.int64))
-        self.row_cols = [np.asarray(idx, dtype=np.int64) for idx in self.row_cols]
-        self.row_vals = [np.asarray(v, dtype=float) for v in self.row_vals]
+        self.integers = np.unique(np.asarray(self.integers))
         self.row_senses = [str(s) for s in self.row_senses]
-        self._validate()
-        self._intset = frozenset(int(j) for j in self.integers)
-        for arr in (self.c, self.rhs, self.lower, self.upper, self.integers):
-            arr.setflags(write=False)
-        for idx, val in zip(self.row_cols, self.row_vals):
-            idx.setflags(write=False)
-            val.setflags(write=False)
-
-    def _validate(self):
-        n, m = self.n, self.m
-        if not (len(self.lower) == len(self.upper) == n):
-            raise DimensionMismatch("bound vectors must have length n")
+        m = self.m
         if not (len(self.row_cols) == len(self.row_vals) == len(self.row_senses) == m):
             raise ValueError("row arrays must all have length m")
+        counts = np.array([len(idx) for idx in self.row_cols], dtype=np.int64)
+        bad = counts != np.array([len(val) for val in self.row_vals], dtype=np.int64)
+        if bad.any():
+            raise ValueError(f"row {np.argmax(bad)}: index/value length mismatch")
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.entry_rows = np.repeat(np.arange(m), counts)
+        self.indices = np.concatenate([np.zeros(0, dtype=np.int64), *self.row_cols])
+        self.data = np.concatenate([np.zeros(0), *self.row_vals])
+        self._validate()
+        self.indices = self.indices.astype(np.int64, copy=False)
+        self.integers = self.integers.astype(np.int64)
+        self._intset = frozenset(self.integers.tolist())
+        for arr in (self.c, self.rhs, self.lower, self.upper, self.integers,
+                    self.indptr, self.indices, self.data, self.entry_rows):
+            arr.setflags(write=False)
+        self.row_cols = np.split(self.indices, self.indptr[1:-1]) if m else []
+        self.row_vals = np.split(self.data, self.indptr[1:-1]) if m else []
+
+    def _validate(self):
+        n = self.n
+        if not (len(self.lower) == len(self.upper) == n):
+            raise DimensionMismatch("bound vectors must have length n")
+        for name, bad in (("c", ~np.isfinite(self.c)), ("rhs", ~np.isfinite(self.rhs)),
+                          ("lower", np.isnan(self.lower)), ("upper", np.isnan(self.upper))):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"{name}[{k}] is {float(getattr(self, name)[k])!r}")
         if np.any(self.lower > self.upper):
             raise ValueError("model bounds must satisfy lower <= upper")
+        if not np.all(_integral(self.integers)):
+            raise ValueError("integers: every entry must be a whole column index")
         if self.integers.size and (self.integers.min() < 0 or self.integers.max() >= n):
             raise ValueError("integer index out of range")
-        for i, (idx, val, sense) in enumerate(
-            zip(self.row_cols, self.row_vals, self.row_senses)
-        ):
-            if sense not in SENSES:
-                raise ValueError(f"row {i}: unknown sense {sense!r}")
-            if len(idx) != len(val):
-                raise ValueError(f"row {i}: index/value length mismatch")
-            if len(np.unique(idx)) != len(idx):
-                raise ValueError(f"row {i}: duplicate column entries")
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise ValueError(f"row {i}: column index out of range")
-            if np.any(val == 0.0):
-                raise ValueError(f"row {i}: explicit zero coefficient")
+        bad = ~np.isin(np.asarray(self.row_senses, dtype=str), SENSES)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"row {i}: unknown sense {self.row_senses[i]!r}")
+        idx = self.indices
+        self._reject(~_integral(idx), "column index is not an integer")
+        self._reject((idx < 0) | (idx >= n), "column index out of range")
+        key = np.sort(self.entry_rows * n + idx.astype(np.int64))  # (row, column) pairs
+        dup = np.diff(key) == 0
+        if dup.any():
+            raise ValueError(f"row {key[np.argmax(dup)] // n}: duplicate column entries")
+        self._reject(self.data == 0.0, "explicit zero coefficient")
+        self._reject(~np.isfinite(self.data), "coefficient is not finite")
+
+    def _reject(self, bad: np.ndarray, what: str):
+        """Raise for the first row that holds an entry flagged in ``bad``."""
+        if bad.any():
+            raise ValueError(f"row {self.entry_rows[np.argmax(bad)]}: {what}")
 
     @property
     def n(self) -> int:
@@ -128,15 +157,13 @@ class MipModel:
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """Activities a_i . x for every row."""
-        return np.array(
-            [float(v @ x[idx]) for idx, v in zip(self.row_cols, self.row_vals)]
-        )
+        return np.bincount(self.entry_rows, weights=self.data * x[self.indices],
+                           minlength=self.m)
 
-    def dense_matrix(self) -> np.ndarray:
-        A = np.zeros((self.m, self.n))
-        for i, (idx, val) in enumerate(zip(self.row_cols, self.row_vals)):
-            A[i, idx] = val
-        return A
+
+def _integral(a: np.ndarray) -> np.ndarray:
+    """Which entries of ``a`` are finite whole numbers."""
+    return np.isfinite(a) & (a == np.round(a))
 
 
 @dataclass(frozen=True)
@@ -521,33 +548,17 @@ def parse_mps(text: str) -> MipModel:
     for i in range(mc):
         cols = np.array([j for j, _ in per_row[i]], dtype=np.int64)
         vals = np.array([v for _, v in per_row[i]])
-        b = rhs_map.get(i, 0.0)
-        sense = row_sense[i]
-        if i in range_map:
-            r = range_map[i]
-            if sense == "L":
-                row_cols.append(cols), row_vals.append(vals)
-                senses.append("L"), rhs.append(b)
-                row_cols.append(cols.copy()), row_vals.append(vals.copy())
-                senses.append("G"), rhs.append(b - abs(r))
-            elif sense == "G":
-                row_cols.append(cols), row_vals.append(vals)
-                senses.append("G"), rhs.append(b)
-                row_cols.append(cols.copy()), row_vals.append(vals.copy())
-                senses.append("L"), rhs.append(b + abs(r))
-            else:  # E: interval [b, b+|r|] if r >= 0 else [b-|r|, b]
-                lo, hi = (b, b + abs(r)) if r >= 0 else (b - abs(r), b)
-                if lo == hi:
-                    row_cols.append(cols), row_vals.append(vals)
-                    senses.append("E"), rhs.append(b)
-                else:
-                    row_cols.append(cols), row_vals.append(vals)
-                    senses.append("G"), rhs.append(lo)
-                    row_cols.append(cols.copy()), row_vals.append(vals.copy())
-                    senses.append("L"), rhs.append(hi)
-        else:
+        b, sense, r = rhs_map.get(i, 0.0), row_sense[i], range_map.get(i)
+        if r is None:
+            parts = [(sense, b)]
+        elif sense != "E":
+            parts = [(sense, b), ("G", b - abs(r)) if sense == "L" else ("L", b + abs(r))]
+        else:  # E: interval [b, b+|r|] if r >= 0 else [b-|r|, b]
+            lo, hi = (b, b + abs(r)) if r >= 0 else (b - abs(r), b)
+            parts = [("E", b)] if lo == hi else [("G", lo), ("L", hi)]
+        for part_sense, part_rhs in parts:  # the model copies rows into its own store
             row_cols.append(cols), row_vals.append(vals)
-            senses.append(sense), rhs.append(b)
+            senses.append(part_sense), rhs.append(part_rhs)
 
     return MipModel(
         name=name,
@@ -581,10 +592,9 @@ def write_mps(model: MipModel) -> str:
     for i, sense in enumerate(model.row_senses):
         out.append(f" {sense} R{i}")
 
-    col_rows = [[] for _ in range(model.n)]
-    for i, (idx, val) in enumerate(zip(model.row_cols, model.row_vals)):
-        for j, v in zip(idx, val):
-            col_rows[int(j)].append((i, float(v)))
+    order = np.argsort(model.indices, kind="stable")  # by column, rows ascending in each
+    col_start = np.searchsorted(model.indices[order], np.arange(model.n + 1))
+    col_rows, col_vals = model.entry_rows[order].tolist(), model.data[order].tolist()
 
     out.append("COLUMNS")
     in_int = False
@@ -602,7 +612,8 @@ def write_mps(model: MipModel) -> str:
         pieces = []
         if model.c[j] != 0.0:
             pieces.append(("OBJ", float(model.c[j])))
-        pieces.extend((f"R{i}", v) for i, v in col_rows[j])
+        s, e = col_start[j], col_start[j + 1]
+        pieces.extend((f"R{i}", v) for i, v in zip(col_rows[s:e], col_vals[s:e]))
         if not pieces:
             pieces.append(("OBJ", 0.0))  # registers the column
         for rname, v in pieces:

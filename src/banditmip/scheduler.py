@@ -195,10 +195,6 @@ class Scheduler:
         self.rng = rng
         self._warm_call = False
 
-    @property
-    def in_warmstart(self) -> bool:
-        return bool(self.warmstart_queue)
-
     def should_run(self) -> bool:
         """Skip-window gate; skips are disabled while warmstart is pending."""
         if self.warmstart_queue:

@@ -36,14 +36,16 @@ entering column is mostly zeros, the update touches only the rows where that
 column is nonzero.  The inverse is still rebuilt from scratch every
 ``REFACTOR_EVERY`` basis changes, which bounds the drift of the updates.
 
-The matrix ``[A | I]`` (plus cut rows) has two stores, picked by row count
-each time it is built.  From ``ROW_UPDATE_MIN_M`` rows it is column-compressed
-(:class:`_Csc`), built straight from the model's rows: pricing ``y @ A`` is a
-scatter over the nonzeros, the entering column is ``B^-1[:, rows_j] @ vals_j``,
-phase 1 appends its artificials as unit columns, and each basis inverse
-inverts only the block of columns that have more than one entry, on the rows
-no single-entry column (slacks, artificials, singleton structurals) covers.
-Below that the store is a dense array, as small LPs run faster on it (on
+Each build lists the nonzeros of ``[A | I]`` (plus cut rows) once: the
+model's CSR entries, then the cut rows', then the slacks'.  They fill one of
+two stores, picked by row count; ``add_cut_row`` builds again.  From
+``ROW_UPDATE_MIN_M`` rows the store is column-compressed (:class:`_Csc`):
+pricing ``y @ A`` is a scatter over the nonzeros, the entering column is
+``B^-1[:, rows_j] @ vals_j``, phase 1 appends its artificials as unit
+columns, and each basis inverse inverts only the block of columns that have
+more than one entry, on the rows no single-entry column (slacks,
+artificials, singleton structurals) covers.  Below that the nonzeros are
+scattered into a dense array, as small LPs run faster on it (on
 60 x 300 LPs dense ``y @ A`` took 2.5 us against 3.9 us for the scatter, and
 ``np.linalg.inv`` 51-123 us against 150-320 us for the block inverse), and
 small LPs keep their exact floating-point results: the branch-and-bound tree
@@ -161,12 +163,12 @@ def _descent(vstat: np.ndarray, g: np.ndarray, movable: np.ndarray, tol: float) 
     )
 
 
-def _activity_range(A: np.ndarray, lo: np.ndarray, up: np.ndarray):
-    """Least and greatest value of each row of ``A @ x`` over the box [lo, up]."""
-    pos, neg = A > 0, A < 0
-    with np.errstate(invalid="ignore"):
-        least = np.where(pos, A * lo, np.where(neg, A * up, 0.0)).sum(axis=1)
-        most = np.where(pos, A * up, np.where(neg, A * lo, 0.0)).sum(axis=1)
+def _activity_range(m: int, rows, cols, vals, lo: np.ndarray, up: np.ndarray):
+    """Least and greatest activity over the box [lo, up] of each of m rows with nonzeros
+    ``vals`` at (``rows``, ``cols``)."""
+    pos = vals > 0
+    least = np.bincount(rows, weights=vals * np.where(pos, lo[cols], up[cols]), minlength=m)
+    most = np.bincount(rows, weights=vals * np.where(pos, up[cols], lo[cols]), minlength=m)
     return least, most
 
 
@@ -188,18 +190,12 @@ class _Csc:
         self.col = np.repeat(np.arange(self.ncols), self.counts)  # column of each entry
 
     @classmethod
-    def from_rows(cls, row_cols, row_vals, n: int) -> "_Csc":
-        """``[A | I]`` for the rows ``(row_cols[i], row_vals[i])`` of an m x n matrix A."""
-        m = len(row_cols)
-        rows = np.concatenate([np.repeat(np.arange(m), [len(c) for c in row_cols]),
-                               np.arange(m)])
-        cols = np.concatenate([*row_cols, n + np.arange(m)])
-        vals = np.concatenate([*row_vals, np.ones(m)])
-        keep = vals != 0.0
-        order = np.argsort(cols[keep], kind="stable")  # rows stay ascending in a column
-        start = np.zeros(n + m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols[keep], minlength=n + m), out=start[1:])
-        return cls(m, start, rows[keep][order], vals[keep][order])
+    def from_entries(cls, m: int, ncols: int, rows, cols, vals) -> "_Csc":
+        """The m x ncols matrix with nonzeros ``vals`` at (``rows``, ``cols``), row by row."""
+        order = np.argsort(cols, kind="stable")  # rows stay ascending in a column
+        start = np.zeros(ncols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=ncols), out=start[1:])
+        return cls(m, start, rows[order], vals[order])
 
     def __rmatmul__(self, y):
         return np.bincount(self.col, weights=y[self.rows] * self.vals, minlength=self.ncols)
@@ -233,17 +229,6 @@ class _Csc:
         start = np.concatenate([self.start, self.start[-1] + np.arange(1, len(rows) + 1)])
         return _Csc(self.m, start, np.concatenate([self.rows, rows]),
                     np.concatenate([self.vals, signs]))
-
-    def row_block(self, rows: np.ndarray, stop: int) -> np.ndarray:
-        """Dense copy of the given (distinct) rows, over the first ``stop`` columns."""
-        where = np.full(self.m, -1)
-        where[rows] = np.arange(len(rows))
-        e = self.start[stop]
-        k = where[self.rows[:e]]
-        hit = k >= 0
-        out = np.zeros((len(rows), stop))
-        out[k[hit], self.col[:e][hit]] = self.vals[:e][hit]
-        return out
 
     def basis_inverse(self, basis: np.ndarray) -> np.ndarray:
         """B^-1 for B = A[:, basis], inverting only the columns with more than one entry.
@@ -293,14 +278,6 @@ def _cut_row(cols, vals, sense: str, rhs: float):
             sense, float(rhs))
 
 
-def _slack_bounds(sense: str):
-    if sense == "L":
-        return 0.0, INF
-    if sense == "G":
-        return -INF, 0.0
-    return 0.0, 0.0
-
-
 class SimplexContext:
     """Reusable solver state for one model plus cut rows, given up front or appended."""
 
@@ -315,27 +292,31 @@ class SimplexContext:
         self.max_row_residual = 0.0  # largest _row_residuals entry of any optimal solve
 
     def _build(self):
-        model = self.model
+        model, extra = self.model, self._extra
         n = model.n
-        senses = list(model.row_senses) + [row[2] for row in self._extra]
-        rhs = list(model.rhs) + [row[3] for row in self._extra]
-        m = len(rhs)
+        m = model.m + len(extra)
+        rows = np.concatenate([model.entry_rows,
+                               np.repeat(np.arange(model.m, m), [len(row[0]) for row in extra])])
+        cols = np.concatenate([model.indices, *(row[0] for row in extra)])
+        vals = np.concatenate([model.data, *(row[1] for row in extra)])
+        keep = vals != 0.0
+        self.entries = rows[keep], cols[keep], vals[keep]  # A's nonzeros, row by row
+        rows, cols, vals = self.entries
+        slack = np.arange(m)  # then the identity block of the slacks
+        rows, cols = np.concatenate([rows, slack]), np.concatenate([cols, n + slack])
+        vals = np.concatenate([vals, np.ones(m)])
         if m >= ROW_UPDATE_MIN_M:
-            A = _Csc.from_rows([*model.row_cols, *(row[0] for row in self._extra)],
-                               [*model.row_vals, *(row[1] for row in self._extra)], n)
+            A = _Csc.from_entries(m, n + m, rows, cols, vals)
         else:
             A = np.zeros((m, n + m))
-            A[:model.m, :n] = model.dense_matrix()
-            for k, (cols, vals, _, _) in enumerate(self._extra):
-                A[model.m + k, cols] = vals
-            A[:, n:] = np.eye(m)
+            A[rows, cols] = vals
         self.n = n
         self.m = m
         self.A = A
-        self.b = np.asarray(rhs, dtype=float)
-        slo, sup = zip(*(_slack_bounds(s) for s in senses)) if m else ((), ())
-        self.slack_lo = np.asarray(slo, dtype=float)
-        self.slack_up = np.asarray(sup, dtype=float)
+        self.b = np.concatenate([model.rhs, [row[3] for row in extra]])
+        senses = np.asarray([*model.row_senses, *(row[2] for row in extra)], dtype="U1")
+        self.slack_lo = np.where(senses == "G", -INF, 0.0)  # s = b - a.x: >= 0 on an L row
+        self.slack_up = np.where(senses == "L", INF, 0.0)
         self.cost = np.concatenate([model.c, np.zeros(m)])
 
     def add_cut_row(self, cols, vals, sense: str, rhs: float):
@@ -621,11 +602,9 @@ class SimplexContext:
         loose = (rows >= 0) & np.where(h > 0, up_nb == INF, (h < 0) & (lo_nb == -INF))
         if loose.any():
             i = rows[loose]
-            rows_i = (self.A.row_block(i, self.n) if isinstance(self.A, _Csc)
-                      else self.A[i, :self.n])
-            amin, amax = _activity_range(rows_i, lo[:self.n], up[:self.n])
-            lo_nb[loose] = np.maximum(lo_nb[loose], self.b[i] - amax)
-            up_nb[loose] = np.minimum(up_nb[loose], self.b[i] - amin)
+            amin, amax = _activity_range(self.m, *self.entries, lo[:self.n], up[:self.n])
+            lo_nb[loose] = np.maximum(lo_nb[loose], self.b[i] - amax[i])
+            up_nb[loose] = np.minimum(up_nb[loose], self.b[i] - amin[i])
         best = np.where(h > 0, up_nb, lo_nb)
         with np.errstate(invalid="ignore"):
             reach = sign * (row @ self.b) + np.sum(np.where(h != 0, h * best, 0.0))

@@ -11,6 +11,14 @@ from fractions import Fraction
 import numpy as np
 
 
+def dense_matrix(model):
+    """The model's constraint matrix as a dense array, filled row by row."""
+    A = np.zeros((model.m, model.n))
+    for i, (idx, val) in enumerate(zip(model.row_cols, model.row_vals)):
+        A[i, idx] = val
+    return A
+
+
 def brute_force_binary(model):
     """Exact optimum of an all-binary model by full enumeration.
 
@@ -24,7 +32,7 @@ def brute_force_binary(model):
     ok = np.ones(len(X), dtype=bool)
     ok &= (X >= model.lower - 1e-9).all(axis=1)
     ok &= (X <= model.upper + 1e-9).all(axis=1)
-    A = model.dense_matrix()
+    A = dense_matrix(model)
     act = X @ A.T
     for i, sense in enumerate(model.row_senses):
         if sense == "L":

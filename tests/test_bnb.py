@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,20 @@ def test_time_limit_status():
     model = generate_instance("gap", (30, 5), 4)
     res = solve(model, SolverSettings(seed=1, time_limit_s=0.0))
     assert res.status is SolveStatus.TIME_LIMIT
+
+
+@pytest.mark.parametrize("mode", ["scheduler", "default"])
+def test_time_limit_overshoot_is_small(mode):
+    """A solve that cannot finish stops within half a second of its limit.
+
+    The pivot loop does not read the deadline, so the bound holds only while
+    one LP takes far less than that: milliseconds at this size."""
+    model = generate_instance("gap", (600, 20), 1)
+    t0 = time.perf_counter()
+    res = solve(model, SolverSettings(mode=mode, seed=1, time_limit_s=1.0))
+    elapsed = time.perf_counter() - t0
+    assert res.status is SolveStatus.TIME_LIMIT
+    assert elapsed <= 1.5
 
 
 def test_lp_iteration_exhaustion_never_claims_optimality():

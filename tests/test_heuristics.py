@@ -193,6 +193,37 @@ def test_vectorized_rounding_matches_loop(monkeypatch):
     assert np.array_equal(seen[0], _rounding_loop(x, model, locks, 1e-6))
 
 
+def _locks_loop(model):
+    """The per-row loop variable_locks replaced, kept as its reference."""
+    down = np.zeros(model.n, dtype=np.int64)
+    up = np.zeros(model.n, dtype=np.int64)
+    for idx, val, sense in zip(model.row_cols, model.row_vals, model.row_senses):
+        pos = idx[val > 0]
+        neg = idx[val < 0]
+        if sense in ("L", "E"):
+            up[pos] += 1
+            down[neg] += 1
+        if sense in ("G", "E"):
+            down[pos] += 1
+            up[neg] += 1
+    return down, up
+
+
+@pytest.mark.parametrize("family", ["knapsack", "set_cover", "gap"])
+@pytest.mark.parametrize("sense", ["generated", "L", "G", "E", "mixed"])
+def test_vectorized_locks_match_loop(family, sense):
+    model = generate_instance(family, (30, 6), 3)
+    rng = np.random.default_rng(1)
+    senses = {"generated": model.row_senses,
+              "mixed": [str(s) for s in rng.choice(list("LGE"), size=model.m)]}
+    vals = [np.where(rng.random(len(v)) < 0.3, -v, v) for v in model.row_vals]
+    model = replace(model, row_senses=senses.get(sense, [sense] * model.m), row_vals=vals)
+    down, up = variable_locks(model)
+    ref_down, ref_up = _locks_loop(model)
+    assert down.dtype == up.dtype == np.int64
+    assert np.array_equal(down, ref_down) and np.array_equal(up, ref_up)
+
+
 def test_locks_prefer_fewer_violations():
     model = _model([-1], [[2]], "L", [1])
     down, up = variable_locks(model)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -329,9 +330,88 @@ def test_model_validation_rejects_bad_construction():
         {"row_vals": [np.array([1.0, 0.0])]},                 # explicit zero
         {"row_senses": ["Q"]},                                # unknown sense
         {"row_cols": [np.array([0, 7])]},                     # column out of range
+        {"row_vals": [np.array([1.0, np.nan])]},              # NaN coefficient
+        {"row_vals": [np.array([np.inf, 1.0])]},              # infinite coefficient
+        {"rhs": np.array([np.nan])},                          # NaN rhs
+        {"c": np.array([np.nan, 1.0])},                       # NaN cost
+        {"lower": np.array([np.nan, 0.0])},                   # NaN lower bound
+        {"upper": np.array([1.0, np.nan])},                   # NaN upper bound
+        {"row_cols": [np.array([0.5, 1.0])]},                 # non-integral column index
+        {"integers": np.array([0.5])},                        # non-integral integer index
+        {"row_vals": [np.array([1.0])]},                      # index/value length mismatch
     ]:
         with pytest.raises(ValueError):
             MipModel(**{**base, **patch})
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"row_vals": [np.array([1.0, 1.0]), np.array([np.nan])]}, "row 1: coefficient"),
+    ({"rhs": np.array([1.0, np.nan])}, "rhs[1]"),
+    ({"c": np.array([1.0, np.nan])}, "c[1]"),
+    ({"lower": np.array([0.0, np.nan])}, "lower[1]"),
+    ({"row_cols": [np.array([0, 1]), np.array([0.5])]}, "row 1: column index"),
+    ({"row_cols": [np.array([0, 1]), np.array([1])],
+      "row_vals": [np.array([1.0, 1.0]), np.array([1.0, 2.0])]}, "row 1: index/value"),
+])
+def test_model_validation_names_the_field_and_the_first_bad_row(patch, message):
+    base = dict(name="bad", c=np.ones(2), row_cols=[np.array([0, 1]), np.array([1])],
+                row_vals=[np.array([1.0, 1.0]), np.array([3.0])], row_senses=["L", "G"],
+                rhs=np.ones(2), lower=np.zeros(2), upper=np.ones(2), integers=np.arange(2))
+    MipModel(**base)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MipModel(**{**base, **patch})
+
+
+def test_parse_rejects_a_nan_coefficient():
+    with pytest.raises(ValueError, match="not finite"):
+        parse_mps(KNAPSACK_MPS.replace("CAP 4.0", "CAP nan"))
+
+
+def _activity_loop(model, x):
+    """The per-row dot products row_activity replaced, kept as its reference."""
+    return np.array([float(v @ x[idx]) for idx, v in zip(model.row_cols, model.row_vals)])
+
+
+@pytest.mark.parametrize("family", ["knapsack", "set_cover", "gap"])
+def test_row_activity_matches_the_per_row_dot(family):
+    model = generate_instance(family, (60, 12), 4)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = rng.integers(-3, 4, size=model.n).astype(float)
+        assert np.array_equal(model.row_activity(x), _activity_loop(model, x))
+        x = 3.0 * rng.standard_normal(model.n)
+        assert np.max(np.abs(model.row_activity(x) - _activity_loop(model, x))) <= 1e-12
+
+
+def test_rows_are_read_only_views_of_the_csr_store():
+    model = generate_instance("gap", (12, 4), 3)
+    with pytest.raises(ValueError):
+        model.row_vals[0][0] = 5.0
+    with pytest.raises(ValueError):
+        model.row_cols[0][0] = 1
+    for arr in (model.indptr, model.indices, model.data, model.entry_rows):
+        assert not arr.flags.writeable
+    assert all(np.shares_memory(v, model.data) for v in model.row_vals)
+    assert np.array_equal(np.concatenate(model.row_cols), model.indices)
+    assert np.array_equal(model.indptr, np.cumsum([0] + [len(c) for c in model.row_cols]))
+    assert np.array_equal(model.entry_rows, np.repeat(np.arange(model.m), np.diff(model.indptr)))
+
+
+def test_replace_rebuilds_the_csr_store():
+    model = _tiny_model()
+    wider = dataclasses.replace(
+        model, row_cols=[np.array([1]), np.array([0, 1])],
+        row_vals=[np.array([2.0]), np.array([1.0, -1.0])],
+        row_senses=["L", "G"], rhs=np.array([1.0, 0.0]))
+    assert np.array_equal(wider.indptr, [0, 1, 3])
+    assert np.array_equal(wider.indices, [1, 0, 1])
+    assert np.array_equal(wider.data, [2.0, 1.0, -1.0])
+    assert np.array_equal(wider.row_activity(np.array([1.0, 3.0])), [6.0, -2.0])
+    same = dataclasses.replace(model, c=np.array([1.0, 2.0]))
+    assert same.indices is not model.indices
+    assert np.array_equal(same.indices, model.indices)
+    assert np.array_equal(same.data, model.data)
+    assert same.row_cols[0].base is same.indices
 
 
 def test_evaluate_zero_vector_feasible():

@@ -39,7 +39,7 @@ def _ctx(found=False, first=False, obj_old=None, obj_new=None, obj_lp=0.0):
 
 def _drain_warmstart(sched, found=False):
     order = []
-    while sched.in_warmstart:
+    while sched.warmstart_queue:
         h = sched.select(ALL)
         order.append(h)
         sched.record(h, _outcome(h, found=found), _ctx(found=found, first=found))
@@ -73,7 +73,7 @@ def test_should_run_counts_down_pending_skips():
 def test_skips_disabled_during_warmstart():
     sched = _sched()
     sched.skip_remaining = 5
-    assert sched.in_warmstart
+    assert sched.warmstart_queue
     assert sched.should_run()
     assert sched.skip_remaining == 5  # untouched while warmstart is pending
 
@@ -133,7 +133,7 @@ def test_warmstart_follows_default_order():
 def test_seventh_selection_enters_bandit_phase():
     sched = _sched(rng=np.random.default_rng(123))
     _drain_warmstart(sched, found=True)
-    assert not sched.in_warmstart
+    assert not sched.warmstart_queue
     seventh = sched.select(ALL)
     assert seventh in DEFAULT_ORDER
     assert not sched._warm_call
@@ -162,7 +162,7 @@ def test_stalled_warmstart_falls_back_to_seen_arms():
         sched.record(h, _outcome(h), _ctx())
     h = sched.select(no_inc)  # queue holds only rins/mutation, both inapplicable
     assert h in no_inc
-    assert sched.in_warmstart  # queue untouched
+    assert list(sched.warmstart_queue) == ["rins", "mutation"]  # queue untouched
 
 
 def test_epsilon_t_formula_and_decay():

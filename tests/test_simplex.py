@@ -13,6 +13,7 @@ from banditmip.simplex import (
     BoundState,
     LpStatus,
     SimplexContext,
+    _activity_range,
     _bound_status,
     _column_image,
     _Csc,
@@ -23,7 +24,7 @@ from banditmip.simplex import (
     solve_lp,
 )
 
-from oracles import lp_vertex_oracle
+from oracles import dense_matrix, lp_vertex_oracle
 
 
 def _model(c, rows, senses, rhs, lower, upper, integers=()):
@@ -422,6 +423,28 @@ def test_farkas_row_bounds_a_free_slack_by_its_row_activity():
     assert resid == pytest.approx(2.0)
 
 
+def _dense_activity_range(A, lo, up):
+    """The dense activity range the entry-based one replaced, kept as its reference."""
+    pos, neg = A > 0, A < 0
+    with np.errstate(invalid="ignore"):
+        least = np.where(pos, A * lo, np.where(neg, A * up, 0.0)).sum(axis=1)
+        most = np.where(pos, A * up, np.where(neg, A * lo, 0.0)).sum(axis=1)
+    return least, most
+
+
+def test_activity_range_matches_the_dense_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        A = np.where(rng.random((m, n)) < 0.5, rng.integers(-4, 5, size=(m, n)), 0).astype(float)
+        lo = np.where(rng.random(n) < 0.3, -INF, rng.integers(-3, 1, size=n).astype(float))
+        up = np.where(rng.random(n) < 0.3, INF, rng.integers(1, 4, size=n).astype(float))
+        rows, cols = np.nonzero(A)
+        least, most = _activity_range(m, rows, cols, A[rows, cols], lo, up)
+        ref_least, ref_most = _dense_activity_range(A, lo, up)
+        assert np.array_equal(least, ref_least) and np.array_equal(most, ref_most)
+
+
 def test_uncertified_infeasibility_solves_cold(monkeypatch):
     model = _model(c=[1, 1], rows=[[1, 1]], senses="G", rhs=[3], lower=[0, 0], upper=[2, 2])
     ctx = SimplexContext(model)
@@ -491,21 +514,20 @@ def _densify(A: _Csc) -> np.ndarray:
     return out
 
 
-def _random_sparse_rows(rng, m, n, density=0.1):
-    """Row lists of a random sparse m x n matrix whose column 0 is empty."""
-    dense = np.where(rng.random((m, n)) < density, rng.integers(-5, 6, size=(m, n)), 0)
-    dense[:, 0] = 0
-    cols = [np.flatnonzero(row) for row in dense]
-    return cols, [dense[i, c].astype(float) for i, c in enumerate(cols)], dense.astype(float)
+def _entries(dense):
+    """(m, ncols, rows, cols, vals) of a dense matrix's nonzeros, row by row."""
+    rows, cols = np.nonzero(dense)
+    return (*dense.shape, rows, cols, dense[rows, cols].astype(float))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_column_store_products_match_dense(seed):
     rng = np.random.default_rng(seed)
     m, n = 40, 70
-    cols, vals, dense = _random_sparse_rows(rng, m, n)
+    dense = np.where(rng.random((m, n)) < 0.1, rng.integers(-5, 6, size=(m, n)), 0)
+    dense[:, 0] = 0  # an empty column
     full = np.hstack([dense, np.eye(m)])
-    A = _Csc.from_rows(cols, vals, n)
+    A = _Csc.from_entries(*_entries(full))
     assert np.array_equal(_densify(A), full)
     assert A.counts[0] == 0  # the empty column
     y, v = rng.standard_normal(m), rng.standard_normal(n + m)
@@ -524,8 +546,23 @@ def test_column_store_products_match_dense(seed):
     units = np.zeros((m, 3))
     units[rows, np.arange(3)] = signs
     assert np.array_equal(_densify(A.with_units(rows, signs)), np.hstack([full, units]))
-    pick = np.array([5, 2, 30])
-    assert np.array_equal(A.row_block(pick, n), dense[pick])
+
+
+def test_dense_store_matches_a_loop_built_matrix():
+    model = generate_instance("gap", (24, 4), 5)
+    cuts = [(np.array([0, 3, 5]), np.array([1.0, 0.0, -1.0]), "L", 1.0),
+            (np.array([2]), np.array([2.0]), "G", 0.0)]
+    ctx = SimplexContext(model, cuts=cuts[:1])
+    ctx.add_cut_row(*cuts[1])
+    n, m = model.n, model.m + 2
+    assert m < ROW_UPDATE_MIN_M and isinstance(ctx.A, np.ndarray)
+    A = np.zeros((m, n + m))
+    rows = [*zip(model.row_cols, model.row_vals), *((c[0], c[1]) for c in cuts)]
+    for i, (cols, vals) in enumerate(rows):
+        for j, v in zip(cols, vals):
+            A[i, j] = v
+        A[i, n + i] = 1.0
+    assert np.array_equal(ctx.A, A)
 
 
 def test_cut_row_rebuilds_the_column_store():
@@ -535,7 +572,7 @@ def test_cut_row_rebuilds_the_column_store():
     cut = (np.array([0, 7, 12, 299]), np.array([1.0, 2.0, 0.0, -1.0]), "L", 2.0)
     ctx.add_cut_row(*cut)
     A = np.zeros((model.m + 1, model.n))
-    A[:model.m] = model.dense_matrix()
+    A[:model.m] = dense_matrix(model)
     A[model.m, cut[0]] = cut[1]
     assert np.array_equal(_densify(ctx.A), np.hstack([A, np.eye(model.m + 1)]))
     assert np.all(ctx.A.vals != 0.0)  # the cut's zero is not stored
@@ -553,9 +590,7 @@ def _basis_matrix(rng, m=30):
     dense[(np.arange(m) + 1) % m, np.arange(m)] += 1.0  # and a second one
     singles = np.zeros((m, 5))
     singles[np.arange(5), np.arange(5)] = [2.5, -1.0, 2.5, -1.0, 1.0]
-    struct = np.hstack([dense, singles])
-    cols = [np.flatnonzero(row) for row in struct]
-    A = _Csc.from_rows(cols, [struct[i, c] for i, c in enumerate(cols)], m + 5)
+    A = _Csc.from_entries(*_entries(np.hstack([dense, singles, np.eye(m)])))
     A = A.with_units(np.arange(m), np.where(np.arange(m) % 2, 1.0, -1.0))
     return A, _densify(A)
 
