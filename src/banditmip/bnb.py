@@ -4,10 +4,11 @@ Node selection is best-bound with depth-first plunging.  At every node the
 solver re-optimizes the relaxation from its parent's optimal basis (the
 simplex's dual warm start), prunes by bound or infeasibility, harvests
 integral LP solutions, then runs the cheap rounding heuristic followed by the
-controlled portfolio, either under the online scheduler or under a static
-depth-modulo schedule (the ``default`` baseline).  Both modes share one table
-of working limits built from ``SolverSettings``, which only the scheduler
-adapts, and one charging path; only scheduler calls carry a reward.
+controlled portfolio.  The tree holds one heuristic policy: the online
+``Scheduler`` or the static depth-modulo ``StaticSchedule`` (the ``default``
+baseline).  Both run their picks through ``run_scheduled_heuristics``, which
+executes, records and returns each call for the tree to charge; only
+scheduler calls carry a reward, and only the scheduler adapts its limits.
 Conflicts reported by the heuristics are counted and, when they describe a
 pure binary partial assignment proven infeasible, stored as no-good cuts that
 all later node LPs (and LNS sub-MIPs) include.
@@ -33,15 +34,8 @@ from .simplex import (
     SimplexContext,
 )
 from . import heuristics as heur
-from .heuristics import (
-    DEFAULT_ORDER,
-    HeurEnv,
-    NotApplicable,
-    PORTFOLIO,
-    SPEC_BY_ID,
-    portfolio_limits,
-)
-from .scheduler import RewardBreakdown, Scheduler, run_scheduled_heuristics
+from .heuristics import DEFAULT_ORDER, HeurEnv, PORTFOLIO, SPEC_BY_ID
+from .scheduler import Scheduler, StaticSchedule, run_scheduled_heuristics
 
 
 class NoFractionalVariable(Exception):
@@ -119,6 +113,8 @@ class SolverSettings:
                 f"lns_node_budget must be >= 1, got {self.lns_node_budget!r}")
         if self.dive_max_depth < 1:
             raise InvalidSettings(f"dive_max_depth must be >= 1, got {self.dive_max_depth!r}")
+        if self.default_freq < 1:
+            raise InvalidSettings(f"default_freq must be >= 1, got {self.default_freq!r}")
 
 
 @dataclass
@@ -258,7 +254,6 @@ class TreeSearch:
             self.deadline = own if deadline is None else min(deadline, own)
         self.stats = RunStats(mode=settings.mode, seed=settings.seed)
         self.stats.per_heuristic = {h: HeurStat() for h in DEFAULT_ORDER}
-        self.sched: Optional[Scheduler] = None
         self.exec_rngs = {
             s.id: np.random.default_rng(
                 np.random.SeedSequence([settings.seed % 2**32, 100 + s.rank])
@@ -266,10 +261,10 @@ class TreeSearch:
             for s in PORTFOLIO
         }
         if settings.mode == "scheduler" and heur_layer == "auto":
-            self.sched = Scheduler(settings, np.random.default_rng(
+            self.policy = Scheduler(settings, np.random.default_rng(
                 np.random.SeedSequence([settings.seed % 2**32, 7])))
-        # one table for both modes; the static schedule never changes it
-        self.limits = self.sched.limits if self.sched else portfolio_limits(settings)
+        else:  # a rounding-only layer keeps the static schedule's frozen limits
+            self.policy = StaticSchedule(settings)
 
     # ------------------------------------------------------------------
     # incumbent and cutoff handling
@@ -343,19 +338,7 @@ class TreeSearch:
     # heuristic layer
     # ------------------------------------------------------------------
 
-    def _charge_outcome(self, h: str, outcome, reward: Optional[RewardBreakdown] = None):
-        st = self.stats.per_heuristic[h]
-        st.pulls += 1
-        if reward is not None:
-            st.reward_sum = (st.reward_sum or 0.0) + reward.r_total
-        if outcome.found_incumbent:
-            st.successes += 1
-            self.stats.heuristic_successes += 1
-        self.stats.heuristic_calls += 1
-        self.stats.heurtime_s += outcome.wall_time_s
-
     def _run_heuristics(self, node: Node, lp: LpResult):
-        env = self._make_env(node)
         heur.run_rounding(
             lp, self.model, locks=self.locks,
             accept=lambda sol, src: self.update_incumbent(sol, src),
@@ -363,26 +346,18 @@ class TreeSearch:
         )
         if self.heur_layer == "rounding_only":
             return
-        if self.sched is not None:
-            charged = run_scheduled_heuristics(self.sched, lp, env, self.exec_rngs)
-            if charged is not None:
-                outcome, reward = charged
-                self._charge_outcome(outcome.heuristic, outcome, reward)
-            return
-        # static baseline: heuristic k runs at depths congruent to k * offset
-        freq = max(1, self.settings.default_freq)
-        offset = self.settings.default_offset
-        for k, h in enumerate(DEFAULT_ORDER, start=1):
-            if node.depth % freq != (k * offset) % freq:
-                continue
-            spec = SPEC_BY_ID[h]
-            if spec.requires_incumbent and self.incumbent is None:
-                continue
-            try:
-                outcome = heur.execute(h, lp, env, self.limits[h], self.exec_rngs[h])
-            except NotApplicable:
-                continue
-            self._charge_outcome(h, outcome)
+        charged = run_scheduled_heuristics(self.policy, lp, self._make_env(node),
+                                           self.exec_rngs, node.depth)
+        for h, outcome, reward in charged:
+            st = self.stats.per_heuristic[h]
+            st.pulls += 1
+            if reward is not None:
+                st.reward_sum = (st.reward_sum or 0.0) + reward.r_total
+            if outcome.found_incumbent:
+                st.successes += 1
+                self.stats.heuristic_successes += 1
+            self.stats.heuristic_calls += 1
+            self.stats.heurtime_s += outcome.wall_time_s
 
     # ------------------------------------------------------------------
     # main loop
@@ -503,7 +478,7 @@ class TreeSearch:
         self.stats.objective = (self.incumbent.objective
                                 if self.incumbent is not None else None)
         for h, st in self.stats.per_heuristic.items():
-            lim = self.limits[h]
+            lim = self.policy.limits[h]
             st.final_limit = lim.f if SPEC_BY_ID[h].klass == "lns" else lim.q
 
         return SolveResult(
@@ -512,7 +487,7 @@ class TreeSearch:
             dual_bound=dual,
             nodes_processed=self.nodes_processed,
             stats=self.stats,
-            scheduler_log=list(self.sched.reward_log) if self.sched else [],
+            scheduler_log=list(self.policy.reward_log),
             conflict_pool=self.pool,
             cutoff_pruned=self.bound_prunes_blind > 0,
             incumbent_log=list(self.incumbent_log),

@@ -8,6 +8,7 @@ instance byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,7 +395,7 @@ def parse_mps(text: str) -> MipModel:
     in_integer_block = False
     ended = False
 
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
         is_header = not raw[0].isspace()
@@ -455,7 +456,10 @@ def parse_mps(text: str) -> MipModel:
             if len(tokens) % 2 == 0 or len(tokens) < 3:
                 raise MalformedSection(f"bad COLUMNS line: {raw!r}")
             for rname, sval in zip(tokens[1::2], tokens[2::2]):
-                value = float(sval)
+                value = _number(sval, section, lineno)
+                if not math.isfinite(value) and rname not in free_rows:
+                    raise MalformedSection(f"COLUMNS line {lineno}: coefficient {sval!r} "
+                                           f"of row {rname!r}, column {cname!r} is not finite")
                 if rname == obj_row:
                     if j in obj_coef:
                         raise DuplicateColumnEntry(
@@ -476,24 +480,25 @@ def parse_mps(text: str) -> MipModel:
                     raise UnknownRowReference(f"column entry references {rname!r}")
         elif section == "RHS":
             for rname, sval in _pairs(tokens[1:], raw):
-                if rname == obj_row and float(sval) != 0.0:
+                value = _number(sval, section, lineno)
+                if rname == obj_row and value != 0.0:
                     raise ObjectiveOffset(f"objective row {rname!r} has RHS {sval}")
                 if rname == obj_row or rname in free_rows:
                     continue
                 if rname not in row_index:
                     raise UnknownRowReference(f"RHS references {rname!r}")
-                rhs_map[row_index[rname]] = float(sval)
+                rhs_map[row_index[rname]] = value
         elif section == "RANGES":
             for rname, sval in _pairs(tokens[1:], raw):
                 if rname not in row_index:
                     raise UnknownRowReference(f"RANGES references {rname!r}")
-                range_map[row_index[rname]] = float(sval)
+                range_map[row_index[rname]] = _number(sval, section, lineno)
         elif section == "BOUNDS":
             kind = tokens[0].upper()
             if kind in _BOUND_KEYS_WITH_VALUE:
                 if len(tokens) < 4:
                     raise MalformedSection(f"bad BOUNDS line: {raw!r}")
-                cname, value = tokens[2], float(tokens[3])
+                cname, value = tokens[2], _number(tokens[3], section, lineno)
             elif kind in _BOUND_KEYS_BARE:
                 if len(tokens) < 3:
                     raise MalformedSection(f"bad BOUNDS line: {raw!r}")
@@ -572,6 +577,14 @@ def parse_mps(text: str) -> MipModel:
         integers=np.array(sorted(integer_cols), dtype=np.int64),
         maximize=maximize,
     )
+
+
+def _number(token: str, section: str, lineno: int) -> float:
+    """One numeric MPS token; a bad one raises MalformedSection saying where it is."""
+    try:
+        return float(token)
+    except ValueError:
+        raise MalformedSection(f"{section} line {lineno}: {token!r} is not a number") from None
 
 
 def _pairs(tokens, raw):

@@ -1,19 +1,21 @@
-"""Online heuristic scheduling: bandit selection, rewards, skips and warmstart.
+"""Heuristic policies (the bandit and the static schedule) and their one call loop.
 
-One scheduler invocation runs at most one portfolio heuristic.  The first
-pass executes every heuristic once in the default priority order (warmstart);
-afterwards a modified epsilon-greedy bandit takes over: with probability
-``1 - eps_t`` it exploits the arm with the best average reward, otherwise it
-samples an arm proportionally to the weights.  Failed calls grow a skip
-counter that suppresses whole invocations, so an unproductive portfolio is
-consulted less and less often.
+A policy holds the portfolio's working ``limits``, ``picks`` the heuristics
+to run at a node and ``record``s each outcome; :func:`run_scheduled_heuristics`
+executes the picks of either policy.  The :class:`Scheduler` runs at most one
+heuristic per invocation.  Its first pass executes every heuristic once in the
+default priority order (warmstart); afterwards a modified epsilon-greedy
+bandit takes over: with probability ``1 - eps_t`` it exploits the arm with the
+best average reward, otherwise it samples an arm proportionally to the
+weights.  Failed calls grow a skip counter that suppresses whole invocations,
+so an unproductive portfolio is consulted less and less often.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -175,6 +177,28 @@ def bandit_update(bandit: BanditState, h: str, reward: float) -> None:
                              + bandit.alpha * reward)
 
 
+class StaticSchedule:
+    """The ``default`` baseline: heuristic k runs at depths congruent to k * offset."""
+
+    def __init__(self, settings):
+        self.limits = portfolio_limits(settings)  # never adapted
+        self.freq = settings.default_freq
+        self.offset = settings.default_offset
+        self.reward_log = []  # stays empty: the schedule computes no reward
+
+    def picks(self, depth: int, applicable) -> list:
+        """Every heuristic whose depth slot this is, in the default order.
+
+        ``applicable`` is not consulted: an earlier pick at the same node may
+        install the incumbent a later one needs, so the call loop checks each.
+        """
+        return [h for k, h in enumerate(DEFAULT_ORDER, start=1)
+                if depth % self.freq == (k * self.offset) % self.freq]
+
+    def record(self, h: str, outcome: HeurOutcome, ctx: RewardContext) -> None:
+        """The schedule is fixed: nothing to learn and no reward."""
+
+
 class Scheduler:
     """Mutable scheduler state owned by a single solve, configured by ``SolverSettings``."""
 
@@ -223,94 +247,77 @@ class Scheduler:
             raise NoApplicableHeuristic("no applicable heuristic")
         return bandit_select(self.bandit, cands, self.rng)
 
+    def picks(self, depth: int, applicable) -> list:
+        """At most one heuristic; none inside a skip window or with no candidate."""
+        if not self.should_run():
+            return []
+        try:
+            return [self.select(applicable)]
+        except NoApplicableHeuristic:
+            return []
+
     def record(self, h: str, outcome: HeurOutcome,
                ctx: RewardContext) -> RewardBreakdown:
         """Observe the outcome: reward, weights, working limits, fail streak."""
-        spec = SPEC_BY_ID[h]
-        limits_before = self.limits[h]
+        klass = SPEC_BY_ID[h].klass
+        before = self.limits[h]
         v_max_before = self.cfg.v_max
         breakdown = compute_reward(outcome, ctx, self.cfg)
         bandit_update(self.bandit, h, breakdown.r_total)
-        if spec.klass == "lns":
-            self.limits[h] = update_fixing_rate(limits_before, outcome)
-        else:
-            self.limits[h] = update_lp_resolve_threshold(limits_before, outcome)
+        update = update_fixing_rate if klass == "lns" else update_lp_resolve_threshold
+        after = self.limits[h] = update(before, outcome)
         if not self._warm_call:  # frozen during warmstart
             if outcome.found_incumbent:
                 self.n_fail = 0
             else:
                 self.n_fail += 1
                 self.skip_remaining = compute_skip_count(self.n_fail, self.beta)
-        limit_after = self.limits[h]
         self.reward_log.append({
             "t": self.bandit.t,
             "h": h,
-            "klass": spec.klass,
+            "klass": klass,
             "warmstart": self._warm_call,
-            "r_sol": breakdown.r_sol,
-            "r_gap": breakdown.r_gap,
-            "r_eff": breakdown.r_eff,
-            "r_conf": breakdown.r_conf,
-            "r_total": breakdown.r_total,
+            **asdict(breakdown),
             "found_incumbent": outcome.found_incumbent,
             "sub_mip_infeasible": outcome.sub_mip_infeasible,
             "nodes_used": outcome.nodes_used,
             "conflicts_found": outcome.conflicts_found,
             "fixed_count": outcome.fixed_count,
-            "is_first_incumbent": ctx.is_first_incumbent,
-            "obj_old": ctx.obj_old,
-            "obj_new": ctx.obj_new,
-            "obj_lp": ctx.obj_lp,
+            **asdict(ctx),
             "v_max_before": v_max_before,
-            "n_max": self.cfg.n_max[spec.klass],
-            "limit_before": (limits_before.f if spec.klass == "lns"
-                             else limits_before.q),
-            "limit_after": (limit_after.f if spec.klass == "lns"
-                            else limit_after.q),
+            "n_max": self.cfg.n_max[klass],
+            "limit_before": before.f if klass == "lns" else before.q,
+            "limit_after": after.f if klass == "lns" else after.q,
             "n_fail": self.n_fail,
             "skip_remaining": self.skip_remaining,
         })
         return breakdown
 
 
-def run_scheduled_heuristics(sched: Scheduler, lp: LpResult, env: HeurEnv,
-                             exec_rngs: dict) -> Optional[tuple]:
-    """One scheduler invocation at a node: gate, select, execute, reward, update.
+def run_scheduled_heuristics(policy, lp: LpResult, env: HeurEnv, exec_rngs: dict,
+                             depth: int) -> list:
+    """Run a policy's picks at a node of the given depth; the one path of both modes.
 
-    Returns the executed heuristic's outcome and its reward, or None when the
-    invocation was skipped or nothing was applicable.  Inapplicable selections
-    are redrawn without charging a bandit iteration.
+    A pick that needs an incumbent while there is none, or that raises
+    ``NotApplicable``, is skipped and not recorded.  Every executed heuristic
+    is recorded by the policy; returns its ``(h, outcome, reward)`` triples,
+    where the reward is None from a policy that computes none.
     """
-    if not sched.should_run():
-        return None
-    removed = set()
-    while True:
-        applicable = {
-            s.id for s in PORTFOLIO
-            if s.id not in removed
-            and (not s.requires_incumbent or env.incumbent() is not None)
-        }
-        try:
-            h = sched.select(applicable)
-        except NoApplicableHeuristic:
-            return None
-        was_warm = sched._warm_call
+    applicable = {s.id for s in PORTFOLIO
+                  if not s.requires_incumbent or env.incumbent() is not None}
+    charged = []
+    for h in policy.picks(depth, applicable):
         inc_before = env.incumbent()
-        obj_before = inc_before.objective if inc_before is not None else None
-        try:
-            outcome = execute(h, lp, env, sched.limits[h], exec_rngs[h])
-        except NotApplicable:
-            removed.add(h)
-            if was_warm:
-                sched.warmstart_queue.append(h)
+        if inc_before is None and SPEC_BY_ID[h].requires_incumbent:
             continue
-        break
-    inc_after = env.incumbent()
-    ctx = RewardContext(
-        is_first_incumbent=outcome.found_incumbent and obj_before is None,
-        obj_old=obj_before,
-        obj_new=(inc_after.objective
-                 if outcome.found_incumbent and inc_after is not None else None),
-        obj_lp=lp.objective,
-    )
-    return outcome, sched.record(h, outcome, ctx)
+        try:
+            outcome = execute(h, lp, env, policy.limits[h], exec_rngs[h])
+        except NotApplicable:
+            continue
+        found = outcome.found_incumbent  # then the call installed the incumbent
+        obj_old = inc_before.objective if inc_before is not None else None
+        ctx = RewardContext(is_first_incumbent=found and obj_old is None, obj_old=obj_old,
+                            obj_new=env.incumbent().objective if found else None,
+                            obj_lp=lp.objective)
+        charged.append((h, outcome, policy.record(h, outcome, ctx)))
+    return charged

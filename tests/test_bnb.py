@@ -16,7 +16,8 @@ from banditmip.bnb import (
     select_branch_variable,
     solve,
 )
-from banditmip.heuristics import LNS_KINDS
+from banditmip import heuristics
+from banditmip.heuristics import LNS_KINDS, NotApplicable
 from banditmip.model import Assignment, MipModel, generate_instance, load_instance
 from banditmip.simplex import FEAS_TOL, BoundState, LpResult, LpStatus
 
@@ -56,6 +57,7 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(q_init=0.0),
     dict(lns_node_budget=0),
     dict(dive_max_depth=0),
+    dict(default_freq=0),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_settings_reject_unusable_values(bad):
     with pytest.raises(InvalidSettings, match=next(iter(bad))):
@@ -219,13 +221,15 @@ def test_heuristic_settings_reach_both_modes():
     dive = next(rec for rec in res.scheduler_log if rec["klass"] == "diving")
     assert dive["n_max"] == cfg["dive_max_depth"]
     assert dive["limit_before"] == cfg["q_init"]
-    sched = tree.sched
+    sched = tree.policy
     assert sched.bandit.epsilon == cfg["epsilon"]
     assert sched.beta == cfg["beta"]
     assert (sched.cfg.lam_sol, sched.cfg.lam_gap, sched.cfg.lam_eff, sched.cfg.lam_conf) == (
         cfg["lambda_sol"], cfg["lambda_gap"], cfg["lambda_eff"], cfg["lambda_conf"])
     assert sched.cfg.n_max == {"lns": cfg["lns_node_budget"], "diving": cfg["dive_max_depth"]}
-    assert tree.limits is sched.limits
+    for h, st in res.stats.per_heuristic.items():  # the reported limits are the scheduler's
+        lim = sched.limits[h]
+        assert st.final_limit == (lim.f if h in LNS_KINDS else lim.q)
 
 
 def test_monotone_incumbents():
@@ -444,6 +448,32 @@ def test_scheduler_mode_single_heuristic_per_invocation():
     ts = [rec["t"] for rec in res.scheduler_log]
     assert ts == list(range(1, len(ts) + 1))
     assert res.stats.heuristic_calls == len(ts)
+    for h, st in res.stats.per_heuristic.items():  # charged exactly what was recorded
+        recs = [rec for rec in res.scheduler_log if rec["h"] == h]
+        assert st.pulls == len(recs)
+        assert st.reward_sum == (sum(rec["r_total"] for rec in recs) if recs else None)
+
+
+@pytest.mark.parametrize("mode", ["default", "scheduler"])
+def test_inapplicable_heuristic_is_skipped_and_not_charged(mode, monkeypatch):
+    run_diving = heuristics.run_diving
+    refused = []
+
+    def refuse_coef_dive(kind, *args):
+        if kind == "coef_dive":
+            refused.append(kind)
+            raise NotApplicable("coef_dive refused")
+        return run_diving(kind, *args)
+
+    monkeypatch.setattr(heuristics, "run_diving", refuse_coef_dive)
+    model = generate_instance("gap", (24, 4), 5)
+    res = solve(model, SolverSettings(mode=mode, seed=1))
+    assert refused
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.stats.per_heuristic["coef_dive"].pulls == 0
+    assert all(rec["h"] != "coef_dive" for rec in res.scheduler_log)
+    assert res.stats.heuristic_calls == sum(st.pulls for st in res.stats.per_heuristic.values())
+    assert res.stats.heuristic_calls > 0
 
 
 def test_recency_bandit_mode_runs_end_to_end():

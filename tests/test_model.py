@@ -185,6 +185,41 @@ ENDATA
     assert senses["G"] == lo and senses["L"] == hi
 
 
+NUMBERS_MPS = """\
+NAME NUMBERS
+ROWS
+ N OBJ
+ L R0
+ L R1
+COLUMNS
+ X OBJ 1.0 R0 1.0
+ Y OBJ 1.0 R1 {coef}
+RHS
+ RHS R0 5.0 R1 {rhs}
+RANGES
+ RNG R0 {rng}
+BOUNDS
+ UP BND X {up}
+ENDATA
+"""
+GOOD_NUMBERS = dict(coef="2.0", rhs="4.0", rng="2.0", up="1.0")
+
+
+@pytest.mark.parametrize("field,token,where", [
+    ("coef", "abc", r"COLUMNS line 8: 'abc' is not a number"),
+    ("rhs", "1..0", r"RHS line 10: '1\.\.0' is not a number"),
+    ("rng", "x2", r"RANGES line 12: 'x2' is not a number"),
+    ("up", "one", r"BOUNDS line 14: 'one' is not a number"),
+    # R1 is the third model row once RANGES splits R0: the message names it
+    ("coef", "nan", r"COLUMNS line 8: coefficient 'nan' of row 'R1', column 'Y' is not finite"),
+    ("coef", "-inf", r"COLUMNS line 8: coefficient '-inf' of row 'R1', column 'Y'"),
+])
+def test_parse_names_a_bad_number(field, token, where):
+    assert parse_mps(NUMBERS_MPS.format(**GOOD_NUMBERS)).m == 3
+    with pytest.raises(MalformedSection, match=where):
+        parse_mps(NUMBERS_MPS.format(**{**GOOD_NUMBERS, field: token}))
+
+
 @pytest.mark.parametrize("family,size", [
     ("knapsack", (10, 1)),
     ("knapsack", (8, 3)),
