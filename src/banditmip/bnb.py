@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -94,6 +94,10 @@ class SolverSettings:
     shadow_lp_check: bool = False
 
     def __post_init__(self):
+        for f in fields(self):  # a NaN or infinite float fails deep in the solve otherwise
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidSettings(f"{f.name} must be finite, got {value!r}")
         if self.mode not in ("scheduler", "default"):
             raise InvalidSettings(f"mode must be 'scheduler' or 'default', got {self.mode!r}")
         if self.bandit_mode not in ("average", "recency"):
@@ -101,6 +105,8 @@ class SolverSettings:
                 f"bandit_mode must be 'average' or 'recency', got {self.bandit_mode!r}")
         if not self.epsilon >= 0:
             raise InvalidSettings(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if not self.f_init >= 0:
+            raise InvalidSettings(f"f_init must be >= 0, got {self.f_init!r}")
         if not self.f_min <= self.f_max:
             raise InvalidSettings(f"f_min {self.f_min!r} exceeds f_max {self.f_max!r}")
         if not self.q_min <= self.q_max:

@@ -161,6 +161,12 @@ def _read_runs(fh):
     for row in reader:
         if row["status"] == "error":
             continue
+        for col in ("time_s", "nodes", "heurtime_s"):  # the columns summarize aggregates
+            try:
+                float(row[col])
+            except (TypeError, ValueError):
+                raise SchemaMismatch(f"stats CSV line {reader.line_num}: column {col!r} "
+                                     f"holds {row[col]!r}, not a number") from None
         key = (row["instance"], row["seed"])
         pairs.setdefault(key, {})[row["mode"]] = row
     return {k: v for k, v in pairs.items()
@@ -295,6 +301,14 @@ def _coerce(settings, key, value):
 # commands
 # ---------------------------------------------------------------------------
 
+def _number_list(text: str, kind, option: str) -> list:
+    """A comma-separated option value as numbers; a ValueError names the option and its value."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option}: expected comma-separated numbers, got {text!r}") from None
+
+
 def _settings_from_args(args) -> SolverSettings:
     settings = SolverSettings()
     if getattr(args, "config", None):
@@ -341,10 +355,10 @@ def cmd_bench(args) -> int:
             uris = [line.strip() for line in fh
                     if line.strip() and not line.strip().startswith("#")]
         base = _settings_from_args(args)
+        seeds = _number_list(args.seeds, int, "--seeds") if args.seeds else [0]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
     with open(args.out, "w", newline="") as fh:
         write_csv(bench_rows(uris, seeds, base), fh)
     print(f"wrote {args.out}")
@@ -352,11 +366,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    brackets = [float(b) for b in args.brackets.split(",")] if args.brackets else []
     try:
+        brackets = _number_list(args.brackets, float, "--brackets") if args.brackets else []
         with open(args.csv) as fh:
             rows = summarize_runs(fh, brackets=brackets, time_limit=args.time_limit)
-    except (OSError, SchemaMismatch) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_summary(rows))

@@ -14,6 +14,7 @@ so an unproductive portfolio is consulted less and less often.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -45,8 +46,15 @@ def epsilon_t(epsilon: float, n_arms: int, t: int) -> float:
 
 
 def compute_skip_count(n_fail: int, beta: float = 0.1) -> int:
-    """Number of future invocations to skip after n_fail consecutive failures."""
-    return int(math.floor(math.exp(beta * n_fail))) - 1
+    """Number of future invocations to skip after n_fail consecutive failures.
+
+    ``floor(exp(beta * n_fail)) - 1``, saturated at ``sys.maxsize``: the float
+    ``exp`` overflows once its argument passes about 709.8.
+    """
+    x = beta * n_fail
+    if x >= math.log(sys.maxsize):
+        return sys.maxsize
+    return int(math.floor(math.exp(x))) - 1
 
 
 @dataclass

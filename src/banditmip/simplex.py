@@ -34,22 +34,25 @@ update per basis change, shared by phase-1 artificial eviction and the pivot
 loops.  Once the basis has ``ROW_UPDATE_MIN_M`` (128) or more rows and the
 entering column is mostly zeros, the update touches only the rows where that
 column is nonzero.  The inverse is still rebuilt from scratch every
-``REFACTOR_EVERY`` basis changes, which bounds the drift of the updates.
+``REFACTOR_EVERY`` basis changes, which bounds the drift of the updates.  The
+basic solution ``B^-1 (b - N x_N)`` and the reduced costs
+``c - (c_B B^-1) A`` are each computed by one helper (``_basic_values``,
+``_reduced_costs``), the one place another factorization would change.
 
-Each build lists the nonzeros of ``[A | I]`` (plus cut rows) once: the
-model's CSR entries, then the cut rows', then the slacks'.  They fill one of
-two stores, picked by row count; ``add_cut_row`` builds again.  From
-``ROW_UPDATE_MIN_M`` rows the store is column-compressed (:class:`_Csc`):
-pricing ``y @ A`` is a scatter over the nonzeros, the entering column is
-``B^-1[:, rows_j] @ vals_j``, phase 1 appends its artificials as unit
-columns, and each basis inverse inverts only the block of columns that have
-more than one entry, on the rows no single-entry column (slacks,
-artificials, singleton structurals) covers.  Below that the nonzeros are
-scattered into a dense array, as small LPs run faster on it (on
-60 x 300 LPs dense ``y @ A`` took 2.5 us against 3.9 us for the scatter, and
-``np.linalg.inv`` 51-123 us against 150-320 us for the block inverse), and
-small LPs keep their exact floating-point results: the branch-and-bound tree
-is sensitive to the last bits of the LP solutions.
+One builder, ``SimplexContext._lp_matrix``, makes every LP matrix from a list
+of nonzeros: the model's CSR entries, then the cut rows', then one unit
+column per slack and, in phase 1, one per artificial.  It picks the store by
+row count; ``add_cut_row`` builds again.  From ``ROW_UPDATE_MIN_M`` rows the
+store is column-compressed (:class:`_Csc`): pricing ``y @ A`` is a scatter
+over the nonzeros, the entering column is ``B^-1[:, rows_j] @ vals_j``, and
+each basis inverse inverts only the block of columns that have more than one
+entry, on the rows no single-entry column (slacks, artificials, singleton
+structurals) covers.  Below that the nonzeros are scattered into a dense
+array, as small LPs run faster on it (on 60 x 300 LPs dense ``y @ A`` took
+2.5 us against 3.9 us for the scatter, and ``np.linalg.inv`` 51-123 us
+against 150-320 us for the block inverse), and small LPs keep their exact
+floating-point results: the branch-and-bound tree is sensitive to the last
+bits of the LP solutions.
 """
 
 from __future__ import annotations
@@ -97,7 +100,6 @@ class BoundState:
 
     lower: np.ndarray
     upper: np.ndarray
-    empty: bool = False
 
     @classmethod
     def from_model(cls, model: MipModel) -> "BoundState":
@@ -110,8 +112,7 @@ class BoundState:
             lower[j] = max(lower[j], lo)
         if hi is not None:
             upper[j] = min(upper[j], hi)
-        empty = self.empty or bool(lower[j] > upper[j] + 1e-9)
-        return BoundState(lower=lower, upper=upper, empty=empty)
+        return BoundState(lower=lower, upper=upper)
 
     def fixed(self, j: int, value: float) -> "BoundState":
         return self.tightened(j, lo=value, hi=value)
@@ -224,12 +225,6 @@ class _Csc:
         s, e = self.start[j], self.start[j + 1]
         return self.rows[s:e], self.vals[s:e]
 
-    def with_units(self, rows: np.ndarray, signs: np.ndarray) -> "_Csc":
-        """This matrix with one column ``signs[k] * e_{rows[k]}`` appended for each k."""
-        start = np.concatenate([self.start, self.start[-1] + np.arange(1, len(rows) + 1)])
-        return _Csc(self.m, start, np.concatenate([self.rows, rows]),
-                    np.concatenate([self.vals, signs]))
-
     def basis_inverse(self, basis: np.ndarray) -> np.ndarray:
         """B^-1 for B = A[:, basis], inverting only the columns with more than one entry.
 
@@ -273,6 +268,18 @@ def _column_image(binv: np.ndarray, A, j: int) -> np.ndarray:
     return binv @ A[:, j]
 
 
+def _basic_values(binv: np.ndarray, A, b: np.ndarray, vstat: np.ndarray,
+                  val: np.ndarray) -> np.ndarray:
+    """x_B = B^-1 (b - N x_N), with each nonbasic variable at its value in ``val``."""
+    nb = vstat != BASIC
+    return binv @ (b - A[:, nb] @ val[nb])
+
+
+def _reduced_costs(cost: np.ndarray, basis: np.ndarray, binv: np.ndarray, A) -> np.ndarray:
+    """d = c - (c_B B^-1) A."""
+    return cost - (cost[basis] @ binv) @ A
+
+
 def _cut_row(cols, vals, sense: str, rhs: float):
     return (np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float),
             sense, float(rhs))
@@ -281,10 +288,8 @@ def _cut_row(cols, vals, sense: str, rhs: float):
 class SimplexContext:
     """Reusable solver state for one model plus cut rows, given up front or appended."""
 
-    def __init__(self, model: MipModel, cuts=(), feas_tol: float = FEAS_TOL,
-                 shadow_check: bool = False):
+    def __init__(self, model: MipModel, cuts=(), shadow_check: bool = False):
         self.model = model
-        self.feas_tol = feas_tol
         self.shadow_check = shadow_check
         self._extra = [_cut_row(*cut) for cut in cuts]  # (cols, vals, sense, rhs)
         self._build()
@@ -301,23 +306,31 @@ class SimplexContext:
         vals = np.concatenate([model.data, *(row[1] for row in extra)])
         keep = vals != 0.0
         self.entries = rows[keep], cols[keep], vals[keep]  # A's nonzeros, row by row
-        rows, cols, vals = self.entries
-        slack = np.arange(m)  # then the identity block of the slacks
-        rows, cols = np.concatenate([rows, slack]), np.concatenate([cols, n + slack])
-        vals = np.concatenate([vals, np.ones(m)])
-        if m >= ROW_UPDATE_MIN_M:
-            A = _Csc.from_entries(m, n + m, rows, cols, vals)
-        else:
-            A = np.zeros((m, n + m))
-            A[rows, cols] = vals
         self.n = n
         self.m = m
-        self.A = A
+        self.A = self._lp_matrix(np.arange(m), np.ones(m))  # [A | I]
         self.b = np.concatenate([model.rhs, [row[3] for row in extra]])
         senses = np.asarray([*model.row_senses, *(row[2] for row in extra)], dtype="U1")
         self.slack_lo = np.where(senses == "G", -INF, 0.0)  # s = b - a.x: >= 0 on an L row
         self.slack_up = np.where(senses == "L", INF, 0.0)
         self.cost = np.concatenate([model.c, np.zeros(m)])
+
+    def _lp_matrix(self, unit_rows: np.ndarray, unit_signs: np.ndarray):
+        """A followed by one column ``unit_signs[k] * e_{unit_rows[k]}`` for each k.
+
+        The one place a store is chosen: column-compressed from
+        ``ROW_UPDATE_MIN_M`` rows, a dense array below.
+        """
+        rows, cols, vals = self.entries
+        rows = np.concatenate([rows, unit_rows])
+        cols = np.concatenate([cols, self.n + np.arange(len(unit_rows))])
+        vals = np.concatenate([vals, unit_signs])
+        ncols = self.n + len(unit_rows)
+        if self.m >= ROW_UPDATE_MIN_M:
+            return _Csc.from_entries(self.m, ncols, rows, cols, vals)
+        A = np.zeros((self.m, ncols))
+        A[rows, cols] = vals
+        return A
 
     def add_cut_row(self, cols, vals, sense: str, rhs: float):
         """Append a valid inequality; saved bases stay usable, with its slack basic."""
@@ -333,13 +346,13 @@ class SimplexContext:
             worst = int(np.argmax(resid))
             self.max_row_residual = max(self.max_row_residual, float(resid[worst]))
             if self.shadow_check:
-                assert resid[worst] <= self.feas_tol, (
+                assert resid[worst] <= FEAS_TOL, (
                     f"row {worst} violated by {resid[worst]:.3g} of its size, "
-                    f"beyond tolerance {self.feas_tol:.3g}"
+                    f"beyond tolerance {FEAS_TOL:.3g}"
                 )
         if self.shadow_check:
             if warm:
-                cold = SimplexContext(self.model, self._extra, feas_tol=self.feas_tol)
+                cold = SimplexContext(self.model, self._extra)
                 ref = cold._solve_inner(bounds, iter_limit, warm=False)
                 assert ref.status == result.status, (
                     f"warm/cold status mismatch: {result.status} vs {ref.status}"
@@ -353,7 +366,7 @@ class SimplexContext:
         """How far ``x`` violates each model and cut row, over the row's size.
 
         The size of row i is ``1 + |b_i| + sum_j |a_ij| max(1, |x_j|)``; the
-        shadow check requires every entry to be at most ``feas_tol``.
+        shadow check requires every entry to be at most ``FEAS_TOL``.
         """
         A = self.A[:, :self.n]
         slack = self.b - A @ x
@@ -366,7 +379,7 @@ class SimplexContext:
     # ------------------------------------------------------------------
 
     def _solve_inner(self, bounds, iter_limit, warm, saved=None):
-        if bounds.empty or np.any(bounds.lower > bounds.upper + 1e-9):
+        if np.any(bounds.lower > bounds.upper + 1e-9):
             gap = float(np.max(bounds.lower - bounds.upper)) if len(bounds.lower) else 0.0
             return LpResult(LpStatus.INFEASIBLE, None, INF, 0,
                             phase1_residual=gap if gap > 0 else INF)
@@ -391,7 +404,7 @@ class SimplexContext:
                 status, iters, binv, resid = self._dual_loop(
                     lo, up, basis, vstat, val, binv, iter_limit)
             if status is LpStatus.OPTIMAL:
-                start = basis, vstat, val, self.A, lo, up, None, 0
+                start = basis, vstat, val, self.A, lo, up
             elif status is LpStatus.INFEASIBLE:
                 return LpResult(status, None, INF, iters, phase1_residual=resid)
             elif status is LpStatus.ITER_LIMIT:
@@ -401,16 +414,18 @@ class SimplexContext:
             break
         if start is None:
             start = self._cold_start(lo, up)
-        basis, vstat, val, A, lo, up, phase1_cost, nart = start
+        basis, vstat, val, A, lo, up = start
 
+        nart = len(val) - nbase  # artificials of a cold start
         if nart:
+            phase1_cost = np.repeat([0.0, 1.0], [nbase, nart])
             status, iters = self._pivot_loop(
                 A, lo, up, basis, vstat, val, phase1_cost, iter_limit, iters
             )
             if status is LpStatus.ITER_LIMIT:
                 return LpResult(status, None, float("nan"), iters)
             resid = float(val[nbase:].sum())
-            if resid > self.feas_tol:
+            if resid > FEAS_TOL:
                 return LpResult(LpStatus.INFEASIBLE, None, INF, iters,
                                 phase1_residual=resid)
             self._evict_artificials(A, basis, vstat, val, nbase)
@@ -433,54 +448,35 @@ class SimplexContext:
         return LpResult(status, None, float("nan"), iters)
 
     def _cold_start(self, lo, up):
+        """The slack basis with an artificial for each row whose slack cannot take its residual.
+
+        Structurals sit at a bound.  A slack that would leave its bounds is
+        pinned at the nearer one, and a basic artificial column, +-e_i at
+        value ``|residual|``, takes its place.  Returns (basis, vstat, val, A,
+        lo, up), extended by the artificials' columns when there are any.
+        """
         n, m = self.n, self.m
         nbase = n + m
-        vstat = np.empty(nbase, dtype=np.int8)
-        val = np.zeros(nbase)
+        vstat = np.full(nbase, BASIC, dtype=np.int8)
         vstat[:n] = _bound_status(lo[:n], up[:n])
-        val[:n] = _nonbasic_values(vstat[:n], lo[:n], up[:n])
-        basis = np.arange(n, nbase, dtype=np.int64)
-        vstat[n:] = BASIC
+        val = _nonbasic_values(vstat, lo, up)
         resid = self.b - self.A[:, :n] @ val[:n]
-
-        art_cols = []
-        art_rows = []
-        for i in range(m):
-            s_lo, s_up = lo[n + i], up[n + i]
-            s = min(max(resid[i], s_lo), s_up)
-            left = resid[i] - s
-            if abs(left) > self.feas_tol:
-                # slack pinned at its nearest bound, artificial absorbs the rest
-                vstat[n + i] = AT_LOWER if s == s_lo else AT_UPPER
-                val[n + i] = s
-                art_cols.append(np.sign(left))
-                art_rows.append(i)
-            else:
-                val[n + i] = resid[i]
-        nart = len(art_rows)
+        slack = np.minimum(np.maximum(resid, lo[n:]), up[n:])
+        left = resid - slack
+        art = np.flatnonzero(np.abs(left) > FEAS_TOL)
+        val[n:] = resid
+        val[n + art] = slack[art]
+        vstat[n + art] = np.where(slack[art] == lo[n + art], AT_LOWER, AT_UPPER)
+        basis = np.arange(n, nbase)
+        nart = art.size
         if nart == 0:
-            return basis, vstat, val, self.A, lo, up, None, 0
-
-        if isinstance(self.A, _Csc):
-            rows = np.asarray(art_rows)
-            A = self.A.with_units(rows, np.asarray(art_cols))
-            aval = np.abs(self.b[rows] - (self.A @ val[:nbase])[rows])
-            basis[rows] = nbase + np.arange(nart)
-        else:
-            A = np.zeros((m, nbase + nart))
-            A[:, :nbase] = self.A
-            aval = np.zeros(nart)
-            for k, (i, sgn) in enumerate(zip(art_rows, art_cols)):
-                A[i, nbase + k] = sgn
-                aval[k] = abs(self.b[i] - self.A[i] @ val[:nbase])
-                basis[i] = nbase + k
-        lo = np.concatenate([lo, np.zeros(nart)])
-        up = np.concatenate([up, np.full(nart, INF)])
-        val = np.concatenate([val, aval])
-        vstat = np.concatenate([vstat, np.full(nart, BASIC, dtype=np.int8)])
-        phase1 = np.zeros(nbase + nart)
-        phase1[nbase:] = 1.0
-        return basis, vstat, val, A, lo, up, phase1, nart
+            return basis, vstat, val, self.A, lo, up
+        basis[art] = nbase + np.arange(nart)
+        A = self._lp_matrix(np.concatenate([np.arange(m), art]),
+                            np.concatenate([np.ones(m), np.sign(left[art])]))
+        return (basis, np.concatenate([vstat, np.full(nart, BASIC, dtype=np.int8)]),
+                np.concatenate([val, np.abs(left[art])]), A,
+                np.concatenate([lo, np.zeros(nart)]), np.concatenate([up, np.full(nart, INF)]))
 
     def _try_warm_start(self, lo, up, saved):
         """Set up a saved basis under new bounds, or return None when it cannot start.
@@ -500,20 +496,19 @@ class SimplexContext:
             binv = _inverse(self.A, basis)
         except np.linalg.LinAlgError:
             return None
-        nb_mask = vstat != BASIC
-        xb = binv @ (self.b - self.A[:, nb_mask] @ val[nb_mask])
-        if not (np.any(xb < lo[basis] - self.feas_tol)
-                or np.any(xb > up[basis] + self.feas_tol)):
+        xb = _basic_values(binv, self.A, self.b, vstat, val)
+        if not (np.any(xb < lo[basis] - FEAS_TOL)
+                or np.any(xb > up[basis] + FEAS_TOL)):
             val[basis] = xb
             return basis, vstat, val, binv, True
-        d = self.cost - (self.cost[basis] @ binv) @ self.A
-        boxed = nb_mask & (lo > -INF) & (up < INF)
+        d = _reduced_costs(self.cost, basis, binv, self.A)
+        boxed = (vstat != BASIC) & (lo > -INF) & (up < INF)
         vstat[boxed & (d > DUAL_TOL)] = AT_LOWER
         vstat[boxed & (d < -DUAL_TOL)] = AT_UPPER
         if np.any(_descent(vstat, d, up - lo > 0, DUAL_TOL)):
             return None  # not dual feasible either
         val = _nonbasic_values(vstat, lo, up)
-        val[basis] = binv @ (self.b - self.A[:, nb_mask] @ val[nb_mask])
+        val[basis] = _basic_values(binv, self.A, self.b, vstat, val)
         return basis, vstat, val, binv, False
 
     def _dual_loop(self, lo, up, basis, vstat, val, binv, iter_limit):
@@ -530,8 +525,7 @@ class SimplexContext:
         while True:
             if since_refactor >= REFACTOR_EVERY:
                 binv = _inverse(A, basis)
-                nb_mask = vstat != BASIC
-                val[basis] = binv @ (b - A[:, nb_mask] @ val[nb_mask])
+                val[basis] = _basic_values(binv, A, b, vstat, val)
                 since_refactor = 0
             xb = val[basis]
             below = lo[basis] - xb
@@ -539,10 +533,10 @@ class SimplexContext:
             viol = np.maximum(below, above)
             if iters < BLAND_AFTER:
                 r = int(np.argmax(viol))
-                if viol[r] <= self.feas_tol:
+                if viol[r] <= FEAS_TOL:
                     return LpStatus.OPTIMAL, iters, binv, 0.0
             else:
-                rows = np.flatnonzero(viol > self.feas_tol)
+                rows = np.flatnonzero(viol > FEAS_TOL)
                 if rows.size == 0:
                     return LpStatus.OPTIMAL, iters, binv, 0.0
                 r = int(rows[np.argmin(basis[rows])])
@@ -555,10 +549,10 @@ class SimplexContext:
                 _descent(vstat, alpha if to_lower else -alpha, movable, PIVOT_TOL))
             if cand.size == 0:
                 resid = self._farkas_violation(lo, up, basis, vstat, r, to_lower)
-                if resid > self.feas_tol:
+                if resid > FEAS_TOL:
                     return LpStatus.INFEASIBLE, iters, binv, resid
                 return None, iters, binv, 0.0
-            d = cost - (cost[basis] @ binv) @ A
+            d = _reduced_costs(cost, basis, binv, A)
             ratios = np.abs(d[cand] / alpha[cand])
             tied = cand[ratios <= ratios.min() + 1e-12]
             if iters < BLAND_AFTER:
@@ -646,11 +640,9 @@ class SimplexContext:
                     return LpStatus.ITER_LIMIT, iters
                 if since_refactor >= REFACTOR_EVERY:
                     binv = _inverse(A, basis)
-                    nb_mask = vstat != BASIC
-                    val[basis] = binv @ (self.b - A[:, nb_mask] @ val[nb_mask])
+                    val[basis] = _basic_values(binv, A, self.b, vstat, val)
                     since_refactor = 0
-                y = cost[basis] @ binv
-                d = cost - y @ A
+                d = _reduced_costs(cost, basis, binv, A)
                 cand = np.nonzero(_descent(vstat, d, movable, DUAL_TOL))[0]
                 if cand.size == 0:
                     return LpStatus.OPTIMAL, iters

@@ -58,6 +58,14 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(lns_node_budget=0),
     dict(dive_max_depth=0),
     dict(default_freq=0),
+    dict(f_init=-1.0),
+    dict(f_init=float("nan")),
+    dict(eta=float("nan")),
+    dict(beta=float("nan")),
+    dict(int_tol=float("nan")),
+    dict(time_limit_s=float("nan")),
+    dict(time_limit_s=float("inf")),
+    dict(gamma=float("-inf")),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_settings_reject_unusable_values(bad):
     with pytest.raises(InvalidSettings, match=next(iter(bad))):

@@ -382,6 +382,40 @@ def test_summarize_schema_mismatch():
         summarize_runs(io.StringIO("instance,seed\nx,1\n"))
 
 
+def test_summarize_names_a_non_numeric_cell():
+    rows = [_row("a", 1, "default"), _row("a", 1, "scheduler")]
+    rows[1]["time_s"] = "abc"
+    with pytest.raises(SchemaMismatch, match=r"line 3: column 'time_s' holds 'abc'"):
+        summarize_runs(io.StringIO(_csv_text(rows)))
+
+
+def test_summarize_non_numeric_cell_exits_with_error(tmp_path, capsys):
+    rows = [_row("a", 1, "default"), _row("a", 1, "scheduler")]
+    rows[0]["time_s"] = "abc"
+    path = tmp_path / "runs.csv"
+    path.write_text(_csv_text(rows))
+    assert main(["summarize", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: stats CSV line 2: column 'time_s'")
+
+
+def test_summarize_bad_brackets_exit_with_error(tmp_path, capsys):
+    path = tmp_path / "runs.csv"
+    path.write_text(_csv_text([_row("a", 1, "default"), _row("a", 1, "scheduler")]))
+    assert main(["summarize", str(path), "--brackets", "1,y"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --brackets: expected comma-separated numbers, got '1,y'\n")
+
+
+def test_bench_bad_seeds_exit_with_error(tmp_path, capsys):
+    manifest = tmp_path / "suite.txt"
+    manifest.write_text("gen:knapsack:n=8,m=1,seed=1\n")
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(manifest), "--seeds", "1,x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --seeds: expected comma-separated numbers, got '1,x'\n")
+    assert not out.exists()
+
+
 def test_summarize_command_prints_table(tmp_path, capsys):
     rows = [
         _row("a", 1, "default"), _row("a", 1, "scheduler"),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def test_skip_count_examples():
 def test_skip_count_matches_formula_fuzz():
     for n_fail in range(0, 200):
         assert compute_skip_count(n_fail) == int(math.floor(math.exp(0.1 * n_fail))) - 1
+
+
+def test_skip_count_saturates_instead_of_overflowing():
+    assert compute_skip_count(1, beta=1e6) == sys.maxsize  # exp(1e6) overflows a float
+    assert compute_skip_count(10**5) == sys.maxsize
+    counts = [compute_skip_count(n, beta=0.5) for n in range(200)]
+    assert counts == sorted(counts) and counts[-1] == sys.maxsize
+    assert counts[87] == int(math.floor(math.exp(43.5))) - 1  # just below the cap
+    sched = Scheduler(SolverSettings(beta=1e6), np.random.default_rng(0))
+    _drain_warmstart(sched)
+    h = sched.select(ALL)
+    sched.record(h, _outcome(h), _ctx())
+    assert sched.n_fail == 1 and sched.skip_remaining == sys.maxsize
+    assert not sched.should_run()
 
 
 def test_should_run_counts_down_pending_skips():

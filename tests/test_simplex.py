@@ -480,6 +480,86 @@ def test_cold_start_statuses_match_loop():
             assert (vstat[j], val[j]) == (FREE, 0.0)
 
 
+def _loop_cold_start(ctx, lo, up):
+    """Reference phase-1 start, built one row at a time on a dense copy of the matrix."""
+    A0 = _densify(ctx.A) if isinstance(ctx.A, _Csc) else ctx.A
+    n, m = ctx.n, ctx.m
+    nbase = n + m
+    vstat = np.empty(nbase, dtype=np.int8)
+    val = np.zeros(nbase)
+    vstat[:n] = _bound_status(lo[:n], up[:n])
+    val[:n] = _nonbasic_values(vstat[:n], lo[:n], up[:n])
+    basis = np.arange(n, nbase, dtype=np.int64)
+    vstat[n:] = BASIC
+    resid = ctx.b - A0[:, :n] @ val[:n]
+    art_cols, art_rows = [], []
+    for i in range(m):
+        s_lo, s_up = lo[n + i], up[n + i]
+        s = min(max(resid[i], s_lo), s_up)
+        left = resid[i] - s
+        if abs(left) > simplex.FEAS_TOL:
+            vstat[n + i] = AT_LOWER if s == s_lo else AT_UPPER
+            val[n + i] = s
+            art_cols.append(np.sign(left))
+            art_rows.append(i)
+        else:
+            val[n + i] = resid[i]
+    nart = len(art_rows)
+    A = np.zeros((m, nbase + nart))
+    A[:, :nbase] = A0
+    aval = np.zeros(nart)
+    for k, (i, sgn) in enumerate(zip(art_rows, art_cols)):
+        A[i, nbase + k] = sgn
+        aval[k] = abs(ctx.b[i] - A0[i] @ val[:nbase])
+        basis[i] = nbase + k
+    return (basis, np.concatenate([vstat, np.full(nart, BASIC, dtype=np.int8)]),
+            np.concatenate([val, aval]), A,
+            np.concatenate([lo, np.zeros(nart)]), np.concatenate([up, np.full(nart, INF)]))
+
+
+# E row needing an artificial (+), G row needing one (+), L row whose slack
+# absorbs its residual, L row needing one (-), G row whose slack absorbs it;
+# x3 starts at its upper bound, x4 is free
+PHASE1 = dict(
+    c=[1, 1, 1, 1, 0],
+    rows=[[1, 1, 0, 0, 0], [0, 1, 2, 0, 0], [1, 0, 0, 1, 0], [0, 0, -1, -1, 1], [1, 0, 0, -1, 0]],
+    senses="EGLLG",
+    rhs=[3, 4, 5, -4, -3],
+    lower=[0, 0, 0, -INF, -INF],
+    upper=[4, 4, 4, 2, INF],
+)
+
+
+@pytest.mark.parametrize("store_rows", [ROW_UPDATE_MIN_M, 1])
+def test_cold_start_matches_the_row_loop(monkeypatch, store_rows):
+    monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", store_rows)
+    models = [_model(**PHASE1), generate_instance("gap", (24, 4), 5),
+              generate_instance("set_cover", (40, 20), 1), generate_instance("knapsack", (12, 3), 2)]
+    seen_art = set()
+    for model in models:
+        ctx = SimplexContext(model)
+        assert isinstance(ctx.A, _Csc) == (store_rows == 1)
+        lo = np.concatenate([model.lower, ctx.slack_lo])
+        up = np.concatenate([model.upper, ctx.slack_up])
+        basis, vstat, val, A, lo_out, up_out = ctx._cold_start(lo.copy(), up.copy())
+        ref = _loop_cold_start(ctx, lo, up)
+        for got, want in zip((basis, vstat, val, lo_out, up_out), ref[:3] + ref[4:]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(_densify(A) if isinstance(A, _Csc) else A, ref[3])
+        if len(val) == ctx.n + ctx.m:
+            assert A is ctx.A  # no artificial: the context's own matrix
+        nbase = ctx.n + ctx.m
+        for i in np.flatnonzero(basis >= nbase):
+            seen_art.add((model.row_senses[i], float(np.sign(ref[3][i, basis[i]]))))
+    pins = _model(**PHASE1)
+    ctx = SimplexContext(pins)
+    start = ctx._cold_start(np.concatenate([pins.lower, ctx.slack_lo]),
+                            np.concatenate([pins.upper, ctx.slack_up]))
+    assert start[0].tolist() == [10, 11, 7, 12, 9]  # rows 0, 1 and 3 take artificials
+    assert start[2][ctx.n:].tolist() == [0, 0, 3, 0, -1, 3, 4, 2]
+    assert {("E", 1.0), ("G", 1.0), ("L", -1.0)} <= seen_art
+
+
 def test_warm_start_status_repair_matches_loop():
     rng = np.random.default_rng(6)
     lo, up = _random_boxes(rng, 400)
@@ -542,10 +622,6 @@ def test_column_store_products_match_dense(seed):
     binv = rng.standard_normal((m, m))
     for j in (0, 1, n - 1, n + 7):  # the empty column, structurals and a slack
         assert np.allclose(_column_image(binv, A, j), binv @ full[:, j], rtol=1e-13, atol=1e-13)
-    rows, signs = np.array([3, 0, 17]), np.array([1.0, -1.0, -1.0])
-    units = np.zeros((m, 3))
-    units[rows, np.arange(3)] = signs
-    assert np.array_equal(_densify(A.with_units(rows, signs)), np.hstack([full, units]))
 
 
 def test_dense_store_matches_a_loop_built_matrix():
@@ -590,8 +666,8 @@ def _basis_matrix(rng, m=30):
     dense[(np.arange(m) + 1) % m, np.arange(m)] += 1.0  # and a second one
     singles = np.zeros((m, 5))
     singles[np.arange(5), np.arange(5)] = [2.5, -1.0, 2.5, -1.0, 1.0]
-    A = _Csc.from_entries(*_entries(np.hstack([dense, singles, np.eye(m)])))
-    A = A.with_units(np.arange(m), np.where(np.arange(m) % 2, 1.0, -1.0))
+    arts = np.diag(np.where(np.arange(m) % 2, 1.0, -1.0))
+    A = _Csc.from_entries(*_entries(np.hstack([dense, singles, np.eye(m), arts])))
     return A, _densify(A)
 
 
