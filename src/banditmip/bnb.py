@@ -103,6 +103,9 @@ class SolverSettings:
         if self.bandit_mode not in ("average", "recency"):
             raise InvalidSettings(
                 f"bandit_mode must be 'average' or 'recency', got {self.bandit_mode!r}")
+        # every value is within 0.5 of an integer: from there on any LP point counts as integral
+        if not 0 <= self.int_tol < 0.5:
+            raise InvalidSettings(f"int_tol must be in [0, 0.5), got {self.int_tol!r}")
         if not self.epsilon >= 0:
             raise InvalidSettings(f"epsilon must be >= 0, got {self.epsilon!r}")
         if not self.f_init >= 0:

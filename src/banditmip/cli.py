@@ -274,27 +274,35 @@ def apply_config(settings: SolverSettings, text: str) -> SolverSettings:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in valid:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        updates[key] = _coerce(settings, key, value)
+        try:
+            updates[key] = _coerce(settings, key, value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     return dataclasses.replace(settings, **updates)
 
 
 def _coerce(settings, key, value):
-    if key in _OPTIONAL_INT_KEYS:
-        return None if value.lower() == "none" else int(value)
-    if key in _OPTIONAL_FLOAT_KEYS:
-        return None if value.lower() == "none" else float(value)
+    """``value`` as the type of setting ``key``; a ValueError names the key and the value."""
     current = getattr(settings, key)
-    if isinstance(current, bool):
+    if key in _OPTIONAL_INT_KEYS or key in _OPTIONAL_FLOAT_KEYS:
+        if value.lower() == "none":
+            return None
+        kind = int if key in _OPTIONAL_INT_KEYS else float
+    elif isinstance(current, bool):
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    return value
+        raise ValueError(f"key {key!r}: expected a boolean, got {value!r}")
+    elif isinstance(current, (int, float)):
+        kind = int if isinstance(current, int) else float
+    else:
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"key {key!r}: expected {expected}, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,12 @@ column is nonzero.  The inverse is still rebuilt from scratch every
 ``REFACTOR_EVERY`` basis changes, which bounds the drift of the updates.  The
 basic solution ``B^-1 (b - N x_N)`` and the reduced costs
 ``c - (c_B B^-1) A`` are each computed by one helper (``_basic_values``,
-``_reduced_costs``), the one place another factorization would change.
+``_reduced_costs``), the one place another factorization would change.  The
+dual loop computes ``d`` in full only on entry, where the warm start hands
+over its own, and at each refactor; in between it carries ``d`` across each
+pivot with the pivot row ``alpha`` it already has, ``d -= d_q / alpha_q *
+alpha`` (Koberstein 2005).  Only the round-off of ``d`` differs from
+recomputing it; the pricing rule is the same.
 
 One builder, ``SimplexContext._lp_matrix``, makes every LP matrix from a list
 of nonzeros: the model's CSR entries, then the cut rows', then one unit
@@ -398,11 +403,11 @@ class SimplexContext:
             warmed = self._try_warm_start(lo, up, candidate)
             if warmed is None:
                 continue
-            basis, vstat, val, binv, primal_feasible = warmed
+            basis, vstat, val, binv, d = warmed
             status = LpStatus.OPTIMAL
-            if not primal_feasible:
+            if d is not None:
                 status, iters, binv, resid = self._dual_loop(
-                    lo, up, basis, vstat, val, binv, iter_limit)
+                    lo, up, basis, vstat, val, binv, d, iter_limit)
             if status is LpStatus.OPTIMAL:
                 start = basis, vstat, val, self.A, lo, up
             elif status is LpStatus.INFEASIBLE:
@@ -481,10 +486,11 @@ class SimplexContext:
     def _try_warm_start(self, lo, up, saved):
         """Set up a saved basis under new bounds, or return None when it cannot start.
 
-        Returns (basis, vstat, val, binv, primal_feasible).  A basis that is
-        no longer primal feasible is returned only if, after moving each boxed
-        nonbasic variable to the bound its reduced cost wants, it is dual
-        feasible, so that the dual loop can start from it.
+        Returns (basis, vstat, val, binv, d): ``d`` is None when the basis is
+        still primal feasible.  A basis that is not is returned only if, after
+        moving each boxed nonbasic variable to the bound its reduced cost
+        wants, it is dual feasible, so that the dual loop can start from it
+        with those reduced costs ``d``.
         """
         basis, vstat = saved
         added = np.arange(self.n + len(basis), self.n + self.m)  # slacks of later cuts
@@ -500,7 +506,7 @@ class SimplexContext:
         if not (np.any(xb < lo[basis] - FEAS_TOL)
                 or np.any(xb > up[basis] + FEAS_TOL)):
             val[basis] = xb
-            return basis, vstat, val, binv, True
+            return basis, vstat, val, binv, None
         d = _reduced_costs(self.cost, basis, binv, self.A)
         boxed = (vstat != BASIC) & (lo > -INF) & (up < INF)
         vstat[boxed & (d > DUAL_TOL)] = AT_LOWER
@@ -509,11 +515,14 @@ class SimplexContext:
             return None  # not dual feasible either
         val = _nonbasic_values(vstat, lo, up)
         val[basis] = _basic_values(binv, self.A, self.b, vstat, val)
-        return basis, vstat, val, binv, False
+        return basis, vstat, val, binv, d
 
-    def _dual_loop(self, lo, up, basis, vstat, val, binv, iter_limit):
+    def _dual_loop(self, lo, up, basis, vstat, val, binv, d, iter_limit):
         """Bounded dual simplex from a dual feasible basis until no basic variable is out of bounds.
 
+        ``d`` holds the reduced costs at the starting basis.  They are carried
+        across each pivot by the pivot row ``alpha`` (``d -= d_q / alpha_q *
+        alpha``, then ``d_q = 0``) and computed in full again at each refactor.
         Returns (status, pivots, binv, residual): OPTIMAL when the basis is
         primal feasible, INFEASIBLE with the certified violation of a Farkas
         row, ITER_LIMIT, or None when a row without an entering candidate
@@ -526,6 +535,7 @@ class SimplexContext:
             if since_refactor >= REFACTOR_EVERY:
                 binv = _inverse(A, basis)
                 val[basis] = _basic_values(binv, A, b, vstat, val)
+                d = _reduced_costs(cost, basis, binv, A)
                 since_refactor = 0
             xb = val[basis]
             below = lo[basis] - xb
@@ -548,11 +558,11 @@ class SimplexContext:
             cand = np.flatnonzero(
                 _descent(vstat, alpha if to_lower else -alpha, movable, PIVOT_TOL))
             if cand.size == 0:
-                resid = self._farkas_violation(lo, up, basis, vstat, r, to_lower)
+                fresh = binv[r] if since_refactor == 0 else None  # no eta update since inverting
+                resid = self._farkas_violation(lo, up, basis, vstat, r, to_lower, fresh)
                 if resid > FEAS_TOL:
                     return LpStatus.INFEASIBLE, iters, binv, resid
                 return None, iters, binv, 0.0
-            d = _reduced_costs(cost, basis, binv, A)
             ratios = np.abs(d[cand] / alpha[cand])
             tied = cand[ratios <= ratios.min() + 1e-12]
             if iters < BLAND_AFTER:
@@ -570,11 +580,13 @@ class SimplexContext:
             vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
             basis[r] = q
             vstat[q] = BASIC
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
             _eta_update(binv, ycol, r)
             iters += 1
             since_refactor += 1
 
-    def _farkas_violation(self, lo, up, basis, vstat, r, to_lower) -> float:
+    def _farkas_violation(self, lo, up, basis, vstat, r, to_lower, row=None) -> float:
         """How far basic variable ``r`` stays from its violated bound anywhere in the box.
 
         Row ``r`` of a fresh B^-1 gives x_B[r] = beta_r - sum_N alpha_j x_j; the
@@ -583,11 +595,14 @@ class SimplexContext:
         an infinite bound is held to the range its row's activity spans over
         the structural box, so that round-off dust on its column cannot make
         the reach infinite.  A positive value proves the LP infeasible.
+        ``row`` is that row when the caller's inverse is fresh; without it
+        the basis is inverted here.
         """
-        try:
-            row = _inverse(self.A, basis)[r]
-        except np.linalg.LinAlgError:
-            return -INF
+        if row is None:
+            try:
+                row = _inverse(self.A, basis)[r]
+            except np.linalg.LinAlgError:
+                return -INF
         nb = np.flatnonzero(vstat != BASIC)
         sign = 1.0 if to_lower else -1.0
         h = -sign * (row @ self.A[:, nb])  # gain of sign * x_B[r] per unit of x_j

@@ -66,10 +66,19 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(time_limit_s=float("nan")),
     dict(time_limit_s=float("inf")),
     dict(gamma=float("-inf")),
+    dict(int_tol=0.6),
+    dict(int_tol=0.5),
+    dict(int_tol=-1.0),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_settings_reject_unusable_values(bad):
     with pytest.raises(InvalidSettings, match=next(iter(bad))):
         SolverSettings(**bad)
+
+
+def test_settings_accept_the_default_and_edge_int_tol():
+    assert SolverSettings().int_tol == 1e-6
+    assert SolverSettings(int_tol=0.0).int_tol == 0.0
+    assert SolverSettings(int_tol=0.49).int_tol == 0.49
 
 
 # ---------------------------------------------------------------------------

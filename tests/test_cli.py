@@ -459,6 +459,26 @@ def test_config_unknown_key_is_error():
         apply_config(SolverSettings(), "no_such_knob = 3\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("lns_node_budget = 1e3", "key 'lns_node_budget': expected an integer, got '1e3'"),
+    ("epsilon = abc", "key 'epsilon': expected a number, got 'abc'"),
+    ("node_limit = 12.5", "key 'node_limit': expected an integer, got '12.5'"),
+    ("time_limit_s = soon", "key 'time_limit_s': expected a number, got 'soon'"),
+])
+def test_config_bad_number_names_line_and_key(line, message):
+    with pytest.raises(ValueError) as err:
+        apply_config(SolverSettings(), f"# header\n{line}\n")
+    assert str(err.value) == f"config line 2: {message}"
+
+
+def test_config_bad_number_exits_with_error(tmp_path, capsys):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("seed = 3\nlns_node_budget = 1e3\n")
+    assert main(["solve", "gen:gap:n=16,m=4,seed=2", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config line 2: key 'lns_node_budget'"), err
+
+
 def test_config_file_flows_into_solve(tmp_path):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("node_limit = 1\n")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from banditmip.simplex import (
     AT_UPPER,
     BASIC,
     FREE,
+    REFACTOR_EVERY,
     ROW_UPDATE_MIN_M,
     BoundState,
     LpStatus,
@@ -371,6 +374,83 @@ def test_warm_resolves_after_tightening_match_oracle(monkeypatch):
                 assert abs(res.objective - float(best)) <= 1e-6, (res.objective, best, case)
     assert optimal > 50 and infeasible > 10
     assert len(dual_runs) > 20  # the dual path, not only primal-feasible warm hits
+
+
+def _watch_carried_reduced_costs(monkeypatch):
+    """Errors of the dual loop's carried ``d`` against ``_reduced_costs``, one per dual pivot.
+
+    ``_eta_update`` is a dual pivot's last step, after ``d`` and the basis have
+    changed; the wrapper reads ``d``, ``basis``, ``cost`` and ``A`` from the
+    dual loop's frame.  Each error is ``max |d - d_ref|`` over ``1 + max |c|``.
+    """
+    errors = []
+    eta_update = simplex._eta_update
+
+    def checked(binv, ycol, r):
+        eta_update(binv, ycol, r)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_dual_loop":
+            loc = frame.f_locals
+            cost = loc["cost"]
+            ref = simplex._reduced_costs(cost, loc["basis"], binv, loc["A"])
+            errors.append(np.max(np.abs(loc["d"] - ref)) / (1.0 + np.max(np.abs(cost))))
+
+    monkeypatch.setattr(simplex, "_eta_update", checked)
+    return errors
+
+
+@pytest.mark.parametrize("store_rows", [ROW_UPDATE_MIN_M, 1])
+def test_carried_reduced_costs_match_a_fresh_evaluation(monkeypatch, store_rows):
+    """The warm re-solves of the oracle test above, on both stores, checked after every dual pivot."""
+    monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", store_rows)
+    errors = _watch_carried_reduced_costs(monkeypatch)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        c, rows, senses, rhs, lower, upper = _random_lp(rng)
+        model = _model(c, rows.tolist(), senses, rhs, lower, upper)
+        ctx = SimplexContext(model)
+        assert isinstance(ctx.A, _Csc) == (model.m >= store_rows)
+        res = ctx.solve(BoundState.from_model(model), warm=False)
+        for _ in range(3):
+            if res.status is not LpStatus.OPTIMAL:
+                break
+            lower, upper = _tighten_randomly(rng, lower, upper)
+            res = ctx.solve(BoundState(lower=lower.astype(float), upper=upper.astype(float)))
+    assert len(errors) > 50
+    assert max(errors) <= 1e-9
+
+
+def test_carried_reduced_costs_match_across_refactors(monkeypatch):
+    """A cover root from the slack basis: more than REFACTOR_EVERY dual pivots, each checked."""
+    model = generate_instance("set_cover", (300, 150), 0)
+    errors = _watch_carried_reduced_costs(monkeypatch)
+    res = SimplexContext(model).solve(BoundState.from_model(model))
+    assert res.status is LpStatus.OPTIMAL
+    assert len(errors) > 2 * REFACTOR_EVERY
+    assert max(errors) <= 1e-9
+
+
+def test_dual_loop_evaluates_reduced_costs_only_at_refactors(monkeypatch):
+    """On a 150-row cover LP, ``d`` is computed in full on entry, at each refactor and in
+    the closing primal pass, not at every dual pivot."""
+    model = generate_instance("set_cover", (300, 150), 0)
+    assert model.m >= ROW_UPDATE_MIN_M
+    calls = []
+    reduced_costs = simplex._reduced_costs
+    monkeypatch.setattr(simplex, "_reduced_costs",
+                        lambda *a: calls.append(1) or reduced_costs(*a))
+    ctx = SimplexContext(model)
+    bounds = BoundState.from_model(model)
+    res = ctx.solve(bounds)
+    assert res.iterations > REFACTOR_EVERY  # the root passes a refactor
+    assert len(calls) <= 2 + res.iterations // REFACTOR_EVERY, (len(calls), res.iterations)
+    for step in range(4):
+        j = int(np.flatnonzero(res.x > 0.5 if step % 2 == 0 else res.x < 0.5)[step])
+        bounds = bounds.fixed(j, 1.0)
+        calls.clear()
+        res = ctx.solve(bounds)
+        assert res.status is LpStatus.OPTIMAL
+        assert len(calls) <= 2 + res.iterations // REFACTOR_EVERY, (step, len(calls))
 
 
 def test_basis_saved_before_a_cut_warm_starts():
