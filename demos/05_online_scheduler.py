@@ -13,7 +13,8 @@ from banditmip import SolverSettings, generate_instance, solve
 from banditmip.scheduler import compute_skip_count, epsilon_t
 
 model = generate_instance("gap", (36, 6), seed=2)
-res = solve(model, SolverSettings(mode="scheduler", seed=2))
+settings = SolverSettings(mode="scheduler", seed=2)
+res = solve(model, settings)
 log = res.scheduler_log
 print(f"{res.status.value}, objective {res.objective:g}, "
       f"{res.nodes_processed} nodes, {len(log)} scheduler calls\n")
@@ -38,7 +39,8 @@ print("final limits:",
       {h: round(st.final_limit, 3) for h, st in per.items()})
 
 # the exploration probability decays with the iteration count
-print("\neps_t:", ", ".join(f"t={t}: {epsilon_t(0.7, 6, t):.3f}"
+print("\neps_t:", ", ".join(f"t={t}: {epsilon_t(settings.epsilon, 6, t):.3f}"
                             for t in (6, 12, 50, 200, 1000)))
 # and sustained failure grows the skip window
-print("skips after n_fail:", {n: compute_skip_count(n) for n in (5, 10, 23, 40)})
+print("skips after n_fail:",
+      {n: compute_skip_count(n, settings.beta) for n in (5, 10, 23, 40)})

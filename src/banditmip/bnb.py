@@ -25,8 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Assignment, MipModel, evaluate_solution
+from .model import DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Assignment, MipModel, evaluate_solution
 from .simplex import (
+    DEFAULT_ITER_LIMIT,
     BoundState,
     INF,
     LpResult,
@@ -62,8 +63,8 @@ class SolverSettings:
     seed: int = 0
     node_limit: Optional[int] = None
     time_limit_s: Optional[float] = 60.0  # desk-scale default; None disables
-    int_tol: float = 1e-6
-    feas_tol: float = 1e-6
+    int_tol: float = DEFAULT_INT_TOL
+    feas_tol: float = DEFAULT_FEAS_TOL
     # bandit
     epsilon: float = 0.7
     bandit_mode: str = "average"  # or "recency"
@@ -90,7 +91,7 @@ class SolverSettings:
     default_offset: int = 1
     # tree search
     plunge_depth: int = 8
-    lp_iter_limit: int = 20_000
+    lp_iter_limit: int = DEFAULT_ITER_LIMIT
     shadow_lp_check: bool = False
 
     def __post_init__(self):
@@ -106,6 +107,8 @@ class SolverSettings:
         # every value is within 0.5 of an integer: from there on any LP point counts as integral
         if not 0 <= self.int_tol < 0.5:
             raise InvalidSettings(f"int_tol must be in [0, 0.5), got {self.int_tol!r}")
+        if not self.feas_tol >= 0:  # below 0 no row activity, and so no solution, passes
+            raise InvalidSettings(f"feas_tol must be >= 0, got {self.feas_tol!r}")
         if not self.epsilon >= 0:
             raise InvalidSettings(f"epsilon must be >= 0, got {self.epsilon!r}")
         if not self.f_init >= 0:
@@ -114,9 +117,12 @@ class SolverSettings:
             raise InvalidSettings(f"f_min {self.f_min!r} exceeds f_max {self.f_max!r}")
         if not self.q_min <= self.q_max:
             raise InvalidSettings(f"q_min {self.q_min!r} exceeds q_max {self.q_max!r}")
-        # q sets the dive's forced re-solve period 1/q; the budgets scale rewards
+        # q sets the dive's forced re-solve period 1/q, and a failed dive shrinks it
+        # toward q_min; the budgets scale rewards
         if not self.q_init > 0:
             raise InvalidSettings(f"q_init must be > 0, got {self.q_init!r}")
+        if not self.q_min > 0:
+            raise InvalidSettings(f"q_min must be > 0, got {self.q_min!r}")
         if self.lns_node_budget < 1:
             raise InvalidSettings(
                 f"lns_node_budget must be >= 1, got {self.lns_node_budget!r}")
@@ -210,8 +216,7 @@ class SolveResult:
         return self.incumbent.objective if self.incumbent is not None else None
 
 
-def select_branch_variable(lp: LpResult, model: MipModel,
-                           int_tol: float = 1e-6) -> int:
+def select_branch_variable(lp: LpResult, model: MipModel, int_tol: float) -> int:
     """Most fractional integer variable, ties broken by lowest index.
 
     Fractionalities within 1e-9 count as tied so that values like 0.3 and 0.7
@@ -272,7 +277,7 @@ class TreeSearch:
         if settings.mode == "scheduler" and heur_layer == "auto":
             self.policy = Scheduler(settings, np.random.default_rng(
                 np.random.SeedSequence([settings.seed % 2**32, 7])))
-        else:  # a rounding-only layer keeps the static schedule's frozen limits
+        else:  # and every rounding-only sub-MIP tree, whatever its mode: frozen limits
             self.policy = StaticSchedule(settings)
 
     # ------------------------------------------------------------------
@@ -309,10 +314,7 @@ class TreeSearch:
 
     def _sub_solve(self, bounds: BoundState, node_limit: int,
                    cutoff: Optional[float]):
-        sub_settings = replace(
-            self.settings, mode="default", node_limit=node_limit,
-            time_limit_s=None,
-        )
+        sub_settings = replace(self.settings, node_limit=node_limit, time_limit_s=None)
         res = solve(
             self.model, sub_settings,
             root_bounds=bounds,
@@ -487,8 +489,7 @@ class TreeSearch:
         self.stats.objective = (self.incumbent.objective
                                 if self.incumbent is not None else None)
         for h, st in self.stats.per_heuristic.items():
-            lim = self.policy.limits[h]
-            st.final_limit = lim.f if SPEC_BY_ID[h].klass == "lns" else lim.q
+            st.final_limit = self.policy.limits[h].value
 
         return SolveResult(
             status=status,

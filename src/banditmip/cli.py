@@ -69,8 +69,6 @@ def run_single(uri: str, settings: SolverSettings) -> tuple:
     result = solve(model, settings)
     stats = result.stats
     stats.instance = uri
-    stats.seed = settings.seed
-    stats.mode = settings.mode
     if stats.objective is not None and model.maximize:
         stats.objective = -stats.objective
     return stats, result

@@ -6,8 +6,11 @@ exceeds the adaptive threshold ``q`` (with a forced checkpoint every
 ``ceil(1/q)`` fixings), backtracking once on infeasibility and recording a
 conflict when both directions die.  LNS heuristics fix ``ceil(f * |I|)``
 integer variables around a reference point and solve the restricted sub-MIP
-with a node budget and the incumbent as cutoff.  Both working limits are
-adapted multiplicatively after every call.
+with a node budget and the incumbent as cutoff.  Both classes run under one
+:class:`WorkingLimit` type: its ``value`` is the fixing rate ``f`` of an LNS
+heuristic or the re-solve threshold ``q`` of a dive, and its ``budget`` is the
+sub-MIP node budget or the dive's maximum depth.  :func:`adapt_limit` adapts
+either multiplicatively after every call.
 """
 
 from __future__ import annotations
@@ -50,29 +53,22 @@ DIVE_KINDS = tuple(s.id for s in PORTFOLIO if s.klass == "diving")
 
 
 @dataclass(frozen=True)
-class LnsLimits:
-    f: float = 0.9
-    f_min: float = 0.3
-    f_max: float = 0.9
-    gamma: float = 0.1
-    node_budget: int = 500
+class WorkingLimit:
+    """A heuristic's adaptive limit ``value`` in ``[lo, hi]``, scaled by ``1 -/+ rate``."""
 
-
-@dataclass(frozen=True)
-class DivingLimits:
-    q: float = 0.05
-    q_min: float = 0.05
-    q_max: float = 0.3
-    eta: float = 0.1
-    max_depth: int = 100
+    value: float
+    lo: float
+    hi: float
+    rate: float
+    budget: int  # LNS sub-MIP node budget or dive depth limit; scales the reward
 
 
 def portfolio_limits(settings) -> dict:
     """Initial working limits of every portfolio heuristic, from ``SolverSettings``."""
-    lns = LnsLimits(f=settings.f_init, f_min=settings.f_min, f_max=settings.f_max,
-                    gamma=settings.gamma, node_budget=settings.lns_node_budget)
-    dive = DivingLimits(q=settings.q_init, q_min=settings.q_min, q_max=settings.q_max,
-                        eta=settings.eta, max_depth=settings.dive_max_depth)
+    lns = WorkingLimit(settings.f_init, settings.f_min, settings.f_max,
+                       settings.gamma, settings.lns_node_budget)
+    dive = WorkingLimit(settings.q_init, settings.q_min, settings.q_max,
+                        settings.eta, settings.dive_max_depth)
     return {s.id: (lns if s.klass == "lns" else dive) for s in PORTFOLIO}
 
 
@@ -88,23 +84,22 @@ class HeurOutcome:
     fixed_count: int = 0
 
 
-def update_fixing_rate(limits: LnsLimits, outcome: HeurOutcome) -> LnsLimits:
-    """Shrink f on success or an infeasible sub-MIP, grow it otherwise."""
-    if outcome.found_incumbent or outcome.sub_mip_infeasible:
-        f = max((1.0 - limits.gamma) * limits.f, limits.f_min)
-    else:
-        f = min((1.0 + limits.gamma) * limits.f, limits.f_max)
-    return replace(limits, f=f)
+def adapt_limit(limit: WorkingLimit, outcome: HeurOutcome) -> WorkingLimit:
+    """The limit after one call: shrunk by ``1 - rate`` down to ``lo`` or grown to ``hi``.
 
-
-def update_lp_resolve_threshold(limits: DivingLimits,
-                                outcome: HeurOutcome) -> DivingLimits:
-    """Shrink q after a failed dive (solve more often), grow it on success."""
-    if not outcome.found_incumbent:
-        q = max((1.0 - limits.eta) * limits.q, limits.q_min)
+    An LNS fixing rate f shrinks on success or an infeasible sub-MIP and grows
+    otherwise; a dive's threshold q shrinks after a failed dive (re-solve more
+    often) and grows on success.
+    """
+    if SPEC_BY_ID[outcome.heuristic].klass == "lns":
+        shrink = outcome.found_incumbent or outcome.sub_mip_infeasible
     else:
-        q = min((1.0 + limits.eta) * limits.q, limits.q_max)
-    return replace(limits, q=q)
+        shrink = not outcome.found_incumbent
+    if shrink:
+        value = max((1.0 - limit.rate) * limit.value, limit.lo)
+    else:
+        value = min((1.0 + limit.rate) * limit.value, limit.hi)
+    return replace(limit, value=value)
 
 
 def variable_locks(model: MipModel):
@@ -133,8 +128,8 @@ class HeurEnv:
     incumbent: Callable[[], Optional[Assignment]]
     accept: Callable[[Assignment, str], bool]
     conflict: Callable[[str, dict, bool], None]
+    lp_iter_limit: int
     sub_solve: Optional[Callable] = None
-    lp_iter_limit: int = 20_000
     deadline: Optional[float] = None  # time.perf_counter() value after which dives stop
 
 
@@ -163,9 +158,8 @@ def _snap_assignment(model: MipModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def run_rounding(lp: LpResult, model: MipModel, locks=None,
-                 accept=None, int_tol: float = 1e-6,
-                 feas_tol: float = 1e-6) -> HeurOutcome:
+def run_rounding(lp: LpResult, model: MipModel, locks=None, accept=None, *,
+                 int_tol: float, feas_tol: float) -> HeurOutcome:
     """Round every fractional integer variable to its lock-preferred side.
 
     Costs no nodes; feasibility is checked once and the candidate is handed to
@@ -219,7 +213,7 @@ def _fixed_difference(bounds: BoundState, root: BoundState, exclude=()):
     return fix, pure
 
 
-def run_diving(kind: str, lp: LpResult, env: HeurEnv, limits: DivingLimits,
+def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
                rng: np.random.Generator) -> HeurOutcome:
     """Probe one path of fixings with sparse LP re-solves and one-level backtracking."""
     from .model import evaluate_solution
@@ -234,7 +228,7 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limits: DivingLimits,
     if n_int == 0:
         raise NotApplicable(f"{kind}: model has no integer variables")
     down_locks, up_locks = env.locks
-    q = limits.q
+    q = limit.value
     force_every = math.ceil(1.0 / q)
 
     bounds = env.node_bounds
@@ -287,7 +281,7 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limits: DivingLimits,
             must_solve = (
                 changed / n_int > q
                 or since_solve >= force_every
-                or steps >= limits.max_depth
+                or steps >= limit.budget
             )
         if not must_solve:
             continue
@@ -328,11 +322,11 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limits: DivingLimits,
                 sol = Assignment.from_values(model, x)
                 return finish(sol, bool(env.accept(sol, kind)))
             return finish()
-        if steps >= limits.max_depth:
+        if steps >= limit.budget:
             return finish()
 
 
-def run_lns(kind: str, lp: LpResult, env: HeurEnv, limits: LnsLimits,
+def run_lns(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
             rng: np.random.Generator) -> HeurOutcome:
     """Fix ceil(f * |I|) integer variables around a reference point, solve the sub-MIP."""
     if kind not in LNS_KINDS:
@@ -347,7 +341,7 @@ def run_lns(kind: str, lp: LpResult, env: HeurEnv, limits: LnsLimits,
         raise NotApplicable(f"{kind}: model has no integer variables")
     t0 = time.perf_counter()
     out = HeurOutcome(heuristic=kind)
-    k = min(math.ceil(limits.f * len(ints)), len(ints))
+    k = min(math.ceil(limit.value * len(ints)), len(ints))
     xlp = lp.x
     frac = {j: _frac(float(xlp[j])) for j in ints}
 
@@ -390,7 +384,7 @@ def run_lns(kind: str, lp: LpResult, env: HeurEnv, limits: LnsLimits,
     cutoff = env.cutoff()
     sub = env.sub_solve(
         bounds=bounds,
-        node_limit=limits.node_budget,
+        node_limit=limit.budget,
         cutoff=None if cutoff == INF else cutoff,
     )
     out.nodes_used = sub.nodes_processed
@@ -407,10 +401,10 @@ def run_lns(kind: str, lp: LpResult, env: HeurEnv, limits: LnsLimits,
     return out
 
 
-def execute(h: str, lp: LpResult, env: HeurEnv, limits,
+def execute(h: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
             rng: np.random.Generator) -> HeurOutcome:
     """Dispatch one portfolio heuristic by id."""
     spec = SPEC_BY_ID[h]
     if spec.klass == "lns":
-        return run_lns(h, lp, env, limits, rng)
-    return run_diving(h, lp, env, limits, rng)
+        return run_lns(h, lp, env, limit, rng)
+    return run_diving(h, lp, env, limit, rng)

@@ -28,10 +28,9 @@ from .heuristics import (
     NotApplicable,
     PORTFOLIO,
     SPEC_BY_ID,
+    adapt_limit,
     execute,
     portfolio_limits,
-    update_fixing_rate,
-    update_lp_resolve_threshold,
 )
 from .simplex import LpResult
 
@@ -45,7 +44,7 @@ def epsilon_t(epsilon: float, n_arms: int, t: int) -> float:
     return epsilon * math.sqrt(n_arms / t)
 
 
-def compute_skip_count(n_fail: int, beta: float = 0.1) -> int:
+def compute_skip_count(n_fail: int, beta: float) -> int:
     """Number of future invocations to skip after n_fail consecutive failures.
 
     ``floor(exp(beta * n_fail)) - 1``, saturated at ``sys.maxsize``: the float
@@ -68,11 +67,10 @@ class RewardBreakdown:
 
 @dataclass
 class RewardConfig:
-    lam_sol: float = 0.3
-    lam_gap: float = 0.3
-    lam_eff: float = 0.2
-    lam_conf: float = 0.2
-    n_max: dict = field(default_factory=lambda: {"lns": 500, "diving": 100})
+    lam_sol: float
+    lam_gap: float
+    lam_eff: float
+    lam_conf: float
     v_max: int = 0  # running max of conflicts found by any call so far
 
 
@@ -86,9 +84,13 @@ class RewardContext:
     obj_lp: float
 
 
-def compute_reward(outcome: HeurOutcome, ctx: RewardContext,
-                   cfg: RewardConfig) -> RewardBreakdown:
-    """Four-component reward in [0, 1]; updates cfg.v_max as a side effect."""
+def compute_reward(outcome: HeurOutcome, ctx: RewardContext, cfg: RewardConfig,
+                   budget: int) -> RewardBreakdown:
+    """Four-component reward in [0, 1]; updates cfg.v_max as a side effect.
+
+    ``budget`` is that of the working limit the call ran under: the efficiency
+    term pays for the share of it left unused.
+    """
     r_sol = 1.0 if outcome.found_incumbent else 0.0
     if not outcome.found_incumbent:
         r_gap = 0.0
@@ -101,8 +103,7 @@ def compute_reward(outcome: HeurOutcome, ctx: RewardContext,
             r_gap = 1.0 if improvement > 0 else 0.0
         else:
             r_gap = min(max(improvement / denom, 0.0), 1.0)
-    n_max = cfg.n_max[SPEC_BY_ID[outcome.heuristic].klass]
-    r_eff = min(max(1.0 - outcome.nodes_used / n_max, 0.0), 1.0)
+    r_eff = min(max(1.0 - outcome.nodes_used / budget, 0.0), 1.0)
     v = outcome.conflicts_found
     r_conf = 0.0 if cfg.v_max == 0 else min(v / cfg.v_max, 1.0)
     cfg.v_max = max(cfg.v_max, v)
@@ -117,9 +118,9 @@ class BanditState:
 
     arms: tuple
     rank: dict
-    epsilon: float = 0.7
-    mode: str = "average"  # or "recency"
-    alpha: float = 0.05
+    epsilon: float
+    mode: str  # "average" or "recency"
+    alpha: float
     prior: float = 0.0
     weights: dict = field(default_factory=dict)
     sums: dict = field(default_factory=dict)
@@ -127,8 +128,7 @@ class BanditState:
     t: int = 0
 
     @classmethod
-    def create(cls, arms, epsilon: float = 0.7, mode: str = "average",
-               alpha: float = 0.05) -> "BanditState":
+    def create(cls, arms, epsilon: float, mode: str, alpha: float) -> "BanditState":
         arms = tuple(arms)
         prior = 1.0 / len(arms)
         return cls(
@@ -216,7 +216,6 @@ class Scheduler:
         self.cfg = RewardConfig(
             lam_sol=settings.lambda_sol, lam_gap=settings.lambda_gap,
             lam_eff=settings.lambda_eff, lam_conf=settings.lambda_conf,
-            n_max={"lns": settings.lns_node_budget, "diving": settings.dive_max_depth},
         )
         self.beta = settings.beta
         self.limits = portfolio_limits(settings)  # record() replaces entries in place
@@ -267,13 +266,11 @@ class Scheduler:
     def record(self, h: str, outcome: HeurOutcome,
                ctx: RewardContext) -> RewardBreakdown:
         """Observe the outcome: reward, weights, working limits, fail streak."""
-        klass = SPEC_BY_ID[h].klass
         before = self.limits[h]
         v_max_before = self.cfg.v_max
-        breakdown = compute_reward(outcome, ctx, self.cfg)
+        breakdown = compute_reward(outcome, ctx, self.cfg, before.budget)
         bandit_update(self.bandit, h, breakdown.r_total)
-        update = update_fixing_rate if klass == "lns" else update_lp_resolve_threshold
-        after = self.limits[h] = update(before, outcome)
+        after = self.limits[h] = adapt_limit(before, outcome)
         if not self._warm_call:  # frozen during warmstart
             if outcome.found_incumbent:
                 self.n_fail = 0
@@ -283,7 +280,7 @@ class Scheduler:
         self.reward_log.append({
             "t": self.bandit.t,
             "h": h,
-            "klass": klass,
+            "klass": SPEC_BY_ID[h].klass,
             "warmstart": self._warm_call,
             **asdict(breakdown),
             "found_incumbent": outcome.found_incumbent,
@@ -293,9 +290,9 @@ class Scheduler:
             "fixed_count": outcome.fixed_count,
             **asdict(ctx),
             "v_max_before": v_max_before,
-            "n_max": self.cfg.n_max[klass],
-            "limit_before": before.f if klass == "lns" else before.q,
-            "limit_after": after.f if klass == "lns" else after.q,
+            "n_max": before.budget,
+            "limit_before": before.value,
+            "limit_after": after.value,
             "n_fail": self.n_fail,
             "skip_remaining": self.skip_remaining,
         })

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the PASS/FAIL lines.
 import csv
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from banditmip.bnb import SolveStatus, SolverSettings, solve
 from banditmip.cli import main as cli_main, summarize_runs, format_summary
 from banditmip.heuristics import (
     DEFAULT_ORDER,
-    DivingLimits,
     HeurOutcome,
-    LnsLimits,
-    update_fixing_rate,
-    update_lp_resolve_threshold,
+    adapt_limit,
+    portfolio_limits,
 )
 from banditmip.model import generate_instance
 from banditmip.scheduler import (
@@ -34,6 +33,20 @@ from banditmip.scheduler import (
 )
 
 from oracles import brute_force_binary
+
+
+SETTINGS = SolverSettings()
+LIMITS = portfolio_limits(SETTINGS)
+
+
+def _bandit():
+    return BanditState.create(DEFAULT_ORDER, SETTINGS.epsilon, SETTINGS.bandit_mode,
+                              SETTINGS.recency_alpha)
+
+
+def _cfg():
+    return RewardConfig(SETTINGS.lambda_sol, SETTINGS.lambda_gap, SETTINGS.lambda_eff,
+                        SETTINGS.lambda_conf)
 
 
 def _report(num, desc, ok):
@@ -88,34 +101,34 @@ def test_acceptance_2_formula_oracles():
 
     for _ in range(n):
         k = int(rng.integers(0, 300))
-        assert compute_skip_count(k) == int(math.floor(math.exp(0.1 * k))) - 1
+        assert compute_skip_count(k, SETTINGS.beta) == math.floor(math.exp(0.1 * k)) - 1
 
-    lns = LnsLimits(f=float(rng.uniform(0.3, 0.9)))
+    lns = replace(LIMITS["rens"], value=float(rng.uniform(0.3, 0.9)))
     for _ in range(n):
         out = HeurOutcome(
             heuristic="rens",
             found_incumbent=bool(rng.random() < 0.3),
             sub_mip_infeasible=bool(rng.random() < 0.2),
         )
-        new = update_fixing_rate(lns, out)
+        new = adapt_limit(lns, out)
         if out.found_incumbent or out.sub_mip_infeasible:
-            want = max(0.9 * lns.f, 0.3)
+            want = max(0.9 * lns.value, 0.3)
         else:
-            want = min(1.1 * lns.f, 0.9)
-        assert abs(new.f - want) <= 1e-9
+            want = min(1.1 * lns.value, 0.9)
+        assert abs(new.value - want) <= 1e-9
         lns = new
 
-    dive = DivingLimits(q=float(rng.uniform(0.05, 0.3)))
+    dive = replace(LIMITS["frac_dive"], value=float(rng.uniform(0.05, 0.3)))
     for _ in range(n):
         out = HeurOutcome(heuristic="frac_dive",
                           found_incumbent=bool(rng.random() < 0.3))
-        new = update_lp_resolve_threshold(dive, out)
-        want = (min(1.1 * dive.q, 0.3) if out.found_incumbent
-                else max(0.9 * dive.q, 0.05))
-        assert abs(new.q - want) <= 1e-9
+        new = adapt_limit(dive, out)
+        want = (min(1.1 * dive.value, 0.3) if out.found_incumbent
+                else max(0.9 * dive.value, 0.05))
+        assert abs(new.value - want) <= 1e-9
         dive = new
 
-    cfg = RewardConfig(n_max={"lns": 500, "diving": 100})
+    cfg = _cfg()
     for _ in range(n):
         h = DEFAULT_ORDER[int(rng.integers(6))]
         is_lns = h in ("rens", "rins", "mutation")
@@ -137,7 +150,7 @@ def test_acceptance_2_formula_oracles():
             obj_lp=obj_lp,
         )
         v_before = cfg.v_max
-        bd = compute_reward(out, ctx, cfg)
+        bd = compute_reward(out, ctx, cfg, LIMITS[h].budget)
         # independent recomputation
         r_sol = 1.0 if found else 0.0
         if not found:
@@ -163,7 +176,7 @@ def test_acceptance_2_formula_oracles():
         t = int(rng.integers(1, 10_000))
         assert abs(epsilon_t(eps, arms, t) - eps * math.sqrt(arms / t)) <= 1e-9
 
-    bandit = BanditState.create(DEFAULT_ORDER)
+    bandit = _bandit()
     logged = {h: [] for h in DEFAULT_ORDER}
     for _ in range(n):
         h = DEFAULT_ORDER[int(rng.integers(6))]
@@ -188,7 +201,7 @@ def test_acceptance_3_bandit_convergence():
     wins = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        bandit = BanditState.create(DEFAULT_ORDER)
+        bandit = _bandit()
         for h in DEFAULT_ORDER:  # warmstart pass
             bandit_update(bandit, h, float(rng.random() < means[h]))
         for _ in range(10_000 - 6):
@@ -235,7 +248,7 @@ def test_acceptance_4_warmstart_and_skip_semantics():
     skipped = 0
     while not sched.should_run():
         skipped += 1
-    ok_b = skipped == 8 == compute_skip_count(23)
+    ok_b = skipped == 8 == compute_skip_count(23, sched.beta)
 
     # (c) skips are disabled during warmstart
     fresh = Scheduler(SolverSettings(), np.random.default_rng(1))
@@ -254,7 +267,7 @@ def test_acceptance_5_invariant_suite():
     rng = np.random.default_rng(99)
 
     # rewards stay in [0, 1] under 10^5 random outcomes
-    cfg = RewardConfig(n_max={"lns": 500, "diving": 100})
+    cfg = _cfg()
     for _ in range(100_000):
         h = DEFAULT_ORDER[int(rng.integers(6))]
         found = bool(rng.random() < 0.3)
@@ -273,21 +286,21 @@ def test_acceptance_5_invariant_suite():
             obj_new=None if (not found or first) else obj_old - float(rng.uniform(0, 4)),
             obj_lp=obj_lp,
         )
-        bd = compute_reward(out, ctx, cfg)
+        bd = compute_reward(out, ctx, cfg, LIMITS[h].budget)
         assert -1e-12 <= bd.r_total <= 1.0 + 1e-12
 
     # f and q never leave their boxes under 10^5 random updates
-    lns, dive = LnsLimits(), DivingLimits()
+    lns, dive = LIMITS["rens"], LIMITS["frac_dive"]
     for _ in range(100_000):
         found = bool(rng.random() < 0.25)
         infeas = bool(rng.random() < 0.1)
-        lns = update_fixing_rate(
+        lns = adapt_limit(
             lns, HeurOutcome("rens", found_incumbent=found,
                              sub_mip_infeasible=infeas))
-        dive = update_lp_resolve_threshold(
+        dive = adapt_limit(
             dive, HeurOutcome("frac_dive", found_incumbent=found))
-        assert 0.3 - 1e-12 <= lns.f <= 0.9 + 1e-12
-        assert 0.05 - 1e-12 <= dive.q <= 0.3 + 1e-12
+        assert 0.3 - 1e-12 <= lns.value <= 0.9 + 1e-12
+        assert 0.05 - 1e-12 <= dive.value <= 0.3 + 1e-12
 
     # solver-level invariants on a batch of real runs
     cuts_checked = 0

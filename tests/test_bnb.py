@@ -69,6 +69,10 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(int_tol=0.6),
     dict(int_tol=0.5),
     dict(int_tol=-1.0),
+    dict(feas_tol=-1.0),
+    dict(q_min=0.0, eta=1.0),
+    dict(q_min=0.0, eta=1.5),
+    dict(q_min=-0.1),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_settings_reject_unusable_values(bad):
     with pytest.raises(InvalidSettings, match=next(iter(bad))):
@@ -78,6 +82,7 @@ def test_settings_reject_unusable_values(bad):
 def test_settings_accept_the_default_and_edge_int_tol():
     assert SolverSettings().int_tol == 1e-6
     assert SolverSettings(int_tol=0.0).int_tol == 0.0
+    assert SolverSettings(feas_tol=0.0).feas_tol == 0.0
     assert SolverSettings(int_tol=0.49).int_tol == 0.49
 
 
@@ -243,10 +248,27 @@ def test_heuristic_settings_reach_both_modes():
     assert sched.beta == cfg["beta"]
     assert (sched.cfg.lam_sol, sched.cfg.lam_gap, sched.cfg.lam_eff, sched.cfg.lam_conf) == (
         cfg["lambda_sol"], cfg["lambda_gap"], cfg["lambda_eff"], cfg["lambda_conf"])
-    assert sched.cfg.n_max == {"lns": cfg["lns_node_budget"], "diving": cfg["dive_max_depth"]}
     for h, st in res.stats.per_heuristic.items():  # the reported limits are the scheduler's
         lim = sched.limits[h]
-        assert st.final_limit == (lim.f if h in LNS_KINDS else lim.q)
+        assert lim.budget == (cfg["lns_node_budget"] if h in LNS_KINDS else cfg["dive_max_depth"])
+        assert st.final_limit == lim.value
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scheduler_log_charges_the_budget_each_call_ran_under(seed):
+    """Every call's efficiency term divides by the budget of its own limit, which it never
+    exceeds; the small budgets make the limit bind."""
+    settings = SolverSettings(mode="scheduler", seed=seed, node_limit=80, time_limit_s=None,
+                              lns_node_budget=6, dive_max_depth=3)
+    res = solve(generate_instance("gap", (24, 4), 5), settings)
+    log = res.scheduler_log
+    assert {rec["klass"] for rec in log} == {"lns", "diving"}
+    for rec in log:
+        budget = settings.lns_node_budget if rec["h"] in LNS_KINDS else settings.dive_max_depth
+        assert rec["n_max"] == budget
+        assert rec["nodes_used"] <= rec["n_max"]
+        assert rec["r_eff"] == min(max(1.0 - rec["nodes_used"] / budget, 0.0), 1.0)
+    assert any(rec["nodes_used"] == rec["n_max"] for rec in log)
 
 
 def test_monotone_incumbents():
@@ -292,15 +314,18 @@ def _lp_with(x):
     return LpResult(LpStatus.OPTIMAL, np.array(x, dtype=float), 0.0, 0)
 
 
+INT_TOL = SolverSettings().int_tol
+
+
 def test_branch_picks_most_fractional():
     model = _model([0, 0], [], "", [])
-    assert select_branch_variable(_lp_with([0.5, 0.1]), model) == 0
-    assert select_branch_variable(_lp_with([0.1, 0.5]), model) == 1
+    assert select_branch_variable(_lp_with([0.5, 0.1]), model, INT_TOL) == 0
+    assert select_branch_variable(_lp_with([0.1, 0.5]), model, INT_TOL) == 1
 
 
 def test_branch_tie_breaks_lowest_index():
     model = _model([0, 0], [], "", [])
-    assert select_branch_variable(_lp_with([0.3, 0.7]), model) == 0
+    assert select_branch_variable(_lp_with([0.3, 0.7]), model, INT_TOL) == 0
 
 
 def _branch_loop(x, model, int_tol):
@@ -323,18 +348,18 @@ def test_vectorized_branching_matches_loop():
         pool = ([0.0, 0.3, 0.7, 0.5, 0.5 + 5e-10, 0.5 - 5e-10, 2e-6, rng.random()]
                 if rng.random() < 0.5 else [0.0, 1e-6, 1e-6 + 5e-10, 1e-6 + 5e-8])
         x = base + rng.choice(pool, size=n)
-        expected = _branch_loop(x, model, 1e-6)
+        expected = _branch_loop(x, model, INT_TOL)
         if expected < 0:
             with pytest.raises(NoFractionalVariable):
-                select_branch_variable(_lp_with(x), model)
+                select_branch_variable(_lp_with(x), model, INT_TOL)
         else:
-            assert select_branch_variable(_lp_with(x), model) == expected
+            assert select_branch_variable(_lp_with(x), model, INT_TOL) == expected
 
 
 def test_branch_raises_on_integral():
     model = _model([0, 0], [], "", [])
     with pytest.raises(NoFractionalVariable):
-        select_branch_variable(_lp_with([1.0, 0.0]), model)
+        select_branch_variable(_lp_with([1.0, 0.0]), model, INT_TOL)
 
 
 # ---------------------------------------------------------------------------

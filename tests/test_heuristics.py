@@ -1,4 +1,5 @@
 
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -9,25 +10,30 @@ import pytest
 from banditmip.bnb import Node, SolverSettings, TreeSearch
 from banditmip.heuristics import (
     DEFAULT_ORDER,
-    DivingLimits,
     HeurOutcome,
-    LnsLimits,
     NotApplicable,
     PORTFOLIO,
+    SPEC_BY_ID,
+    WorkingLimit,
     _frac,
     _open_fractional,
     _round_nearest,
+    adapt_limit,
+    portfolio_limits,
     run_diving,
     run_lns,
     run_rounding,
-    update_fixing_rate,
-    update_lp_resolve_threshold,
     variable_locks,
 )
 from banditmip.model import Assignment, MipModel, evaluate_solution, generate_instance
 from banditmip.simplex import BoundState, LpResult, LpStatus
 
 from oracles import brute_force_binary
+
+SETTINGS = SolverSettings()
+LIMITS = portfolio_limits(SETTINGS)
+LNS = LIMITS["rens"]  # value f = f_init, budget = lns_node_budget
+DIVE = LIMITS["frac_dive"]  # value q = q_init, budget = dive_max_depth
 
 
 def _model(c, rows, senses, rhs, upper=None, name="h"):
@@ -72,51 +78,90 @@ def _dive_outcome(found=False):
     return HeurOutcome(heuristic="frac_dive", found_incumbent=found)
 
 
+def test_portfolio_limits_read_the_settings():
+    assert LNS == WorkingLimit(SETTINGS.f_init, SETTINGS.f_min, SETTINGS.f_max,
+                               SETTINGS.gamma, SETTINGS.lns_node_budget)
+    assert DIVE == WorkingLimit(SETTINGS.q_init, SETTINGS.q_min, SETTINGS.q_max,
+                                SETTINGS.eta, SETTINGS.dive_max_depth)
+    assert all(LIMITS[s.id] == (LNS if s.klass == "lns" else DIVE) for s in PORTFOLIO)
+
+
 def test_fixing_rate_failure_clamps_at_max():
-    lim = update_fixing_rate(LnsLimits(f=0.9), _lns_outcome())
-    assert lim.f == pytest.approx(0.9)
+    lim = adapt_limit(replace(LNS, value=0.9), _lns_outcome())
+    assert lim.value == pytest.approx(0.9)
 
 
 def test_fixing_rate_success_shrinks():
-    lim = update_fixing_rate(LnsLimits(f=0.9), _lns_outcome(found=True))
-    assert lim.f == pytest.approx(0.81)
+    lim = adapt_limit(replace(LNS, value=0.9), _lns_outcome(found=True))
+    assert lim.value == pytest.approx(0.81)
 
 
 def test_fixing_rate_infeasible_clamps_at_min():
-    lim = update_fixing_rate(LnsLimits(f=0.3), _lns_outcome(infeasible=True))
-    assert lim.f == pytest.approx(0.3)
+    lim = adapt_limit(replace(LNS, value=0.3), _lns_outcome(infeasible=True))
+    assert lim.value == pytest.approx(0.3)
 
 
 def test_resolve_threshold_failure_clamps_at_min():
-    lim = update_lp_resolve_threshold(DivingLimits(q=0.05), _dive_outcome())
-    assert lim.q == pytest.approx(0.05)
+    lim = adapt_limit(replace(DIVE, value=0.05), _dive_outcome())
+    assert lim.value == pytest.approx(0.05)
 
 
 def test_resolve_threshold_success_grows():
-    lim = update_lp_resolve_threshold(DivingLimits(q=0.05), _dive_outcome(found=True))
-    assert lim.q == pytest.approx(0.055)
+    lim = adapt_limit(replace(DIVE, value=0.05), _dive_outcome(found=True))
+    assert lim.value == pytest.approx(0.055)
 
 
 def test_resolve_threshold_success_clamps_at_max():
-    lim = update_lp_resolve_threshold(DivingLimits(q=0.3), _dive_outcome(found=True))
-    assert lim.q == pytest.approx(0.3)
+    lim = adapt_limit(replace(DIVE, value=0.3), _dive_outcome(found=True))
+    assert lim.value == pytest.approx(0.3)
+
+
+def _update_fixing_rate(f, f_min, f_max, gamma, outcome):
+    """The separate LNS rule that adapt_limit replaced, kept as its reference."""
+    if outcome.found_incumbent or outcome.sub_mip_infeasible:
+        return max((1.0 - gamma) * f, f_min)
+    return min((1.0 + gamma) * f, f_max)
+
+
+def _update_lp_resolve_threshold(q, q_min, q_max, eta, outcome):
+    """The separate diving rule that adapt_limit replaced, kept as its reference."""
+    if not outcome.found_incumbent:
+        return max((1.0 - eta) * q, q_min)
+    return min((1.0 + eta) * q, q_max)
+
+
+@pytest.mark.parametrize("h", DEFAULT_ORDER)
+def test_adapt_limit_equals_the_old_rules_exactly(h):
+    old = _update_fixing_rate if SPEC_BY_ID[h].klass == "lns" else _update_lp_resolve_threshold
+    rng = np.random.default_rng(DEFAULT_ORDER.index(h))
+    for _ in range(2000):
+        lo = float(rng.uniform(0.01, 0.6))
+        hi = lo + float(rng.uniform(0.0, 0.4))
+        value = float(rng.uniform(lo, hi))
+        rate = float(rng.uniform(0.0, 0.5))
+        budget = int(rng.integers(1, 1000))
+        limit = WorkingLimit(value, lo, hi, rate, budget)
+        for found, infeasible in itertools.product((False, True), repeat=2):
+            out = HeurOutcome(h, found_incumbent=found, sub_mip_infeasible=infeasible)
+            new = adapt_limit(limit, out)
+            assert new.value == old(value, lo, hi, rate, out)
+            assert new == replace(limit, value=new.value)  # only the value moves
 
 
 def test_limit_updates_fuzz_stay_in_range_and_monotone():
     rng = np.random.default_rng(11)
-    lns = LnsLimits()
-    dive = DivingLimits()
+    lns, dive = LNS, DIVE
     for _ in range(100_000):
         found = bool(rng.random() < 0.2)
         infeas = bool(rng.random() < 0.1)
-        new_lns = update_fixing_rate(lns, _lns_outcome(found, infeas))
-        new_dive = update_lp_resolve_threshold(dive, _dive_outcome(found))
-        assert 0.3 - 1e-12 <= new_lns.f <= 0.9 + 1e-12
-        assert 0.05 - 1e-12 <= new_dive.q <= 0.3 + 1e-12
+        new_lns = adapt_limit(lns, _lns_outcome(found, infeas))
+        new_dive = adapt_limit(dive, _dive_outcome(found))
+        assert LNS.lo - 1e-12 <= new_lns.value <= LNS.hi + 1e-12
+        assert DIVE.lo - 1e-12 <= new_dive.value <= DIVE.hi + 1e-12
         if found or infeas:
-            assert new_lns.f <= lns.f + 1e-12  # success never raises f
+            assert new_lns.value <= lns.value + 1e-12  # success never raises f
         if not found:
-            assert new_dive.q <= dive.q + 1e-12  # failure never raises q
+            assert new_dive.value <= dive.value + 1e-12  # failure never raises q
         lns, dive = new_lns, new_dive
 
 
@@ -128,7 +173,8 @@ def test_rounding_passes_through_integral_lp():
     model = _model([-1, -1], [[1, 1]], "L", [2])
     tree, lp, env = _root(model)
     assert np.allclose(np.round(lp.x), lp.x)
-    out = run_rounding(lp, model, accept=env.accept)
+    out = run_rounding(lp, model, accept=env.accept, int_tol=env.int_tol,
+                       feas_tol=env.feas_tol)
     assert out.solution is not None
     assert np.array_equal(out.solution.values, lp.x)
     assert out.found_incumbent  # first incumbent is always accepted
@@ -138,7 +184,8 @@ def test_rounding_passes_through_integral_lp():
 def test_rounding_knapsack_rounds_down_to_feasible():
     model = _model([-1, -1], [[2, 2]], "L", [3])
     tree, lp, env = _root(model)
-    out = run_rounding(lp, model, accept=env.accept)
+    out = run_rounding(lp, model, accept=env.accept, int_tol=env.int_tol,
+                       feas_tol=env.feas_tol)
     assert out.solution is not None
     ev = evaluate_solution(model, out.solution.values)
     assert ev.feasible and ev.integral
@@ -148,7 +195,8 @@ def test_rounding_fails_on_equality_row():
     model = _model([-1, -1], [[1, 1]], "E", [0.5])
     tree, lp, env = _root(model)
     assert not np.allclose(np.round(lp.x), lp.x)  # LP sits at a fractional split
-    out = run_rounding(lp, model, accept=env.accept)
+    out = run_rounding(lp, model, accept=env.accept, int_tol=env.int_tol,
+                       feas_tol=env.feas_tol)
     assert out.solution is None and not out.found_incumbent
 
 
@@ -189,7 +237,7 @@ def test_vectorized_rounding_matches_loop(monkeypatch):
     monkeypatch.setattr(model_mod, "evaluate_solution",
                         lambda m, cand, **kw: seen.append(cand.copy()) or evaluate(m, cand, **kw))
     lp = LpResult(LpStatus.OPTIMAL, x, 0.0, 0)
-    run_rounding(lp, model, locks=locks, int_tol=1e-6)
+    run_rounding(lp, model, locks=locks, int_tol=1e-6, feas_tol=SETTINGS.feas_tol)
     assert np.array_equal(seen[0], _rounding_loop(x, model, locks, 1e-6))
 
 
@@ -237,7 +285,7 @@ def test_locks_prefer_fewer_violations():
 def test_dive_immediate_success():
     model = _model([-1, -1], [[1, 1]], "L", [1.5])
     tree, lp, env = _root(model)
-    out = run_diving("frac_dive", lp, env, DivingLimits(),
+    out = run_diving("frac_dive", lp, env, DIVE,
                      np.random.default_rng(0))
     assert out.solution is not None and out.found_incumbent
     assert out.nodes_used == 1
@@ -252,7 +300,7 @@ def test_dive_backtracks_to_optimum():
     model = _model([-2, -1], [[1, 0]], "L", [0.6])
     tree, lp, env = _root(model)
     assert lp.x[0] == pytest.approx(0.6)
-    out = run_diving("frac_dive", lp, env, DivingLimits(),
+    out = run_diving("frac_dive", lp, env, DIVE,
                      np.random.default_rng(0))
     assert out.solution is not None and out.found_incumbent
     assert out.conflicts_found == 0
@@ -267,7 +315,7 @@ def test_dive_both_directions_dead_records_conflict():
     # variable is forced to 0.5 and both roundings make the LP infeasible.
     model = _model([-1, 0, 0], [[0, 1, 1]], "E", [0.5])
     tree, lp, env = _root(model)
-    out = run_diving("frac_dive", lp, env, DivingLimits(),
+    out = run_diving("frac_dive", lp, env, DIVE,
                      np.random.default_rng(0))
     assert out.solution is None and not out.found_incumbent
     assert out.conflicts_found == 1
@@ -283,7 +331,7 @@ def test_dive_respects_max_depth():
         [11],
     )
     tree, lp, env = _root(model)
-    out = run_diving("coef_dive", lp, env, DivingLimits(max_depth=1),
+    out = run_diving("coef_dive", lp, env, replace(DIVE, budget=1),
                      np.random.default_rng(0))
     assert out.nodes_used <= 1
 
@@ -295,12 +343,12 @@ def test_dive_stops_once_the_deadline_has_passed():
     solves = []
     solve = tree.ctx.solve
     tree.ctx.solve = lambda *a, **k: solves.append(1) or solve(*a, **k)
-    run_diving("frac_dive", lp, replace(env, deadline=None), DivingLimits(),
+    run_diving("frac_dive", lp, replace(env, deadline=None), DIVE,
                np.random.default_rng(0))
     assert len(solves) >= 2  # without a deadline this dive re-solves its LP several times
     solves.clear()
     out = run_diving("frac_dive", lp, replace(env, deadline=time.perf_counter() - 1.0),
-                     DivingLimits(), np.random.default_rng(0))
+                     DIVE, np.random.default_rng(0))
     assert len(solves) <= 1
     assert out.solution is None and not out.found_incumbent
 
@@ -334,7 +382,7 @@ def test_rand_dive_deterministic_per_seed():
 
     def once():
         tree, lp, env = _root(model)
-        out = run_diving("rand_dive", lp, env, DivingLimits(),
+        out = run_diving("rand_dive", lp, env, DIVE,
                          np.random.default_rng(99))
         return (out.nodes_used, out.conflicts_found, out.found_incumbent,
                 None if out.solution is None else tuple(out.solution.values))
@@ -349,7 +397,7 @@ def test_rand_dive_deterministic_per_seed():
 def test_lns_fixing_count_is_ceil_f_times_I():
     model = _model([-1] * 10, [[1] * 10], "L", [4.5])
     tree, lp, env = _root(model)
-    out = run_lns("rens", lp, env, LnsLimits(f=0.9),
+    out = run_lns("rens", lp, env, replace(LNS, value=0.9),
                   np.random.default_rng(0))
     assert out.fixed_count == 9  # ceil(0.9 * 10)
 
@@ -359,7 +407,7 @@ def test_rins_needs_incumbent():
     tree, lp, env = _root(model)
     for kind in ("rins", "mutation"):
         with pytest.raises(NotApplicable):
-            run_lns(kind, lp, env, LnsLimits(), np.random.default_rng(0))
+            run_lns(kind, lp, env, LNS, np.random.default_rng(0))
 
 
 def test_rins_full_agreement_no_improvement():
@@ -371,7 +419,7 @@ def test_rins_full_agreement_no_improvement():
     inc = Assignment.from_values(model, arg)
     tree.incumbent = inc
     assert np.allclose(lp.x, inc.values)  # LP is integral here and agrees
-    out = run_lns("rins", lp, env, LnsLimits(f=0.5), np.random.default_rng(0))
+    out = run_lns("rins", lp, env, replace(LNS, value=0.5), np.random.default_rng(0))
     assert not out.found_incumbent
 
 
@@ -387,7 +435,7 @@ def test_mutation_with_cutoff_below_optimum_reports_infeasible():
     inc = Assignment.from_values(model, arg)
     env.incumbent = lambda: inc
     env.cutoff = lambda: best - 1.0  # nothing can beat this
-    out = run_lns("mutation", lp, env, LnsLimits(f=0.5),
+    out = run_lns("mutation", lp, env, replace(LNS, value=0.5),
                   np.random.default_rng(3))
     assert out.sub_mip_infeasible
     assert not out.found_incumbent
@@ -401,14 +449,14 @@ def test_lns_node_usage_within_budget():
         [15],
     )
     tree, lp, env = _root(model)
-    out = run_lns("rens", lp, env, LnsLimits(f=0.3, node_budget=5),
+    out = run_lns("rens", lp, env, replace(LNS, value=0.3, budget=5),
                   np.random.default_rng(0))
     assert out.nodes_used <= 5
 
 
 def test_emitted_solutions_are_integral_feasible():
     from banditmip.model import generate_instance
-    from banditmip.heuristics import DIVE_KINDS, LNS_KINDS, SPEC_BY_ID, execute
+    from banditmip.heuristics import DIVE_KINDS, LNS_KINDS, execute
 
     for fam, size, seed in [("gap", (24, 4), 5), ("set_cover", (18, 9), 2),
                             ("knapsack", (16, 3), 1)]:
@@ -416,15 +464,15 @@ def test_emitted_solutions_are_integral_feasible():
         tree, lp, env = _root(model)
         if np.all(np.abs(lp.x - np.round(lp.x)) <= 1e-6):
             continue  # integral root, heuristics have nothing to do
-        out = run_rounding(lp, model, accept=env.accept)
+        out = run_rounding(lp, model, accept=env.accept, int_tol=env.int_tol,
+                           feas_tol=env.feas_tol)
         if out.solution is not None:
             ev = evaluate_solution(model, out.solution)
             assert ev.feasible and ev.integral
         for kind in DIVE_KINDS + LNS_KINDS:
             if SPEC_BY_ID[kind].requires_incumbent and tree.incumbent is None:
                 continue
-            limits = DivingLimits() if kind in DIVE_KINDS else LnsLimits()
-            out = execute(kind, lp, env, limits, np.random.default_rng(seed))
+            out = execute(kind, lp, env, LIMITS[kind], np.random.default_rng(seed))
             if out.solution is not None:
                 ev = evaluate_solution(model, out.solution)
                 assert ev.feasible and ev.integral, (fam, kind)

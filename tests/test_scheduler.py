@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from banditmip.bnb import SolverSettings
-from banditmip.heuristics import DEFAULT_ORDER, HeurOutcome
+from banditmip.heuristics import DEFAULT_ORDER, HeurOutcome, portfolio_limits
 from banditmip.scheduler import (
     BanditState,
     NoApplicableHeuristic,
@@ -22,6 +22,19 @@ from banditmip.scheduler import (
 from oracles import FakeRng
 
 ALL = set(DEFAULT_ORDER)
+SETTINGS = SolverSettings()
+BETA = SETTINGS.beta
+LIMITS = portfolio_limits(SETTINGS)
+
+
+def _bandit(arms=DEFAULT_ORDER, epsilon=SETTINGS.epsilon, mode=SETTINGS.bandit_mode,
+            alpha=SETTINGS.recency_alpha):
+    return BanditState.create(arms, epsilon, mode, alpha)
+
+
+def _cfg(v_max=0):
+    return RewardConfig(SETTINGS.lambda_sol, SETTINGS.lambda_gap, SETTINGS.lambda_eff,
+                        SETTINGS.lambda_conf, v_max)
 
 
 def _sched(rng=None):
@@ -52,19 +65,20 @@ def _drain_warmstart(sched, found=False):
 # ---------------------------------------------------------------------------
 
 def test_skip_count_examples():
-    assert compute_skip_count(0) == 0
-    assert compute_skip_count(10) == 1  # floor(e) - 1
-    assert compute_skip_count(23) == 8  # floor(e^2.3) - 1
+    assert BETA == 0.1
+    assert compute_skip_count(0, BETA) == 0
+    assert compute_skip_count(10, BETA) == 1  # floor(e) - 1
+    assert compute_skip_count(23, BETA) == 8  # floor(e^2.3) - 1
 
 
 def test_skip_count_matches_formula_fuzz():
     for n_fail in range(0, 200):
-        assert compute_skip_count(n_fail) == int(math.floor(math.exp(0.1 * n_fail))) - 1
+        assert compute_skip_count(n_fail, BETA) == int(math.floor(math.exp(BETA * n_fail))) - 1
 
 
 def test_skip_count_saturates_instead_of_overflowing():
     assert compute_skip_count(1, beta=1e6) == sys.maxsize  # exp(1e6) overflows a float
-    assert compute_skip_count(10**5) == sys.maxsize
+    assert compute_skip_count(10**5, BETA) == sys.maxsize
     counts = [compute_skip_count(n, beta=0.5) for n in range(200)]
     assert counts == sorted(counts) and counts[-1] == sys.maxsize
     assert counts[87] == int(math.floor(math.exp(43.5))) - 1  # just below the cap
@@ -116,7 +130,7 @@ def test_skipped_invocations_match_skip_count_exactly():
         assert skipped_since_exec == expected_next
         h = sched.select(ALL)
         sched.record(h, _outcome(h), _ctx())  # always fail
-        expected_next = compute_skip_count(sched.n_fail)
+        expected_next = compute_skip_count(sched.n_fail, sched.beta)
         skipped_since_exec = 0
 
 
@@ -192,7 +206,7 @@ def test_epsilon_t_formula_and_decay():
 
 
 def test_exploit_branch_takes_argmax():
-    bandit = BanditState.create(DEFAULT_ORDER)
+    bandit = _bandit()
     bandit.t = 5  # next iteration is t = 6 = |H|, so eps_t = 0.7
     bandit.weights = dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4]))
     pick = bandit_select(bandit, ALL, FakeRng(randoms=[0.9]))
@@ -200,7 +214,7 @@ def test_exploit_branch_takes_argmax():
 
 
 def test_exploit_tie_breaks_by_default_rank():
-    bandit = BanditState.create(DEFAULT_ORDER)
+    bandit = _bandit()
     bandit.t = 5
     bandit.weights = {h: 0.5 for h in DEFAULT_ORDER}
     pick = bandit_select(bandit, ALL, FakeRng(randoms=[0.99]))
@@ -209,7 +223,7 @@ def test_exploit_tie_breaks_by_default_rank():
 
 def test_weighted_draw_distribution_scripted():
     arms = ("a", "b", "c")
-    bandit = BanditState.create(arms)
+    bandit = _bandit(arms)
     bandit.weights = {"a": 0.4, "b": 0.1, "c": 0.0}
     # rho below eps forces a draw; second value lands in an arm's weight slice
     assert bandit_select(bandit, set(arms), FakeRng(randoms=[0.0, 0.79])) == "a"
@@ -219,7 +233,7 @@ def test_weighted_draw_distribution_scripted():
 
 def test_weighted_draw_distribution_statistical():
     arms = ("a", "b", "c")
-    bandit = BanditState.create(arms)
+    bandit = _bandit(arms)
     bandit.weights = {"a": 0.4, "b": 0.1, "c": 0.0}
     bandit.epsilon = 100.0  # always draw from the weight distribution
     rng = np.random.default_rng(5)
@@ -234,14 +248,14 @@ def test_weighted_draw_distribution_statistical():
 
 def test_zero_weights_fall_back_to_uniform():
     arms = ("a", "b", "c")
-    bandit = BanditState.create(arms)
+    bandit = _bandit(arms)
     bandit.weights = {h: 0.0 for h in arms}
     pick = bandit_select(bandit, set(arms), FakeRng(randoms=[0.0], ints=[2]))
     assert pick == "c"
 
 
 def test_greedy_consistency_with_eps_zero():
-    bandit = BanditState.create(DEFAULT_ORDER, epsilon=0.0)
+    bandit = _bandit(epsilon=0.0)
     bandit.t = 100
     bandit.weights = dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4]))
     rng = np.random.default_rng(0)
@@ -250,10 +264,10 @@ def test_greedy_consistency_with_eps_zero():
 
 
 def test_scaling_weights_changes_nothing():
-    base = BanditState.create(DEFAULT_ORDER)
+    base = _bandit()
     base.t = 10
     base.weights = dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4]))
-    scaled = BanditState.create(DEFAULT_ORDER)
+    scaled = _bandit()
     scaled.t = 10
     scaled.weights = {h: 5.0 * w for h, w in base.weights.items()}
     seq_a = [bandit_select(base, ALL, np.random.default_rng(7)) for _ in range(200)]
@@ -263,7 +277,7 @@ def test_scaling_weights_changes_nothing():
 
 
 def test_no_applicable_heuristic_raises():
-    bandit = BanditState.create(DEFAULT_ORDER)
+    bandit = _bandit()
     with pytest.raises(NoApplicableHeuristic):
         bandit_select(bandit, set(), FakeRng(randoms=[0.5]))
 
@@ -275,21 +289,21 @@ def test_no_applicable_heuristic_raises():
 def test_first_pull_blends_with_prior():
     # the 1/|H| prior counts as one pseudo-observation so no arm's weight can
     # collapse to zero after a failed first pull
-    bandit = BanditState.create(DEFAULT_ORDER)
+    bandit = _bandit()
     assert bandit.weights["rens"] == pytest.approx(1 / 6)
     bandit_update(bandit, "rens", 0.6)
     assert bandit.weights["rens"] == pytest.approx((1 / 6 + 0.6) / 2)
 
 
 def test_weights_never_collapse_to_zero():
-    bandit = BanditState.create(DEFAULT_ORDER)
+    bandit = _bandit()
     for _ in range(50):
         bandit_update(bandit, "rens", 0.0)
     assert bandit.weights["rens"] > 0
 
 
 def test_average_weight_tracks_prior_smoothed_mean():
-    bandit = BanditState.create(DEFAULT_ORDER)
+    bandit = _bandit()
     bandit_update(bandit, "rens", 0.6)
     bandit_update(bandit, "rens", 0.2)
     assert bandit.weights["rens"] == pytest.approx((1 / 6 + 0.8) / 3, abs=1e-12)
@@ -297,7 +311,7 @@ def test_average_weight_tracks_prior_smoothed_mean():
 
 def test_average_weight_matches_mean_fuzz():
     rng = np.random.default_rng(3)
-    bandit = BanditState.create(DEFAULT_ORDER)
+    bandit = _bandit()
     rewards = {h: [] for h in DEFAULT_ORDER}
     for _ in range(5000):
         h = DEFAULT_ORDER[int(rng.integers(6))]
@@ -312,7 +326,7 @@ def test_average_weight_matches_mean_fuzz():
 
 
 def test_recency_mode_blends_exponentially():
-    bandit = BanditState.create(("a", "b"), mode="recency", alpha=0.1)
+    bandit = _bandit(("a", "b"), mode="recency", alpha=0.1)
     w0 = bandit.weights["a"]
     bandit_update(bandit, "a", 1.0)
     assert bandit.weights["a"] == pytest.approx(0.9 * w0 + 0.1)
@@ -326,9 +340,8 @@ def test_recency_mode_blends_exponentially():
 # ---------------------------------------------------------------------------
 
 def test_reward_first_incumbent_example():
-    cfg = RewardConfig(n_max={"lns": 500, "diving": 400})
     out = _outcome("frac_dive", found=True, nodes=100)
-    bd = compute_reward(out, _ctx(found=True, first=True, obj_lp=0.0), cfg)
+    bd = compute_reward(out, _ctx(found=True, first=True, obj_lp=0.0), _cfg(), 400)
     assert bd.r_sol == 1.0 and bd.r_gap == 1.0
     assert bd.r_eff == pytest.approx(0.75)
     assert bd.r_conf == 0.0
@@ -336,48 +349,47 @@ def test_reward_first_incumbent_example():
 
 
 def test_reward_failure_with_max_conflicts():
-    cfg = RewardConfig(n_max={"lns": 500, "diving": 100}, v_max=3)
     out = _outcome("frac_dive", nodes=100, conflicts=3)
-    bd = compute_reward(out, _ctx(), cfg)
+    bd = compute_reward(out, _ctx(), _cfg(v_max=3), 100)
     assert bd.r_sol == 0.0 and bd.r_gap == 0.0 and bd.r_eff == 0.0
     assert bd.r_conf == 1.0
     assert bd.r_total == pytest.approx(0.2)
 
 
 def test_reward_gap_ratio():
-    cfg = RewardConfig(n_max={"lns": 500, "diving": 100})
     out = _outcome("frac_dive", found=True, nodes=100)
     bd = compute_reward(
-        out, _ctx(found=True, obj_old=10.0, obj_new=8.0, obj_lp=6.0), cfg
+        out, _ctx(found=True, obj_old=10.0, obj_new=8.0, obj_lp=6.0), _cfg(), 100
     )
     assert bd.r_gap == pytest.approx(0.5)
     assert bd.r_total == pytest.approx(0.3 + 0.15 + 0.0 + 0.0)
 
 
 def test_reward_gap_degenerate_denominator():
-    cfg = RewardConfig()
     out = _outcome("rens", found=True, nodes=0)
     bd = compute_reward(
-        out, _ctx(found=True, obj_old=5.0, obj_new=4.0, obj_lp=5.0), cfg
+        out, _ctx(found=True, obj_old=5.0, obj_new=4.0, obj_lp=5.0), _cfg(),
+        LIMITS["rens"].budget,
     )
     assert bd.r_gap == 1.0
 
 
 def test_first_conflict_rewarded_zero_then_normalized():
-    cfg = RewardConfig()
+    cfg = _cfg()
+    budget = LIMITS["frac_dive"].budget
     out = _outcome("frac_dive", conflicts=5)
-    bd1 = compute_reward(out, _ctx(), cfg)
+    bd1 = compute_reward(out, _ctx(), cfg, budget)
     assert bd1.r_conf == 0.0  # v_max counts strictly past calls
     assert cfg.v_max == 5
-    bd2 = compute_reward(_outcome("frac_dive", conflicts=5), _ctx(), cfg)
+    bd2 = compute_reward(_outcome("frac_dive", conflicts=5), _ctx(), cfg, budget)
     assert bd2.r_conf == 1.0
-    bd3 = compute_reward(_outcome("frac_dive", conflicts=2), _ctx(), cfg)
+    bd3 = compute_reward(_outcome("frac_dive", conflicts=2), _ctx(), cfg, budget)
     assert bd3.r_conf == pytest.approx(0.4)
 
 
 def test_reward_fuzz_stays_in_unit_interval():
     rng = np.random.default_rng(17)
-    cfg = RewardConfig(n_max={"lns": 500, "diving": 100})
+    cfg = _cfg()
     for _ in range(20_000):
         h = DEFAULT_ORDER[int(rng.integers(6))]
         found = bool(rng.random() < 0.3)
@@ -397,7 +409,7 @@ def test_reward_fuzz_stays_in_unit_interval():
                        obj_new=None if first else obj_new, obj_lp=obj_lp)
         else:
             ctx = _ctx()
-        bd = compute_reward(out, ctx, cfg)
+        bd = compute_reward(out, ctx, cfg, LIMITS[h].budget)
         for v in (bd.r_sol, bd.r_gap, bd.r_eff, bd.r_conf, bd.r_total):
             assert -1e-12 <= v <= 1.0 + 1e-12
 
@@ -411,7 +423,7 @@ def test_bandit_prefers_better_arm_quickly():
     wins = 0
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        bandit = BanditState.create(DEFAULT_ORDER)
+        bandit = _bandit()
         for h in DEFAULT_ORDER:  # warmstart: one observation per arm
             bandit_update(bandit, h, float(rng.random() < means[h]))
         for _ in range(10_000 - 6):
