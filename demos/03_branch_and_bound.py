@@ -32,9 +32,11 @@ for source, obj in results["scheduler"].incumbent_log:
     print(f"  {obj:8.1f}  found by {source}")
 
 # conflicts recorded by failed dives / infeasible sub-MIPs become no-good cuts
-pool = results["scheduler"].conflict_pool
-print(f"\nconflicts by heuristic: {pool.count_by_heuristic}")
-print(f"stored no-good cuts: {len(pool.nogood_cuts)}")
+conflicts = {}
+for rec in results["scheduler"].scheduler_log:
+    conflicts[rec["h"]] = conflicts.get(rec["h"], 0) + rec["conflicts_found"]
+print(f"\nconflicts by heuristic: {conflicts}")
+print(f"stored no-good cuts: {len(results['scheduler'].conflict_pool.nogood_cuts)}")
 
 # a tiny instance can be checked against complete enumeration
 small = generate_instance("knapsack", (12, 2), seed=9)

@@ -3,7 +3,9 @@
 Each heuristic consumes the node LP plus an environment handed over by the
 tree search (bounds, simplex context, incumbent hooks).  Diving fixes one
 variable at a time and re-solves the LP sparsely; LNS fixes ceil(f*|I|)
-variables around a reference point and solves the restricted sub-MIP.
+variables around a reference point and solves the restricted sub-MIP.  No
+heuristic judges its own candidates: each hands them to the tree, which checks
+them.
 """
 
 import numpy as np
@@ -28,10 +30,9 @@ env = tree._make_env(Node(0, 0, bounds, -np.inf))
 print(f"root LP objective {lp.objective:.3f} "
       f"({sum(abs(v - round(v)) > 1e-6 for v in lp.x[model.integers])} fractional)")
 
-out = run_rounding(lp, model, locks=env.locks, accept=env.accept,
-                   int_tol=env.int_tol, feas_tol=env.feas_tol)
-print(f"rounding: solution={'yes' if out.solution is not None else 'no'}, "
-      f"accepted={out.found_incumbent}")
+# every heuristic hands its candidate to env.accept, the tree's incumbent check
+out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+print(f"rounding: found_incumbent={out.found_incumbent}")
 
 limits = portfolio_limits(settings)
 dive_limit = limits["frac_dive"]  # value is q, from settings.q_init

@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Assignment, MipModel, evaluate_solution
+from .model import (DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Assignment, MipModel,
+                    evaluate_solution, snap_integral)
 from .simplex import (
     DEFAULT_ITER_LIMIT,
     BoundState,
@@ -35,7 +36,7 @@ from .simplex import (
     SimplexContext,
 )
 from . import heuristics as heur
-from .heuristics import DEFAULT_ORDER, HeurEnv, PORTFOLIO, SPEC_BY_ID
+from .heuristics import DEFAULT_ORDER, HeurEnv, PORTFOLIO
 from .scheduler import Scheduler, StaticSchedule, run_scheduled_heuristics
 
 
@@ -109,8 +110,14 @@ class SolverSettings:
             raise InvalidSettings(f"int_tol must be in [0, 0.5), got {self.int_tol!r}")
         if not self.feas_tol >= 0:  # below 0 no row activity, and so no solution, passes
             raise InvalidSettings(f"feas_tol must be >= 0, got {self.feas_tol!r}")
-        if not self.epsilon >= 0:
-            raise InvalidSettings(f"epsilon must be >= 0, got {self.epsilon!r}")
+        # the reward is a weighted sum in [0, 1]; a negative weight leaves that range
+        for name in ("epsilon", "lambda_sol", "lambda_gap", "lambda_eff", "lambda_conf"):
+            if not getattr(self, name) >= 0:
+                raise InvalidSettings(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # the recency update mixes old weight and reward; outside [0, 1] weights go negative
+        if not 0 <= self.recency_alpha <= 1:
+            raise InvalidSettings(
+                f"recency_alpha must be in [0, 1], got {self.recency_alpha!r}")
         if not self.f_init >= 0:
             raise InvalidSettings(f"f_init must be >= 0, got {self.f_init!r}")
         if not self.f_min <= self.f_max:
@@ -143,24 +150,18 @@ class Node:
 
 @dataclass
 class ConflictPool:
-    count_by_heuristic: dict = field(default_factory=dict)
     nogood_cuts: list = field(default_factory=list)  # (cols, vals, sense, rhs)
 
 
-def add_conflict(pool: ConflictPool, model: MipModel, h: str, fixing: dict,
+def add_conflict(pool: ConflictPool, model: MipModel, fixing: dict,
                  cut_ok: bool = True) -> bool:
-    """Count a proven-infeasible partial fixing; store a no-good if it is all-binary.
+    """Store a no-good for a proven-infeasible partial fixing that is all-binary.
 
     The stored cut sum(x_j, j fixed to 0) + sum(1 - x_j, j fixed to 1) >= 1
     excludes exactly the assignments extending the fixing.  Returns True when
     a cut was stored.
     """
-    if not fixing:
-        return False
-    pool.count_by_heuristic[h] = pool.count_by_heuristic.get(h, 0) + 1
-    if not cut_ok:
-        return False
-    if not all(model.is_binary(j) for j in fixing):
+    if not (fixing and cut_ok and all(model.is_binary(j) for j in fixing)):
         return False
     cols = np.array(sorted(fixing), dtype=np.int64)
     vals = np.array([-1.0 if fixing[int(j)] > 0.5 else 1.0 for j in cols])
@@ -190,13 +191,23 @@ class RunStats:
     time_s: float = 0.0
     nodes: int = 0
     objective: Optional[float] = None
-    incumbents_found_by_heuristics: int = 0
-    heuristic_calls: int = 0
-    heuristic_successes: int = 0
     heurtime_s: float = 0.0
-    per_heuristic: dict = field(default_factory=dict)
+    per_heuristic: dict = field(default_factory=dict)  # the one tally of portfolio calls
     # largest violation of any row by any optimal LP, over the row's size, sub-MIPs included
     max_row_residual: float = 0.0
+
+    @property
+    def heuristic_calls(self) -> int:
+        return sum(st.pulls for st in self.per_heuristic.values())
+
+    @property
+    def heuristic_successes(self) -> int:
+        return sum(st.successes for st in self.per_heuristic.values())
+
+    @property
+    def incumbents_found_by_heuristics(self) -> int:
+        """A portfolio call succeeds exactly when the tree accepted its candidate."""
+        return self.heuristic_successes
 
 
 @dataclass
@@ -288,27 +299,22 @@ class TreeSearch:
         own = self.incumbent.objective if self.incumbent is not None else INF
         return min(own, self.inherited_cutoff)
 
-    def update_incumbent(self, x: Assignment, source: str = "lp") -> bool:
-        """Accept x if integral-feasible and strictly improving; tightens the cutoff."""
+    def update_incumbent(self, x: np.ndarray, source: str = "lp") -> bool:
+        """The one check of every candidate: keep x if integral-feasible and strictly improving."""
         ev = evaluate_solution(self.model, x, int_tol=self.settings.int_tol,
                                feas_tol=self.settings.feas_tol)
-        if not (ev.feasible and ev.integral):
+        if not (ev.feasible and ev.integral) or ev.objective >= self.effective_cutoff() - 1e-9:
             return False
-        if ev.objective >= self.effective_cutoff() - 1e-9:
-            return False
-        self.incumbent = x
+        self.incumbent = Assignment.from_values(self.model, x)
         self.incumbent_log.append((source, ev.objective))
-        if source in SPEC_BY_ID:
-            self.stats.incumbents_found_by_heuristics += 1
         return True
 
     def _note_bound_prune(self):
         if self.incumbent is None and self.inherited_cutoff < INF:
             self.bound_prunes_blind += 1
 
-    def _on_conflict(self, h: str, fixing: dict, cut_ok: bool):
-        stored = add_conflict(self.pool, self.model, h, fixing, cut_ok)
-        if stored:
+    def _on_conflict(self, fixing: dict, cut_ok: bool):
+        if add_conflict(self.pool, self.model, fixing, cut_ok):
             cols, vals, sense, rhs = self.pool.nogood_cuts[-1]
             self.ctx.add_cut_row(cols, vals, sense, rhs)
 
@@ -335,10 +341,9 @@ class TreeSearch:
             root_bounds=self.root_bounds,
             locks=self.locks,
             int_tol=self.settings.int_tol,
-            feas_tol=self.settings.feas_tol,
             cutoff=self.effective_cutoff,
             incumbent=lambda: self.incumbent,
-            accept=lambda sol, src: self.update_incumbent(sol, src),
+            accept=self.update_incumbent,
             conflict=self._on_conflict,
             sub_solve=self._sub_solve,
             lp_iter_limit=self.settings.lp_iter_limit,
@@ -350,11 +355,8 @@ class TreeSearch:
     # ------------------------------------------------------------------
 
     def _run_heuristics(self, node: Node, lp: LpResult):
-        heur.run_rounding(
-            lp, self.model, locks=self.locks,
-            accept=lambda sol, src: self.update_incumbent(sol, src),
-            int_tol=self.settings.int_tol, feas_tol=self.settings.feas_tol,
-        )
+        heur.run_rounding(lp, self.model, self.locks, self.update_incumbent,
+                          int_tol=self.settings.int_tol)
         if self.heur_layer == "rounding_only":
             return
         charged = run_scheduled_heuristics(self.policy, lp, self._make_env(node),
@@ -364,10 +366,7 @@ class TreeSearch:
             st.pulls += 1
             if reward is not None:
                 st.reward_sum = (st.reward_sum or 0.0) + reward.r_total
-            if outcome.found_incumbent:
-                st.successes += 1
-                self.stats.heuristic_successes += 1
-            self.stats.heuristic_calls += 1
+            st.successes += int(outcome.found_incumbent)
             self.stats.heurtime_s += outcome.wall_time_s
 
     # ------------------------------------------------------------------
@@ -434,15 +433,9 @@ class TreeSearch:
             if lp.objective >= cut - 1e-9:
                 self._note_bound_prune()
                 continue
-            xi = lp.x[self.model.integers]
-            if len(xi) == 0 or np.all(np.abs(xi - np.round(xi)) <= settings.int_tol):
-                snapped = lp.x.copy()
-                if len(self.model.integers):
-                    snapped[self.model.integers] = np.round(xi)
-                accepted = self.update_incumbent(
-                    Assignment.from_values(self.model, snapped), "lp"
-                )
-                if not accepted:
+            snapped = snap_integral(self.model, lp.x, settings.int_tol)
+            if snapped is not None:
+                if not self.update_incumbent(snapped, "lp"):
                     self._note_bound_prune()
                 continue
             self._run_heuristics(node, lp)

@@ -11,6 +11,10 @@ with a node budget and the incumbent as cutoff.  Both classes run under one
 heuristic or the re-solve threshold ``q`` of a dive, and its ``budget`` is the
 sub-MIP node budget or the dive's maximum depth.  :func:`adapt_limit` adapts
 either multiplicatively after every call.
+
+No heuristic judges its own candidates: each hands the point it found to the
+environment's ``accept`` (the tree's incumbent update), which checks
+feasibility, integrality and improvement and reports whether it was taken.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Assignment, MipModel
+from .model import Assignment, MipModel, snap_integral
 from .simplex import INF, BoundState, LpResult, LpStatus, SimplexContext
 
 
@@ -75,7 +79,6 @@ def portfolio_limits(settings) -> dict:
 @dataclass
 class HeurOutcome:
     heuristic: str
-    solution: Optional[Assignment] = None
     found_incumbent: bool = False
     nodes_used: int = 0
     conflicts_found: int = 0
@@ -123,11 +126,10 @@ class HeurEnv:
     root_bounds: BoundState
     locks: tuple
     int_tol: float
-    feas_tol: float
     cutoff: Callable[[], float]
     incumbent: Callable[[], Optional[Assignment]]
-    accept: Callable[[Assignment, str], bool]
-    conflict: Callable[[str, dict, bool], None]
+    accept: Callable[[np.ndarray, str], bool]  # a candidate point and its source
+    conflict: Callable[[dict, bool], None]
     lp_iter_limit: int
     sub_solve: Optional[Callable] = None
     deadline: Optional[float] = None  # time.perf_counter() value after which dives stop
@@ -151,26 +153,15 @@ def _open_fractional(ints: np.ndarray, x: np.ndarray, bounds, int_tol: float) ->
     return ints[keep].tolist()
 
 
-def _snap_assignment(model: MipModel, x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    ints = model.integers
-    out[ints] = np.round(out[ints])
-    return out
-
-
-def run_rounding(lp: LpResult, model: MipModel, locks=None, accept=None, *,
-                 int_tol: float, feas_tol: float) -> HeurOutcome:
+def run_rounding(lp: LpResult, model: MipModel, locks, accept, *,
+                 int_tol: float) -> HeurOutcome:
     """Round every fractional integer variable to its lock-preferred side.
 
-    Costs no nodes; feasibility is checked once and the candidate is handed to
-    ``accept`` (the incumbent update) when it passes.
+    Costs no nodes.  The rounded point goes to ``accept`` (the incumbent
+    update), which checks it; the outcome records whether it was taken.
     """
-    from .model import evaluate_solution
-
     t0 = time.perf_counter()
     out = HeurOutcome(heuristic="rounding")
-    if locks is None:
-        locks = variable_locks(model)
     ints = model.integers
     down, up = locks[0][ints], locks[1][ints]
     x = lp.x.copy()
@@ -180,12 +171,7 @@ def run_rounding(lp: LpResult, model: MipModel, locks=None, accept=None, *,
     t = np.where(down < up, below, np.where(up < down, above, nearest))
     t = np.minimum(np.maximum(t, model.lower[ints]), model.upper[ints])
     x[ints] = np.where(np.abs(v - near) <= int_tol, near, t)
-    ev = evaluate_solution(model, x, int_tol=int_tol, feas_tol=feas_tol)
-    if ev.feasible and ev.integral:
-        sol = Assignment.from_values(model, x)
-        out.solution = sol
-        if accept is not None:
-            out.found_incumbent = bool(accept(sol, "rounding"))
+    out.found_incumbent = bool(accept(x, "rounding"))
     out.wall_time_s = time.perf_counter() - t0
     return out
 
@@ -216,8 +202,6 @@ def _fixed_difference(bounds: BoundState, root: BoundState, exclude=()):
 def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
                rng: np.random.Generator) -> HeurOutcome:
     """Probe one path of fixings with sparse LP re-solves and one-level backtracking."""
-    from .model import evaluate_solution
-
     if kind not in DIVE_KINDS:
         raise ValueError(f"unknown diving kind {kind!r}")
     t0 = time.perf_counter()
@@ -234,12 +218,10 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
     bounds = env.node_bounds
     x_ref = lp.x
     steps = 0
-    changed = 0
-    since_solve = 0
+    changed = 0  # fixings since the last LP solve
     last_fix = None  # (j, value, bounds before the fix, reference LP value)
 
-    def finish(solution=None, accepted=False):
-        out.solution = solution
+    def finish(accepted=False):
         out.found_incumbent = accepted
         out.nodes_used = steps
         out.wall_time_s = time.perf_counter() - t0
@@ -251,7 +233,7 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
         cands = _open_fractional(ints, x_ref, bounds, env.int_tol)
         must_solve = False
         if not cands:
-            if changed == 0 and since_solve == 0:
+            if changed == 0:
                 return finish()  # LP is fresh and nothing is left to fix
             must_solve = True  # confirm integrality on a fresh LP
         else:
@@ -277,10 +259,9 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
             last_fix = (j, target, prev, float(x_ref[j]))
             steps += 1
             changed += 1
-            since_solve += 1
             must_solve = (
                 changed / n_int > q
-                or since_solve >= force_every
+                or changed >= force_every
                 or steps >= limit.budget
             )
         if not must_solve:
@@ -302,7 +283,7 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
                 cut_ok = (pure and model.is_binary(j)
                           and retry is not None
                           and retry.status is LpStatus.INFEASIBLE)
-                env.conflict(kind, fix, cut_ok)
+                env.conflict(fix, cut_ok)
                 return finish()
             last_fix = (j, float(opp), prev, xj)
             res = retry
@@ -312,16 +293,9 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
             return finish()
         x_ref = res.x
         changed = 0
-        since_solve = 0
-        xi = x_ref[ints]
-        if np.all(np.abs(xi - np.round(xi)) <= env.int_tol):
-            x = _snap_assignment(model, x_ref)
-            ev = evaluate_solution(model, x, int_tol=env.int_tol,
-                                   feas_tol=env.feas_tol)
-            if ev.feasible and ev.integral:
-                sol = Assignment.from_values(model, x)
-                return finish(sol, bool(env.accept(sol, kind)))
-            return finish()
+        x = snap_integral(model, x_ref, env.int_tol)
+        if x is not None:
+            return finish(bool(env.accept(x, kind)))
         if steps >= limit.budget:
             return finish()
 
@@ -393,10 +367,9 @@ def run_lns(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
         if not sub.cutoff_pruned:
             out.conflicts_found = 1
             fix, pure = _fixed_difference(bounds, env.root_bounds)
-            env.conflict(kind, fix, pure)
+            env.conflict(fix, pure)
     elif sub.incumbent is not None:
-        out.solution = sub.incumbent
-        out.found_incumbent = bool(env.accept(sub.incumbent, kind))
+        out.found_incumbent = bool(env.accept(sub.incumbent.values, kind))
     out.wall_time_s = time.perf_counter() - t0
     return out
 

@@ -231,6 +231,17 @@ def evaluate_solution(
     )
 
 
+def snap_integral(model: MipModel, x: np.ndarray, int_tol: float) -> np.ndarray | None:
+    """``x`` with its integer variables rounded, or None when one is more than ``int_tol`` off."""
+    xi = x[model.integers]
+    near = np.round(xi)
+    if not np.all(np.abs(xi - near) <= int_tol):
+        return None
+    out = x.copy()
+    out[model.integers] = near
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Instance generators
 # ---------------------------------------------------------------------------

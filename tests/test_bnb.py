@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from banditmip.bnb import (
     select_branch_variable,
     solve,
 )
-from banditmip import heuristics
+from banditmip import bnb as bnb_mod, heuristics, model as model_mod
 from banditmip.heuristics import LNS_KINDS, NotApplicable
 from banditmip.model import Assignment, MipModel, generate_instance, load_instance
 from banditmip.simplex import FEAS_TOL, BoundState, LpResult, LpStatus
@@ -73,6 +74,12 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(q_min=0.0, eta=1.0),
     dict(q_min=0.0, eta=1.5),
     dict(q_min=-0.1),
+    dict(lambda_sol=-0.1),
+    dict(lambda_gap=-0.1),
+    dict(lambda_eff=-5.0),
+    dict(lambda_conf=-0.1),
+    dict(recency_alpha=2.0),
+    dict(recency_alpha=-0.1),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_settings_reject_unusable_values(bad):
     with pytest.raises(InvalidSettings, match=next(iter(bad))):
@@ -84,6 +91,7 @@ def test_settings_accept_the_default_and_edge_int_tol():
     assert SolverSettings(int_tol=0.0).int_tol == 0.0
     assert SolverSettings(feas_tol=0.0).feas_tol == 0.0
     assert SolverSettings(int_tol=0.49).int_tol == 0.49
+    assert SolverSettings(recency_alpha=1.0, lambda_eff=0.0).recency_alpha == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +377,19 @@ def test_branch_raises_on_integral():
 def test_update_incumbent_accept_reject_cycle():
     model = _model([5, 4], [], "", [])
     tree = TreeSearch(model, SolverSettings())
-    first = Assignment.from_values(model, [1.0, 0.0])
-    assert tree.update_incumbent(first)
-    same = Assignment.from_values(model, [1.0, 0.0])
-    assert not tree.update_incumbent(same)  # equal objective is not accepted
-    better = Assignment.from_values(model, [0.0, 1.0])
-    assert tree.update_incumbent(better)
+    assert tree.update_incumbent(np.array([1.0, 0.0]))
+    assert isinstance(tree.incumbent, Assignment)
+    assert not tree.update_incumbent(np.array([1.0, 0.0]))  # equal objective is not accepted
+    assert tree.update_incumbent(np.array([0.0, 1.0]))
     assert tree.effective_cutoff() == pytest.approx(4.0)
 
 
 def test_update_incumbent_rejects_infeasible():
     model = _model([1, 1], [[1, 1]], "L", [1])
     tree = TreeSearch(model, SolverSettings())
-    assert not tree.update_incumbent(Assignment.from_values(model, [1.0, 1.0]))
-    assert not tree.update_incumbent(Assignment.from_values(model, [0.5, 0.0]))
+    assert not tree.update_incumbent(np.array([1.0, 1.0]))
+    assert not tree.update_incumbent(np.array([0.5, 0.0]))
+    assert tree.incumbent is None
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +402,7 @@ def test_add_conflict_stores_binary_nogood():
     # enumeration confirms the fixing {x0=1, x1=1} is infeasible
     assert best == pytest.approx(-1.0)
     pool = ConflictPool()
-    stored = add_conflict(pool, model, "rens", {0: 1.0, 1: 0.0})
-    assert stored and pool.count_by_heuristic["rens"] == 1
+    assert add_conflict(pool, model, {0: 1.0, 1: 0.0})
     cols, vals, sense, rhs = pool.nogood_cuts[0]
     # cut (1 - x0) + x1 >= 1
     assert list(cols) == [0, 1]
@@ -407,17 +413,14 @@ def test_add_conflict_stores_binary_nogood():
 def test_add_conflict_general_integer_counts_only():
     model = _model([1, 1], [[1, 1]], "L", [3], upper=[2, 1])
     pool = ConflictPool()
-    stored = add_conflict(pool, model, "frac_dive", {0: 2.0})
-    assert not stored
-    assert pool.count_by_heuristic["frac_dive"] == 1
+    assert not add_conflict(pool, model, {0: 2.0})
     assert not pool.nogood_cuts
 
 
 def test_add_conflict_empty_fixing_is_noop():
     model = _model([1], [], "", [])
     pool = ConflictPool()
-    assert not add_conflict(pool, model, "rens", {})
-    assert pool.count_by_heuristic == {}
+    assert not add_conflict(pool, model, {})
     assert not pool.nogood_cuts
 
 
@@ -425,7 +428,7 @@ def test_nogood_cut_preserves_optimum():
     model = _model([-1, -1], [[3, 3]], "L", [5])
     plain = solve(model, SolverSettings())
     pool = ConflictPool()
-    add_conflict(pool, model, "rens", {0: 1.0, 1: 1.0})
+    add_conflict(pool, model, {0: 1.0, 1: 1.0})
     cut = solve(model, SolverSettings(), extra_cuts=pool.nogood_cuts)
     assert cut.objective == pytest.approx(plain.objective)
 
@@ -460,7 +463,7 @@ def test_default_mode_depth_schedule():
         [9, 4],
     )
     tree = TreeSearch(model, SolverSettings(mode="default"))
-    tree.update_incumbent(Assignment.from_values(model, np.zeros(model.n)))
+    tree.update_incumbent(np.zeros(model.n))
     bounds = BoundState.from_model(model)
     lp = tree.ctx.solve(bounds)
     assert lp.status is LpStatus.OPTIMAL
@@ -515,7 +518,31 @@ def test_inapplicable_heuristic_is_skipped_and_not_charged(mode, monkeypatch):
     assert res.stats.per_heuristic["coef_dive"].pulls == 0
     assert all(rec["h"] != "coef_dive" for rec in res.scheduler_log)
     assert res.stats.heuristic_calls == sum(st.pulls for st in res.stats.per_heuristic.values())
+    assert res.stats.incumbents_found_by_heuristics == res.stats.heuristic_successes
     assert res.stats.heuristic_calls > 0
+
+
+@pytest.mark.parametrize("mode", ["default", "scheduler"])
+def test_the_tree_checks_every_candidate_once(mode, monkeypatch):
+    """Heuristics hand candidates over; only ``update_incumbent`` evaluates them."""
+    callers, candidates = [], []
+    for owner in (model_mod, bnb_mod):
+        def evaluate(*args, _original=owner.evaluate_solution, **kw):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return _original(*args, **kw)
+        monkeypatch.setattr(owner, "evaluate_solution", evaluate)
+    update = TreeSearch.update_incumbent
+
+    def counted_update(tree, x, source="lp"):
+        candidates.append(source)
+        return update(tree, x, source)
+
+    monkeypatch.setattr(TreeSearch, "update_incumbent", counted_update)
+    res = solve(generate_instance("gap", (24, 4), 5), SolverSettings(mode=mode, seed=1))
+    assert res.status is SolveStatus.OPTIMAL
+    assert set(callers) == {"banditmip.bnb"}  # none from banditmip.heuristics
+    assert len(callers) == len(candidates)
+    assert "rounding" in candidates
 
 
 def test_recency_bandit_mode_runs_end_to_end():

@@ -173,21 +173,18 @@ def test_rounding_passes_through_integral_lp():
     model = _model([-1, -1], [[1, 1]], "L", [2])
     tree, lp, env = _root(model)
     assert np.allclose(np.round(lp.x), lp.x)
-    out = run_rounding(lp, model, accept=env.accept, int_tol=env.int_tol,
-                       feas_tol=env.feas_tol)
-    assert out.solution is not None
-    assert np.array_equal(out.solution.values, lp.x)
+    out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
     assert out.found_incumbent  # first incumbent is always accepted
+    assert np.array_equal(tree.incumbent.values, lp.x)
     assert out.nodes_used == 0 and out.conflicts_found == 0
 
 
 def test_rounding_knapsack_rounds_down_to_feasible():
     model = _model([-1, -1], [[2, 2]], "L", [3])
     tree, lp, env = _root(model)
-    out = run_rounding(lp, model, accept=env.accept, int_tol=env.int_tol,
-                       feas_tol=env.feas_tol)
-    assert out.solution is not None
-    ev = evaluate_solution(model, out.solution.values)
+    out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+    assert out.found_incumbent
+    ev = evaluate_solution(model, tree.incumbent.values)
     assert ev.feasible and ev.integral
 
 
@@ -195,9 +192,8 @@ def test_rounding_fails_on_equality_row():
     model = _model([-1, -1], [[1, 1]], "E", [0.5])
     tree, lp, env = _root(model)
     assert not np.allclose(np.round(lp.x), lp.x)  # LP sits at a fractional split
-    out = run_rounding(lp, model, accept=env.accept, int_tol=env.int_tol,
-                       feas_tol=env.feas_tol)
-    assert out.solution is None and not out.found_incumbent
+    out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+    assert not out.found_incumbent and tree.incumbent is None
 
 
 def _rounding_loop(x, model, locks, int_tol):
@@ -219,9 +215,7 @@ def _rounding_loop(x, model, locks, int_tol):
     return x
 
 
-def test_vectorized_rounding_matches_loop(monkeypatch):
-    import banditmip.model as model_mod
-
+def test_vectorized_rounding_matches_loop():
     rng = np.random.default_rng(3)
     n = 400
     model = _model(np.zeros(n), [], "", [])
@@ -233,11 +227,8 @@ def test_vectorized_rounding_matches_loop(monkeypatch):
     x = np.where(rng.random(n) < 0.3, base + rng.random(n), x)
     locks = (rng.integers(0, 3, size=n), rng.integers(0, 3, size=n))
     seen = []
-    evaluate = model_mod.evaluate_solution
-    monkeypatch.setattr(model_mod, "evaluate_solution",
-                        lambda m, cand, **kw: seen.append(cand.copy()) or evaluate(m, cand, **kw))
     lp = LpResult(LpStatus.OPTIMAL, x, 0.0, 0)
-    run_rounding(lp, model, locks=locks, int_tol=1e-6, feas_tol=SETTINGS.feas_tol)
+    run_rounding(lp, model, locks, lambda cand, src: seen.append(cand.copy()), int_tol=1e-6)
     assert np.array_equal(seen[0], _rounding_loop(x, model, locks, 1e-6))
 
 
@@ -287,11 +278,11 @@ def test_dive_immediate_success():
     tree, lp, env = _root(model)
     out = run_diving("frac_dive", lp, env, DIVE,
                      np.random.default_rng(0))
-    assert out.solution is not None and out.found_incumbent
+    assert out.found_incumbent
     assert out.nodes_used == 1
     assert out.conflicts_found == 0
     best, _ = brute_force_binary(model)
-    assert out.solution.objective == pytest.approx(best)
+    assert tree.incumbent.objective == pytest.approx(best)
 
 
 def test_dive_backtracks_to_optimum():
@@ -302,12 +293,12 @@ def test_dive_backtracks_to_optimum():
     assert lp.x[0] == pytest.approx(0.6)
     out = run_diving("frac_dive", lp, env, DIVE,
                      np.random.default_rng(0))
-    assert out.solution is not None and out.found_incumbent
+    assert out.found_incumbent
     assert out.conflicts_found == 0
     best, arg = brute_force_binary(model)
     assert best is not None
-    assert out.solution.objective == pytest.approx(best)
-    assert out.solution.values[0] == 0.0
+    assert tree.incumbent.objective == pytest.approx(best)
+    assert tree.incumbent.values[0] == 0.0
 
 
 def test_dive_both_directions_dead_records_conflict():
@@ -317,10 +308,9 @@ def test_dive_both_directions_dead_records_conflict():
     tree, lp, env = _root(model)
     out = run_diving("frac_dive", lp, env, DIVE,
                      np.random.default_rng(0))
-    assert out.solution is None and not out.found_incumbent
+    assert not out.found_incumbent and tree.incumbent is None
     assert out.conflicts_found == 1
     assert not out.sub_mip_infeasible
-    assert sum(tree.pool.count_by_heuristic.values()) == 1
 
 
 def test_dive_respects_max_depth():
@@ -350,7 +340,7 @@ def test_dive_stops_once_the_deadline_has_passed():
     out = run_diving("frac_dive", lp, replace(env, deadline=time.perf_counter() - 1.0),
                      DIVE, np.random.default_rng(0))
     assert len(solves) <= 1
-    assert out.solution is None and not out.found_incumbent
+    assert not out.found_incumbent
 
 
 def test_dive_candidate_scan_matches_loop():
@@ -385,7 +375,7 @@ def test_rand_dive_deterministic_per_seed():
         out = run_diving("rand_dive", lp, env, DIVE,
                          np.random.default_rng(99))
         return (out.nodes_used, out.conflicts_found, out.found_incumbent,
-                None if out.solution is None else tuple(out.solution.values))
+                None if tree.incumbent is None else tuple(tree.incumbent.values))
 
     assert once() == once()
 
@@ -464,17 +454,16 @@ def test_emitted_solutions_are_integral_feasible():
         tree, lp, env = _root(model)
         if np.all(np.abs(lp.x - np.round(lp.x)) <= 1e-6):
             continue  # integral root, heuristics have nothing to do
-        out = run_rounding(lp, model, accept=env.accept, int_tol=env.int_tol,
-                           feas_tol=env.feas_tol)
-        if out.solution is not None:
-            ev = evaluate_solution(model, out.solution)
+        out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+        if out.found_incumbent:
+            ev = evaluate_solution(model, tree.incumbent)
             assert ev.feasible and ev.integral
         for kind in DIVE_KINDS + LNS_KINDS:
             if SPEC_BY_ID[kind].requires_incumbent and tree.incumbent is None:
                 continue
             out = execute(kind, lp, env, LIMITS[kind], np.random.default_rng(seed))
-            if out.solution is not None:
-                ev = evaluate_solution(model, out.solution)
+            if out.found_incumbent:
+                ev = evaluate_solution(model, tree.incumbent)
                 assert ev.feasible and ev.integral, (fam, kind)
 
 
