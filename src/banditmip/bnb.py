@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -130,6 +131,19 @@ class SolverSettings:
             raise InvalidSettings(f"q_init must be > 0, got {self.q_init!r}")
         if not self.q_min > 0:
             raise InvalidSettings(f"q_min must be > 0, got {self.q_min!r}")
+        # counts, limits and the seed: an int or a numpy integer, not a bool or a fraction
+        for name in ("node_limit", "lns_node_budget", "dive_max_depth", "default_freq",
+                     "default_offset", "plunge_depth", "lp_iter_limit", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "node_limit":
+                continue  # no node limit
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidSettings(f"{name} must be an integer, got {value!r}")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise InvalidSettings(f"node_limit must be >= 0, got {self.node_limit!r}")
+        # below one pivot no node LP can be solved: the search would stop at the root
+        if self.lp_iter_limit < 1:
+            raise InvalidSettings(f"lp_iter_limit must be >= 1, got {self.lp_iter_limit!r}")
         if self.lns_node_budget < 1:
             raise InvalidSettings(
                 f"lns_node_budget must be >= 1, got {self.lns_node_budget!r}")

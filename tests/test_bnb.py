@@ -80,6 +80,20 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(lambda_conf=-0.1),
     dict(recency_alpha=2.0),
     dict(recency_alpha=-0.1),
+    dict(node_limit=2.5),
+    dict(node_limit=-1),
+    dict(node_limit=True),
+    dict(lns_node_budget=True),
+    dict(lns_node_budget=50.0),
+    dict(dive_max_depth=10.5),
+    dict(default_freq=False),
+    dict(default_offset=0.5),
+    dict(plunge_depth=2.0),
+    dict(lp_iter_limit=0),
+    dict(lp_iter_limit=-3),
+    dict(lp_iter_limit=100.5),
+    dict(seed=1.5),
+    dict(seed=True),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_settings_reject_unusable_values(bad):
     with pytest.raises(InvalidSettings, match=next(iter(bad))):
@@ -92,6 +106,14 @@ def test_settings_accept_the_default_and_edge_int_tol():
     assert SolverSettings(feas_tol=0.0).feas_tol == 0.0
     assert SolverSettings(int_tol=0.49).int_tol == 0.49
     assert SolverSettings(recency_alpha=1.0, lambda_eff=0.0).recency_alpha == 1.0
+
+
+def test_settings_accept_numpy_integers_and_a_zero_node_limit():
+    settings = SolverSettings(node_limit=np.int64(5), seed=np.int32(3), lp_iter_limit=np.int64(1),
+                              lns_node_budget=np.uint8(7))
+    assert (settings.node_limit, settings.seed, settings.lp_iter_limit) == (5, 3, 1)
+    assert SolverSettings(node_limit=0).node_limit == 0
+    assert SolverSettings(node_limit=None).node_limit is None
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def test_eviction_heavy_lp_agrees_with_highs():
     model = generate_instance("set_cover", (300, 150), 0)
     assert model.m >= ROW_UPDATE_MIN_M
     res = solve_lp(model, BoundState.from_model(model))  # warm=False: two-phase
-    assert res.iterations == 492  # a changed pivot path fails here first
+    assert res.iterations == 505  # a changed pivot path fails here first
     _assert_cover_optimum_matches_highs(model, res)
 
 
@@ -787,6 +787,135 @@ def test_unit_column_inverse_rejects_singular_bases():
     twice = np.concatenate([[0, 0], slack + np.arange(2, m)])  # one column twice
     with pytest.raises(np.linalg.LinAlgError):
         A.basis_inverse(twice)
+
+
+# ---------------------------------------------------------------------------
+# the peeled basis inverse: singleton levels, then a dense bump
+# ---------------------------------------------------------------------------
+
+REFERENCE_INV = np.linalg.inv  # the tests below record the solver's own calls
+
+
+@pytest.fixture
+def inv_shapes(monkeypatch):
+    """Shapes of the matrices handed to np.linalg.inv while the test runs."""
+    shapes = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or REFERENCE_INV(a))
+    return shapes
+
+
+def _shuffled_store(B, rng):
+    """The store of B with its rows and columns shuffled, and that matrix."""
+    B = B[rng.permutation(len(B))][:, rng.permutation(len(B))]
+    return _Csc.from_entries(*_entries(B)), B
+
+
+def _peeled_inverse_agrees(A, B):
+    binv = A.basis_inverse(np.arange(len(B)))
+    assert np.allclose(binv, REFERENCE_INV(B), rtol=1e-9, atol=1e-10)
+    assert np.allclose(binv @ B, np.eye(len(B)), atol=1e-9)
+
+
+def test_peeled_inverse_of_a_chain_inverts_nothing_densely(inv_shapes):
+    """Column k has its last entry on row k and others above it: k levels, no bump."""
+    rng = np.random.default_rng(5)
+    m = 7
+    B = np.zeros((m, m))
+    B[0, 0] = 2.0  # the only single-entry column
+    for k in range(1, m):
+        B[k, k] = rng.uniform(0.5, 2.0)
+        above = rng.choice(k, size=rng.integers(1, k + 1), replace=False)
+        B[above, k] = rng.uniform(-2.0, 2.0, size=above.size)
+    B[(B != 0) & (np.abs(B) < 0.1)] = 0.5
+    A, B = _shuffled_store(B, rng)
+    assert (np.count_nonzero(B, axis=0) > 1).sum() == m - 1
+    _peeled_inverse_agrees(A, B)
+    assert inv_shapes == []  # under the one-level rule the 6 multi-entry columns went dense
+
+
+def test_peeled_inverse_with_levels_and_a_bump(inv_shapes):
+    rng = np.random.default_rng(6)
+    m = 9
+    B = np.zeros((m, m))
+    B[:3, :3] = rng.uniform(-1.0, 1.0, size=(3, 3)) + 3 * np.eye(3)  # the bump
+    B[[4, 6, 8], [0, 1, 2]] = [1.5, -2.0, 0.7]  # bump columns reach peeled rows too
+    B[3, 3], B[4, 4] = 1.0, -2.0  # level 0
+    B[[3, 5], 5] = [0.5, 1.25]  # level 1: row 3 is covered, row 5 is not
+    B[[4, 5, 6], 6] = [1.0, -1.0, 3.0]  # level 2
+    B[[6, 7], 7] = [2.0, 1.0]  # level 3
+    B[[3, 7, 8], 8] = [1.0, 1.0, -0.5]  # level 4
+    A, B = _shuffled_store(B, rng)
+    _peeled_inverse_agrees(A, B)
+    assert inv_shapes == [(3, 3)]
+
+
+def test_peeled_inverse_raises_on_bases_singular_only_after_peeling(inv_shapes):
+    m = 6
+    # a column whose entries all land on rows that singletons cover: col 0 = col 1 + col 2
+    empties = np.zeros((m, m))
+    empties[[0, 1], 0] = 1.0
+    empties[0, 1] = empties[1, 2] = 1.0
+    empties[[3, 4, 5], [3, 4, 5]] = 1.0
+    empties[2, 5] = 2.0  # row 2 is left to the bump, where column 0 has no entry
+    # a bump of two proportional columns below a peeled level
+    flat = np.zeros((m, m))
+    flat[[0, 1, 2], 0] = [1.0, 2.0, 1.0]
+    flat[[0, 1, 3], 1] = [-2.0, -4.0, 1.0]
+    flat[[2, 3, 4, 5], [2, 3, 4, 5]] = 1.0
+    for B in (empties, flat):
+        assert (np.count_nonzero(B, axis=0) > 0).all()
+        assert np.linalg.matrix_rank(B) < m
+        A = _Csc.from_entries(*_entries(B))
+        inv_shapes.clear()
+        with pytest.raises(np.linalg.LinAlgError):
+            A.basis_inverse(np.arange(m))
+        assert len(inv_shapes) == 1 and inv_shapes[0][0] < m  # only the bump reached inv
+
+
+def test_peeled_inverse_raises_on_two_singletons_on_one_row():
+    m = 5
+    first = np.eye(m)
+    first[:, 1] = 0.0
+    first[3, 1] = 2.0  # columns 1 and 3 are both single on row 3 at level 0
+    later = np.zeros((m, m))
+    later[[0, 1], [0, 1]] = 1.0  # level 0
+    later[[0, 3], 2] = [1.0, 1.0]  # after level 0 columns 2 and 3 are both single on row 3
+    later[[1, 3], 3] = [1.0, 2.0]
+    later[[2, 4], 4] = [1.0, 1.0]
+    for B in (first, later):
+        assert np.linalg.matrix_rank(B) < m
+        with pytest.raises(np.linalg.LinAlgError):
+            _Csc.from_entries(*_entries(B)).basis_inverse(np.arange(m))
+
+
+@pytest.mark.parametrize("tiny", [simplex.PIVOT_TOL, simplex.PIVOT_TOL / 10])
+def test_peeled_inverse_leaves_a_tiny_singleton_to_the_bump(tiny, inv_shapes):
+    rng = np.random.default_rng(7)
+    m = 6
+    B = np.eye(m)
+    B[2, 2] = tiny
+    B[[2, 5], 5] = [1.0, 3.0]  # row 2 is never covered, so column 5 stays in the bump too
+    A, B = _shuffled_store(B, rng)
+    binv = A.basis_inverse(np.arange(m))
+    assert np.allclose(binv, REFERENCE_INV(B), rtol=1e-9, atol=1e-10)
+    assert inv_shapes == [(2, 2)]
+
+
+def test_cover_root_lp_inverts_only_small_bumps(inv_shapes):
+    """On the 400-row set-cover root LP, multi-entry blocks reach 196 columns; bumps stay small.
+
+    The dense store still takes np.linalg.inv of the whole basis, bit for bit.
+    """
+    model = generate_instance("set_cover", (800, 400), 1)
+    res = SimplexContext(model).solve(BoundState.from_model(model))
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(752.25, abs=1e-7)
+    assert inv_shapes and max(n for n, _ in inv_shapes) <= 32, inv_shapes
+    small = generate_instance("gap", (24, 4), 5)
+    ctx = SimplexContext(small)
+    basis = ctx.solve(BoundState.from_model(small)).basis[0]
+    assert isinstance(ctx.A, np.ndarray)
+    assert np.array_equal(_inverse(ctx.A, basis), REFERENCE_INV(ctx.A[:, basis]))
 
 
 def _solve_with_tightenings(model, rng_seed, store_rows):
