@@ -101,6 +101,10 @@ class SolverSettings:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidSettings(f"{f.name} must be finite, got {value!r}")
+            if isinstance(f.default, float) and isinstance(value, bool):  # True would run as 1.0
+                raise InvalidSettings(f"{f.name} must be a number, got {value!r}")
+        if self.time_limit_s is not None and self.time_limit_s < 0:
+            raise InvalidSettings(f"time_limit_s must be >= 0 or None, got {self.time_limit_s!r}")
         if self.mode not in ("scheduler", "default"):
             raise InvalidSettings(f"mode must be 'scheduler' or 'default', got {self.mode!r}")
         if self.bandit_mode not in ("average", "recency"):
@@ -131,6 +135,13 @@ class SolverSettings:
             raise InvalidSettings(f"q_init must be > 0, got {self.q_init!r}")
         if not self.q_min > 0:
             raise InvalidSettings(f"q_min must be > 0, got {self.q_min!r}")
+        # a call scales f (gamma) or q (eta) by 1 -/+ rate: above 1 a shrink turns it negative
+        for name in ("gamma", "eta"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise InvalidSettings(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
+        # n failures skip floor(exp(beta n)) - 1 calls: -1 for beta < 0
+        if not self.beta >= 0:
+            raise InvalidSettings(f"beta must be >= 0, got {self.beta!r}")
         # counts, limits and the seed: an int or a numpy integer, not a bool or a fraction
         for name in ("node_limit", "lns_node_budget", "dive_max_depth", "default_freq",
                      "default_offset", "plunge_depth", "lp_iter_limit", "seed"):
@@ -432,17 +443,17 @@ class TreeSearch:
                 self._note_bound_prune()
                 continue
             lp = self.ctx.solve(node.bounds, iter_limit=settings.lp_iter_limit,
-                                basis=node.basis)
+                                basis=node.basis, deadline=self.deadline)
             self.nodes_processed += 1
             if lp.status is LpStatus.INFEASIBLE:
                 continue
             if lp.status is LpStatus.UNBOUNDED:
                 raise ValueError("relaxation is unbounded; model is not solvable here")
-            if lp.status is LpStatus.ITER_LIMIT:
+            if lp.status in (LpStatus.ITER_LIMIT, LpStatus.TIME_LIMIT):
                 # resource exhaustion, never a pruning argument: keep the
                 # subtree open so the reported dual bound stays valid
                 self._push(node)
-                status = SolveStatus.ITER_LIMIT
+                status = SolveStatus(lp.status.value)
                 break
             if lp.objective >= cut - 1e-9:
                 self._note_bound_prune()

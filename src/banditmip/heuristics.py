@@ -217,6 +217,7 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
 
     bounds = env.node_bounds
     x_ref = lp.x
+    basis = lp.basis  # each LP starts from the basis of the dive's last optimal one
     steps = 0
     changed = 0  # fixings since the last LP solve
     last_fix = None  # (j, value, bounds before the fix, reference LP value)
@@ -267,14 +268,16 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
         if not must_solve:
             continue
 
-        res = env.lp_ctx.solve(bounds, iter_limit=env.lp_iter_limit)
+        res = env.lp_ctx.solve(bounds, iter_limit=env.lp_iter_limit, basis=basis,
+                               deadline=env.deadline)
         if res.status is LpStatus.INFEASIBLE and last_fix is not None:
             j, tgt, prev, xj = last_fix
             opp = math.ceil(xj) if tgt == math.floor(xj) else math.floor(xj)
             retry = None
             if prev.lower[j] - 1e-9 <= opp <= prev.upper[j] + 1e-9:
                 bounds = prev.fixed(j, float(opp))
-                retry = env.lp_ctx.solve(bounds, iter_limit=env.lp_iter_limit)
+                retry = env.lp_ctx.solve(bounds, iter_limit=env.lp_iter_limit, basis=basis,
+                                         deadline=env.deadline)
             if retry is None or retry.status is LpStatus.INFEASIBLE:
                 out.conflicts_found = 1
                 fix, pure = _fixed_difference(prev, env.root_bounds, exclude=(j,))
@@ -291,7 +294,7 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
             return finish()
         if res.objective >= env.cutoff() - 1e-9:
             return finish()
-        x_ref = res.x
+        x_ref, basis = res.x, res.basis
         changed = 0
         x = snap_integral(model, x_ref, env.int_tol)
         if x is not None:

@@ -5,29 +5,32 @@ solver then runs over the combined variable set with individual lower/upper
 bounds.  Pivoting uses Dantzig pricing and falls back to Bland's rule after
 a fixed number of iterations, which guarantees termination.
 
-A :class:`SimplexContext` keeps the expanded matrix and the last optimal
-basis, and every optimal :class:`LpResult` carries its own basis, so branch
-and bound re-solves each child node from its parent's basis and a dive
-chains from the context's last one.  A saved basis that is still primal
-feasible under the new bounds goes straight to the primal loop.  Otherwise
-each boxed nonbasic variable moves to the bound its reduced cost wants and,
-if that leaves the basis dual feasible, a bounded dual simplex (largest
-violation leaves, smallest ``|d_j / alpha_j|`` enters) restores primal
-feasibility; a primal pass then finishes, normally without a pivot.  The
-dual loop reports an infeasible LP only with a Farkas row that cannot reach
-its bound anywhere in the box, and falls back to a cold solve otherwise.  A
-basis saved before cut rows were appended is extended with their slacks.
+A :class:`SimplexContext` keeps the expanded matrix and nothing of a solve:
+every optimal :class:`LpResult` carries its own basis, and ``solve(...,
+basis=)`` is the only way to start from one.  Branch and bound re-solves each
+child node from its parent's basis, and a dive each LP from the basis of its
+last optimal one.  Every usable basis takes one warm path: each boxed
+nonbasic variable moves to the bound its reduced cost wants and, if that
+leaves the basis dual feasible, a bounded dual simplex (largest violation
+leaves, smallest ``|d_j / alpha_j|`` enters) restores primal feasibility; a
+basis that is still primal feasible ends it after 0 pivots.  A primal pass
+then finishes, normally without a pivot.  The dual loop reports an
+infeasible LP only with a Farkas row that cannot reach its bound anywhere in
+the box, and falls back to a cold solve otherwise.  A basis saved before cut
+rows were appended is extended with their slacks.
 
-With no usable saved basis, an LP on the column store (below) takes the
-slack basis as one: in a MIP it is nearly always dual feasible once boxed
-columns sit at the bound their cost wants, so the dual loop does phase 1's
-work in far fewer pivots (347 instead of 1595 on a 400-row set-cover root).
-A cold solve is a textbook two-phase primal simplex; it runs when the slack
-basis is not dual feasible, after an uncertified Farkas row, for every LP
-below ``ROW_UPDATE_MIN_M`` rows, and whenever ``warm=False``.  Warm results
-always agree with a cold solve; an optional shadow check asserts exactly
-that against the two-phase primal, and that every row holds at each optimal
-solution.
+With no usable basis, an LP on the column store (below) takes the slack
+basis as one: in a MIP it is nearly always dual feasible once boxed columns
+sit at the bound their cost wants, so the dual loop does phase 1's work in
+far fewer pivots (347 instead of 1595 on a 400-row set-cover root).  A cold
+solve is a textbook two-phase primal simplex; it runs when the slack basis
+is not dual feasible, after an uncertified Farkas row, for every LP below
+``ROW_UPDATE_MIN_M`` rows with no usable basis, and whenever ``warm=False``.
+Warm results always agree with a cold solve; an optional shadow check
+asserts exactly that against the two-phase primal, and that every row holds
+at each optimal solution.  Both pivot loops read the clock at each
+refactor, so a solve given a ``deadline`` stops at the first refactor after
+it with status ``TIME_LIMIT``.
 
 The basis inverse is kept explicitly and changed by one product-form (eta)
 update per basis change, shared by phase-1 artificial eviction and the pivot
@@ -67,6 +70,7 @@ bits of the LP solutions.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,6 +96,7 @@ class LpStatus(Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITER_LIMIT = "iter_limit"
+    TIME_LIMIT = "time_limit"  # the deadline passed before the LP was solved
 
 
 @dataclass
@@ -340,7 +345,6 @@ class SimplexContext:
         self.shadow_check = shadow_check
         self._extra = [_cut_row(*cut) for cut in cuts]  # (cols, vals, sense, rhs)
         self._build()
-        self._warm = None  # (basis, vstat) of the last optimal solve
         self.max_row_residual = 0.0  # largest _row_residuals entry of any optimal solve
 
     def _build(self):
@@ -385,9 +389,15 @@ class SimplexContext:
         self._build()
 
     def solve(self, bounds: BoundState, iter_limit: int = DEFAULT_ITER_LIMIT,
-              warm: bool = True, basis: tuple | None = None) -> LpResult:
-        """Solve under ``bounds``; a warm solve starts from ``basis``, else the last one."""
-        result = self._solve_inner(bounds, iter_limit, warm, basis)
+              warm: bool = True, basis: tuple | None = None,
+              deadline: float | None = None) -> LpResult:
+        """Solve under ``bounds``; a warm solve starts from ``basis`` when it is usable.
+
+        Without one, a warm solve on the column store starts from the slack
+        basis, any other cold.  ``deadline`` is a ``time.perf_counter()``
+        value after which the solve stops with ``TIME_LIMIT``.
+        """
+        result = self._solve_inner(bounds, iter_limit, warm, basis, deadline)
         if result.status is LpStatus.OPTIMAL and self.m:
             resid = self._row_residuals(result.x)
             worst = int(np.argmax(resid))
@@ -398,7 +408,7 @@ class SimplexContext:
                     f"beyond tolerance {FEAS_TOL:.3g}"
                 )
         if self.shadow_check:
-            if warm:
+            if warm and result.status is not LpStatus.TIME_LIMIT:
                 cold = SimplexContext(self.model, self._extra)
                 ref = cold._solve_inner(bounds, iter_limit, warm=False)
                 assert ref.status == result.status, (
@@ -425,7 +435,10 @@ class SimplexContext:
     # core solver
     # ------------------------------------------------------------------
 
-    def _solve_inner(self, bounds, iter_limit, warm, saved=None):
+    def _solve_inner(self, bounds, iter_limit, warm, saved=None, deadline=None):
+        """A warm start (``saved``, then on the column store the slack basis), the dual loop and
+        phase 2; the two-phase primal instead when no start is usable or the dual loop cannot
+        certify infeasibility.  A dual loop's pivots before that count toward ``iter_limit``."""
         if np.any(bounds.lower > bounds.upper + 1e-9):
             gap = float(np.max(bounds.lower - bounds.upper)) if len(bounds.lower) else 0.0
             return LpResult(LpStatus.INFEASIBLE, None, INF, 0,
@@ -434,65 +447,45 @@ class SimplexContext:
         nbase = n + m
         lo = np.concatenate([bounds.lower, self.slack_lo])
         up = np.concatenate([bounds.upper, self.slack_up])
+        A, cost = self.A, self.cost
 
-        start, binv, iters = None, None, 0
-        saved = saved if saved is not None else self._warm
         starts = [saved] if warm and saved is not None else []
-        if warm and isinstance(self.A, _Csc):  # the slack basis, structurals at a bound
+        if warm and isinstance(A, _Csc):  # the slack basis, structurals at a bound
             starts.append((np.arange(n, nbase),
                            np.repeat([AT_LOWER, BASIC], [n, m]).astype(np.int8)))
-        for candidate in starts:
-            warmed = self._try_warm_start(lo, up, candidate)
-            if warmed is None:
-                continue
+        warmed = next(filter(None, (self._try_warm_start(lo, up, s) for s in starts)), None)
+        status, iters, resid = None, 0, 0.0
+        if warmed is not None:
             basis, vstat, val, binv, d = warmed
-            status = LpStatus.OPTIMAL
-            if d is not None:
-                status, iters, binv, resid = self._dual_loop(
-                    lo, up, basis, vstat, val, binv, d, iter_limit)
+            status, iters, binv, resid = self._dual_loop(
+                lo, up, basis, vstat, val, binv, d, iter_limit, deadline)
+        if status is None:  # no usable basis, or an uncertified Farkas row: two-phase primal
+            basis, vstat, val, A, lo, up = self._cold_start(lo, up)
+            status, nart = LpStatus.OPTIMAL, len(val) - nbase  # nart: artificials
+            if nart:  # phase 1
+                status, iters = self._pivot_loop(
+                    A, lo, up, basis, vstat, val, np.repeat([0.0, 1.0], [nbase, nart]),
+                    iter_limit, iters, _inverse(A, basis), deadline)
+                resid = float(val[nbase:].sum())
+                if status is LpStatus.OPTIMAL and resid > FEAS_TOL:
+                    status = LpStatus.INFEASIBLE
             if status is LpStatus.OPTIMAL:
-                start = basis, vstat, val, self.A, lo, up
-            elif status is LpStatus.INFEASIBLE:
-                return LpResult(status, None, INF, iters, phase1_residual=resid)
-            elif status is LpStatus.ITER_LIMIT:
-                return LpResult(status, None, float("nan"), iters)
-            else:
-                binv = None  # infeasibility not certified: solve cold
-            break
-        if start is None:
-            start = self._cold_start(lo, up)
-        basis, vstat, val, A, lo, up = start
-
-        nart = len(val) - nbase  # artificials of a cold start
-        if nart:
-            phase1_cost = np.repeat([0.0, 1.0], [nbase, nart])
+                if nart:
+                    self._evict_artificials(A, basis, vstat, val, nbase)
+                    lo[nbase:] = up[nbase:] = val[nbase:] = 0.0
+                    cost = np.concatenate([cost, np.zeros(nart)])
+                binv = _inverse(A, basis)
+        if status is LpStatus.OPTIMAL:
             status, iters = self._pivot_loop(
-                A, lo, up, basis, vstat, val, phase1_cost, iter_limit, iters
-            )
-            if status is LpStatus.ITER_LIMIT:
-                return LpResult(status, None, float("nan"), iters)
-            resid = float(val[nbase:].sum())
-            if resid > FEAS_TOL:
-                return LpResult(LpStatus.INFEASIBLE, None, INF, iters,
-                                phase1_residual=resid)
-            self._evict_artificials(A, basis, vstat, val, nbase)
-            lo[nbase:] = 0.0
-            up[nbase:] = 0.0
-            val[nbase:] = 0.0
-
-        cost = np.concatenate([self.cost, np.zeros(nart)]) if nart else self.cost
-        status, iters = self._pivot_loop(
-            A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv
-        )
+                A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv, deadline)
         if status is LpStatus.OPTIMAL:
             x = np.clip(val[:n].copy(), bounds.lower, bounds.upper)
             art_basic = np.any(basis >= nbase)
-            self._warm = None if art_basic else (basis.copy(), vstat[:nbase].copy())
-            return LpResult(LpStatus.OPTIMAL, x, float(self.model.c @ x), iters,
-                            basis=self._warm)
-        if status is LpStatus.UNBOUNDED:
-            return LpResult(status, None, -INF, iters)
-        return LpResult(status, None, float("nan"), iters)
+            return LpResult(status, x, float(self.model.c @ x), iters,
+                            basis=None if art_basic else (basis.copy(), vstat[:nbase].copy()))
+        if status is LpStatus.INFEASIBLE:
+            return LpResult(status, None, INF, iters, phase1_residual=resid)
+        return LpResult(status, None, -INF if status is LpStatus.UNBOUNDED else float("nan"), iters)
 
     def _cold_start(self, lo, up):
         """The slack basis with an artificial for each row whose slack cannot take its residual.
@@ -526,40 +519,34 @@ class SimplexContext:
                 np.concatenate([lo, np.zeros(nart)]), np.concatenate([up, np.full(nart, INF)]))
 
     def _try_warm_start(self, lo, up, saved):
-        """Set up a saved basis under new bounds, or return None when it cannot start.
+        """A saved basis set up for the dual loop under new bounds, or None when it cannot start.
 
-        Returns (basis, vstat, val, binv, d): ``d`` is None when the basis is
-        still primal feasible.  A basis that is not is returned only if, after
-        moving each boxed nonbasic variable to the bound its reduced cost
-        wants, it is dual feasible, so that the dual loop can start from it
-        with those reduced costs ``d``.
+        Each boxed nonbasic variable moves to the bound its reduced cost wants;
+        the basis is returned only if that leaves it dual feasible, as
+        (basis, vstat, val, binv, d) with those reduced costs ``d``.  Every
+        usable basis takes this one path, also one that is still primal
+        feasible: the dual loop then ends after 0 pivots.
         """
         basis, vstat = saved
         added = np.arange(self.n + len(basis), self.n + self.m)  # slacks of later cuts
         basis = np.concatenate([basis, added])
         vstat = _repair_statuses(
             np.concatenate([vstat, np.full(added.size, BASIC, dtype=np.int8)]), lo, up)
-        val = _nonbasic_values(vstat, lo, up)
         try:
             binv = _inverse(self.A, basis)
         except np.linalg.LinAlgError:
             return None
-        xb = _basic_values(binv, self.A, self.b, vstat, val)
-        if not (np.any(xb < lo[basis] - FEAS_TOL)
-                or np.any(xb > up[basis] + FEAS_TOL)):
-            val[basis] = xb
-            return basis, vstat, val, binv, None
         d = _reduced_costs(self.cost, basis, binv, self.A)
         boxed = (vstat != BASIC) & (lo > -INF) & (up < INF)
         vstat[boxed & (d > DUAL_TOL)] = AT_LOWER
         vstat[boxed & (d < -DUAL_TOL)] = AT_UPPER
         if np.any(_descent(vstat, d, up - lo > 0, DUAL_TOL)):
-            return None  # not dual feasible either
+            return None  # not dual feasible
         val = _nonbasic_values(vstat, lo, up)
         val[basis] = _basic_values(binv, self.A, self.b, vstat, val)
         return basis, vstat, val, binv, d
 
-    def _dual_loop(self, lo, up, basis, vstat, val, binv, d, iter_limit):
+    def _dual_loop(self, lo, up, basis, vstat, val, binv, d, iter_limit, deadline):
         """Bounded dual simplex from a dual feasible basis until no basic variable is out of bounds.
 
         ``d`` holds the reduced costs at the starting basis.  They are carried
@@ -571,8 +558,9 @@ class SimplexContext:
         at each pivot.
         Returns (status, pivots, binv, residual): OPTIMAL when the basis is
         primal feasible, INFEASIBLE with the certified violation of a Farkas
-        row, ITER_LIMIT, or None when a row without an entering candidate
-        could not be certified infeasible.
+        row, ITER_LIMIT, TIME_LIMIT when a refactor finds ``deadline``
+        passed, or None when a row without an entering candidate could not be
+        certified infeasible.
         """
         A, b, cost = self.A, self.b, self.cost
         movable = up - lo > 0
@@ -584,6 +572,8 @@ class SimplexContext:
         iters = since_refactor = 0
         while True:
             if since_refactor >= REFACTOR_EVERY:
+                if deadline is not None and time.perf_counter() > deadline:
+                    return LpStatus.TIME_LIMIT, iters, binv, 0.0
                 binv = _inverse(A, basis)
                 val[basis] = _basic_values(binv, A, b, vstat, val)
                 d = _reduced_costs(cost, basis, binv, A)
@@ -701,10 +691,9 @@ class SimplexContext:
             else:
                 _eta_update(binv, _column_image(binv, A, j), r)
 
-    def _pivot_loop(self, A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv=None):
+    def _pivot_loop(self, A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv, deadline):
+        """Bounded primal simplex from a feasible basis with inverse ``binv``; (status, pivots)."""
         m = len(basis)
-        if binv is None:
-            binv = _inverse(A, basis)
         movable = up - lo > 0
         since_refactor = 0
         with np.errstate(invalid="ignore"):
@@ -712,6 +701,8 @@ class SimplexContext:
                 if iters >= iter_limit:
                     return LpStatus.ITER_LIMIT, iters
                 if since_refactor >= REFACTOR_EVERY:
+                    if deadline is not None and time.perf_counter() > deadline:
+                        return LpStatus.TIME_LIMIT, iters
                     binv = _inverse(A, basis)
                     val[basis] = _basic_values(binv, A, self.b, vstat, val)
                     since_refactor = 0

@@ -94,6 +94,15 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(lp_iter_limit=100.5),
     dict(seed=1.5),
     dict(seed=True),
+    dict(time_limit_s=-5.0),
+    dict(time_limit_s=True),
+    dict(epsilon=True),
+    dict(f_init=False),
+    dict(beta=-1.0),
+    dict(gamma=-0.5),
+    dict(gamma=1.5),
+    dict(eta=1.5),
+    dict(eta=-0.1),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_settings_reject_unusable_values(bad):
     with pytest.raises(InvalidSettings, match=next(iter(bad))):
@@ -106,6 +115,11 @@ def test_settings_accept_the_default_and_edge_int_tol():
     assert SolverSettings(feas_tol=0.0).feas_tol == 0.0
     assert SolverSettings(int_tol=0.49).int_tol == 0.49
     assert SolverSettings(recency_alpha=1.0, lambda_eff=0.0).recency_alpha == 1.0
+    assert SolverSettings(time_limit_s=0.0).time_limit_s == 0.0
+    assert SolverSettings(time_limit_s=None).time_limit_s is None
+    # epsilon_t = epsilon * sqrt(|H| / t) is a scale, not a probability
+    assert SolverSettings(epsilon=1.5).epsilon == 1.5
+    assert SolverSettings(beta=0.0, gamma=1.0, eta=0.0).gamma == 1.0
 
 
 def test_settings_accept_numpy_integers_and_a_zero_node_limit():
@@ -181,14 +195,24 @@ def test_each_node_lp_starts_from_its_parents_basis(monkeypatch):
     # id() can be reused by a later one and would merge two trees' calls.
     calls = {}
     solve_lp = SimplexContext.solve
+    run_diving = heuristics.run_diving
+    diving = []  # nonempty while a dive runs: its LPs are not node LPs
 
     def recording(self, bounds, *args, **kwargs):
         res = solve_lp(self, bounds, *args, **kwargs)
-        if "basis" in kwargs:  # dives chain from the context's last basis instead
+        if not diving:
             calls.setdefault(self, []).append((kwargs["basis"], res.basis))
         return res
 
+    def dive(*args, **kwargs):
+        diving.append(True)
+        try:
+            return run_diving(*args, **kwargs)
+        finally:
+            diving.pop()
+
     monkeypatch.setattr(SimplexContext, "solve", recording)
+    monkeypatch.setattr(heuristics, "run_diving", dive)
     res = solve(generate_instance("gap", (24, 4), 5), SolverSettings(mode="default", seed=1))
     assert res.status is SolveStatus.OPTIMAL
     assert sum(map(len, calls.values())) > res.nodes_processed > 20  # sub-MIP trees too
@@ -230,14 +254,25 @@ def test_time_limit_status():
 def test_time_limit_overshoot_is_small(mode):
     """A solve that cannot finish stops within half a second of its limit.
 
-    The pivot loop does not read the deadline, so the bound holds only while
-    one LP takes far less than that: milliseconds at this size."""
+    The pivot loops read the deadline only at each refactor, every 64 pivots:
+    milliseconds at this size."""
     model = generate_instance("gap", (600, 20), 1)
     t0 = time.perf_counter()
     res = solve(model, SolverSettings(mode=mode, seed=1, time_limit_s=1.0))
     elapsed = time.perf_counter() - t0
     assert res.status is SolveStatus.TIME_LIMIT
     assert elapsed <= 1.5
+
+
+def test_time_limit_stops_a_running_root_lp():
+    """The root LP of this solve takes 0.7-0.9 s when the deadline is not read inside it."""
+    model = load_instance("gen:set_cover:n=3200,m=1600,seed=1")
+    t0 = time.perf_counter()
+    res = solve(model, SolverSettings(seed=1, time_limit_s=0.01))
+    elapsed = time.perf_counter() - t0
+    assert res.status is SolveStatus.TIME_LIMIT and res.incumbent is None
+    assert res.nodes_processed <= 1 and res.dual_bound == -math.inf  # the root stays open
+    assert elapsed <= 0.4
 
 
 def test_lp_iteration_exhaustion_never_claims_optimality():

@@ -26,7 +26,7 @@ from banditmip.heuristics import (
     variable_locks,
 )
 from banditmip.model import Assignment, MipModel, evaluate_solution, generate_instance
-from banditmip.simplex import BoundState, LpResult, LpStatus
+from banditmip.simplex import BoundState, LpResult, LpStatus, SimplexContext
 
 from oracles import brute_force_binary
 
@@ -311,6 +311,39 @@ def test_dive_both_directions_dead_records_conflict():
     assert not out.found_incumbent and tree.incumbent is None
     assert out.conflicts_found == 1
     assert not out.sub_mip_infeasible
+
+
+@pytest.mark.parametrize("model", [
+    _model([-2, -1], [[1, 0]], "L", [0.6]),  # the first fixing is infeasible, its retry is not
+    _model([-1, 0, 0], [[0, 1, 1]], "E", [0.5]),  # both directions infeasible
+    generate_instance("gap", (24, 4), 5),
+    generate_instance("knapsack", (12, 3), 2),
+], ids=["backtrack", "conflict", "gap", "knapsack"])
+def test_each_dive_lp_starts_from_the_last_optimal_basis(model, monkeypatch):
+    """A dive hands every LP the basis of its last optimal one, the node LP's at first,
+    and the retry after an infeasible LP the same."""
+    tree, lp, env = _root(model)
+    calls = []  # (basis handed in, result) of each dive LP
+    solve = SimplexContext.solve
+
+    def recording(self, bounds, *args, **kwargs):
+        res = solve(self, bounds, *args, **kwargs)
+        calls.append((kwargs.get("basis", "no basis given"), res))
+        return res
+
+    monkeypatch.setattr(SimplexContext, "solve", recording)
+    lps = retries = 0
+    for kind, seed in itertools.product(("frac_dive", "coef_dive", "rand_dive"), range(4)):
+        calls.clear()
+        run_diving(kind, lp, env, DIVE, np.random.default_rng(seed))
+        last = lp.basis
+        lps += len(calls)
+        for k, (given, res) in enumerate(calls):
+            assert given is last, (kind, seed, k)
+            retries += k > 0 and calls[k - 1][1].status is LpStatus.INFEASIBLE
+            if res.status is LpStatus.OPTIMAL:
+                last = res.basis
+    assert lps > retries > 0
 
 
 def test_dive_respects_max_depth():

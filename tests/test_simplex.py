@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ def test_resolve_unchanged_bounds_identical_objective():
     ctx = SimplexContext(model)
     bounds = BoundState.from_model(model)
     first = ctx.solve(bounds, warm=False)
-    again = ctx.solve(bounds, warm=True)
+    again = ctx.solve(bounds, warm=True, basis=first.basis)
     assert again.status is LpStatus.OPTIMAL
     assert again.objective == pytest.approx(first.objective, abs=1e-12)
 
@@ -112,9 +113,9 @@ def test_resolve_fixed_variable_matches_cold():
     model = _model(**TWO_VAR)
     ctx = SimplexContext(model)
     bounds = BoundState.from_model(model)
-    ctx.solve(bounds, warm=False)
+    root = ctx.solve(bounds, warm=False)
     fixed = bounds.fixed(0, 0.0)
-    warmres = ctx.solve(fixed, warm=True)
+    warmres = ctx.solve(fixed, warm=True, basis=root.basis)
     coldres = solve_lp(model, fixed)
     assert warmres.status == coldres.status == LpStatus.OPTIMAL
     assert warmres.objective == pytest.approx(coldres.objective, rel=1e-7)
@@ -131,9 +132,9 @@ def test_resolve_infeasible_fix_matches_cold():
     )
     ctx = SimplexContext(model)
     bounds = BoundState.from_model(model)
-    ctx.solve(bounds, warm=False)
+    root = ctx.solve(bounds, warm=False)
     dead = bounds.fixed(0, 0.0).fixed(1, 0.0)
-    warmres = ctx.solve(dead, warm=True)
+    warmres = ctx.solve(dead, warm=True, basis=root.basis)
     coldres = solve_lp(model, dead)
     assert warmres.status is LpStatus.INFEASIBLE
     assert coldres.status is LpStatus.INFEASIBLE
@@ -209,10 +210,11 @@ def test_warm_solves_shadowed_during_dive_pattern():
     for _ in range(25):
         j = int(rng.integers(model.n))
         bounds = bounds.fixed(j, float(rng.integers(0, 2)))
-        res = ctx.solve(bounds)
+        basis = res.basis  # of the last optimal LP, as a dive passes it
+        res = ctx.solve(bounds, basis=basis)
         if res.status is LpStatus.INFEASIBLE:
             bounds = BoundState.from_model(model)
-            res = ctx.solve(bounds)
+            res = ctx.solve(bounds, basis=basis)
             assert res.status is LpStatus.OPTIMAL
 
 
@@ -229,7 +231,7 @@ def test_cut_rows_participate_in_lp():
     base = ctx.solve(BoundState.from_model(model))
     assert base.objective == pytest.approx(-2.0)
     ctx.add_cut_row([0, 1], [1.0, 1.0], "L", 1.0)
-    cut = ctx.solve(BoundState.from_model(model))
+    cut = ctx.solve(BoundState.from_model(model), basis=base.basis)
     assert cut.objective == pytest.approx(-1.0)
 
 
@@ -301,12 +303,13 @@ def test_eviction_heavy_lp_warm_resolves_shadowed():
     bounds = BoundState.from_model(model)
     res = ctx.solve(bounds)
     for step in range(4):
-        # a column fixed at its value keeps the saved basis feasible (a warm
-        # hit); one forced into the cover can make it infeasible (a dual
-        # re-solve).  Both fixings keep the cover LP feasible.
+        # a column fixed at its value keeps the saved basis primal feasible
+        # (the dual loop ends after 0 pivots); one forced into the cover can
+        # make it infeasible (dual pivots).  Both fixings keep the cover LP
+        # feasible.
         j = int(np.flatnonzero(res.x > 0.5 if step % 2 == 0 else res.x < 0.5)[step])
         bounds = bounds.fixed(j, 1.0)
-        res = ctx.solve(bounds)
+        res = ctx.solve(bounds, basis=res.basis)
         assert res.status is LpStatus.OPTIMAL
 
 
@@ -319,7 +322,7 @@ def test_forced_cover_column_resolves_by_dual_simplex():
     for step in range(4):
         j = int(np.flatnonzero(res.x > 0.5 if step % 2 == 0 else res.x < 0.5)[step])
         bounds = bounds.fixed(j, 1.0)
-        res = ctx.solve(bounds)
+        res = ctx.solve(bounds, basis=res.basis)
         assert res.status is LpStatus.OPTIMAL
         if step % 2 == 1:
             assert res.iterations <= 5  # a cold re-solve takes about 450
@@ -338,17 +341,23 @@ def _tighten_randomly(rng, lower, upper):
 
 
 def test_warm_resolves_after_tightening_match_oracle(monkeypatch):
-    """Warm re-solves of 300 random LPs under 3 successive tightenings each, against exact enumeration."""
-    dual_runs = []
+    """Warm re-solves of 300 random LPs under 3 successive tightenings each, against exact
+    enumeration, and one loosening after them.
+
+    The loosening keeps the saved basis primal feasible; it goes through the dual
+    loop like every saved basis, which then ends after 0 pivots.
+    """
+    dual_runs = []  # pivots of each dual loop of a tightened re-solve
     dual_loop = SimplexContext._dual_loop
 
     def counted(self, *args):
-        dual_runs.append(1)
-        return dual_loop(self, *args)
+        out = dual_loop(self, *args)
+        dual_runs.append(out[1])
+        return out
 
     monkeypatch.setattr(SimplexContext, "_dual_loop", counted)
     rng = np.random.default_rng(11)
-    optimal = infeasible = 0
+    optimal = infeasible = loosened = 0
     for _ in range(300):
         c, rows, senses, rhs, lower, upper = _random_lp(rng)
         model = _model(c, rows.tolist(), senses, rhs, lower, upper)
@@ -358,7 +367,8 @@ def test_warm_resolves_after_tightening_match_oracle(monkeypatch):
             if res.status is not LpStatus.OPTIMAL:
                 break
             lower, upper = _tighten_randomly(rng, lower, upper)
-            res = ctx.solve(BoundState(lower=lower.astype(float), upper=upper.astype(float)))
+            res = ctx.solve(BoundState(lower=lower.astype(float), upper=upper.astype(float)),
+                            basis=res.basis)
             case = (c, rows, senses, rhs, lower, upper)
             status, best = lp_vertex_oracle(
                 c.tolist(), rows.tolist(), senses, rhs.tolist(),
@@ -372,8 +382,32 @@ def test_warm_resolves_after_tightening_match_oracle(monkeypatch):
                 optimal += 1
                 assert res.status is LpStatus.OPTIMAL, case
                 assert abs(res.objective - float(best)) <= 1e-6, (res.objective, best, case)
-    assert optimal > 50 and infeasible > 10
-    assert len(dual_runs) > 20  # the dual path, not only primal-feasible warm hits
+        if res.status is LpStatus.OPTIMAL and res.basis is not None:
+            lower, upper = _loosen_basic(res.basis[0], model.n, lower, upper)
+            before = len(dual_runs)
+            res = ctx.solve(BoundState(lower=lower.astype(float), upper=upper.astype(float)),
+                            basis=res.basis)
+            case = (c, rows, senses, rhs, lower, upper)
+            status, best = lp_vertex_oracle(
+                c.tolist(), rows.tolist(), senses, rhs.tolist(),
+                lower.tolist(), upper.tolist(),
+            )
+            assert status == "optimal" and res.status is LpStatus.OPTIMAL, case
+            assert abs(res.objective - float(best)) <= 1e-6, (res.objective, best, case)
+            assert dual_runs[before:] == [0], case
+            del dual_runs[before:]
+            loosened += 1
+    assert optimal > 50 and infeasible > 10 and loosened > 50
+    assert sum(p > 0 for p in dual_runs) > 20  # tightened re-solves pivot in the dual loop
+
+
+def _loosen_basic(basis, n, lower, upper):
+    """The box with each basic structural's bounds widened by one: the basis stays primal feasible."""
+    lower, upper = lower.copy(), upper.copy()
+    basic = basis[basis < n]
+    lower[basic] -= 1
+    upper[basic] += 1
+    return lower, upper
 
 
 def _watch_carried_reduced_costs(monkeypatch):
@@ -415,7 +449,8 @@ def test_carried_reduced_costs_match_a_fresh_evaluation(monkeypatch, store_rows)
             if res.status is not LpStatus.OPTIMAL:
                 break
             lower, upper = _tighten_randomly(rng, lower, upper)
-            res = ctx.solve(BoundState(lower=lower.astype(float), upper=upper.astype(float)))
+            res = ctx.solve(BoundState(lower=lower.astype(float), upper=upper.astype(float)),
+                            basis=res.basis)
     assert len(errors) > 50
     assert max(errors) <= 1e-9
 
@@ -448,7 +483,7 @@ def test_dual_loop_evaluates_reduced_costs_only_at_refactors(monkeypatch):
         j = int(np.flatnonzero(res.x > 0.5 if step % 2 == 0 else res.x < 0.5)[step])
         bounds = bounds.fixed(j, 1.0)
         calls.clear()
-        res = ctx.solve(bounds)
+        res = ctx.solve(bounds, basis=res.basis)
         assert res.status is LpStatus.OPTIMAL
         assert len(calls) <= 2 + res.iterations // REFACTOR_EVERY, (step, len(calls))
 
@@ -469,6 +504,36 @@ def test_basis_saved_before_a_cut_warm_starts():
     assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
     assert warm.iterations < cold.iterations
     assert len(warm.basis[0]) == model.m + 1
+
+
+@pytest.mark.parametrize("family, shape, seed", [("gap", (24, 4), 5), ("set_cover", (300, 150), 0)])
+def test_context_keeps_nothing_between_solves(family, shape, seed):
+    """A solve without ``basis=`` starts the same way however many LPs the context solved before."""
+    model = generate_instance(family, shape, seed)
+    ctx = SimplexContext(model)
+    bounds = BoundState.from_model(model)
+    first = ctx.solve(bounds)
+    assert first.status is LpStatus.OPTIMAL
+    for j in np.flatnonzero(first.x > 0.5)[:3]:
+        ctx.solve(bounds.fixed(int(j), 0.0), basis=first.basis)
+    again = ctx.solve(bounds)
+    assert (again.status, again.iterations) == (first.status, first.iterations)
+    assert again.x.tobytes() == first.x.tobytes()
+
+
+@pytest.mark.parametrize("warm", [True, False])
+def test_a_passed_deadline_stops_a_cold_column_store_lp(warm):
+    """A deadline already passed stops the dual loop from the slack basis (warm) or phase 1
+    (two-phase) at its first refactor; the shadow check then compares nothing."""
+    model = generate_instance("set_cover", (300, 150), 0)
+    bounds = BoundState.from_model(model)
+    full = SimplexContext(model).solve(bounds, warm=warm)
+    assert full.status is LpStatus.OPTIMAL and full.iterations > REFACTOR_EVERY
+    ctx = SimplexContext(model, shadow_check=True)
+    assert isinstance(ctx.A, _Csc)
+    res = ctx.solve(bounds, warm=warm, deadline=time.perf_counter() - 1.0)
+    assert res.status is LpStatus.TIME_LIMIT and res.x is None and res.basis is None
+    assert res.iterations == REFACTOR_EVERY
 
 
 @pytest.mark.parametrize("upper, certified", [
@@ -529,13 +594,13 @@ def test_uncertified_infeasibility_solves_cold(monkeypatch):
     model = _model(c=[1, 1], rows=[[1, 1]], senses="G", rhs=[3], lower=[0, 0], upper=[2, 2])
     ctx = SimplexContext(model)
     bounds = BoundState.from_model(model)
-    ctx.solve(bounds, warm=False)
+    root = ctx.solve(bounds, warm=False)
     cold_starts = []
     cold_start = SimplexContext._cold_start
     monkeypatch.setattr(SimplexContext, "_farkas_violation", lambda self, *a: -1.0)
     monkeypatch.setattr(SimplexContext, "_cold_start",
                         lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
-    res = ctx.solve(bounds.fixed(0, 0.0).fixed(1, 0.0))
+    res = ctx.solve(bounds.fixed(0, 0.0).fixed(1, 0.0), basis=root.basis)
     assert res.status is LpStatus.INFEASIBLE and res.phase1_residual > 0
     assert cold_starts == [1]  # the dual loop's verdict was not trusted
 
@@ -930,7 +995,7 @@ def _solve_with_tightenings(model, rng_seed, store_rows):
         if res.status is not LpStatus.OPTIMAL:
             break
         lower, upper = _tighten_randomly(rng, lower, upper)
-        res = ctx.solve(BoundState(lower=lower, upper=upper))
+        res = ctx.solve(BoundState(lower=lower, upper=upper), basis=res.basis)
         out.append((res.status, res.objective))
     return out
 
@@ -1026,9 +1091,10 @@ def test_small_lps_keep_the_two_phase_cold_start(monkeypatch):
 def test_dual_cold_start_matches_oracle(monkeypatch):
     """Fresh-context solves of 300 random LPs on the column store, against exact enumeration.
 
-    Each solve must take the path its slack basis calls for: the primal loop
-    when the basis is primal feasible, else the dual loop when it is dual
-    feasible, else the two-phase primal (also after an uncertified Farkas row).
+    Each solve must take the path its slack basis calls for: the dual loop
+    when the basis is dual feasible, else the two-phase primal (also after an
+    uncertified Farkas row), which needs no phase 1 when the slack basis is
+    primal feasible.
     """
     monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", 1)
     dual_statuses, cold_starts = [], []
@@ -1052,12 +1118,12 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
         ctx = SimplexContext(model)
         assert isinstance(ctx.A, _Csc)
         res = ctx.solve(BoundState.from_model(model))
-        if _slack_basis_is_primal_feasible(model):
-            path, expected = "primal", ([], [])
-        elif _slack_basis_is_dual_feasible(model):
+        if _slack_basis_is_dual_feasible(model):
             path = "dual"
             assert len(dual_statuses) == 1, case
             expected = (dual_statuses, [1] if dual_statuses[0] is None else [])
+        elif _slack_basis_is_primal_feasible(model):
+            path, expected = "primal", ([], [1])  # a cold start without artificials
         else:
             path, expected = "two-phase", ([], [1])
         assert (dual_statuses, cold_starts) == expected, (path, case)
