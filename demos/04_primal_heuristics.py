@@ -1,17 +1,17 @@
 """Running the portfolio heuristics by hand at a root node.
 
-Each heuristic consumes the node LP plus an environment handed over by the
-tree search (bounds, simplex context, incumbent hooks).  Diving fixes one
-variable at a time and re-solves the LP sparsely; LNS fixes ceil(f*|I|)
-variables around a reference point and solves the restricted sub-MIP.  No
-heuristic judges its own candidates: each hands them to the tree, which checks
-them.
+Each heuristic consumes the node LP and reads the tree search it serves (its
+simplex context, root bounds, incumbent and cutoff); a dive also takes the
+node's bounds.  Diving fixes one variable at a time and re-solves the LP
+sparsely; LNS fixes ceil(f*|I|) variables around a reference point and solves
+the restricted sub-MIP.  No heuristic judges its own candidates: each hands
+them to the tree, which checks them.
 """
 
 import numpy as np
 
 from banditmip import SolverSettings, generate_instance
-from banditmip.bnb import Node, TreeSearch
+from banditmip.bnb import TreeSearch
 from banditmip.heuristics import (
     adapt_limit,
     portfolio_limits,
@@ -26,18 +26,17 @@ settings = SolverSettings(seed=0)
 tree = TreeSearch(model, settings)
 bounds = BoundState.from_model(model)
 lp = tree.ctx.solve(bounds)
-env = tree._make_env(Node(0, 0, bounds, -np.inf))
 print(f"root LP objective {lp.objective:.3f} "
       f"({sum(abs(v - round(v)) > 1e-6 for v in lp.x[model.integers])} fractional)")
 
-# every heuristic hands its candidate to env.accept, the tree's incumbent check
-out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+# every heuristic hands its candidate to tree.update_incumbent, the one check
+out = run_rounding(lp, tree)
 print(f"rounding: found_incumbent={out.found_incumbent}")
 
 limits = portfolio_limits(settings)
 dive_limit = limits["frac_dive"]  # value is q, from settings.q_init
 for kind in ("frac_dive", "coef_dive", "rand_dive"):
-    out = run_diving(kind, lp, env, dive_limit, np.random.default_rng(4))
+    out = run_diving(kind, lp, tree, bounds, dive_limit, np.random.default_rng(4))
     print(f"{kind}: steps={out.nodes_used} conflicts={out.conflicts_found} "
           f"found={out.found_incumbent}")
     dive_limit = adapt_limit(dive_limit, out)
@@ -45,7 +44,7 @@ for kind in ("frac_dive", "coef_dive", "rand_dive"):
 
 lns_limit = limits["rens"]  # value is f, from settings.f_init
 for kind in ("rens", "rins", "mutation"):
-    out = run_lns(kind, lp, env, lns_limit, np.random.default_rng(4))
+    out = run_lns(kind, lp, tree, lns_limit, np.random.default_rng(4))
     print(f"{kind}: fixed {out.fixed_count}/{len(model.integers)} vars, "
           f"sub-MIP nodes={out.nodes_used}, "
           f"infeasible={out.sub_mip_infeasible}, found={out.found_incumbent}")

@@ -37,7 +37,7 @@ from .simplex import (
     SimplexContext,
 )
 from . import heuristics as heur
-from .heuristics import DEFAULT_ORDER, HeurEnv, PORTFOLIO
+from .heuristics import DEFAULT_ORDER, PORTFOLIO
 from .scheduler import Scheduler, StaticSchedule, run_scheduled_heuristics
 
 
@@ -97,12 +97,19 @@ class SolverSettings:
     shadow_lp_check: bool = False
 
     def __post_init__(self):
-        for f in fields(self):  # a NaN or infinite float fails deep in the solve otherwise
+        for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidSettings(f"{f.name} must be finite, got {value!r}")
-            if isinstance(f.default, float) and isinstance(value, bool):  # True would run as 1.0
+            # a float field takes any real number but a bool (True would run as 1.0);
+            # anything else would fail a range check below with a bare TypeError
+            if (isinstance(f.default, float) and not (f.name == "time_limit_s" and value is None)
+                    and (isinstance(value, bool) or not isinstance(value, numbers.Real))):
                 raise InvalidSettings(f"{f.name} must be a number, got {value!r}")
+            # a NaN or infinite float fails deep in the solve otherwise
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise InvalidSettings(f"{f.name} must be finite, got {value!r}")
+        if not isinstance(self.shadow_lp_check, (bool, np.bool_)):  # "no" would turn it on
+            raise InvalidSettings(
+                f"shadow_lp_check must be a bool, got {self.shadow_lp_check!r}")
         if self.time_limit_s is not None and self.time_limit_s < 0:
             raise InvalidSettings(f"time_limit_s must be >= 0 or None, got {self.time_limit_s!r}")
         if self.mode not in ("scheduler", "default"):
@@ -338,13 +345,14 @@ class TreeSearch:
         if self.incumbent is None and self.inherited_cutoff < INF:
             self.bound_prunes_blind += 1
 
-    def _on_conflict(self, fixing: dict, cut_ok: bool):
+    def record_conflict(self, fixing: dict, cut_ok: bool):
+        """Take a heuristic's proven-infeasible fixing; a no-good cut joins every later LP."""
         if add_conflict(self.pool, self.model, fixing, cut_ok):
             cols, vals, sense, rhs = self.pool.nogood_cuts[-1]
             self.ctx.add_cut_row(cols, vals, sense, rhs)
 
-    def _sub_solve(self, bounds: BoundState, node_limit: int,
-                   cutoff: Optional[float]):
+    def sub_solve(self, bounds: BoundState, node_limit: int, cutoff: Optional[float]):
+        """Solve an LNS sub-MIP on ``bounds`` with this tree's cuts, deadline and settings."""
         sub_settings = replace(self.settings, node_limit=node_limit, time_limit_s=None)
         res = solve(
             self.model, sub_settings,
@@ -358,34 +366,15 @@ class TreeSearch:
                                           res.stats.max_row_residual)
         return res
 
-    def _make_env(self, node: Node) -> HeurEnv:
-        return HeurEnv(
-            model=self.model,
-            lp_ctx=self.ctx,
-            node_bounds=node.bounds,
-            root_bounds=self.root_bounds,
-            locks=self.locks,
-            int_tol=self.settings.int_tol,
-            cutoff=self.effective_cutoff,
-            incumbent=lambda: self.incumbent,
-            accept=self.update_incumbent,
-            conflict=self._on_conflict,
-            sub_solve=self._sub_solve,
-            lp_iter_limit=self.settings.lp_iter_limit,
-            deadline=self.deadline,
-        )
-
     # ------------------------------------------------------------------
     # heuristic layer
     # ------------------------------------------------------------------
 
     def _run_heuristics(self, node: Node, lp: LpResult):
-        heur.run_rounding(lp, self.model, self.locks, self.update_incumbent,
-                          int_tol=self.settings.int_tol)
+        heur.run_rounding(lp, self)
         if self.heur_layer == "rounding_only":
             return
-        charged = run_scheduled_heuristics(self.policy, lp, self._make_env(node),
-                                           self.exec_rngs, node.depth)
+        charged = run_scheduled_heuristics(self, node, lp)
         for h, outcome, reward in charged:
             st = self.stats.per_heuristic[h]
             st.pulls += 1

@@ -12,9 +12,11 @@ heuristic or the re-solve threshold ``q`` of a dive, and its ``budget`` is the
 sub-MIP node budget or the dive's maximum depth.  :func:`adapt_limit` adapts
 either multiplicatively after every call.
 
-No heuristic judges its own candidates: each hands the point it found to the
-environment's ``accept`` (the tree's incumbent update), which checks
-feasibility, integrality and improvement and reports whether it was taken.
+Every heuristic reads the :class:`~banditmip.bnb.TreeSearch` it serves: its
+model, LP context, root bounds, locks, settings, deadline, incumbent and
+cutoff.  No heuristic judges its own candidates: each hands the point it
+found to ``tree.update_incumbent``, which checks feasibility, integrality and
+improvement and reports whether it was taken.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Assignment, MipModel, snap_integral
-from .simplex import INF, BoundState, LpResult, LpStatus, SimplexContext
+from .model import MipModel, snap_integral
+from .simplex import INF, BoundState, LpResult, LpStatus
+
+if TYPE_CHECKING:
+    from .bnb import TreeSearch
 
 
 class NotApplicable(Exception):
@@ -116,25 +121,6 @@ def variable_locks(model: MipModel):
             np.bincount(model.indices[up], minlength=model.n))
 
 
-@dataclass
-class HeurEnv:
-    """Ambient solver state a heuristic call needs, supplied by the tree search."""
-
-    model: MipModel
-    lp_ctx: SimplexContext
-    node_bounds: BoundState
-    root_bounds: BoundState
-    locks: tuple
-    int_tol: float
-    cutoff: Callable[[], float]
-    incumbent: Callable[[], Optional[Assignment]]
-    accept: Callable[[np.ndarray, str], bool]  # a candidate point and its source
-    conflict: Callable[[dict, bool], None]
-    lp_iter_limit: int
-    sub_solve: Optional[Callable] = None
-    deadline: Optional[float] = None  # time.perf_counter() value after which dives stop
-
-
 def _round_nearest(x: float) -> float:
     r = math.floor(x)
     return r if x - r <= 0.5 else r + 1.0
@@ -153,27 +139,24 @@ def _open_fractional(ints: np.ndarray, x: np.ndarray, bounds, int_tol: float) ->
     return ints[keep].tolist()
 
 
-def run_rounding(lp: LpResult, model: MipModel, locks, accept, *,
-                 int_tol: float) -> HeurOutcome:
+def run_rounding(lp: LpResult, tree: TreeSearch) -> HeurOutcome:
     """Round every fractional integer variable to its lock-preferred side.
 
-    Costs no nodes.  The rounded point goes to ``accept`` (the incumbent
-    update), which checks it; the outcome records whether it was taken.
+    Costs no nodes.  The rounded point goes to ``tree.update_incumbent``,
+    which checks it; the outcome records whether it was taken.
     """
-    t0 = time.perf_counter()
-    out = HeurOutcome(heuristic="rounding")
+    model = tree.model
     ints = model.integers
-    down, up = locks[0][ints], locks[1][ints]
+    down, up = tree.locks[0][ints], tree.locks[1][ints]
     x = lp.x.copy()
     v = x[ints]
     near, below, above = np.round(v), np.floor(v), np.ceil(v)
     nearest = np.where(v - below <= 0.5, below, below + 1.0)  # _round_nearest
     t = np.where(down < up, below, np.where(up < down, above, nearest))
     t = np.minimum(np.maximum(t, model.lower[ints]), model.upper[ints])
-    x[ints] = np.where(np.abs(v - near) <= int_tol, near, t)
-    out.found_incumbent = bool(accept(x, "rounding"))
-    out.wall_time_s = time.perf_counter() - t0
-    return out
+    x[ints] = np.where(np.abs(v - near) <= tree.settings.int_tol, near, t)
+    return HeurOutcome(heuristic="rounding",
+                       found_incumbent=bool(tree.update_incumbent(x, "rounding")))
 
 
 def _fixed_difference(bounds: BoundState, root: BoundState, exclude=()):
@@ -199,23 +182,22 @@ def _fixed_difference(bounds: BoundState, root: BoundState, exclude=()):
     return fix, pure
 
 
-def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
-               rng: np.random.Generator) -> HeurOutcome:
-    """Probe one path of fixings with sparse LP re-solves and one-level backtracking."""
+def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
+               limit: WorkingLimit, rng: np.random.Generator) -> HeurOutcome:
+    """Probe one path of fixings below node ``bounds``: sparse LP re-solves, one-level backtracking."""
     if kind not in DIVE_KINDS:
         raise ValueError(f"unknown diving kind {kind!r}")
     t0 = time.perf_counter()
     out = HeurOutcome(heuristic=kind)
-    model = env.model
+    model, settings = tree.model, tree.settings
     ints = model.integers
     n_int = len(ints)
     if n_int == 0:
         raise NotApplicable(f"{kind}: model has no integer variables")
-    down_locks, up_locks = env.locks
+    down_locks, up_locks = tree.locks
     q = limit.value
     force_every = math.ceil(1.0 / q)
 
-    bounds = env.node_bounds
     x_ref = lp.x
     basis = lp.basis  # each LP starts from the basis of the dive's last optimal one
     steps = 0
@@ -229,9 +211,9 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
         return out
 
     while True:
-        if env.deadline is not None and time.perf_counter() > env.deadline:
+        if tree.deadline is not None and time.perf_counter() > tree.deadline:
             return finish()
-        cands = _open_fractional(ints, x_ref, bounds, env.int_tol)
+        cands = _open_fractional(ints, x_ref, bounds, settings.int_tol)
         must_solve = False
         if not cands:
             if changed == 0:
@@ -268,51 +250,55 @@ def run_diving(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
         if not must_solve:
             continue
 
-        res = env.lp_ctx.solve(bounds, iter_limit=env.lp_iter_limit, basis=basis,
-                               deadline=env.deadline)
+        res = tree.ctx.solve(bounds, iter_limit=settings.lp_iter_limit, basis=basis,
+                             deadline=tree.deadline)
         if res.status is LpStatus.INFEASIBLE and last_fix is not None:
             j, tgt, prev, xj = last_fix
             opp = math.ceil(xj) if tgt == math.floor(xj) else math.floor(xj)
             retry = None
             if prev.lower[j] - 1e-9 <= opp <= prev.upper[j] + 1e-9:
                 bounds = prev.fixed(j, float(opp))
-                retry = env.lp_ctx.solve(bounds, iter_limit=env.lp_iter_limit, basis=basis,
-                                         deadline=env.deadline)
+                retry = tree.ctx.solve(bounds, iter_limit=settings.lp_iter_limit, basis=basis,
+                                       deadline=tree.deadline)
             if retry is None or retry.status is LpStatus.INFEASIBLE:
                 out.conflicts_found = 1
-                fix, pure = _fixed_difference(prev, env.root_bounds, exclude=(j,))
+                fix, pure = _fixed_difference(prev, tree.root_bounds, exclude=(j,))
                 # the cut only excludes the prior fixings, so it needs both
                 # directions of a binary variable actually proven dead
                 cut_ok = (pure and model.is_binary(j)
                           and retry is not None
                           and retry.status is LpStatus.INFEASIBLE)
-                env.conflict(fix, cut_ok)
+                tree.record_conflict(fix, cut_ok)
                 return finish()
             last_fix = (j, float(opp), prev, xj)
             res = retry
         if res.status is not LpStatus.OPTIMAL:
             return finish()
-        if res.objective >= env.cutoff() - 1e-9:
+        if res.objective >= tree.effective_cutoff() - 1e-9:
             return finish()
         x_ref, basis = res.x, res.basis
         changed = 0
-        x = snap_integral(model, x_ref, env.int_tol)
+        x = snap_integral(model, x_ref, settings.int_tol)
         if x is not None:
-            return finish(bool(env.accept(x, kind)))
+            return finish(bool(tree.update_incumbent(x, kind)))
         if steps >= limit.budget:
             return finish()
 
 
-def run_lns(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
+def run_lns(kind: str, lp: LpResult, tree: TreeSearch, limit: WorkingLimit,
             rng: np.random.Generator) -> HeurOutcome:
-    """Fix ceil(f * |I|) integer variables around a reference point, solve the sub-MIP."""
+    """Fix ceil(f * |I|) integer variables around a reference point, solve the sub-MIP.
+
+    Raises ``NotApplicable`` for a kind that needs an incumbent while the tree
+    has none: the one place that rule is enforced for a pick.
+    """
     if kind not in LNS_KINDS:
         raise ValueError(f"unknown LNS kind {kind!r}")
     spec = SPEC_BY_ID[kind]
-    incumbent = env.incumbent()
+    incumbent = tree.incumbent
     if spec.requires_incumbent and incumbent is None:
         raise NotApplicable(f"{kind} needs an incumbent")
-    model = env.model
+    model = tree.model
     ints = [int(j) for j in model.integers]
     if not ints:
         raise NotApplicable(f"{kind}: model has no integer variables")
@@ -333,7 +319,7 @@ def run_lns(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
             boxes.append((j, math.floor(xlp[j]), math.ceil(xlp[j])))
     elif kind == "rins":
         inc = incumbent.values
-        agree = [j for j in ints if abs(xlp[j] - round(inc[j])) <= env.int_tol]
+        agree = [j for j in ints if abs(xlp[j] - round(inc[j])) <= tree.settings.int_tol]
         agree.sort(key=lambda j: (abs(xlp[j] - round(inc[j])), j))
         chosen = agree[:k]
         if len(chosen) < k:
@@ -350,16 +336,16 @@ def run_lns(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
             j = ints[idx]
             fixings.append((j, float(round(inc[j]))))
 
-    bounds = env.root_bounds
+    bounds = tree.root_bounds
     for j, blo, bhi in boxes:
         bounds = bounds.tightened(j, lo=blo, hi=bhi)
     for j, v in fixings:
-        v = min(max(v, env.root_bounds.lower[j]), env.root_bounds.upper[j])
+        v = min(max(v, tree.root_bounds.lower[j]), tree.root_bounds.upper[j])
         bounds = bounds.fixed(j, v)
     out.fixed_count = k
 
-    cutoff = env.cutoff()
-    sub = env.sub_solve(
+    cutoff = tree.effective_cutoff()
+    sub = tree.sub_solve(
         bounds=bounds,
         node_limit=limit.budget,
         cutoff=None if cutoff == INF else cutoff,
@@ -369,18 +355,17 @@ def run_lns(kind: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
         out.sub_mip_infeasible = True
         if not sub.cutoff_pruned:
             out.conflicts_found = 1
-            fix, pure = _fixed_difference(bounds, env.root_bounds)
-            env.conflict(fix, pure)
+            fix, pure = _fixed_difference(bounds, tree.root_bounds)
+            tree.record_conflict(fix, pure)
     elif sub.incumbent is not None:
-        out.found_incumbent = bool(env.accept(sub.incumbent.values, kind))
+        out.found_incumbent = bool(tree.update_incumbent(sub.incumbent.values, kind))
     out.wall_time_s = time.perf_counter() - t0
     return out
 
 
-def execute(h: str, lp: LpResult, env: HeurEnv, limit: WorkingLimit,
-            rng: np.random.Generator) -> HeurOutcome:
-    """Dispatch one portfolio heuristic by id."""
-    spec = SPEC_BY_ID[h]
-    if spec.klass == "lns":
-        return run_lns(h, lp, env, limit, rng)
-    return run_diving(h, lp, env, limit, rng)
+def execute(h: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
+            limit: WorkingLimit, rng: np.random.Generator) -> HeurOutcome:
+    """Dispatch one portfolio heuristic by id at a node with the given ``bounds``."""
+    if SPEC_BY_ID[h].klass == "lns":
+        return run_lns(h, lp, tree, limit, rng)
+    return run_diving(h, lp, tree, bounds, limit, rng)

@@ -17,13 +17,12 @@ import math
 import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .heuristics import (
     DEFAULT_ORDER,
-    HeurEnv,
     HeurOutcome,
     NotApplicable,
     PORTFOLIO,
@@ -33,6 +32,9 @@ from .heuristics import (
     portfolio_limits,
 )
 from .simplex import LpResult
+
+if TYPE_CHECKING:
+    from .bnb import Node, TreeSearch
 
 
 class NoApplicableHeuristic(Exception):
@@ -198,7 +200,7 @@ class StaticSchedule:
         """Every heuristic whose depth slot this is, in the default order.
 
         ``applicable`` is not consulted: an earlier pick at the same node may
-        install the incumbent a later one needs, so the call loop checks each.
+        install the incumbent a later one needs, so ``run_lns`` checks each.
         """
         return [h for k, h in enumerate(DEFAULT_ORDER, start=1)
                 if depth % self.freq == (k * self.offset) % self.freq]
@@ -299,30 +301,29 @@ class Scheduler:
         return breakdown
 
 
-def run_scheduled_heuristics(policy, lp: LpResult, env: HeurEnv, exec_rngs: dict,
-                             depth: int) -> list:
-    """Run a policy's picks at a node of the given depth; the one path of both modes.
+def run_scheduled_heuristics(tree: TreeSearch, node: Node, lp: LpResult) -> list:
+    """Run the tree's policy's picks at a node; the one path of both modes.
 
-    A pick that needs an incumbent while there is none, or that raises
-    ``NotApplicable``, is skipped and not recorded.  Every executed heuristic
-    is recorded by the policy; returns its ``(h, outcome, reward)`` triples,
-    where the reward is None from a policy that computes none.
+    A pick that raises ``NotApplicable`` (such as an LNS kind that needs an
+    incumbent while there is none) is skipped and not recorded.  Every
+    executed heuristic is recorded by the policy; returns its
+    ``(h, outcome, reward)`` triples, where the reward is None from a policy
+    that computes none.
     """
+    policy = tree.policy
     applicable = {s.id for s in PORTFOLIO
-                  if not s.requires_incumbent or env.incumbent() is not None}
+                  if not s.requires_incumbent or tree.incumbent is not None}
     charged = []
-    for h in policy.picks(depth, applicable):
-        inc_before = env.incumbent()
-        if inc_before is None and SPEC_BY_ID[h].requires_incumbent:
-            continue
+    for h in policy.picks(node.depth, applicable):
+        inc_before = tree.incumbent
         try:
-            outcome = execute(h, lp, env, policy.limits[h], exec_rngs[h])
+            outcome = execute(h, lp, tree, node.bounds, policy.limits[h], tree.exec_rngs[h])
         except NotApplicable:
             continue
         found = outcome.found_incumbent  # then the call installed the incumbent
         obj_old = inc_before.objective if inc_before is not None else None
         ctx = RewardContext(is_first_incumbent=found and obj_old is None, obj_old=obj_old,
-                            obj_new=env.incumbent().objective if found else None,
+                            obj_new=tree.incumbent.objective if found else None,
                             obj_lp=lp.objective)
         charged.append((h, outcome, policy.record(h, outcome, ctx)))
     return charged

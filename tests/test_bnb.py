@@ -103,6 +103,19 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(gamma=1.5),
     dict(eta=1.5),
     dict(eta=-0.1),
+    # a float field holding anything but a real number, checked before any range check
+    dict(beta="0.1"),
+    dict(time_limit_s="5"),
+    dict(epsilon=None),
+    dict(int_tol=None),
+    dict(f_min=None),
+    dict(lambda_sol="x"),
+    dict(recency_alpha=None),
+    dict(beta=np.bool_(True)),
+    dict(lambda_gap=np.float32("nan")),
+    dict(shadow_lp_check="yes"),
+    dict(shadow_lp_check=1),
+    dict(shadow_lp_check=None),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_settings_reject_unusable_values(bad):
     with pytest.raises(InvalidSettings, match=next(iter(bad))):
@@ -120,6 +133,10 @@ def test_settings_accept_the_default_and_edge_int_tol():
     # epsilon_t = epsilon * sqrt(|H| / t) is a scale, not a probability
     assert SolverSettings(epsilon=1.5).epsilon == 1.5
     assert SolverSettings(beta=0.0, gamma=1.0, eta=0.0).gamma == 1.0
+    # ints and numpy reals in float fields, numpy bools in the bool field
+    assert SolverSettings(beta=1, time_limit_s=5).time_limit_s == 5
+    assert SolverSettings(f_init=np.float32(0.5), epsilon=np.int64(1)).f_init == 0.5
+    assert SolverSettings(shadow_lp_check=np.bool_(True)).shadow_lp_check
 
 
 def test_settings_accept_numpy_integers_and_a_zero_node_limit():
@@ -542,6 +559,33 @@ def test_default_mode_depth_schedule():
     tree._run_heuristics(Node(5, 7, bounds, -np.inf), lp)
     tree._run_heuristics(Node(6, 19, bounds, -np.inf), lp)
     assert sum(pulls().values()) == before  # depths 7..9 mod 10 run nothing
+
+
+def _all_picks_at_the_root(model):
+    """Run the static schedule at depth 0 with every heuristic in that slot, no incumbent."""
+    tree = TreeSearch(model, SolverSettings(mode="default", default_offset=0, seed=1))
+    bounds = BoundState.from_model(model)
+    lp = tree.ctx.solve(bounds)
+    assert lp.status is LpStatus.OPTIMAL and tree.incumbent is None
+    assert tree.policy.picks(0, set()) == list(heuristics.DEFAULT_ORDER)
+    tree._run_heuristics(Node(0, 0, bounds, -np.inf), lp)
+    return tree, {h: st.pulls for h, st in tree.stats.per_heuristic.items()}
+
+
+def test_static_picks_skip_lns_that_needs_the_incumbent_no_earlier_pick_found():
+    tree, pulls = _all_picks_at_the_root(generate_instance("gap", (24, 4), 5))
+    assert pulls == {"rens": 1, "rins": 0, "mutation": 0,
+                     "frac_dive": 1, "coef_dive": 1, "rand_dive": 1}
+    # RENS found nothing, so only a later dive can have installed an incumbent
+    assert all(src in heuristics.DIVE_KINDS for src, _ in tree.incumbent_log)
+
+
+def test_static_picks_run_lns_once_an_earlier_pick_installs_the_incumbent(monkeypatch):
+    monkeypatch.setattr(heuristics, "run_rounding",
+                        lambda *args, **kwargs: heuristics.HeurOutcome(heuristic="rounding"))
+    tree, pulls = _all_picks_at_the_root(generate_instance("set_cover", (24, 12), 1))
+    assert tree.incumbent_log[0][0] == "rens"  # the first incumbent, found at this node
+    assert pulls == {h: 1 for h in heuristics.DEFAULT_ORDER}
 
 
 def test_scheduler_mode_single_heuristic_per_invocation():

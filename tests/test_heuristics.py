@@ -3,11 +3,12 @@ import itertools
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from banditmip.bnb import Node, SolverSettings, TreeSearch
+from banditmip.bnb import SolverSettings, TreeSearch
 from banditmip.heuristics import (
     DEFAULT_ORDER,
     HeurOutcome,
@@ -61,8 +62,7 @@ def _root(model, **kw):
     tree = TreeSearch(model, settings)
     bounds = BoundState.from_model(model)
     lp = tree.ctx.solve(bounds)
-    node = Node(0, 0, bounds, -np.inf)
-    return tree, lp, tree._make_env(node)
+    return tree, lp, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +171,9 @@ def test_limit_updates_fuzz_stay_in_range_and_monotone():
 
 def test_rounding_passes_through_integral_lp():
     model = _model([-1, -1], [[1, 1]], "L", [2])
-    tree, lp, env = _root(model)
+    tree, lp, bounds = _root(model)
     assert np.allclose(np.round(lp.x), lp.x)
-    out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+    out = run_rounding(lp, tree)
     assert out.found_incumbent  # first incumbent is always accepted
     assert np.array_equal(tree.incumbent.values, lp.x)
     assert out.nodes_used == 0 and out.conflicts_found == 0
@@ -181,8 +181,8 @@ def test_rounding_passes_through_integral_lp():
 
 def test_rounding_knapsack_rounds_down_to_feasible():
     model = _model([-1, -1], [[2, 2]], "L", [3])
-    tree, lp, env = _root(model)
-    out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+    tree, lp, bounds = _root(model)
+    out = run_rounding(lp, tree)
     assert out.found_incumbent
     ev = evaluate_solution(model, tree.incumbent.values)
     assert ev.feasible and ev.integral
@@ -190,9 +190,9 @@ def test_rounding_knapsack_rounds_down_to_feasible():
 
 def test_rounding_fails_on_equality_row():
     model = _model([-1, -1], [[1, 1]], "E", [0.5])
-    tree, lp, env = _root(model)
+    tree, lp, bounds = _root(model)
     assert not np.allclose(np.round(lp.x), lp.x)  # LP sits at a fractional split
-    out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+    out = run_rounding(lp, tree)
     assert not out.found_incumbent and tree.incumbent is None
 
 
@@ -228,7 +228,9 @@ def test_vectorized_rounding_matches_loop():
     locks = (rng.integers(0, 3, size=n), rng.integers(0, 3, size=n))
     seen = []
     lp = LpResult(LpStatus.OPTIMAL, x, 0.0, 0)
-    run_rounding(lp, model, locks, lambda cand, src: seen.append(cand.copy()), int_tol=1e-6)
+    tree = SimpleNamespace(model=model, locks=locks, settings=SolverSettings(int_tol=1e-6),
+                           update_incumbent=lambda cand, src: seen.append(cand.copy()))
+    run_rounding(lp, tree)
     assert np.array_equal(seen[0], _rounding_loop(x, model, locks, 1e-6))
 
 
@@ -275,8 +277,8 @@ def test_locks_prefer_fewer_violations():
 
 def test_dive_immediate_success():
     model = _model([-1, -1], [[1, 1]], "L", [1.5])
-    tree, lp, env = _root(model)
-    out = run_diving("frac_dive", lp, env, DIVE,
+    tree, lp, bounds = _root(model)
+    out = run_diving("frac_dive", lp, tree, bounds, DIVE,
                      np.random.default_rng(0))
     assert out.found_incumbent
     assert out.nodes_used == 1
@@ -289,9 +291,9 @@ def test_dive_backtracks_to_optimum():
     # LP puts x0 at 0.6 (rounds up), but x0 = 1 is LP-infeasible; the
     # opposite direction x0 = 0 leads straight to the integral optimum.
     model = _model([-2, -1], [[1, 0]], "L", [0.6])
-    tree, lp, env = _root(model)
+    tree, lp, bounds = _root(model)
     assert lp.x[0] == pytest.approx(0.6)
-    out = run_diving("frac_dive", lp, env, DIVE,
+    out = run_diving("frac_dive", lp, tree, bounds, DIVE,
                      np.random.default_rng(0))
     assert out.found_incumbent
     assert out.conflicts_found == 0
@@ -305,8 +307,8 @@ def test_dive_both_directions_dead_records_conflict():
     # x1 + x2 = 0.5 admits no 0/1 completion: after the first fixing the other
     # variable is forced to 0.5 and both roundings make the LP infeasible.
     model = _model([-1, 0, 0], [[0, 1, 1]], "E", [0.5])
-    tree, lp, env = _root(model)
-    out = run_diving("frac_dive", lp, env, DIVE,
+    tree, lp, bounds = _root(model)
+    out = run_diving("frac_dive", lp, tree, bounds, DIVE,
                      np.random.default_rng(0))
     assert not out.found_incumbent and tree.incumbent is None
     assert out.conflicts_found == 1
@@ -322,7 +324,7 @@ def test_dive_both_directions_dead_records_conflict():
 def test_each_dive_lp_starts_from_the_last_optimal_basis(model, monkeypatch):
     """A dive hands every LP the basis of its last optimal one, the node LP's at first,
     and the retry after an infeasible LP the same."""
-    tree, lp, env = _root(model)
+    tree, lp, bounds = _root(model)
     calls = []  # (basis handed in, result) of each dive LP
     solve = SimplexContext.solve
 
@@ -335,7 +337,7 @@ def test_each_dive_lp_starts_from_the_last_optimal_basis(model, monkeypatch):
     lps = retries = 0
     for kind, seed in itertools.product(("frac_dive", "coef_dive", "rand_dive"), range(4)):
         calls.clear()
-        run_diving(kind, lp, env, DIVE, np.random.default_rng(seed))
+        run_diving(kind, lp, tree, bounds, DIVE, np.random.default_rng(seed))
         last = lp.basis
         lps += len(calls)
         for k, (given, res) in enumerate(calls):
@@ -353,25 +355,25 @@ def test_dive_respects_max_depth():
         "L",
         [11],
     )
-    tree, lp, env = _root(model)
-    out = run_diving("coef_dive", lp, env, replace(DIVE, budget=1),
+    tree, lp, bounds = _root(model)
+    out = run_diving("coef_dive", lp, tree, bounds, replace(DIVE, budget=1),
                      np.random.default_rng(0))
     assert out.nodes_used <= 1
 
 
 def test_dive_stops_once_the_deadline_has_passed():
     model = generate_instance("gap", (24, 4), 5)
-    tree, lp, env = _root(model)
-    assert env.deadline is not None and env.deadline == tree.deadline
+    tree, lp, bounds = _root(model)
+    assert tree.deadline is not None
     solves = []
     solve = tree.ctx.solve
     tree.ctx.solve = lambda *a, **k: solves.append(1) or solve(*a, **k)
-    run_diving("frac_dive", lp, replace(env, deadline=None), DIVE,
-               np.random.default_rng(0))
+    tree.deadline = None
+    run_diving("frac_dive", lp, tree, bounds, DIVE, np.random.default_rng(0))
     assert len(solves) >= 2  # without a deadline this dive re-solves its LP several times
     solves.clear()
-    out = run_diving("frac_dive", lp, replace(env, deadline=time.perf_counter() - 1.0),
-                     DIVE, np.random.default_rng(0))
+    tree.deadline = time.perf_counter() - 1.0
+    out = run_diving("frac_dive", lp, tree, bounds, DIVE, np.random.default_rng(0))
     assert len(solves) <= 1
     assert not out.found_incumbent
 
@@ -404,8 +406,8 @@ def test_rand_dive_deterministic_per_seed():
     )
 
     def once():
-        tree, lp, env = _root(model)
-        out = run_diving("rand_dive", lp, env, DIVE,
+        tree, lp, bounds = _root(model)
+        out = run_diving("rand_dive", lp, tree, bounds, DIVE,
                          np.random.default_rng(99))
         return (out.nodes_used, out.conflicts_found, out.found_incumbent,
                 None if tree.incumbent is None else tuple(tree.incumbent.values))
@@ -419,30 +421,30 @@ def test_rand_dive_deterministic_per_seed():
 
 def test_lns_fixing_count_is_ceil_f_times_I():
     model = _model([-1] * 10, [[1] * 10], "L", [4.5])
-    tree, lp, env = _root(model)
-    out = run_lns("rens", lp, env, replace(LNS, value=0.9),
+    tree, lp, bounds = _root(model)
+    out = run_lns("rens", lp, tree, replace(LNS, value=0.9),
                   np.random.default_rng(0))
     assert out.fixed_count == 9  # ceil(0.9 * 10)
 
 
 def test_rins_needs_incumbent():
     model = _model([-1, -1], [[1, 1]], "L", [1.5])
-    tree, lp, env = _root(model)
+    tree, lp, bounds = _root(model)
     for kind in ("rins", "mutation"):
         with pytest.raises(NotApplicable):
-            run_lns(kind, lp, env, LNS, np.random.default_rng(0))
+            run_lns(kind, lp, tree, LNS, np.random.default_rng(0))
 
 
 def test_rins_full_agreement_no_improvement():
     # incumbent equals the optimum; with full LP agreement the sub-MIP can
     # only reproduce it, so no new incumbent is found
     model = _model([-2, -3], [[1, 2]], "L", [3])
-    tree, lp, env = _root(model)
+    tree, lp, bounds = _root(model)
     best, arg = brute_force_binary(model)
     inc = Assignment.from_values(model, arg)
     tree.incumbent = inc
     assert np.allclose(lp.x, inc.values)  # LP is integral here and agrees
-    out = run_lns("rins", lp, env, replace(LNS, value=0.5), np.random.default_rng(0))
+    out = run_lns("rins", lp, tree, replace(LNS, value=0.5), np.random.default_rng(0))
     assert not out.found_incumbent
 
 
@@ -453,12 +455,12 @@ def test_mutation_with_cutoff_below_optimum_reports_infeasible():
         "L",
         [8],
     )
-    tree, lp, env = _root(model)
+    tree, lp, bounds = _root(model)
     best, arg = brute_force_binary(model)
     inc = Assignment.from_values(model, arg)
-    env.incumbent = lambda: inc
-    env.cutoff = lambda: best - 1.0  # nothing can beat this
-    out = run_lns("mutation", lp, env, replace(LNS, value=0.5),
+    tree.incumbent = inc
+    tree.inherited_cutoff = best - 1.0  # nothing can beat this
+    out = run_lns("mutation", lp, tree, replace(LNS, value=0.5),
                   np.random.default_rng(3))
     assert out.sub_mip_infeasible
     assert not out.found_incumbent
@@ -471,8 +473,8 @@ def test_lns_node_usage_within_budget():
         "L",
         [15],
     )
-    tree, lp, env = _root(model)
-    out = run_lns("rens", lp, env, replace(LNS, value=0.3, budget=5),
+    tree, lp, bounds = _root(model)
+    out = run_lns("rens", lp, tree, replace(LNS, value=0.3, budget=5),
                   np.random.default_rng(0))
     assert out.nodes_used <= 5
 
@@ -484,17 +486,17 @@ def test_emitted_solutions_are_integral_feasible():
     for fam, size, seed in [("gap", (24, 4), 5), ("set_cover", (18, 9), 2),
                             ("knapsack", (16, 3), 1)]:
         model = generate_instance(fam, size, seed)
-        tree, lp, env = _root(model)
+        tree, lp, bounds = _root(model)
         if np.all(np.abs(lp.x - np.round(lp.x)) <= 1e-6):
             continue  # integral root, heuristics have nothing to do
-        out = run_rounding(lp, model, env.locks, env.accept, int_tol=env.int_tol)
+        out = run_rounding(lp, tree)
         if out.found_incumbent:
             ev = evaluate_solution(model, tree.incumbent)
             assert ev.feasible and ev.integral
         for kind in DIVE_KINDS + LNS_KINDS:
             if SPEC_BY_ID[kind].requires_incumbent and tree.incumbent is None:
                 continue
-            out = execute(kind, lp, env, LIMITS[kind], np.random.default_rng(seed))
+            out = execute(kind, lp, tree, bounds, LIMITS[kind], np.random.default_rng(seed))
             if out.found_incumbent:
                 ev = evaluate_solution(model, tree.incumbent)
                 assert ev.feasible and ev.integral, (fam, kind)
