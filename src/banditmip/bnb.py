@@ -19,10 +19,11 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -57,118 +58,117 @@ class SolveStatus(Enum):
     ITER_LIMIT = "iter_limit"  # a node LP ran out of simplex iterations
 
 
-@dataclass
-class SolverSettings:
-    """All knobs of one solve; scheduler constants default to the usual values."""
+_BOOLS = (bool, np.bool_)
+# each setting type: the values that have it, and its name in messages
+_KINDS = {bool: (_BOOLS, "a bool"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number"), str: (str, "a string")}
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
+           "le": ("<=", operator.le), "lt": ("<", operator.lt)}
 
-    mode: str = "scheduler"  # or "default"
-    seed: int = 0
-    node_limit: Optional[int] = None
-    time_limit_s: Optional[float] = 60.0  # desk-scale default; None disables
-    int_tol: float = DEFAULT_INT_TOL
-    feas_tol: float = DEFAULT_FEAS_TOL
-    # bandit
-    epsilon: float = 0.7
-    bandit_mode: str = "average"  # or "recency"
-    recency_alpha: float = 0.05
-    beta: float = 0.1
-    lambda_sol: float = 0.3
-    lambda_gap: float = 0.3
-    lambda_eff: float = 0.2
-    lambda_conf: float = 0.2
-    # LNS working limits
-    f_init: float = 0.9
+
+class SettingSpec(NamedTuple):
+    """What one ``SolverSettings`` field admits, read from its declaration: a finite
+    value of ``kind`` (or ``None`` when ``optional``) within ``bounds`` and any ``choices``."""
+
+    kind: type
+    optional: bool
+    bounds: dict  # "ge", "gt", "le" or "lt" -> the bound
+    choices: Optional[tuple]
+
+    def check(self, name: str, value) -> None:
+        """Raise ``InvalidSettings`` naming field ``name`` unless ``value`` is admitted."""
+        if value is None and self.optional:
+            return
+        accepted, noun = _KINDS[self.kind]
+        # a bool is not a number (True would run as 1), and an np.bool_ is a bool
+        if not isinstance(value, accepted) or (self.kind is not bool and isinstance(value, _BOOLS)):
+            none = " or None" if self.optional else ""
+            raise InvalidSettings(f"{name} must be {noun}{none}, got {value!r}")
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise InvalidSettings(f"{name} must be finite, got {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise InvalidSettings(
+                f"{name} must be {' or '.join(map(repr, self.choices))}, got {value!r}")
+        if not all(_BOUNDS[op][1](value, bound) for op, bound in self.bounds.items()):
+            domain = " and ".join(f"{_BOUNDS[op][0]} {bound}" for op, bound in self.bounds.items())
+            raise InvalidSettings(f"{name} must be {domain}, got {value!r}")
+
+
+def _setting(default, choices: Optional[tuple] = None, **bounds):
+    """A ``SolverSettings`` field with its domain: ``choices``, or bounds like ``ge=0, lt=0.5``."""
+    return field(default=default, metadata={"bounds": bounds, "choices": choices})
+
+
+@dataclass(frozen=True)
+class SolverSettings:
+    """All knobs of one solve; scheduler constants default to the usual values.
+
+    Each field declares its type (``Optional`` admits ``None``), default and domain
+    once; ``SETTING_SPECS`` reads them for ``__post_init__`` and the config reader.
+    Frozen, so every change goes through ``dataclasses.replace`` and is checked.
+    """
+
+    # "default" is the static depth-modulo baseline schedule
+    mode: str = _setting("scheduler", choices=("scheduler", "default"))
+    seed: int = 0  # any integer: the RNG streams take it mod 2**32
+    node_limit: Optional[int] = _setting(None, ge=0)  # None: no node limit
+    time_limit_s: Optional[float] = _setting(60.0, ge=0)  # desk-scale default; None disables
+    # every value is within 0.5 of an integer: from there on any LP point counts as integral
+    int_tol: float = _setting(DEFAULT_INT_TOL, ge=0, lt=0.5)
+    feas_tol: float = _setting(DEFAULT_FEAS_TOL, ge=0)  # below 0 no row activity passes
+    # bandit; epsilon_t = epsilon * sqrt(|H| / t) is a scale, not a probability
+    epsilon: float = _setting(0.7, ge=0)
+    bandit_mode: str = _setting("average", choices=("average", "recency"))
+    # the recency update mixes old weight and reward; outside [0, 1] weights go negative
+    recency_alpha: float = _setting(0.05, ge=0, le=1)
+    beta: float = _setting(0.1, ge=0)  # n failures skip floor(exp(beta n)) - 1 calls: -1 below 0
+    # the reward is a weighted sum in [0, 1]; a negative weight leaves that range
+    lambda_sol: float = _setting(0.3, ge=0)
+    lambda_gap: float = _setting(0.3, ge=0)
+    lambda_eff: float = _setting(0.2, ge=0)
+    lambda_conf: float = _setting(0.2, ge=0)
+    # LNS working limits (f_min <= f_max); f is the share of the integers a call fixes
+    f_init: float = _setting(0.9, ge=0)
     f_min: float = 0.3
     f_max: float = 0.9
-    gamma: float = 0.1
-    lns_node_budget: int = 500
-    # diving working limits
-    q_init: float = 0.05
-    q_min: float = 0.05
+    # a call scales f (gamma) or q (eta) by 1 -/+ rate: above 1 a shrink turns it negative
+    gamma: float = _setting(0.1, ge=0, le=1)
+    lns_node_budget: int = _setting(500, ge=1)  # the reward divides by the budget
+    # diving working limits (q_min <= q_max); q sets the dive's forced re-solve period
+    # 1/q, and a failed dive shrinks it toward q_min
+    q_init: float = _setting(0.05, gt=0)
+    q_min: float = _setting(0.05, gt=0)
     q_max: float = 0.3
-    eta: float = 0.1
-    dive_max_depth: int = 100
-    # static baseline schedule
-    default_freq: int = 10
+    eta: float = _setting(0.1, ge=0, le=1)
+    dive_max_depth: int = _setting(100, ge=1)  # the dive's budget, which the reward divides by
+    # static baseline schedule: a pick runs where depth % freq matches its offset
+    default_freq: int = _setting(10, ge=1)
     default_offset: int = 1
     # tree search
     plunge_depth: int = 8
-    lp_iter_limit: int = DEFAULT_ITER_LIMIT
-    shadow_lp_check: bool = False
+    # below one pivot no node LP can be solved: the search would stop at the root
+    lp_iter_limit: int = _setting(DEFAULT_ITER_LIMIT, ge=1)
+    shadow_lp_check: bool = False  # a bool, so that the string "no" cannot turn it on
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # a float field takes any real number but a bool (True would run as 1.0);
-            # anything else would fail a range check below with a bare TypeError
-            if (isinstance(f.default, float) and not (f.name == "time_limit_s" and value is None)
-                    and (isinstance(value, bool) or not isinstance(value, numbers.Real))):
-                raise InvalidSettings(f"{f.name} must be a number, got {value!r}")
-            # a NaN or infinite float fails deep in the solve otherwise
-            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                raise InvalidSettings(f"{f.name} must be finite, got {value!r}")
-        if not isinstance(self.shadow_lp_check, (bool, np.bool_)):  # "no" would turn it on
-            raise InvalidSettings(
-                f"shadow_lp_check must be a bool, got {self.shadow_lp_check!r}")
-        if self.time_limit_s is not None and self.time_limit_s < 0:
-            raise InvalidSettings(f"time_limit_s must be >= 0 or None, got {self.time_limit_s!r}")
-        if self.mode not in ("scheduler", "default"):
-            raise InvalidSettings(f"mode must be 'scheduler' or 'default', got {self.mode!r}")
-        if self.bandit_mode not in ("average", "recency"):
-            raise InvalidSettings(
-                f"bandit_mode must be 'average' or 'recency', got {self.bandit_mode!r}")
-        # every value is within 0.5 of an integer: from there on any LP point counts as integral
-        if not 0 <= self.int_tol < 0.5:
-            raise InvalidSettings(f"int_tol must be in [0, 0.5), got {self.int_tol!r}")
-        if not self.feas_tol >= 0:  # below 0 no row activity, and so no solution, passes
-            raise InvalidSettings(f"feas_tol must be >= 0, got {self.feas_tol!r}")
-        # the reward is a weighted sum in [0, 1]; a negative weight leaves that range
-        for name in ("epsilon", "lambda_sol", "lambda_gap", "lambda_eff", "lambda_conf"):
-            if not getattr(self, name) >= 0:
-                raise InvalidSettings(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        # the recency update mixes old weight and reward; outside [0, 1] weights go negative
-        if not 0 <= self.recency_alpha <= 1:
-            raise InvalidSettings(
-                f"recency_alpha must be in [0, 1], got {self.recency_alpha!r}")
-        if not self.f_init >= 0:
-            raise InvalidSettings(f"f_init must be >= 0, got {self.f_init!r}")
+        for name, spec in SETTING_SPECS.items():
+            spec.check(name, getattr(self, name))
         if not self.f_min <= self.f_max:
             raise InvalidSettings(f"f_min {self.f_min!r} exceeds f_max {self.f_max!r}")
         if not self.q_min <= self.q_max:
             raise InvalidSettings(f"q_min {self.q_min!r} exceeds q_max {self.q_max!r}")
-        # q sets the dive's forced re-solve period 1/q, and a failed dive shrinks it
-        # toward q_min; the budgets scale rewards
-        if not self.q_init > 0:
-            raise InvalidSettings(f"q_init must be > 0, got {self.q_init!r}")
-        if not self.q_min > 0:
-            raise InvalidSettings(f"q_min must be > 0, got {self.q_min!r}")
-        # a call scales f (gamma) or q (eta) by 1 -/+ rate: above 1 a shrink turns it negative
-        for name in ("gamma", "eta"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise InvalidSettings(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
-        # n failures skip floor(exp(beta n)) - 1 calls: -1 for beta < 0
-        if not self.beta >= 0:
-            raise InvalidSettings(f"beta must be >= 0, got {self.beta!r}")
-        # counts, limits and the seed: an int or a numpy integer, not a bool or a fraction
-        for name in ("node_limit", "lns_node_budget", "dive_max_depth", "default_freq",
-                     "default_offset", "plunge_depth", "lp_iter_limit", "seed"):
-            value = getattr(self, name)
-            if value is None and name == "node_limit":
-                continue  # no node limit
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidSettings(f"{name} must be an integer, got {value!r}")
-        if self.node_limit is not None and self.node_limit < 0:
-            raise InvalidSettings(f"node_limit must be >= 0, got {self.node_limit!r}")
-        # below one pivot no node LP can be solved: the search would stop at the root
-        if self.lp_iter_limit < 1:
-            raise InvalidSettings(f"lp_iter_limit must be >= 1, got {self.lp_iter_limit!r}")
-        if self.lns_node_budget < 1:
-            raise InvalidSettings(
-                f"lns_node_budget must be >= 1, got {self.lns_node_budget!r}")
-        if self.dive_max_depth < 1:
-            raise InvalidSettings(f"dive_max_depth must be >= 1, got {self.dive_max_depth!r}")
-        if self.default_freq < 1:
-            raise InvalidSettings(f"default_freq must be >= 1, got {self.default_freq!r}")
+
+
+def _spec(hint, domain) -> SettingSpec:
+    args = get_args(hint)  # Optional[X] is Union[X, None]
+    optional = type(None) in args
+    kind = next(a for a in args if a is not type(None)) if optional else hint
+    return SettingSpec(kind, optional, domain.get("bounds", {}), domain.get("choices"))
+
+
+# every SolverSettings field's spec, read once from the declarations above
+_HINTS = get_type_hints(SolverSettings)
+SETTING_SPECS = {f.name: _spec(_HINTS[f.name], f.metadata) for f in fields(SolverSettings)}
 
 
 @dataclass

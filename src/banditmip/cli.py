@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .bnb import RunStats, SolverSettings, solve
+from .bnb import SETTING_SPECS, RunStats, SolverSettings, solve
 from .heuristics import DEFAULT_ORDER
 from .model import load_instance
 
@@ -255,13 +255,8 @@ def format_summary(rows) -> str:
 # config files
 # ---------------------------------------------------------------------------
 
-_OPTIONAL_INT_KEYS = {"node_limit"}
-_OPTIONAL_FLOAT_KEYS = {"time_limit_s"}
-
-
 def apply_config(settings: SolverSettings, text: str) -> SolverSettings:
     """Apply flat ``key = value`` overrides; unknown keys are an error."""
-    valid = {f.name for f in dataclasses.fields(SolverSettings)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -270,36 +265,32 @@ def apply_config(settings: SolverSettings, text: str) -> SolverSettings:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in valid:
+        if key not in SETTING_SPECS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            updates[key] = _coerce(settings, key, value)
+            updates[key] = _parse(key, value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
     return dataclasses.replace(settings, **updates)
 
 
-def _coerce(settings, key, value):
-    """``value`` as the type of setting ``key``; a ValueError names the key and the value."""
-    current = getattr(settings, key)
-    if key in _OPTIONAL_INT_KEYS or key in _OPTIONAL_FLOAT_KEYS:
-        if value.lower() == "none":
-            return None
-        kind = int if key in _OPTIONAL_INT_KEYS else float
-    elif isinstance(current, bool):
+def _parse(key: str, value: str):
+    """``value`` as the declared type of setting ``key``; a ValueError names both."""
+    spec = SETTING_SPECS[key]
+    if spec.optional and value.lower() == "none":
+        return None
+    if spec.kind is bool:
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"key {key!r}: expected a boolean, got {value!r}")
-    elif isinstance(current, (int, float)):
-        kind = int if isinstance(current, int) else float
-    else:
+    if spec.kind is str:
         return value
     try:
-        return kind(value)
+        return spec.kind(value)
     except ValueError:
-        expected = "an integer" if kind is int else "a number"
+        expected = "an integer" if spec.kind is int else "a number"
         raise ValueError(f"key {key!r}: expected {expected}, got {value!r}") from None
 
 
@@ -392,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve a single instance")
     ps.add_argument("instance", help="gen:... URI or MPS file path")
-    ps.add_argument("--mode", choices=("default", "scheduler"), default=None)
+    ps.add_argument("--mode", choices=SETTING_SPECS["mode"].choices, default=None)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--time-limit", type=float, default=None)
     ps.add_argument("--node-limit", type=int, default=None)

@@ -670,7 +670,12 @@ def write_mps(model: MipModel) -> str:
 
 
 def load_instance(uri: str) -> MipModel:
-    """Resolve ``gen:family:n=...,m=...,seed=...`` URIs or read an MPS file."""
+    """Resolve ``gen:family:n=...,m=...,seed=...`` URIs or read an MPS file.
+
+    A ``gen:`` URI sets each of the integer keys ``n``, ``m`` and ``seed`` (default
+    0) at most once; any other key, a repeat or a non-integer value is a ValueError
+    that names the URI and the key.
+    """
     if uri.startswith("gen:"):
         parts = uri.split(":")
         if len(parts) != 3:
@@ -680,8 +685,16 @@ def load_instance(uri: str) -> MipModel:
         for item in parts[2].split(","):
             if "=" not in item:
                 raise ValueError(f"bad instance uri {uri!r}")
-            k, v = item.split("=", 1)
-            params[k.strip()] = int(v)
+            k, v = (part.strip() for part in item.split("=", 1))
+            if k not in ("n", "m", "seed"):
+                raise ValueError(f"instance uri {uri!r}: unknown key {k!r}, expected n, m or seed")
+            if k in params:
+                raise ValueError(f"instance uri {uri!r}: key {k!r} given twice")
+            try:
+                params[k] = int(v)
+            except ValueError:
+                raise ValueError(f"instance uri {uri!r}: key {k!r} must be an integer, "
+                                 f"got {v!r}") from None
         if "n" not in params or "m" not in params:
             raise ValueError(f"instance uri {uri!r} must set n and m")
         return generate_instance(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import time
@@ -145,6 +146,15 @@ def test_settings_accept_numpy_integers_and_a_zero_node_limit():
     assert (settings.node_limit, settings.seed, settings.lp_iter_limit) == (5, 3, 1)
     assert SolverSettings(node_limit=0).node_limit == 0
     assert SolverSettings(node_limit=None).node_limit is None
+
+
+def test_settings_are_frozen_so_every_change_is_checked():
+    settings = SolverSettings(seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        settings.int_tol = 0.6  # unchecked, this made a feasible gap model solve INFEASIBLE
+    with pytest.raises(InvalidSettings, match="int_tol"):
+        dataclasses.replace(settings, int_tol=0.6)
+    assert dataclasses.replace(settings, int_tol=0.1).int_tol == 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from banditmip.cli import (
@@ -452,6 +454,25 @@ def test_config_overrides_settings():
     assert settings.bandit_mode == "recency"
     assert settings.node_limit == 123
     assert settings.shadow_lp_check is True
+
+
+@pytest.mark.parametrize("settings, line, expected", [
+    (SolverSettings(beta=1), "beta = 0.5", 0.5),
+    (SolverSettings(seed=np.int64(3)), "seed = 4", 4),
+    (SolverSettings(f_init=np.float32(0.5)), "f_init = 0.7", 0.7),
+], ids=["int_in_float_field", "numpy_int", "numpy_float"])
+def test_config_types_values_by_declaration_not_current_value(settings, line, expected):
+    key = line.split("=")[0].strip()
+    value = getattr(apply_config(settings, line), key)
+    assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(SolverSettings), ids=lambda f: f.name)
+def test_config_reads_every_default_back(f):
+    # a field whose declared type the reader cannot parse fails here
+    text = "none" if f.default is None else str(f.default)
+    value = getattr(apply_config(SolverSettings(), f"{f.name} = {text}"), f.name)
+    assert value == f.default and type(value) is type(f.default)
 
 
 def test_config_unknown_key_is_error():

@@ -541,3 +541,15 @@ def test_load_instance_uri_and_file(tmp_path):
 def test_load_instance_bad_uri(uri):
     with pytest.raises(ValueError):
         load_instance(uri)
+
+
+@pytest.mark.parametrize("uri, key", [
+    ("gen:gap:n=10,m=2,sed=3", "sed"),  # a misspelt seed must not solve seed 0
+    ("gen:gap:n=10,m=2,seed=1,seed=2", "seed"),
+    ("gen:gap:n=10,m=2,seed=x", "seed"),
+    ("gen:gap:n=10.5,m=2", "n"),
+])
+def test_load_instance_bad_uri_key_names_uri_and_key(uri, key):
+    with pytest.raises(ValueError) as err:
+        load_instance(uri)
+    assert repr(uri) in str(err.value) and f"key {key!r}" in str(err.value), str(err.value)
