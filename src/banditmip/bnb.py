@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, get_args, get_type_hints
 import numpy as np
 
 from .model import (DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Assignment, MipModel,
-                    evaluate_solution, snap_integral)
+                    evaluate_solution, fractionality, round_half_down, snap_integral)
 from .simplex import (
     DEFAULT_ITER_LIMIT,
     BoundState,
@@ -262,17 +262,16 @@ class SolveResult:
 def select_branch_variable(lp: LpResult, model: MipModel, int_tol: float) -> int:
     """Most fractional integer variable, ties broken by lowest index.
 
-    Fractionalities within 1e-9 count as tied so that values like 0.3 and 0.7
+    The candidates are exactly the variables whose ``fractionality`` exceeds
+    ``int_tol``, the ones ``snap_integral`` rejects.  Fractionalities within
+    1e-9 of the running best count as tied, so that values like 0.3 and 0.7
     compare equal despite binary representation dust.
     """
-    ints = model.integers
-    v = lp.x[ints]
-    fracs = np.minimum(v - np.floor(v), np.ceil(v) - v)
-    best_j, best_frac = -1, int_tol
-    # only a fractionality above int_tol + 1e-9 can ever replace the running best
-    for k in np.flatnonzero(fracs > int_tol + 1e-9):
+    fracs = fractionality(lp.x[model.integers])
+    best_j, best_frac = -1, -INF
+    for k in np.flatnonzero(fracs > int_tol):
         if fracs[k] > best_frac + 1e-9:
-            best_j, best_frac = int(ints[k]), fracs[k]
+            best_j, best_frac = int(model.integers[k]), fracs[k]
     if best_j < 0:
         raise NoFractionalVariable("LP solution is integral on all integer variables")
     return best_j
@@ -465,7 +464,7 @@ class TreeSearch:
             up = Node(self.next_id, node.depth + 1,
                       node.bounds.tightened(j, lo=math.ceil(v)), lp.objective, lp.basis)
             self.next_id += 1
-            prefer, other = (down, up) if v - math.floor(v) <= 0.5 else (up, down)
+            prefer, other = (down, up) if round_half_down(v) < v else (up, down)
             if self.plunge_streak < settings.plunge_depth:
                 self.pending = prefer
                 self._push(other)

@@ -161,10 +161,12 @@ def _read_runs(fh):
             continue
         for col in ("time_s", "nodes", "heurtime_s"):  # the columns summarize aggregates
             try:
-                float(row[col])
+                usable = 0 <= float(row[col]) < math.inf  # NaN fails this too
             except (TypeError, ValueError):
+                usable = False
+            if not usable:
                 raise SchemaMismatch(f"stats CSV line {reader.line_num}: column {col!r} "
-                                     f"holds {row[col]!r}, not a number") from None
+                                     f"holds {row[col]!r}, not a finite number >= 0")
         key = (row["instance"], row["seed"])
         pairs.setdefault(key, {})[row["mode"]] = row
     return {k: v for k, v in pairs.items()
@@ -256,8 +258,8 @@ def format_summary(rows) -> str:
 # ---------------------------------------------------------------------------
 
 def apply_config(settings: SolverSettings, text: str) -> SolverSettings:
-    """Apply flat ``key = value`` overrides; unknown keys are an error."""
-    updates = {}
+    """Apply flat ``key = value`` overrides; an unknown or repeated key is an error."""
+    updates, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -267,6 +269,9 @@ def apply_config(settings: SolverSettings, text: str) -> SolverSettings:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SETTING_SPECS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             updates[key] = _parse(key, value)
         except ValueError as exc:

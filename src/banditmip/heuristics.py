@@ -17,6 +17,11 @@ model, LP context, root bounds, locks, settings, deadline, incumbent and
 cutoff.  No heuristic judges its own candidates: each hands the point it
 found to ``tree.update_incumbent``, which checks feasibility, integrality and
 improvement and reports whether it was taken.
+
+Rounding, dives and LNS, like the tree's branching, judge integrality with
+:func:`~banditmip.model.fractionality` and round to the nearest integer with
+:func:`~banditmip.model.round_half_down`, the one rule ``model.py`` defines;
+only directed roundings (bounds, dive directions) call ``floor`` or ``ceil``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import MipModel, snap_integral
+from .model import MipModel, fractionality, round_half_down, snap_integral
 from .simplex import INF, BoundState, LpResult, LpStatus
 
 if TYPE_CHECKING:
@@ -121,21 +126,10 @@ def variable_locks(model: MipModel):
             np.bincount(model.indices[up], minlength=model.n))
 
 
-def _round_nearest(x: float) -> float:
-    r = math.floor(x)
-    return r if x - r <= 0.5 else r + 1.0
-
-
-def _frac(v: float) -> float:
-    f = v - math.floor(v)
-    return min(f, 1.0 - f)
-
-
 def _open_fractional(ints: np.ndarray, x: np.ndarray, bounds, int_tol: float) -> list:
     """The integer variables, in the order of ``ints``, with an open domain and fractional x."""
-    f = x[ints] - np.floor(x[ints])
     keep = ((bounds.upper[ints] - bounds.lower[ints] > 1e-9)
-            & (np.minimum(f, 1.0 - f) > int_tol))
+            & (fractionality(x[ints]) > int_tol))
     return ints[keep].tolist()
 
 
@@ -150,11 +144,10 @@ def run_rounding(lp: LpResult, tree: TreeSearch) -> HeurOutcome:
     down, up = tree.locks[0][ints], tree.locks[1][ints]
     x = lp.x.copy()
     v = x[ints]
-    near, below, above = np.round(v), np.floor(v), np.ceil(v)
-    nearest = np.where(v - below <= 0.5, below, below + 1.0)  # _round_nearest
-    t = np.where(down < up, below, np.where(up < down, above, nearest))
+    nearest = round_half_down(v)
+    t = np.where(down < up, np.floor(v), np.where(up < down, np.ceil(v), nearest))
     t = np.minimum(np.maximum(t, model.lower[ints]), model.upper[ints])
-    x[ints] = np.where(np.abs(v - near) <= tree.settings.int_tol, near, t)
+    x[ints] = np.where(fractionality(v) <= tree.settings.int_tol, nearest, t)
     return HeurOutcome(heuristic="rounding",
                        found_incumbent=bool(tree.update_incumbent(x, "rounding")))
 
@@ -166,20 +159,11 @@ def _fixed_difference(bounds: BoundState, root: BoundState, exclude=()):
     variable is tightened without being fixed, in which case the difference
     does not describe a plain partial assignment.
     """
-    fix = {}
-    pure = True
-    diff = np.nonzero(
-        (bounds.lower != root.lower) | (bounds.upper != root.upper)
-    )[0]
-    for j in diff:
-        j = int(j)
-        if j in exclude:
-            continue
-        if bounds.lower[j] == bounds.upper[j]:
-            fix[j] = float(bounds.lower[j])
-        else:
-            pure = False
-    return fix, pure
+    differs = (bounds.lower != root.lower) | (bounds.upper != root.upper)
+    differs[list(exclude)] = False
+    fixed = differs & (bounds.lower == bounds.upper)
+    fix = {int(j): float(bounds.lower[j]) for j in np.flatnonzero(fixed)}
+    return fix, not np.any(differs & ~fixed)
 
 
 def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
@@ -220,17 +204,18 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
                 return finish()  # LP is fresh and nothing is left to fix
             must_solve = True  # confirm integrality on a fresh LP
         else:
+            # argmin takes the first of tied candidates, which ascend: the lowest index
             if kind == "frac_dive":
-                j = min(cands, key=lambda jj: (_frac(x_ref[jj]), jj))
-                target = _round_nearest(x_ref[j])
+                j = cands[np.argmin(fractionality(x_ref[cands]))]
+                target = round_half_down(x_ref[j])
             elif kind == "coef_dive":
-                j = min(cands, key=lambda jj: (min(down_locks[jj], up_locks[jj]), jj))
+                j = cands[np.argmin(np.minimum(down_locks[cands], up_locks[cands]))]
                 if down_locks[j] < up_locks[j]:
                     target = math.floor(x_ref[j])
                 elif up_locks[j] < down_locks[j]:
                     target = math.ceil(x_ref[j])
                 else:
-                    target = _round_nearest(x_ref[j])
+                    target = round_half_down(x_ref[j])
             else:  # rand_dive
                 j = int(rng.choice(np.array(cands)))
                 target = (math.floor(x_ref[j]) if rng.random() < 0.5
@@ -298,50 +283,35 @@ def run_lns(kind: str, lp: LpResult, tree: TreeSearch, limit: WorkingLimit,
     incumbent = tree.incumbent
     if spec.requires_incumbent and incumbent is None:
         raise NotApplicable(f"{kind} needs an incumbent")
-    model = tree.model
-    ints = [int(j) for j in model.integers]
-    if not ints:
+    ints = tree.model.integers
+    if not len(ints):
         raise NotApplicable(f"{kind}: model has no integer variables")
     t0 = time.perf_counter()
     out = HeurOutcome(heuristic=kind)
     k = min(math.ceil(limit.value * len(ints)), len(ints))
-    xlp = lp.x
-    frac = {j: _frac(float(xlp[j])) for j in ints}
+    xi = lp.x[ints]
+    by_frac = np.argsort(fractionality(xi), kind="stable")  # (frac, j) order: ints ascend
+    lower, upper = tree.root_bounds.lower.copy(), tree.root_bounds.upper.copy()
 
-    fixings = []  # (var, integer value)
-    boxes = []  # (var, lo, hi)
+    # chosen: positions in ints to fix to values; rens boxes the others to [floor, ceil]
     if kind == "rens":
-        order = sorted(ints, key=lambda j: (frac[j], j))
-        chosen = order[:k]
-        for j in chosen:
-            fixings.append((j, _round_nearest(float(xlp[j]))))
-        for j in order[k:]:
-            boxes.append((j, math.floor(xlp[j]), math.ceil(xlp[j])))
-    elif kind == "rins":
-        inc = incumbent.values
-        agree = [j for j in ints if abs(xlp[j] - round(inc[j])) <= tree.settings.int_tol]
-        agree.sort(key=lambda j: (abs(xlp[j] - round(inc[j])), j))
-        chosen = agree[:k]
-        if len(chosen) < k:
-            chosen_set = set(chosen)
-            rest = [j for j in ints if j not in chosen_set]
-            rest.sort(key=lambda j: (frac[j], j))
-            chosen = chosen + rest[: k - len(chosen)]
-        for j in chosen:
-            fixings.append((j, float(round(inc[j]))))
-    else:  # mutation
-        inc = incumbent.values
-        pick = rng.choice(len(ints), size=k, replace=False)
-        for idx in sorted(int(i) for i in pick):
-            j = ints[idx]
-            fixings.append((j, float(round(inc[j]))))
-
-    bounds = tree.root_bounds
-    for j, blo, bhi in boxes:
-        bounds = bounds.tightened(j, lo=blo, hi=bhi)
-    for j, v in fixings:
-        v = min(max(v, tree.root_bounds.lower[j]), tree.root_bounds.upper[j])
-        bounds = bounds.fixed(j, v)
+        chosen, box = by_frac[:k], ints[by_frac[k:]]
+        values = round_half_down(xi[chosen])
+        lower[box] = np.maximum(lower[box], np.floor(lp.x[box]))
+        upper[box] = np.minimum(upper[box], np.ceil(lp.x[box]))
+    else:
+        inc = round_half_down(incumbent.values[ints])
+        if kind == "rins":
+            dist = np.abs(xi - inc)
+            agree = np.flatnonzero(dist <= tree.settings.int_tol)
+            agree = agree[np.argsort(dist[agree], kind="stable")]
+            chosen = np.concatenate([agree, by_frac[~np.isin(by_frac, agree)]])[:k]
+        else:  # mutation
+            chosen = np.sort(rng.choice(len(ints), size=k, replace=False))
+        values = inc[chosen]
+    cols = ints[chosen]
+    lower[cols] = upper[cols] = np.minimum(np.maximum(values, lower[cols]), upper[cols])
+    bounds = BoundState(lower=lower, upper=upper)
     out.fixed_count = k
 
     cutoff = tree.effective_cutoff()

@@ -164,7 +164,8 @@ class MipModel:
 
 def _integral(a: np.ndarray) -> np.ndarray:
     """Which entries of ``a`` are finite whole numbers."""
-    return np.isfinite(a) & (a == np.round(a))
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN fractionality, never 0
+        return fractionality(a) == 0
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,7 @@ def evaluate_solution(
             model.lower - values,
             values - model.upper,
         ]), initial=0.0)
-        xi = values[model.integers]
-        integral = bool(np.all(np.abs(xi - np.round(xi)) <= int_tol))
+        integral = bool(np.all(fractionality(values[model.integers]) <= int_tol))
         objective = float(model.c @ values)
     # a NaN, from a non-finite entry or an overflow, would compare as no
     # violation at all: count it as an infinite one
@@ -231,14 +231,31 @@ def evaluate_solution(
     )
 
 
+def fractionality(v):
+    """Distance from ``v`` (a number or an array) to its nearest integer.
+
+    The one integrality measure: a value is integral when this is at most
+    ``int_tol``.  Equals ``abs(v - round_half_down(v))`` bit for bit.
+    """
+    return np.minimum(v - np.floor(v), np.ceil(v) - v)
+
+
+def round_half_down(v):
+    """The integer nearest ``v`` (a number or an array), the lower one on a tie.
+
+    The one nearest rounding; directed roundings use ``floor`` and ``ceil``.
+    """
+    below, above = np.floor(v), np.ceil(v)
+    return np.where(v - below <= above - v, below, above)
+
+
 def snap_integral(model: MipModel, x: np.ndarray, int_tol: float) -> np.ndarray | None:
     """``x`` with its integer variables rounded, or None when one is more than ``int_tol`` off."""
     xi = x[model.integers]
-    near = np.round(xi)
-    if not np.all(np.abs(xi - near) <= int_tol):
+    if not np.all(fractionality(xi) <= int_tol):
         return None
     out = x.copy()
-    out[model.integers] = near
+    out[model.integers] = round_half_down(xi)
     return out
 
 

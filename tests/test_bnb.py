@@ -422,10 +422,10 @@ def test_branch_tie_breaks_lowest_index():
 
 def _branch_loop(x, model, int_tol):
     """The per-variable most-fractional rule, as the reference for the vectorized one."""
-    best_j, best_frac = -1, int_tol
+    best_j, best_frac = -1, -math.inf
     for j in model.integers:
         frac = min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j])
-        if frac > best_frac + 1e-9:
+        if frac > int_tol and frac > best_frac + 1e-9:
             best_j, best_frac = int(j), frac
     return best_j
 
@@ -452,6 +452,42 @@ def test_branch_raises_on_integral():
     model = _model([0, 0], [], "", [])
     with pytest.raises(NoFractionalVariable):
         select_branch_variable(_lp_with([1.0, 0.0]), model, INT_TOL)
+
+
+@pytest.mark.parametrize("rhs", [1.0000005e-6, 1 - 1.0000005e-6])
+def test_fractionality_just_past_int_tol_is_branched_on(rhs):
+    # x0 sits int_tol + 5e-13 off an integer: too far to snap, so it must be a
+    # branching candidate; a stricter branching threshold raised NoFractionalVariable
+    model = _model([-1, 0], [[1, 1]], "L", [rhs])
+    res = solve(model, SolverSettings())
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == 0.0
+
+
+def test_one_integrality_rule_for_snapping_and_branching():
+    rng = np.random.default_rng(17)
+    tol = INT_TOL
+    k = rng.integers(-5, 6, size=4000).astype(float)
+    v = np.concatenate([
+        rng.uniform(-6, 6, size=4000),  # negatives included
+        k + 0.5,  # exact ties
+        k + rng.choice([1.0, -1.0], size=4000) * (tol + rng.choice([-5e-10, 5e-10], size=4000)),
+        k + rng.choice([0.0, tol, -tol], size=4000),
+    ])
+    frac, near = model_mod.fractionality(v), model_mod.round_half_down(v)
+    assert frac.tobytes() == np.abs(v - near).tobytes()
+    assert np.all(near[k.size:2 * k.size] == k)  # a tie rounds down
+    assert [float(model_mod.fractionality(float(x))) for x in v[:50]] == list(frac[:50])
+    model = _model([0] * 6, [], "", [])
+    for _ in range(2000):
+        x = rng.choice(v, size=6)
+        snapped = model_mod.snap_integral(model, x, tol)
+        try:
+            select_branch_variable(_lp_with(x), model, tol)
+            branched = True
+        except NoFractionalVariable:
+            branched = False
+        assert (snapped is None) == branched
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,19 @@ def test_summarize_names_a_non_numeric_cell():
         summarize_runs(io.StringIO(_csv_text(rows)))
 
 
+@pytest.mark.parametrize("col, cell", [
+    ("time_s", "-5"), ("time_s", "nan"), ("nodes", "-1"), ("nodes", "inf"),
+    ("heurtime_s", "-0.5"), ("heurtime_s", "nan"),
+])
+def test_summarize_names_a_negative_or_non_finite_cell(col, cell):
+    rows = [_row("a", 1, "default"), _row("a", 1, "scheduler")]
+    rows[1][col] = cell
+    with pytest.raises(SchemaMismatch) as err:
+        summarize_runs(io.StringIO(_csv_text(rows)))
+    assert str(err.value) == (f"stats CSV line 3: column {col!r} holds {cell!r}, "
+                              "not a finite number >= 0")
+
+
 def test_summarize_non_numeric_cell_exits_with_error(tmp_path, capsys):
     rows = [_row("a", 1, "default"), _row("a", 1, "scheduler")]
     rows[0]["time_s"] = "abc"
@@ -478,6 +491,12 @@ def test_config_reads_every_default_back(f):
 def test_config_unknown_key_is_error():
     with pytest.raises(ValueError, match="unknown key"):
         apply_config(SolverSettings(), "no_such_knob = 3\n")
+
+
+def test_config_repeated_key_names_both_lines():
+    with pytest.raises(ValueError) as err:
+        apply_config(SolverSettings(), "seed = 1\n# again\nseed = 2\n")
+    assert str(err.value) == "config line 3: key 'seed' already set on line 1"
 
 
 @pytest.mark.parametrize("line, message", [

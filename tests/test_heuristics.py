@@ -16,9 +16,7 @@ from banditmip.heuristics import (
     PORTFOLIO,
     SPEC_BY_ID,
     WorkingLimit,
-    _frac,
     _open_fractional,
-    _round_nearest,
     adapt_limit,
     portfolio_limits,
     run_diving,
@@ -194,6 +192,18 @@ def test_rounding_fails_on_equality_row():
     assert not np.allclose(np.round(lp.x), lp.x)  # LP sits at a fractional split
     out = run_rounding(lp, tree)
     assert not out.found_incumbent and tree.incumbent is None
+
+
+def _round_nearest(x: float) -> float:
+    """Nearest integer, the lower one on a tie: a scalar reference for the solver's rule."""
+    r = math.floor(x)
+    return r if x - r <= 0.5 else r + 1.0
+
+
+def _frac(v: float) -> float:
+    """Distance to the nearest integer: a scalar reference for the solver's rule."""
+    f = v - math.floor(v)
+    return min(f, 1.0 - f)
 
 
 def _rounding_loop(x, model, locks, int_tol):
