@@ -9,9 +9,13 @@ controlled portfolio.  The tree holds one heuristic policy: the online
 baseline).  Both run their picks through ``run_scheduled_heuristics``, which
 executes, records and returns each call for the tree to charge; only
 scheduler calls carry a reward, and only the scheduler adapts its limits.
-Conflicts reported by the heuristics are counted and, when they describe a
-pure binary partial assignment proven infeasible, stored as no-good cuts that
-all later node LPs (and LNS sub-MIPs) include.
+The tree alone decides what a failed search proves.  ``beats_cutoff`` is the
+one cutoff test: the incumbent check, the prunes and the dives use it, and a
+prune that relied on a cutoff inherited from the calling tree marks the
+result ``cutoff_pruned``.  A heuristic hands ``record_conflict`` the bounds it
+proved infeasible; when they differ from the root's only by fixed binaries,
+the no-good cut excluding that assignment joins all later node LPs (and LNS
+sub-MIPs).
 """
 
 from __future__ import annotations
@@ -185,23 +189,6 @@ class ConflictPool:
     nogood_cuts: list = field(default_factory=list)  # (cols, vals, sense, rhs)
 
 
-def add_conflict(pool: ConflictPool, model: MipModel, fixing: dict,
-                 cut_ok: bool = True) -> bool:
-    """Store a no-good for a proven-infeasible partial fixing that is all-binary.
-
-    The stored cut sum(x_j, j fixed to 0) + sum(1 - x_j, j fixed to 1) >= 1
-    excludes exactly the assignments extending the fixing.  Returns True when
-    a cut was stored.
-    """
-    if not (fixing and cut_ok and all(model.is_binary(j) for j in fixing)):
-        return False
-    cols = np.array(sorted(fixing), dtype=np.int64)
-    vals = np.array([-1.0 if fixing[int(j)] > 0.5 else 1.0 for j in cols])
-    ones = int(sum(1 for j in cols if fixing[int(j)] > 0.5))
-    pool.nogood_cuts.append((cols, vals, "G", 1.0 - ones))
-    return True
-
-
 @dataclass
 class HeurStat:
     pulls: int = 0
@@ -250,7 +237,7 @@ class SolveResult:
     nodes_processed: int
     stats: RunStats
     scheduler_log: list = field(default_factory=list)
-    conflict_pool: Optional[ConflictPool] = None
+    conflict_pool: ConflictPool = field(default_factory=ConflictPool)
     cutoff_pruned: bool = False
     incumbent_log: list = field(default_factory=list)  # (source, objective)
 
@@ -303,7 +290,7 @@ class TreeSearch:
         self.heap = []  # (parent_dualbound, id, Node)
         self.pending: Optional[Node] = None
         self.plunge_streak = 0
-        self.bound_prunes_blind = 0  # bound prunes before any own incumbent
+        self.cutoff_pruned = False  # a prune relied on the inherited cutoff
         self.deadline = deadline
         if settings.time_limit_s is not None:
             own = time.perf_counter() + settings.time_limit_s
@@ -330,33 +317,56 @@ class TreeSearch:
         own = self.incumbent.objective if self.incumbent is not None else INF
         return min(own, self.inherited_cutoff)
 
+    def beats_cutoff(self, objective: float) -> bool:
+        """The one cutoff test: only an objective strictly below the cutoff is worth having."""
+        return objective < self.effective_cutoff() - 1e-9
+
     def update_incumbent(self, x: np.ndarray, source: str = "lp") -> bool:
         """The one check of every candidate: keep x if integral-feasible and strictly improving."""
         ev = evaluate_solution(self.model, x, int_tol=self.settings.int_tol,
                                feas_tol=self.settings.feas_tol)
-        if not (ev.feasible and ev.integral) or ev.objective >= self.effective_cutoff() - 1e-9:
+        if not (ev.feasible and ev.integral and self.beats_cutoff(ev.objective)):
             return False
         self.incumbent = Assignment.from_values(self.model, x)
         self.incumbent_log.append((source, ev.objective))
         return True
 
-    def _note_bound_prune(self):
+    def _pruned(self, bound: float) -> bool:
+        """Whether a node with this bound is pruned; notes one that needed the inherited cutoff."""
+        if self.beats_cutoff(bound):
+            return False
         if self.incumbent is None and self.inherited_cutoff < INF:
-            self.bound_prunes_blind += 1
+            self.cutoff_pruned = True
+        return True
 
-    def record_conflict(self, fixing: dict, cut_ok: bool):
-        """Take a heuristic's proven-infeasible fixing; a no-good cut joins every later LP."""
-        if add_conflict(self.pool, self.model, fixing, cut_ok):
-            cols, vals, sense, rhs = self.pool.nogood_cuts[-1]
-            self.ctx.add_cut_row(cols, vals, sense, rhs)
+    def record_conflict(self, bounds: BoundState, free: Optional[int] = None):
+        """Store the no-good of ``bounds``, proven infeasible, for every later LP.
 
-    def sub_solve(self, bounds: BoundState, node_limit: int, cutoff: Optional[float]):
-        """Solve an LNS sub-MIP on ``bounds`` with this tree's cuts, deadline and settings."""
+        Only bounds that differ from ``root_bounds`` by fixing binaries (variable
+        ``free`` aside) describe a partial assignment; the cut
+        sum(x_j, j fixed to 0) + sum(1 - x_j, j fixed to 1) >= 1 excludes exactly
+        the assignments extending it.  Other bounds store nothing.
+        """
+        root = self.root_bounds
+        differs = (bounds.lower != root.lower) | (bounds.upper != root.upper)
+        if free is not None:
+            differs[free] = False
+        cols = np.flatnonzero(differs)
+        if (not len(cols) or np.any(bounds.lower[cols] != bounds.upper[cols])
+                or not all(self.model.is_binary(j) for j in cols)):
+            return
+        ones = bounds.lower[cols] > 0.5
+        cut = (cols, np.where(ones, -1.0, 1.0), "G", 1.0 - int(ones.sum()))
+        self.pool.nogood_cuts.append(cut)
+        self.ctx.add_cut_row(*cut)
+
+    def sub_solve(self, bounds: BoundState, node_limit: int):
+        """Solve an LNS sub-MIP on ``bounds`` under this tree's cutoff, cuts, deadline, settings."""
         sub_settings = replace(self.settings, node_limit=node_limit, time_limit_s=None)
         res = solve(
             self.model, sub_settings,
             root_bounds=bounds,
-            cutoff=cutoff,
+            cutoff=self.effective_cutoff(),
             extra_cuts=list(self.pool.nogood_cuts),
             heur_layer="rounding_only",
             deadline=self.deadline,
@@ -426,9 +436,7 @@ class TreeSearch:
             node = self._next_node()
             if node is None:
                 break  # tree exhausted
-            cut = self.effective_cutoff()
-            if node.parent_dualbound >= cut - 1e-9:
-                self._note_bound_prune()
+            if self._pruned(node.parent_dualbound):
                 continue
             lp = self.ctx.solve(node.bounds, iter_limit=settings.lp_iter_limit,
                                 basis=node.basis, deadline=self.deadline)
@@ -443,20 +451,23 @@ class TreeSearch:
                 self._push(node)
                 status = SolveStatus(lp.status.value)
                 break
-            if lp.objective >= cut - 1e-9:
-                self._note_bound_prune()
+            if self._pruned(lp.objective):
                 continue
             snapped = snap_integral(self.model, lp.x, settings.int_tol)
-            if snapped is not None:
-                if not self.update_incumbent(snapped, "lp"):
-                    self._note_bound_prune()
+            if snapped is None:
+                self._run_heuristics(node, lp)
+                if self._pruned(lp.objective):
+                    continue
+                tol = settings.int_tol
+            elif self.update_incumbent(snapped, "lp") or self._pruned(self.model.c @ snapped):
                 continue
-            self._run_heuristics(node, lp)
-            cut = self.effective_cutoff()
-            if lp.objective >= cut - 1e-9:
-                self._note_bound_prune()
+            else:  # the rounded point breaks a row: branch on the integer rounding moved furthest
+                tol = 0.0
+            try:
+                j = select_branch_variable(lp, self.model, tol)
+            except NoFractionalVariable:  # the LP point itself breaks a row: no proof either way
+                self.cutoff_pruned = True
                 continue
-            j = select_branch_variable(lp, self.model, settings.int_tol)
             v = lp.x[j]
             down = Node(self.next_id, node.depth + 1,
                         node.bounds.tightened(j, hi=math.floor(v)), lp.objective, lp.basis)
@@ -505,7 +516,7 @@ class TreeSearch:
             stats=self.stats,
             scheduler_log=list(self.policy.reward_log),
             conflict_pool=self.pool,
-            cutoff_pruned=self.bound_prunes_blind > 0,
+            cutoff_pruned=self.cutoff_pruned,
             incumbent_log=list(self.incumbent_log),
         )
 
@@ -521,7 +532,8 @@ def solve(model: MipModel, settings: SolverSettings, *,
     ``cutoff`` installs an objective limit (only strictly better solutions are
     accepted); with a cutoff and no improving solution the result status is
     INFEASIBLE, with ``cutoff_pruned`` telling whether the proof relied on the
-    cutoff.  ``root_bounds`` restricts the search box (used by LNS sub-MIPs).
+    cutoff (or dropped a node whose own LP point breaks a row, which proves
+    nothing).  ``root_bounds`` restricts the search box (used by LNS sub-MIPs).
     """
     tree = TreeSearch(
         model, settings,

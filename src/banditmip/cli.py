@@ -11,6 +11,7 @@ the subset solved to optimality everywhere).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -330,19 +331,20 @@ def _settings_from_args(args) -> SolverSettings:
 def cmd_solve(args) -> int:
     try:
         settings = _settings_from_args(args)
-        stats, result = run_single(args.instance, settings)
+        # opened before the solve, so that an unusable path fails before the work
+        with open(args.log, "w") if args.log else contextlib.nullcontext() as log:
+            stats, result = run_single(args.instance, settings)
+            if log:
+                for rec in result.scheduler_log:
+                    log.write(json.dumps({"type": "call", **rec}, sort_keys=True) + "\n")
+                log.write(json.dumps(
+                    {"type": "run_stats", **stats_to_row(stats),
+                     "max_row_residual": repr(float(stats.max_row_residual))},
+                    sort_keys=True,
+                ) + "\n")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.log:
-        with open(args.log, "w") as fh:
-            for rec in result.scheduler_log:
-                fh.write(json.dumps({"type": "call", **rec}, sort_keys=True) + "\n")
-            fh.write(json.dumps(
-                {"type": "run_stats", **stats_to_row(stats),
-                 "max_row_residual": repr(float(stats.max_row_residual))},
-                sort_keys=True,
-            ) + "\n")
     obj = "-" if stats.objective is None else f"{stats.objective:.6g}"
     print(f"{args.instance}: status={stats.status} objective={obj} "
           f"nodes={stats.nodes} time={stats.time_s:.3f}s "
@@ -358,11 +360,11 @@ def cmd_bench(args) -> int:
                     if line.strip() and not line.strip().startswith("#")]
         base = _settings_from_args(args)
         seeds = _number_list(args.seeds, int, "--seeds") if args.seeds else [0]
+        with open(args.out, "w", newline="") as fh:
+            write_csv(bench_rows(uris, seeds, base), fh)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w", newline="") as fh:
-        write_csv(bench_rows(uris, seeds, base), fh)
     print(f"wrote {args.out}")
     return 0
 

@@ -16,7 +16,10 @@ Every heuristic reads the :class:`~banditmip.bnb.TreeSearch` it serves: its
 model, LP context, root bounds, locks, settings, deadline, incumbent and
 cutoff.  No heuristic judges its own candidates: each hands the point it
 found to ``tree.update_incumbent``, which checks feasibility, integrality and
-improvement and reports whether it was taken.
+improvement and reports whether it was taken.  Nor does one judge what its
+failure proves: a dive asks ``tree.beats_cutoff`` whether an LP is still worth
+following, and a dive or LNS call hands the bounds it proved infeasible to
+``tree.record_conflict``, which decides whether they make a no-good cut.
 
 Rounding, dives and LNS, like the tree's branching, judge integrality with
 :func:`~banditmip.model.fractionality` and round to the nearest integer with
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import MipModel, fractionality, round_half_down, snap_integral
-from .simplex import INF, BoundState, LpResult, LpStatus
+from .simplex import BoundState, LpResult, LpStatus
 
 if TYPE_CHECKING:
     from .bnb import TreeSearch
@@ -152,20 +155,6 @@ def run_rounding(lp: LpResult, tree: TreeSearch) -> HeurOutcome:
                        found_incumbent=bool(tree.update_incumbent(x, "rounding")))
 
 
-def _fixed_difference(bounds: BoundState, root: BoundState, exclude=()):
-    """Fixings that distinguish ``bounds`` from the root domain.
-
-    Returns (fixing dict, pure) where ``pure`` is False if any differing
-    variable is tightened without being fixed, in which case the difference
-    does not describe a plain partial assignment.
-    """
-    differs = (bounds.lower != root.lower) | (bounds.upper != root.upper)
-    differs[list(exclude)] = False
-    fixed = differs & (bounds.lower == bounds.upper)
-    fix = {int(j): float(bounds.lower[j]) for j in np.flatnonzero(fixed)}
-    return fix, not np.any(differs & ~fixed)
-
-
 def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
                limit: WorkingLimit, rng: np.random.Generator) -> HeurOutcome:
     """Probe one path of fixings below node ``bounds``: sparse LP re-solves, one-level backtracking."""
@@ -247,19 +236,15 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
                                        deadline=tree.deadline)
             if retry is None or retry.status is LpStatus.INFEASIBLE:
                 out.conflicts_found = 1
-                fix, pure = _fixed_difference(prev, tree.root_bounds, exclude=(j,))
-                # the cut only excludes the prior fixings, so it needs both
-                # directions of a binary variable actually proven dead
-                cut_ok = (pure and model.is_binary(j)
-                          and retry is not None
-                          and retry.status is LpStatus.INFEASIBLE)
-                tree.record_conflict(fix, cut_ok)
+                # both values of a binary j dead prove the bounds before its fixing infeasible
+                if retry is not None and model.is_binary(j):
+                    tree.record_conflict(prev, free=j)
                 return finish()
             last_fix = (j, float(opp), prev, xj)
             res = retry
         if res.status is not LpStatus.OPTIMAL:
             return finish()
-        if res.objective >= tree.effective_cutoff() - 1e-9:
+        if not tree.beats_cutoff(res.objective):
             return finish()
         x_ref, basis = res.x, res.basis
         changed = 0
@@ -314,19 +299,13 @@ def run_lns(kind: str, lp: LpResult, tree: TreeSearch, limit: WorkingLimit,
     bounds = BoundState(lower=lower, upper=upper)
     out.fixed_count = k
 
-    cutoff = tree.effective_cutoff()
-    sub = tree.sub_solve(
-        bounds=bounds,
-        node_limit=limit.budget,
-        cutoff=None if cutoff == INF else cutoff,
-    )
+    sub = tree.sub_solve(bounds, node_limit=limit.budget)
     out.nodes_used = sub.nodes_processed
     if sub.status.value == "infeasible":
         out.sub_mip_infeasible = True
         if not sub.cutoff_pruned:
             out.conflicts_found = 1
-            fix, pure = _fixed_difference(bounds, tree.root_bounds)
-            tree.record_conflict(fix, pure)
+            tree.record_conflict(bounds)
     elif sub.incumbent is not None:
         out.found_incumbent = bool(tree.update_incumbent(sub.incumbent.values, kind))
     out.wall_time_s = time.perf_counter() - t0

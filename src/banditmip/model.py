@@ -107,8 +107,10 @@ class MipModel:
         n = self.n
         if not (len(self.lower) == len(self.upper) == n):
             raise DimensionMismatch("bound vectors must have length n")
+        # a NaN bound, a lower bound of +inf and an upper bound of -inf admit no value
         for name, bad in (("c", ~np.isfinite(self.c)), ("rhs", ~np.isfinite(self.rhs)),
-                          ("lower", np.isnan(self.lower)), ("upper", np.isnan(self.upper))):
+                          ("lower", np.isnan(self.lower) | (self.lower == INF)),
+                          ("upper", np.isnan(self.upper) | (self.upper == -INF))):
             if bad.any():
                 k = int(np.argmax(bad))
                 raise ValueError(f"{name}[{k}] is {float(getattr(self, name)[k])!r}")

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from banditmip.bnb import (
-    ConflictPool,
     InvalidSettings,
     Node,
     NoFractionalVariable,
     SolveStatus,
     SolverSettings,
     TreeSearch,
-    add_conflict,
     select_branch_variable,
     solve,
 )
@@ -464,6 +462,28 @@ def test_fractionality_just_past_int_tol_is_branched_on(rhs):
     assert res.objective == 0.0
 
 
+def test_rounded_lp_point_that_breaks_a_row_is_branched_on():
+    # the root LP puts x0 at 1 - 5e-7, integral within int_tol, but x0 = 1 breaks
+    # the row: a rejected rounding proves nothing, so the node is branched on
+    model = _model([-1], [[2e6]], "L", [2e6 - 1])
+    res = solve(model, SolverSettings())
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == 0.0 and res.dual_bound == 0.0
+    assert res.nodes_processed == 3
+
+
+def test_lp_point_that_breaks_a_row_itself_proves_no_infeasibility(monkeypatch):
+    # rounding moves nothing at an integral root LP; if that point is rejected anyway
+    # the node is dropped, and the result says its INFEASIBLE is no proof
+    model = _model([-1, -1], [[1, 1]], "L", [1])
+    real = bnb_mod.evaluate_solution
+    monkeypatch.setattr(bnb_mod, "evaluate_solution",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), feasible=False))
+    res = solve(model, SolverSettings())
+    assert res.status is SolveStatus.INFEASIBLE and res.nodes_processed == 1
+    assert res.cutoff_pruned
+
+
 def test_one_integrality_rule_for_snapping_and_branching():
     rng = np.random.default_rng(17)
     tol = INT_TOL
@@ -516,40 +536,70 @@ def test_update_incumbent_rejects_infeasible():
 # conflicts and no-good cuts
 # ---------------------------------------------------------------------------
 
-def test_add_conflict_stores_binary_nogood():
+def _fixings(model, **values):
+    """The model's bounds with ``x<j>=v`` keywords fixed."""
+    bounds = BoundState.from_model(model)
+    for name, v in values.items():
+        bounds = bounds.fixed(int(name[1:]), v)
+    return bounds
+
+
+def test_record_conflict_stores_binary_nogood():
     model = _model([-1, -1], [[3, 3]], "L", [5])
     best, _ = brute_force_binary(model)
     # enumeration confirms the fixing {x0=1, x1=1} is infeasible
     assert best == pytest.approx(-1.0)
-    pool = ConflictPool()
-    assert add_conflict(pool, model, {0: 1.0, 1: 0.0})
-    cols, vals, sense, rhs = pool.nogood_cuts[0]
+    tree = TreeSearch(model, SolverSettings())
+    rows = tree.ctx.m
+    tree.record_conflict(_fixings(model, x0=1.0, x1=0.0))
+    cols, vals, sense, rhs = tree.pool.nogood_cuts[0]
     # cut (1 - x0) + x1 >= 1
     assert list(cols) == [0, 1]
     assert list(vals) == [-1.0, 1.0]
     assert sense == "G" and rhs == 0.0
+    assert tree.ctx.m == rows + 1  # every later LP of the tree holds the cut
 
 
-def test_add_conflict_general_integer_counts_only():
+def test_record_conflict_general_integer_counts_only():
     model = _model([1, 1], [[1, 1]], "L", [3], upper=[2, 1])
-    pool = ConflictPool()
-    assert not add_conflict(pool, model, {0: 2.0})
-    assert not pool.nogood_cuts
+    tree = TreeSearch(model, SolverSettings())
+    tree.record_conflict(_fixings(model, x0=2.0))
+    assert not tree.pool.nogood_cuts
 
 
-def test_add_conflict_empty_fixing_is_noop():
+def test_record_conflict_root_bounds_are_noop():
     model = _model([1], [], "", [])
-    pool = ConflictPool()
-    assert not add_conflict(pool, model, {})
-    assert not pool.nogood_cuts
+    tree = TreeSearch(model, SolverSettings())
+    tree.record_conflict(BoundState.from_model(model))
+    assert not tree.pool.nogood_cuts
+
+
+def test_record_conflict_tightened_integer_is_no_assignment():
+    # x0 = 1 with the general integer x1 in [0, 2] of [0, 3]: not a partial assignment
+    model = _model([1, 1], [[1, 1]], "L", [3], upper=[1, 3])
+    tree = TreeSearch(model, SolverSettings())
+    rows = tree.ctx.m
+    tree.record_conflict(_fixings(model, x0=1.0).tightened(1, hi=2))
+    assert not tree.pool.nogood_cuts and tree.ctx.m == rows
+
+
+def test_record_conflict_leaves_the_free_variable_out():
+    model = _model([1, 1, 1], [[1, 1, 1]], "L", [2], upper=[1, 1, 3])
+    tree = TreeSearch(model, SolverSettings())
+    tree.record_conflict(_fixings(model, x0=1.0, x1=0.0), free=1)
+    tree.record_conflict(_fixings(model, x1=1.0).tightened(2, hi=1), free=2)
+    assert [(list(c), list(v), s, r) for c, v, s, r in tree.pool.nogood_cuts] == [
+        ([0], [-1.0], "G", 0.0),  # 1 - x0 >= 1: x1's fixing is not part of the cut
+        ([1], [-1.0], "G", 0.0),  # x2 is general and only tightened, but it is free
+    ]
 
 
 def test_nogood_cut_preserves_optimum():
     model = _model([-1, -1], [[3, 3]], "L", [5])
     plain = solve(model, SolverSettings())
-    pool = ConflictPool()
-    add_conflict(pool, model, {0: 1.0, 1: 1.0})
-    cut = solve(model, SolverSettings(), extra_cuts=pool.nogood_cuts)
+    tree = TreeSearch(model, SolverSettings())
+    tree.record_conflict(_fixings(model, x0=1.0, x1=1.0))
+    cut = solve(model, SolverSettings(), extra_cuts=tree.pool.nogood_cuts)
     assert cut.objective == pytest.approx(plain.objective)
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from banditmip import cli
 from banditmip.cli import (
     CSV_COLUMNS,
     EmptyInput,
@@ -166,6 +167,31 @@ def test_jsonl_call_record_schema_is_stable(tmp_path):
 
 def test_solve_missing_file_fails(tmp_path):
     assert main(["solve", str(tmp_path / "missing.mps")]) != 0
+
+
+def test_solve_unwritable_log_fails_before_solving(tmp_path, capsys, monkeypatch):
+    def solved(*args):
+        raise AssertionError("the solve ran before the log path was checked")
+
+    monkeypatch.setattr(cli, "run_single", solved)
+    log = tmp_path / "missing" / "calls.jsonl"
+    assert main(["solve", "gen:gap:n=16,m=4,seed=2", "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(log) in err
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ([" LO BND X0 inf"], "lower[0] is inf"),
+    ([" MI BND X0", " UP BND X0 -inf"], "upper[0] is -inf"),
+])
+def test_solve_bound_that_admits_no_value_exits_with_error(tmp_path, capsys, bounds, message):
+    path = tmp_path / "bound.mps"
+    path.write_text("\n".join(["NAME BOUND", "ROWS", " N OBJ", " L R0", "COLUMNS",
+                               " M0 'MARKER' 'INTORG'", " X0 OBJ -1 R0 1",
+                               " M1 'MARKER' 'INTEND'", "RHS", " RHS R0 1", "BOUNDS",
+                               *bounds, "ENDATA", ""]))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 MAX_KNAPSACK = """\
@@ -429,6 +455,15 @@ def test_bench_bad_seeds_exit_with_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: --seeds: expected comma-separated numbers, got '1,x'\n")
     assert not out.exists()
+
+
+def test_bench_unwritable_out_exits_with_error(tmp_path, capsys):
+    manifest = tmp_path / "suite.txt"
+    manifest.write_text("gen:knapsack:n=8,m=1,seed=1\n")
+    out = tmp_path / "missing" / "runs.csv"
+    assert main(["bench", str(manifest), "--seeds", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_summarize_command_prints_table(tmp_path, capsys):

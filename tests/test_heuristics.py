@@ -24,7 +24,8 @@ from banditmip.heuristics import (
     run_rounding,
     variable_locks,
 )
-from banditmip.model import Assignment, MipModel, evaluate_solution, generate_instance
+from banditmip.model import (Assignment, MipModel, evaluate_solution, generate_instance,
+                             snap_integral)
 from banditmip.simplex import BoundState, LpResult, LpStatus, SimplexContext
 
 from oracles import brute_force_binary
@@ -318,11 +319,16 @@ def test_dive_both_directions_dead_records_conflict():
     # variable is forced to 0.5 and both roundings make the LP infeasible.
     model = _model([-1, 0, 0], [[0, 1, 1]], "E", [0.5])
     tree, lp, bounds = _root(model)
+    rows = tree.ctx.m
     out = run_diving("frac_dive", lp, tree, bounds, DIVE,
                      np.random.default_rng(0))
     assert not out.found_incumbent and tree.incumbent is None
     assert out.conflicts_found == 1
     assert not out.sub_mip_infeasible
+    # x1 = 0 leaves x2 = 0.5, whose both values are dead: the no-good x1 >= 1
+    [(cols, vals, sense, rhs)] = tree.pool.nogood_cuts
+    assert (list(cols), list(vals), sense, rhs) == ([1], [1.0], "G", 1.0)
+    assert tree.ctx.m == rows + 1
 
 
 @pytest.mark.parametrize("model", [
@@ -474,6 +480,21 @@ def test_mutation_with_cutoff_below_optimum_reports_infeasible():
                   np.random.default_rng(3))
     assert out.sub_mip_infeasible
     assert not out.found_incumbent
+
+
+def test_rens_sub_mip_branches_where_rounding_breaks_a_row():
+    # RENS fixes x1 = 1 and boxes x0 to [0, 1]; the sub-MIP's root LP puts x0 at
+    # 1 - 5e-7, integral within int_tol, but x0 = 1 breaks the row.  Without an
+    # incumbent the sub-MIP has no cutoff: were that node dropped, the sub-MIP would
+    # end infeasible with no cutoff help, and the no-good x1 <= 0 would cut off the optimum.
+    model = _model([-1, -1], [[2e6, 0]], "L", [2e6 - 1])
+    tree, lp, bounds = _root(model)
+    assert snap_integral(model, lp.x, tree.settings.int_tol) is not None
+    out = run_lns("rens", lp, tree, replace(LNS, value=0.5), np.random.default_rng(0))
+    best, _ = brute_force_binary(model)
+    assert out.found_incumbent and not out.sub_mip_infeasible
+    assert tree.incumbent.objective == best == -1.0
+    assert out.conflicts_found == 0 and not tree.pool.nogood_cuts
 
 
 def test_lns_node_usage_within_budget():

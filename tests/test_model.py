@@ -387,6 +387,10 @@ def test_model_validation_rejects_bad_construction():
     ({"row_cols": [np.array([0, 1]), np.array([0.5])]}, "row 1: column index"),
     ({"row_cols": [np.array([0, 1]), np.array([1])],
       "row_vals": [np.array([1.0, 1.0]), np.array([1.0, 2.0])]}, "row 1: index/value"),
+    # an infinite bound that admits no value, though lower <= upper holds
+    ({"lower": np.array([0.0, np.inf]), "upper": np.array([1.0, np.inf])}, "lower[1] is inf"),
+    ({"lower": np.array([-np.inf, 0.0]), "upper": np.array([-np.inf, 1.0])},
+     "upper[0] is -inf"),
 ])
 def test_model_validation_names_the_field_and_the_first_bad_row(patch, message):
     base = dict(name="bad", c=np.ones(2), row_cols=[np.array([0, 1]), np.array([1])],
