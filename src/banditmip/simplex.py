@@ -28,27 +28,31 @@ is not dual feasible, after an uncertified Farkas row, for every LP below
 ``ROW_UPDATE_MIN_M`` rows with no usable basis, and whenever ``warm=False``.
 Warm results always agree with a cold solve; an optional shadow check
 asserts exactly that against the two-phase primal, and that every row holds
-at each optimal solution.  Both pivot loops read the clock at each
-refactor, so a solve given a ``deadline`` stops at the first refactor after
-it with status ``TIME_LIMIT``.
+at each optimal solution.  Every ``REFACTOR_EVERY`` (64) pivots each pivot
+loop reads the clock, so a solve given a ``deadline`` stops at the first such
+step after it with status ``TIME_LIMIT``.
 
 The basis inverse is kept explicitly and changed by one product-form (eta)
 update per basis change, shared by phase-1 artificial eviction and the pivot
 loops.  Once the basis has ``ROW_UPDATE_MIN_M`` (128) or more rows and the
 entering column is mostly zeros, the update touches only the rows where that
-column is nonzero.  The inverse is still rebuilt from scratch every
-``REFACTOR_EVERY`` basis changes, which bounds the drift of the updates.  The
-basic solution ``B^-1 (b - N x_N)`` and the reduced costs
-``c - (c_B B^-1) A`` are each computed by one helper (``_basic_values``,
+column is nonzero.  The basic solution ``B^-1 (b - N x_N)`` and the reduced
+costs ``c - (c_B B^-1) A`` are each computed by one helper (``_basic_values``,
 ``_reduced_costs``), the one place another factorization would change.  The
-dual loop computes ``d`` in full only on entry, where the warm start hands
-over its own, and at each refactor; in between it carries ``d`` across each
-pivot with the pivot row ``alpha`` it already has, ``d -= d_q / alpha_q *
-alpha`` (Koberstein 2005).  Only the round-off of ``d`` differs from
-recomputing it; the pricing rule is the same.  The loop likewise keeps the
-masks of the nonbasic variables that may rise, fall or move freely, and the
-bounds of the basic ones, changing them only for the two variables that swap
-at a pivot: that is boolean and index work, with the same arithmetic.
+primal loop and phase 1's artificial eviction rebuild the inverse from scratch
+every ``REFACTOR_EVERY`` basis changes.  The dual loop, at that step,
+recomputes ``x_B`` and ``d`` from the updated inverse and rebuilds it only
+when the refreshed point's residuals show drift (``DRIFT_TOL``): an explicit
+inverse keeps no file of updates that could grow too long, so the numerical
+check is the only reason left to re-invert (Koberstein 2005).  On the 400-row
+set-cover roots that leaves one inversion per solve, the warm start's.
+Between those steps the dual loop carries ``d`` across each pivot with the
+pivot row ``alpha`` it already has, ``d -= d_q / alpha_q * alpha``; only the
+round-off of ``d`` differs from recomputing it, and the pricing rule is the
+same.  The loop likewise keeps the masks of the nonbasic variables that may
+rise, fall or move freely, and the bounds of the basic ones, changing them
+only for the two variables that swap at a pivot: that is boolean and index
+work, with the same arithmetic.
 
 One builder, ``SimplexContext._lp_matrix``, makes every LP matrix from a list
 of nonzeros: the model's CSR entries, then the cut rows', then one unit
@@ -84,6 +88,11 @@ PIVOT_TOL = 1e-9
 DEFAULT_ITER_LIMIT = 20_000
 BLAND_AFTER = 1_000  # Dantzig pricing before this many pivots, Bland after
 REFACTOR_EVERY = 64
+# The dual loop re-inverts only when a refreshed point's scaled residuals pass
+# this.  It is DUAL_TOL and two orders below FEAS_TOL, so that drift is mended
+# before it could move a primal or dual feasibility test; on the 400-row
+# set-cover roots the eta-updated inverse stays below 2e-15.
+DRIFT_TOL = 1e-9
 # Row-restricted eta updates beat the dense outer product from about m=96-128
 # rows; below that the extra indexing costs more than the skipped rows save.
 ROW_UPDATE_MIN_M = 128
@@ -551,14 +560,17 @@ class SimplexContext:
 
         ``d`` holds the reduced costs at the starting basis.  They are carried
         across each pivot by the pivot row ``alpha`` (``d -= d_q / alpha_q *
-        alpha``, then ``d_q = 0``) and computed in full again at each refactor.
+        alpha``, then ``d_q = 0``).  Every ``REFACTOR_EVERY`` pivots the loop
+        reads the clock and computes ``x_B`` and ``d`` in full again from the
+        updated ``binv``; it inverts the basis afresh only when ``_drift``
+        finds that point's residuals above ``DRIFT_TOL``.
         The masks of the nonbasic variables that may rise, fall or move either
         way (``_descent``'s three status tests) and the bounds of the basic
         ones are kept too, and changed only for the two variables that swap
         at each pivot.
         Returns (status, pivots, binv, residual): OPTIMAL when the basis is
         primal feasible, INFEASIBLE with the certified violation of a Farkas
-        row, ITER_LIMIT, TIME_LIMIT when a refactor finds ``deadline``
+        row, ITER_LIMIT, TIME_LIMIT when a periodic step finds ``deadline``
         passed, or None when a row without an entering candidate could not be
         certified infeasible.
         """
@@ -569,15 +581,18 @@ class SimplexContext:
         either = movable & (vstat == FREE)
         any_free = either.any()  # a pivot never makes a variable free
         blo, bup = lo[basis], up[basis]
-        iters = since_refactor = 0
+        iters = since_refactor = 0  # since_refactor: eta updates since binv was inverted
         while True:
-            if since_refactor >= REFACTOR_EVERY:
+            if iters and iters % REFACTOR_EVERY == 0:
                 if deadline is not None and time.perf_counter() > deadline:
                     return LpStatus.TIME_LIMIT, iters, binv, 0.0
-                binv = _inverse(A, basis)
                 val[basis] = _basic_values(binv, A, b, vstat, val)
                 d = _reduced_costs(cost, basis, binv, A)
-                since_refactor = 0
+                if self._drift(val, basis, d) > DRIFT_TOL:
+                    binv = _inverse(A, basis)
+                    val[basis] = _basic_values(binv, A, b, vstat, val)
+                    d = _reduced_costs(cost, basis, binv, A)
+                    since_refactor = 0
             xb = val[basis]
             below = blo - xb
             above = xb - bup
@@ -633,6 +648,13 @@ class SimplexContext:
             _eta_update(binv, ycol, r)
             iters += 1
             since_refactor += 1
+
+    def _drift(self, val, basis, d) -> float:
+        """The larger of the primal residual ``max |[A | I] x - b|`` over ``1 + max |b|`` and
+        the dual residual ``max |d_B|`` over ``1 + max |c|``: both are 0 under an exact B^-1."""
+        primal = np.max(np.abs(self.A @ val - self.b)) / (1.0 + np.max(np.abs(self.b)))
+        dual = np.max(np.abs(d[basis])) / (1.0 + np.max(np.abs(self.cost)))
+        return float(max(primal, dual))
 
     def _farkas_violation(self, lo, up, basis, vstat, r, to_lower, row=None) -> float:
         """How far basic variable ``r`` stays from its violated bound anywhere in the box.

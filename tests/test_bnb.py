@@ -279,7 +279,7 @@ def test_time_limit_status():
 def test_time_limit_overshoot_is_small(mode):
     """A solve that cannot finish stops within half a second of its limit.
 
-    The pivot loops read the deadline only at each refactor, every 64 pivots:
+    The pivot loops read the deadline only every 64 pivots:
     milliseconds at this size."""
     model = generate_instance("gap", (600, 20), 1)
     t0 = time.perf_counter()

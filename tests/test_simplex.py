@@ -340,13 +340,17 @@ def _tighten_randomly(rng, lower, upper):
     return lower, upper
 
 
-def test_warm_resolves_after_tightening_match_oracle(monkeypatch):
+@pytest.mark.parametrize("refactor_every", [REFACTOR_EVERY, 1])
+def test_warm_resolves_after_tightening_match_oracle(monkeypatch, refactor_every):
     """Warm re-solves of 300 random LPs under 3 successive tightenings each, against exact
     enumeration, and one loosening after them.
 
     The loosening keeps the saved basis primal feasible; it goes through the dual
-    loop like every saved basis, which then ends after 0 pivots.
+    loop like every saved basis, which then ends after 0 pivots.  With
+    ``REFACTOR_EVERY`` at 1 the dual loop refreshes its point and checks its
+    residuals at every pivot.
     """
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", refactor_every)
     dual_runs = []  # pivots of each dual loop of a tightened re-solve
     dual_loop = SimplexContext._dual_loop
 
@@ -534,6 +538,57 @@ def test_a_passed_deadline_stops_a_cold_column_store_lp(warm):
     res = ctx.solve(bounds, warm=warm, deadline=time.perf_counter() - 1.0)
     assert res.status is LpStatus.TIME_LIMIT and res.x is None and res.basis is None
     assert res.iterations == REFACTOR_EVERY
+
+
+def _inverse_calls(monkeypatch):
+    """The caller of each ``_inverse`` call, with the dual loop's pivot count (else None)."""
+    calls = []
+    inverse = simplex._inverse
+
+    def counted(A, basis):
+        frame = sys._getframe(1)
+        calls.append((frame.f_code.co_name, frame.f_locals.get("iters")))
+        return inverse(A, basis)
+
+    monkeypatch.setattr(simplex, "_inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed, objective", [(1, 752.25), (2, 728.0)])
+def test_cover_root_inverts_only_at_the_warm_start(monkeypatch, seed, objective):
+    """The 400-row cover root runs 347-393 dual pivots from the slack basis: each refresh
+    finds the eta-updated inverse's residuals below DRIFT_TOL, so B^-1 is never rebuilt."""
+    model = generate_instance("set_cover", (800, 400), seed)
+    calls = _inverse_calls(monkeypatch)
+    ctx = SimplexContext(model)
+    res = ctx.solve(BoundState.from_model(model))
+    assert res.status is LpStatus.OPTIMAL and res.iterations > 5 * REFACTOR_EVERY
+    assert res.objective == pytest.approx(objective, abs=1e-7)
+    assert calls == [("_try_warm_start", None)]  # the slack basis's
+    assert ctx.max_row_residual <= simplex.FEAS_TOL
+
+
+def test_planted_drift_is_mended_at_the_first_refresh(monkeypatch):
+    """Row r of B^-1 scaled by 1 + 1e-6 after the 10th dual pivot: the refresh at pivot
+    REFACTOR_EVERY sees the residuals and inverts again, once, and the shadow check holds
+    the LP to a cold solve."""
+    model = generate_instance("set_cover", (300, 150), 0)
+    pivots = []
+    eta_update = simplex._eta_update
+
+    def drifting(binv, ycol, r):
+        eta_update(binv, ycol, r)
+        if sys._getframe(1).f_code.co_name == "_dual_loop":
+            pivots.append(r)
+            if len(pivots) == 10:
+                binv[r] *= 1.0 + 1e-6
+
+    monkeypatch.setattr(simplex, "_eta_update", drifting)
+    calls = _inverse_calls(monkeypatch)
+    res = SimplexContext(model, shadow_check=True).solve(BoundState.from_model(model))
+    assert res.status is LpStatus.OPTIMAL and len(pivots) > REFACTOR_EVERY
+    assert [it for caller, it in calls if caller == "_dual_loop"] == [REFACTOR_EVERY]
+    assert res.objective == pytest.approx(216.0, abs=1e-7)
 
 
 @pytest.mark.parametrize("upper, certified", [
@@ -967,14 +1022,18 @@ def test_peeled_inverse_leaves_a_tiny_singleton_to_the_bump(tiny, inv_shapes):
 
 
 def test_cover_root_lp_inverts_only_small_bumps(inv_shapes):
-    """On the 400-row set-cover root LP, multi-entry blocks reach 196 columns; bumps stay small.
+    """The optimal basis of the 400-row set-cover root LP has multi-entry blocks of up to 196
+    columns; its bump stays small.
 
     The dense store still takes np.linalg.inv of the whole basis, bit for bit.
     """
     model = generate_instance("set_cover", (800, 400), 1)
-    res = SimplexContext(model).solve(BoundState.from_model(model))
+    ctx = SimplexContext(model)
+    res = ctx.solve(BoundState.from_model(model))
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(752.25, abs=1e-7)
+    inv_shapes.clear()
+    _inverse(ctx.A, res.basis[0])
     assert inv_shapes and max(n for n, _ in inv_shapes) <= 32, inv_shapes
     small = generate_instance("gap", (24, 4), 5)
     ctx = SimplexContext(small)
@@ -1007,7 +1066,9 @@ def _same_results(a, b):
             assert x == pytest.approx(y, abs=1e-6)
 
 
-def test_random_lps_agree_on_both_stores(monkeypatch):
+@pytest.mark.parametrize("refactor_every", [REFACTOR_EVERY, 1])
+def test_random_lps_agree_on_both_stores(monkeypatch, refactor_every):
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", refactor_every)
     rng = np.random.default_rng(12)
     models = []
     for _ in range(150):
