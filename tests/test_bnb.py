@@ -372,6 +372,11 @@ def test_monotone_incumbents():
 def test_solve_deterministic_replay():
     model = generate_instance("gap", (24, 4), 8)
 
+    def counted(self, bounds):
+        out = box_certificate(self, bounds)
+        certified.append(out is not None)
+        return out
+
     def run():
         res = solve(model, SolverSettings(mode="scheduler", seed=2))
         log = [{k: v for k, v in rec.items() if k != "wall_time_s"}
@@ -783,3 +788,48 @@ def test_max_row_residual_stays_within_lp_tolerance(family, size, seed, mode, no
     res = solve(model, SolverSettings(mode=mode, seed=1, node_limit=node_limit))
     assert res.nodes_processed >= 1
     assert 0.0 <= res.stats.max_row_residual <= FEAS_TOL
+
+
+@pytest.mark.parametrize("family, size, seed, node_limit", [
+    ("gap", (120, 6), 1, 60),  # dense LPs, dives and sub-MIPs
+    ("set_cover", (300, 280), 3, 40),  # the column store, past the root
+])
+def test_box_certificate_leaves_the_search_unchanged(monkeypatch, family, size, seed, node_limit):
+    """A solve without the box certificate and one with it take the same path.
+
+    A certified LP is infeasible either way, and no search decision reads the
+    pivots or the residual of an infeasible LP; so every optimal LP keeps its
+    pivots, point and basis, and the solve its incumbents, nodes and dual bound.
+    """
+    from banditmip.simplex import SimplexContext
+
+    model = generate_instance(family, size, seed)
+    settings = SolverSettings(mode="scheduler", seed=1, node_limit=node_limit, time_limit_s=None)
+    lps, certified = [], []
+    solve_lp, box_certificate = SimplexContext.solve, SimplexContext._box_certificate
+
+    def recording(self, *args, **kwargs):
+        lps.append(solve_lp(self, *args, **kwargs))
+        return lps[-1]
+
+    def counted(self, bounds):
+        out = box_certificate(self, bounds)
+        certified.append(out is not None)
+        return out
+
+    def run():
+        lps.clear()
+        res = solve(model, settings)
+        optimal = [(lp.iterations, lp.x.tobytes(),
+                    lp.basis and tuple(part.tobytes() for part in lp.basis))
+                   for lp in lps if lp.status is LpStatus.OPTIMAL]
+        return (res.status, res.incumbent_log, res.nodes_processed, res.dual_bound,
+                [lp.status for lp in lps], optimal)
+
+    monkeypatch.setattr(SimplexContext, "solve", recording)
+    monkeypatch.setattr(SimplexContext, "_box_certificate", lambda self, bounds: None)
+    off = run()
+    monkeypatch.setattr(SimplexContext, "_box_certificate", counted)
+    on = run()
+    assert 0 < sum(certified) <= on[4].count(LpStatus.INFEASIBLE)
+    assert on == off

@@ -15,9 +15,9 @@ from banditmip.simplex import (
     REFACTOR_EVERY,
     ROW_UPDATE_MIN_M,
     BoundState,
+    LpResult,
     LpStatus,
     SimplexContext,
-    _activity_range,
     _bound_status,
     _column_image,
     _Csc,
@@ -437,9 +437,18 @@ def _watch_carried_reduced_costs(monkeypatch):
     return errors
 
 
+def _without_box_certificate(ctx, bounds, basis):
+    """A warm solve by the simplex alone: an LP that one row shows infeasible still pivots."""
+    return ctx._solve_inner(bounds, simplex.DEFAULT_ITER_LIMIT, True, basis)
+
+
 @pytest.mark.parametrize("store_rows", [ROW_UPDATE_MIN_M, 1])
 def test_carried_reduced_costs_match_a_fresh_evaluation(monkeypatch, store_rows):
-    """The warm re-solves of the oracle test above, on both stores, checked after every dual pivot."""
+    """The warm re-solves of the oracle test above, on both stores, checked after every dual pivot.
+
+    The re-solves skip the box certificate, so that the infeasible ones pivot in the dual loop
+    as well.
+    """
     monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", store_rows)
     errors = _watch_carried_reduced_costs(monkeypatch)
     rng = np.random.default_rng(11)
@@ -453,8 +462,8 @@ def test_carried_reduced_costs_match_a_fresh_evaluation(monkeypatch, store_rows)
             if res.status is not LpStatus.OPTIMAL:
                 break
             lower, upper = _tighten_randomly(rng, lower, upper)
-            res = ctx.solve(BoundState(lower=lower.astype(float), upper=upper.astype(float)),
-                            basis=res.basis)
+            res = _without_box_certificate(
+                ctx, BoundState(lower=lower.astype(float), upper=upper.astype(float)), res.basis)
     assert len(errors) > 50
     assert max(errors) <= 1e-9
 
@@ -639,25 +648,122 @@ def test_activity_range_matches_the_dense_reference():
         A = np.where(rng.random((m, n)) < 0.5, rng.integers(-4, 5, size=(m, n)), 0).astype(float)
         lo = np.where(rng.random(n) < 0.3, -INF, rng.integers(-3, 1, size=n).astype(float))
         up = np.where(rng.random(n) < 0.3, INF, rng.integers(1, 4, size=n).astype(float))
-        rows, cols = np.nonzero(A)
-        least, most = _activity_range(m, rows, cols, A[rows, cols], lo, up)
+        ctx = SimplexContext(_model(np.zeros(n), A.tolist(), "L" * m, np.zeros(m),
+                                    np.zeros(n), np.ones(n)))
+        floor = ctx._least_activity(lo, up)
+        least, most = floor[:m], -floor[m:]
         ref_least, ref_most = _dense_activity_range(A, lo, up)
         assert np.array_equal(least, ref_least) and np.array_equal(most, ref_most)
 
 
 def test_uncertified_infeasibility_solves_cold(monkeypatch):
-    model = _model(c=[1, 1], rows=[[1, 1]], senses="G", rhs=[3], lower=[0, 0], upper=[2, 2])
+    """x0 + x1 >= 3 and x0 = x1 under x0 <= 1: each row alone can hold, so the box
+    certificate passes the LP to the dual loop, whose Farkas row is then not trusted."""
+    model = _model(c=[1, 1], rows=[[1, 1], [1, -1]], senses="GE", rhs=[3, 0],
+                   lower=[0, 0], upper=[2, 2])
     ctx = SimplexContext(model)
     bounds = BoundState.from_model(model)
     root = ctx.solve(bounds, warm=False)
-    cold_starts = []
-    cold_start = SimplexContext._cold_start
+    cold_starts, dual_statuses = [], []
+    cold_start, dual_loop = SimplexContext._cold_start, SimplexContext._dual_loop
     monkeypatch.setattr(SimplexContext, "_farkas_violation", lambda self, *a: -1.0)
     monkeypatch.setattr(SimplexContext, "_cold_start",
                         lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
-    res = ctx.solve(bounds.fixed(0, 0.0).fixed(1, 0.0), basis=root.basis)
+
+    def counted_dual(self, *args):
+        out = dual_loop(self, *args)
+        dual_statuses.append(out[0])
+        return out
+
+    monkeypatch.setattr(SimplexContext, "_dual_loop", counted_dual)
+    res = ctx.solve(bounds.tightened(0, hi=1.0), basis=root.basis)
     assert res.status is LpStatus.INFEASIBLE and res.phase1_residual > 0
+    assert dual_statuses == [None]  # the dual loop ran into the row and could not certify it
     assert cold_starts == [1]  # the dual loop's verdict was not trusted
+
+
+# ---------------------------------------------------------------------------
+# the box certificate: a row that cannot reach its range anywhere in the box
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("store_rows", [ROW_UPDATE_MIN_M, 1])
+def test_box_certificate_rejects_only_infeasible_lps(monkeypatch, store_rows):
+    """Random LPs with E/L/G rows, negative coefficients, a cut row and some bounds stated as
+    rows, so that the solver sees infinite bounds, under 3 random tightenings each: every box
+    the certificate rejects is infeasible by exact enumeration."""
+    monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", store_rows)
+    rng = np.random.default_rng(41)
+    rejected = unbounded = 0
+    for _ in range(120):
+        model, (c, rows, senses, rhs, lower, upper) = _lp_with_rows_for_bounds(rng)
+        cut, cut_rhs = rng.integers(-9, 10, size=len(c)), int(rng.integers(-9, 10))
+        cut_sense = str(rng.choice(list("LGE")))
+        cuts = [(np.flatnonzero(cut), cut[cut != 0], cut_sense, cut_rhs)]
+        ctx = SimplexContext(model, cuts=cuts)
+        assert isinstance(ctx.A, _Csc) == (ctx.m >= store_rows)
+        lo, up = model.lower.copy(), model.upper.copy()
+        for _ in range(3):
+            j = int(rng.integers(len(c)))
+            v = int(rng.integers(lower[j], upper[j] + 1))
+            lower, upper = lower.copy(), upper.copy()
+            if rng.random() < 0.5:
+                lo[j], lower[j] = max(lo[j], v), v
+            else:
+                up[j], upper[j] = min(up[j], v), v
+            res = ctx.solve(BoundState(lower=lo.copy(), upper=up.copy()))
+            if ctx._box_certificate(BoundState(lower=lo, upper=up)) is None:
+                continue
+            rejected += 1
+            unbounded += bool(np.any(np.isinf(lo) | np.isinf(up)))
+            case = (c, rows, senses, rhs, lower, upper, cut, cut_sense, cut_rhs)
+            status, _ = lp_vertex_oracle(
+                c.tolist(), rows.tolist() + [cut.tolist()], senses + cut_sense,
+                rhs.tolist() + [cut_rhs], lower.tolist(), upper.tolist())
+            assert status == "infeasible", case
+            assert res.status is LpStatus.INFEASIBLE and res.iterations == 0, case
+            assert res.phase1_residual > 0, case
+    assert rejected > 100 and unbounded > 30, (rejected, unbounded)
+
+
+@pytest.mark.parametrize("share, status, certified", [
+    (0.002, LpStatus.OPTIMAL, False),  # within FEAS_TOL: the simplex accepts the point (1, 1)
+    (0.5, LpStatus.INFEASIBLE, False),  # within the margin: the simplex decides
+    (2.0, LpStatus.INFEASIBLE, True),
+])
+def test_box_certificate_leaves_a_miss_within_its_margin_to_the_simplex(
+        monkeypatch, share, status, certified):
+    """x0 + x1 >= 2 + miss under [0, 1]^2 misses by ``miss``, a share of the row's margin
+    ``BOX_TOL * (1 + |b| + 2)``."""
+    miss = share * simplex.BOX_TOL * 5.0
+    model = _model(c=[1, 1], rows=[[1, 1]], senses="G", rhs=[2.0 + miss], lower=[0, 0],
+                   upper=[1, 1])
+    ctx = SimplexContext(model)
+    # entry 1 is the row's negation, -(x0 + x1) <= -(2 + miss); entry 0 is open (+inf)
+    assert ctx.box_limit[1] - ctx.box_need[1] == pytest.approx(simplex.BOX_TOL * (5.0 + miss))
+    inner = []
+    solve_inner = SimplexContext._solve_inner
+    monkeypatch.setattr(SimplexContext, "_solve_inner",
+                        lambda self, *a: inner.append(1) or solve_inner(self, *a))
+    res = ctx.solve(BoundState.from_model(model))
+    assert res.status is status
+    assert inner == ([] if certified else [1])
+    if certified:
+        assert res.iterations == 0 and res.phase1_residual == pytest.approx(miss)
+
+
+def test_shadow_check_covers_box_certified_lps(monkeypatch):
+    """The shadow check's cold reference runs the simplex on a certified LP too: a true
+    certificate passes it, and one planted on a feasible LP fails it."""
+    model = _model(c=[1, 1], rows=[[1, 1]], senses="G", rhs=[3], lower=[0, 0], upper=[2, 2])
+    ctx = SimplexContext(model, shadow_check=True)
+    bounds = BoundState.from_model(model)
+    res = ctx.solve(bounds.fixed(0, 0.0).fixed(1, 0.0))  # x0 + x1 <= 0 < 3: certified
+    assert res.status is LpStatus.INFEASIBLE and res.iterations == 0
+    assert res.phase1_residual == pytest.approx(3.0)
+    monkeypatch.setattr(SimplexContext, "_box_certificate",
+                        lambda self, bounds: LpResult(LpStatus.INFEASIBLE, None, INF, 0, 1.0))
+    with pytest.raises(AssertionError, match="warm/cold status mismatch"):
+        ctx.solve(bounds)  # x0 = x1 = 1.5 is feasible
 
 
 def _random_boxes(rng, n):
@@ -1152,14 +1258,21 @@ def test_small_lps_keep_the_two_phase_cold_start(monkeypatch):
 def test_dual_cold_start_matches_oracle(monkeypatch):
     """Fresh-context solves of 300 random LPs on the column store, against exact enumeration.
 
-    Each solve must take the path its slack basis calls for: the dual loop
-    when the basis is dual feasible, else the two-phase primal (also after an
-    uncertified Farkas row), which needs no phase 1 when the slack basis is
-    primal feasible.
+    Each solve must take the path its box and slack basis call for: none when
+    a row cannot reach its range over the box (the box certificate), else the
+    dual loop when the basis is dual feasible, else the two-phase primal (also
+    after an uncertified Farkas row), which needs no phase 1 when the slack
+    basis is primal feasible.
     """
     monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", 1)
-    dual_statuses, cold_starts = [], []
+    dual_statuses, cold_starts, boxed = [], [], []
     dual_loop, cold_start = SimplexContext._dual_loop, SimplexContext._cold_start
+    box_certificate = SimplexContext._box_certificate
+
+    def counted_box(self, bounds):
+        out = box_certificate(self, bounds)
+        boxed.append(out is not None)
+        return out
 
     def counted_dual(self, *args):
         out = dual_loop(self, *args)
@@ -1169,17 +1282,23 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
     monkeypatch.setattr(SimplexContext, "_dual_loop", counted_dual)
     monkeypatch.setattr(SimplexContext, "_cold_start",
                         lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
+    monkeypatch.setattr(SimplexContext, "_box_certificate", counted_box)
     rng = np.random.default_rng(31)
-    paths = {"primal": 0, "dual": 0, "two-phase": 0}
+    paths = {"certified": 0, "primal": 0, "dual": 0, "two-phase": 0}
     certified = optimal = 0
     for _ in range(300):
         model, case = _lp_with_rows_for_bounds(rng)
         dual_statuses.clear()
         cold_starts.clear()
+        boxed.clear()
         ctx = SimplexContext(model)
         assert isinstance(ctx.A, _Csc)
         res = ctx.solve(BoundState.from_model(model))
-        if _slack_basis_is_dual_feasible(model):
+        assert len(boxed) == 1, case
+        if boxed[0]:
+            path, expected = "certified", ([], [])
+            assert res.status is LpStatus.INFEASIBLE and res.iterations == 0, case
+        elif _slack_basis_is_dual_feasible(model):
             path = "dual"
             assert len(dual_statuses) == 1, case
             expected = (dual_statuses, [1] if dual_statuses[0] is None else [])
@@ -1192,6 +1311,7 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
         c, rows, senses, rhs, lower, upper = case
         status, best = lp_vertex_oracle(c.tolist(), rows.tolist(), senses, rhs.tolist(),
                                         lower.tolist(), upper.tolist())
+        assert path != "certified" or status == "infeasible", case
         if status == "infeasible":
             assert res.status is LpStatus.INFEASIBLE and res.phase1_residual > 0, case
             certified += dual_statuses == [LpStatus.INFEASIBLE]
@@ -1200,4 +1320,5 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
             assert res.status is LpStatus.OPTIMAL, case
             assert abs(res.objective - float(best)) <= 1e-6, (res.objective, best, case)
     assert paths["dual"] > 50 and paths["two-phase"] > 50 and paths["primal"] > 5, paths
+    assert paths["certified"] > 20, paths
     assert certified > 20 and optimal > 50, (certified, optimal)
