@@ -8,8 +8,10 @@ instance byte for byte.
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -37,6 +39,10 @@ class DuplicateColumnEntry(MpsError):
     """The same (row, column) pair carries two coefficients."""
 
 
+class DuplicateRowEntry(MpsError):
+    """RHS or RANGES gives the same row a second value."""
+
+
 class ObjectiveOffset(MpsError):
     """RHS gives the objective row a nonzero constant, which the model cannot carry."""
 
@@ -54,7 +60,9 @@ class MipModel:
     row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
     ``indices[indptr[i]:indptr[i + 1]]``, and ``entry_rows`` names the row of
     each entry.  ``row_cols`` and ``row_vals`` become views into ``indices``
-    and ``data``.  ``maximize`` records that the original input was a
+    and ``data``, and ``sense_array`` holds ``row_senses`` as one read-only
+    ``"U1"`` array; :meth:`from_csr` takes the rows in CSR form instead.
+    ``maximize`` records that the original input was a
     maximization whose objective was negated on the way in; reported
     objectives should be un-negated by the caller when that flag is set.
     """
@@ -73,35 +81,58 @@ class MipModel:
     indices: np.ndarray = field(init=False, repr=False)
     data: np.ndarray = field(init=False, repr=False)
     entry_rows: np.ndarray = field(init=False, repr=False)
+    sense_array: np.ndarray = field(init=False, repr=False)
     _intset: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (len(self.row_cols) == len(self.row_vals) == len(self.row_senses) == len(self.rhs)):
+            raise ValueError("row arrays must all have length m")
+        counts = np.array([len(idx) for idx in self.row_cols], dtype=np.int64)
+        bad = counts != np.array([len(val) for val in self.row_vals], dtype=np.int64)
+        if bad.any():
+            raise ValueError(f"row {np.argmax(bad)}: index/value length mismatch")
+        self._store(np.concatenate([[0], np.cumsum(counts)]),
+                    np.concatenate([np.zeros(0, dtype=np.int64), *self.row_cols]),
+                    np.concatenate([np.zeros(0), *self.row_vals]))
+
+    @classmethod
+    def from_csr(cls, *, name, c, indptr, indices, data, row_senses, rhs, lower, upper,
+                 integers, maximize=False) -> "MipModel":
+        """The model whose rows are already in CSR form, with no per-row arrays to join.
+
+        ``indptr``, ``indices`` and ``data`` are stored as the constructor
+        would store them; every other argument is the constructor's.
+        """
+        model = cls.__new__(cls)
+        model.name, model.c, model.row_senses, model.rhs = name, c, row_senses, rhs
+        model.lower, model.upper, model.integers, model.maximize = lower, upper, integers, maximize
+        if not len(indptr) == len(row_senses) + 1 == len(rhs) + 1:
+            raise ValueError("row arrays must all have length m")
+        model._store(np.asarray(indptr, dtype=np.int64), np.asarray(indices),
+                     np.asarray(data, dtype=float))
+        return model
+
+    def _store(self, indptr, indices, data):
+        """Convert and validate every field and keep the rows in read-only CSR form."""
         self.c = np.asarray(self.c, dtype=float)
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         self.integers = np.unique(np.asarray(self.integers))
         self.row_senses = [str(s) for s in self.row_senses]
-        m = self.m
-        if not (len(self.row_cols) == len(self.row_vals) == len(self.row_senses) == m):
-            raise ValueError("row arrays must all have length m")
-        counts = np.array([len(idx) for idx in self.row_cols], dtype=np.int64)
-        bad = counts != np.array([len(val) for val in self.row_vals], dtype=np.int64)
-        if bad.any():
-            raise ValueError(f"row {np.argmax(bad)}: index/value length mismatch")
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.entry_rows = np.repeat(np.arange(m), counts)
-        self.indices = np.concatenate([np.zeros(0, dtype=np.int64), *self.row_cols])
-        self.data = np.concatenate([np.zeros(0), *self.row_vals])
+        self.sense_array = np.asarray(self.row_senses, dtype=str)  # "U1" once validated
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.entry_rows = np.repeat(np.arange(self.m), np.diff(indptr))
         self._validate()
         self.indices = self.indices.astype(np.int64, copy=False)
         self.integers = self.integers.astype(np.int64)
         self._intset = frozenset(self.integers.tolist())
-        for arr in (self.c, self.rhs, self.lower, self.upper, self.integers,
+        for arr in (self.c, self.rhs, self.lower, self.upper, self.integers, self.sense_array,
                     self.indptr, self.indices, self.data, self.entry_rows):
             arr.setflags(write=False)
-        self.row_cols = np.split(self.indices, self.indptr[1:-1]) if m else []
-        self.row_vals = np.split(self.data, self.indptr[1:-1]) if m else []
+        ends = self.indptr.tolist()
+        self.row_cols = [self.indices[a:b] for a, b in zip(ends, ends[1:])]
+        self.row_vals = [self.data[a:b] for a, b in zip(ends, ends[1:])]
 
     def _validate(self):
         n = self.n
@@ -120,7 +151,7 @@ class MipModel:
             raise ValueError("integers: every entry must be a whole column index")
         if self.integers.size and (self.integers.min() < 0 or self.integers.max() >= n):
             raise ValueError("integer index out of range")
-        bad = ~np.isin(np.asarray(self.row_senses, dtype=str), SENSES)
+        bad = ~np.isin(self.sense_array, SENSES)
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"row {i}: unknown sense {self.row_senses[i]!r}")
@@ -212,7 +243,7 @@ def evaluate_solution(
         raise DimensionMismatch(
             f"assignment has {len(values)} entries, model has {model.n}"
         )
-    senses = np.asarray(model.row_senses, dtype="U1")
+    senses = model.sense_array
     with np.errstate(invalid="ignore"):  # inf - inf from a non-finite entry: see below
         gap = model.row_activity(values) - model.rhs
         worst = np.max(np.concatenate([
@@ -391,236 +422,440 @@ def _gen_gap(n, m, seed, rng):
 # MPS subset reader / writer
 # ---------------------------------------------------------------------------
 
-_BOUND_KEYS_WITH_VALUE = {"LO", "UP", "FX"}
-_BOUND_KEYS_BARE = {"BV", "MI", "PL"}
+# what a row name in COLUMNS or RHS resolves to, besides a constraint row's index
+_OBJ, _FREE, _UNKNOWN = -1, -2, -3
+_ROW_KINDS = frozenset(("N", "L", "G", "E"))
+
+_VALUE = "value"  # the bound takes the number on the BOUNDS line
+# bound kind -> (tokens on its line, lower bound, upper bound, makes the column integer);
+# None leaves that bound as it was
+_BOUND_KINDS = {
+    "LO": (4, _VALUE, None, False),
+    "UP": (4, None, _VALUE, False),
+    "FX": (4, _VALUE, _VALUE, False),
+    "LI": (4, _VALUE, None, True),
+    "UI": (4, None, _VALUE, True),
+    "BV": (3, 0.0, 1.0, True),
+    "MI": (3, -INF, None, False),
+    "PL": (3, None, INF, False),
+    "FR": (3, -INF, INF, False),
+}
+_BOUND_ID = {kind: i for i, kind in enumerate(_BOUND_KINDS)}
+_BOUND_SPECS = list(_BOUND_KINDS.values())
+# tokens on a line of each kind id; an unknown kind, id -1, reads the last entry
+_BOUND_TOKENS = np.array([spec[0] for spec in _BOUND_KINDS.values()] + [0])
+# the most data lines read in one go: a longer section is read in batches, each as a
+# repeated section would be, so that only this many lines' tokens are held at once
+_CHUNK = 1024
+_HEADER = re.compile(r"\n[^\s*]")  # a line that starts with neither whitespace nor a comment
+_MARKER = re.compile("'MARKER'")
 
 
 def parse_mps(text: str) -> MipModel:
     """Parse a fixed- or free-format MPS subset into a :class:`MipModel`.
 
     Supported sections: NAME, OBJSENSE, ROWS, COLUMNS (with INTORG/INTEND
-    markers), RHS, RANGES, BOUNDS (LO/UP/FX/BV/MI/PL), ENDATA.  Default
-    variable domain is [0, +inf).  RANGES rows are split into two inequality
-    rows.  Maximization inputs are negated into minimize form.  A nonzero RHS
-    on the objective row (a constant objective offset) raises
-    :class:`ObjectiveOffset`.
+    markers), RHS, RANGES, BOUNDS, ENDATA.  Default variable domain is
+    [0, +inf).  The bound kinds are LO, UP and FX (lower, upper, both), MI
+    (lower -inf), PL (upper +inf), FR (free), BV (binary), and LI and UI
+    (lower and upper bounds that also make the column integer).  RANGES rows
+    are split into two inequality rows in place.  Maximization inputs are
+    negated into minimize form.  A nonzero RHS on the objective row (a
+    constant objective offset) raises :class:`ObjectiveOffset`.
+
+    Duplicates: a (row, column) pair or a column's objective coefficient
+    given twice raises :class:`DuplicateColumnEntry`, where an explicit zero
+    counts though zeros stay out of the model; a row given two RHS values or
+    two RANGES values, in one vector or in two, raises
+    :class:`DuplicateRowEntry`; a later BOUNDS line overrides an earlier one
+    on the same bound of the same column.
+
+    Each section's data lines are read together, as arrays.  When several
+    lines are at fault, the error is about the first of them.
     """
-    name = ""
-    maximize = False
-    section = None
-    seen = set()
-    obj_row = None
-    free_rows = set()
-    row_index = {}  # constraint row name -> index
-    row_sense = []
-    col_index = {}
-    col_order = []
-    entries = {}  # (row idx, col idx) -> value
-    obj_coef = {}  # col idx -> objective value
-    integer_cols = set()
-    rhs_map = {}
-    range_map = {}
-    bounds_lo = {}
-    bounds_up = {}
-    in_integer_block = False
+    lines = text.splitlines()
+    heads, marked = _lines_matching(lines, _HEADER, _MARKER)
+    comments = "*" in text
+    if len(_data_lines(lines, 0, heads[0] if heads else len(lines), comments)[0]):
+        raise MalformedSection("data line before any section header")
+    reader = _MpsReader(lines, marked)
     ended = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        is_header = not raw[0].isspace()
-        tokens = raw.split()
-        if is_header:
-            key = tokens[0].upper()
-            if key == "NAME":
-                name = tokens[1] if len(tokens) > 1 else ""
-                section = "NAME"
-            elif key == "OBJSENSE":
-                section = "OBJSENSE"
-                if len(tokens) > 1 and tokens[1].upper().startswith("MAX"):
-                    maximize = True
-            elif key in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
-                if key != "ROWS" and "ROWS" not in seen:
-                    raise MalformedSection(f"{key} section before ROWS")
-                section = key
-                seen.add(key)
-            elif key == "ENDATA":
-                ended = True
-                break
-            else:
-                raise MalformedSection(f"unknown section {key!r}")
-            continue
-        if section is None:
-            raise MalformedSection("data line before any section header")
-        if section == "OBJSENSE":
-            if tokens[0].upper().startswith("MAX"):
-                maximize = True
-        elif section == "ROWS":
-            if len(tokens) != 2:
-                raise MalformedSection(f"bad ROWS line: {raw!r}")
-            rtype, rname = tokens[0].upper(), tokens[1]
-            if rtype == "N":
-                if obj_row is None:
-                    obj_row = rname
-                else:
-                    free_rows.add(rname)  # extra free rows are ignored
-            elif rtype in ("L", "G", "E"):
-                row_index[rname] = len(row_sense)
-                row_sense.append(rtype)
-            else:
-                raise MalformedSection(f"unknown row type {rtype!r}")
-        elif section == "COLUMNS":
-            if "'MARKER'" in tokens:
-                if "'INTORG'" in tokens:
-                    in_integer_block = True
-                elif "'INTEND'" in tokens:
-                    in_integer_block = False
-                continue
-            cname = tokens[0]
-            if cname not in col_index:
-                col_index[cname] = len(col_order)
-                col_order.append(cname)
-            j = col_index[cname]
-            if in_integer_block:
-                integer_cols.add(j)
-            if len(tokens) % 2 == 0 or len(tokens) < 3:
-                raise MalformedSection(f"bad COLUMNS line: {raw!r}")
-            for rname, sval in zip(tokens[1::2], tokens[2::2]):
-                value = _number(sval, section, lineno)
-                if not math.isfinite(value) and rname not in free_rows:
-                    raise MalformedSection(f"COLUMNS line {lineno}: coefficient {sval!r} "
-                                           f"of row {rname!r}, column {cname!r} is not finite")
-                if rname == obj_row:
-                    if j in obj_coef:
-                        raise DuplicateColumnEntry(
-                            f"column {cname!r} listed twice in objective"
-                        )
-                    obj_coef[j] = value
-                elif rname in free_rows:
-                    continue
-                elif rname in row_index:
-                    key = (row_index[rname], j)
-                    if key in entries:
-                        raise DuplicateColumnEntry(
-                            f"duplicate entry for row {rname!r}, column {cname!r}"
-                        )
-                    if value != 0.0:
-                        entries[key] = value
-                else:
-                    raise UnknownRowReference(f"column entry references {rname!r}")
-        elif section == "RHS":
-            for rname, sval in _pairs(tokens[1:], raw):
-                value = _number(sval, section, lineno)
-                if rname == obj_row and value != 0.0:
-                    raise ObjectiveOffset(f"objective row {rname!r} has RHS {sval}")
-                if rname == obj_row or rname in free_rows:
-                    continue
-                if rname not in row_index:
-                    raise UnknownRowReference(f"RHS references {rname!r}")
-                rhs_map[row_index[rname]] = value
-        elif section == "RANGES":
-            for rname, sval in _pairs(tokens[1:], raw):
-                if rname not in row_index:
-                    raise UnknownRowReference(f"RANGES references {rname!r}")
-                range_map[row_index[rname]] = _number(sval, section, lineno)
-        elif section == "BOUNDS":
-            kind = tokens[0].upper()
-            if kind in _BOUND_KEYS_WITH_VALUE:
-                if len(tokens) < 4:
-                    raise MalformedSection(f"bad BOUNDS line: {raw!r}")
-                cname, value = tokens[2], _number(tokens[3], section, lineno)
-            elif kind in _BOUND_KEYS_BARE:
-                if len(tokens) < 3:
-                    raise MalformedSection(f"bad BOUNDS line: {raw!r}")
-                cname, value = tokens[2], None
-            else:
-                raise MalformedSection(f"unknown bound kind {kind!r}")
-            if cname not in col_index:
-                raise MalformedSection(f"BOUNDS references unknown column {cname!r}")
-            j = col_index[cname]
-            if kind == "LO":
-                bounds_lo[j] = value
-            elif kind == "UP":
-                bounds_up[j] = value
-            elif kind == "FX":
-                bounds_lo[j] = value
-                bounds_up[j] = value
-            elif kind == "BV":
-                bounds_lo[j] = 0.0
-                bounds_up[j] = 1.0
-                integer_cols.add(j)
-            elif kind == "MI":
-                bounds_lo[j] = -INF
-            elif kind == "PL":
-                bounds_up[j] = INF
-
-    if "ROWS" not in seen:
-        raise MalformedSection("missing ROWS section")
-    if "COLUMNS" not in seen:
-        raise MalformedSection("missing COLUMNS section")
+    for head, end in zip(heads, heads[1:] + [len(lines)]):
+        tokens = lines[head].split()
+        key = tokens[0].upper()
+        if key == "ENDATA":
+            ended = True
+            break
+        for start in range(head + 1, end, _CHUNK) or [end]:
+            reader.section(key, tokens, *_data_lines(lines, start, min(start + _CHUNK, end),
+                                                     comments))
+    for key in ("ROWS", "COLUMNS"):
+        if key not in reader.seen:
+            raise MalformedSection(f"missing {key} section")
     if not ended:
         raise MalformedSection("missing ENDATA")
-
-    n = len(col_order)
-    mc = len(row_sense)
-    c = np.zeros(n)
-    for j, v in obj_coef.items():
-        c[j] = v
-    if maximize:
-        c = -c
-    lower = np.zeros(n)
-    upper = np.full(n, INF)
-    for j, v in bounds_lo.items():
-        lower[j] = v
-    for j, v in bounds_up.items():
-        upper[j] = v
-
-    per_row = [[] for _ in range(mc)]
-    for (i, j), v in sorted(entries.items()):
-        per_row[i].append((j, v))
-
-    row_cols, row_vals, senses, rhs = [], [], [], []
-    for i in range(mc):
-        cols = np.array([j for j, _ in per_row[i]], dtype=np.int64)
-        vals = np.array([v for _, v in per_row[i]])
-        b, sense, r = rhs_map.get(i, 0.0), row_sense[i], range_map.get(i)
-        if r is None:
-            parts = [(sense, b)]
-        elif sense != "E":
-            parts = [(sense, b), ("G", b - abs(r)) if sense == "L" else ("L", b + abs(r))]
-        else:  # E: interval [b, b+|r|] if r >= 0 else [b-|r|, b]
-            lo, hi = (b, b + abs(r)) if r >= 0 else (b - abs(r), b)
-            parts = [("E", b)] if lo == hi else [("G", lo), ("L", hi)]
-        for part_sense, part_rhs in parts:  # the model copies rows into its own store
-            row_cols.append(cols), row_vals.append(vals)
-            senses.append(part_sense), rhs.append(part_rhs)
-
-    return MipModel(
-        name=name,
-        c=c,
-        row_cols=row_cols,
-        row_vals=row_vals,
-        row_senses=senses,
-        rhs=np.array(rhs, dtype=float),
-        lower=lower,
-        upper=upper,
-        integers=np.array(sorted(integer_cols), dtype=np.int64),
-        maximize=maximize,
-    )
+    return reader.model()
 
 
-def _number(token: str, section: str, lineno: int) -> float:
-    """One numeric MPS token; a bad one raises MalformedSection saying where it is."""
+class _MpsReader:
+    """What :func:`parse_mps` has read so far; it reads each section in one go.
+
+    A section's handler gets the indices ``at`` of its data lines in the
+    text, as an array, and their tokens ``toks``.  A section may appear more
+    than once, and :func:`parse_mps` hands over a long one in batches; each
+    call adds to what the earlier ones read.
+    """
+
+    def __init__(self, lines, marked):
+        self.lines = lines
+        self.marked = marked  # the lines that hold the text 'MARKER'
+        self.seen = set()
+        self.name, self.maximize = "", False
+        self.obj_row, self.free_rows = None, set()
+        self.row_index, self.row_sense = {}, []  # constraint rows
+        self.col_index = {}
+        self.in_integer_block = False
+        ints, floats = np.zeros(0, dtype=np.int64), np.zeros(0)
+        self.integers = ints
+        self.obj = ints, floats  # objective columns and coefficients
+        self.entries = ints, ints, floats  # constraint rows, columns and coefficients
+        self.rhs = ints, floats  # rows and values
+        self.ranges = ints, floats
+        self.lower = ints, floats  # columns and values, in line order
+        self.upper = ints, floats
+
+    def section(self, key, head, at, toks):
+        if key == "NAME":
+            self.name = head[1] if len(head) > 1 else ""
+        elif key == "OBJSENSE":  # MAX on the header line or on a data line
+            words = head[1:2] + [t[0] for t in toks]
+            self.maximize |= any(w.upper().startswith("MAX") for w in words)
+        elif key in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
+            if key != "ROWS" and "ROWS" not in self.seen:
+                raise MalformedSection(f"{key} section before ROWS")
+            self.seen.add(key)
+            getattr(self, f"read_{key.lower()}")(at, toks)
+        else:
+            raise MalformedSection(f"unknown section {key!r}")
+
+    def read_rows(self, at, toks):
+        kinds = list(map(str.upper, _token(toks, 0)))
+        names = _token(toks, 1)
+        _raise_first([
+            (np.fromiter(map(len, toks), dtype=np.int64, count=len(toks)) != 2,
+             lambda k: MalformedSection(f"bad ROWS line: {self.lines[at[k]]!r}")),
+            (~np.fromiter(map(_ROW_KINDS.__contains__, kinds), dtype=bool, count=len(kinds)),
+             lambda k: MalformedSection(f"unknown row type {kinds[k]!r}")),
+        ])
+        free = [name for kind, name in zip(kinds, names) if kind == "N"]
+        if free and self.obj_row is None:
+            self.obj_row = free.pop(0)
+        self.free_rows.update(free)  # extra free rows are ignored
+        named = [(kind, name) for kind, name in zip(kinds, names) if kind != "N"]
+        base = len(self.row_sense)
+        self.row_index.update({name: base + i for i, (_, name) in enumerate(named)})
+        self.row_sense += [kind for kind, _ in named]
+
+    def read_columns(self, at, toks):
+        near = np.searchsorted(at, self.marked).tolist()
+        marks = [i for i, k in zip(near, self.marked)
+                 if i < len(at) and at[i] == k and "'MARKER'" in toks[i]]
+        integral = np.full(len(toks), self.in_integer_block)
+        for i in marks:  # a marker line sets the integrality of the lines after it
+            if "'INTORG'" in toks[i]:
+                integral[i:] = True
+            elif "'INTEND'" in toks[i]:
+                integral[i:] = False
+        if marks:
+            self.in_integer_block = bool(integral[-1])
+            keep = np.ones(len(toks), dtype=bool)
+            keep[marks] = False
+            at, toks, integral = at[keep], list(compress(toks, keep)), integral[keep]
+        toks, rnames, svals, line, pending = self._pairs(at, toks, 3, "bad COLUMNS line")
+        names = _token(toks, 0)
+        fresh = filterfalse(self.col_index.__contains__, dict.fromkeys(names))
+        self.col_index.update(zip(list(fresh), count(len(self.col_index))))
+        line_col = np.fromiter(map(self.col_index.__getitem__, names), dtype=np.int64,
+                               count=len(names))
+        self.integers = np.concatenate([self.integers, line_col[integral[:len(toks)]]])
+        col = line_col[line]
+        vals, not_number = _numbers(svals)
+        code = self._codes(rnames)
+        is_obj, is_row = code == _OBJ, code >= 0
+        n = len(self.col_index)
+        rows, cols, _ = self.entries
+        # the objective counts as row -1: one key per (row, column) pair
+        again = _repeats(np.concatenate([self.obj[0], (rows + 1) * n + cols]),
+                         (code + 1) * n + col, code >= _OBJ)
+        # an objective row also declared free takes any coefficient, as free rows do
+        exempt = (code == _FREE) | (is_obj & (self.obj_row in self.free_rows))
+
+        def where(p):
+            return f"COLUMNS line {at[line[p]] + 1}"
+
+        _raise_first([
+            (not_number, lambda p: MalformedSection(f"{where(p)}: {svals[p]!r} is not a number")),
+            (~np.isfinite(vals) & ~exempt, lambda p: MalformedSection(
+                f"{where(p)}: coefficient {svals[p]!r} of row {rnames[p]!r}, column "
+                f"{names[line[p]]!r} is not finite")),
+            (again & is_obj, lambda p: DuplicateColumnEntry(
+                f"{where(p)}: column {names[line[p]]!r} listed twice in objective")),
+            (again & is_row, lambda p: DuplicateColumnEntry(
+                f"{where(p)}: duplicate entry for row {rnames[p]!r}, column {names[line[p]]!r}")),
+            (code == _UNKNOWN,
+             lambda p: UnknownRowReference(f"column entry references {rnames[p]!r}")),
+        ], pending)
+        self.obj = _extend(self.obj, col[is_obj], vals[is_obj])
+        self.entries = _extend(self.entries, code[is_row], col[is_row], vals[is_row])
+
+    def read_rhs(self, at, toks):
+        _, rnames, svals, line, pending = self._pairs(at, toks, 1, "odd token count in line")
+        vals, not_number = _numbers(svals)
+        code = self._codes(rnames)
+        is_row = code >= 0
+        _raise_first([
+            (not_number, lambda p: MalformedSection(
+                f"RHS line {at[line[p]] + 1}: {svals[p]!r} is not a number")),
+            ((code == _OBJ) & (vals != 0.0), lambda p: ObjectiveOffset(
+                f"objective row {rnames[p]!r} has RHS {svals[p]}")),
+            (code == _UNKNOWN, lambda p: UnknownRowReference(f"RHS references {rnames[p]!r}")),
+            (_repeats(self.rhs[0], code, is_row), lambda p: DuplicateRowEntry(
+                f"RHS line {at[line[p]] + 1}: row {rnames[p]!r} already has a right-hand side")),
+        ], pending)
+        self.rhs = _extend(self.rhs, code[is_row], vals[is_row])
+
+    def read_ranges(self, at, toks):
+        _, rnames, svals, line, pending = self._pairs(at, toks, 1, "odd token count in line")
+        vals, not_number = _numbers(svals)
+        rows = np.fromiter(map(self.row_index.get, rnames, repeat(_UNKNOWN)), dtype=np.int64,
+                           count=len(rnames))
+        known = rows >= 0
+        _raise_first([
+            (~known, lambda p: UnknownRowReference(f"RANGES references {rnames[p]!r}")),
+            (not_number, lambda p: MalformedSection(
+                f"RANGES line {at[line[p]] + 1}: {svals[p]!r} is not a number")),
+            (_repeats(self.ranges[0], rows, known), lambda p: DuplicateRowEntry(
+                f"RANGES line {at[line[p]] + 1}: row {rnames[p]!r} already has a range")),
+        ], pending)
+        self.ranges = _extend(self.ranges, rows, vals)
+
+    def read_bounds(self, at, toks):
+        kinds = np.fromiter(map(_BOUND_ID.get, map(str.upper, _token(toks, 0)), repeat(-1)),
+                            dtype=np.int64, count=len(toks))
+        need = _BOUND_TOKENS[kinds]  # 0 for an unknown kind
+        short = np.fromiter(map(len, toks), dtype=np.int64, count=len(toks)) < need
+        # the value on each line whose kind takes one: NaN where it is not a number
+        valued = (need == 4) & ~short
+        value_tokens = _token(toks, 3)
+        vals = np.full(len(toks), np.nan)
+        not_number = np.zeros(len(toks), dtype=bool)
+        vals[valued], not_number[valued] = _numbers(list(compress(value_tokens, valued)))
+        col = np.fromiter(map(self.col_index.get, _token(toks, 2), repeat(-1)), dtype=np.int64,
+                          count=len(toks))
+        _raise_first([
+            (need == 0, lambda k: MalformedSection(f"unknown bound kind {toks[k][0].upper()!r}")),
+            (short, lambda k: MalformedSection(f"bad BOUNDS line: {self.lines[at[k]]!r}")),
+            (not_number, lambda k: MalformedSection(
+                f"BOUNDS line {at[k] + 1}: {value_tokens[k]!r} is not a number")),
+            ((need > 0) & ~short & (col < 0), lambda k: MalformedSection(
+                f"BOUNDS references unknown column {toks[k][2]!r}")),
+        ])
+        sets = np.zeros((2, len(toks)), dtype=bool)  # which lines set a lower, an upper bound
+        value = np.zeros((2, len(toks)))
+        integer = np.zeros(len(toks), dtype=bool)
+        for kind in set(kinds.tolist()):
+            _, *bound, makes_integer = _BOUND_SPECS[kind]
+            here = kinds == kind
+            for b, v in enumerate(bound):
+                if v is not None:
+                    sets[b] |= here
+                    value[b, here] = vals[here] if v is _VALUE else v
+            if makes_integer:
+                integer |= here
+        self.lower = _extend(self.lower, col[sets[0]], value[0, sets[0]])
+        self.upper = _extend(self.upper, col[sets[1]], value[1, sets[1]])
+        self.integers = np.concatenate([self.integers, col[integer]])
+
+    def _pairs(self, at, toks, least, what):
+        """The (row name, value token) pairs after each line's first token.
+
+        Returns the lines split, the pairs' names and values in file order,
+        the line of each pair (an index into ``toks``), and the error for the
+        first line whose token count is even or below ``least``, where the
+        split stops, or None.
+        """
+        lens = np.fromiter(map(len, toks), dtype=np.int64, count=len(toks))
+        bad = (lens % 2 == 0) | (lens < least)
+        pending = None
+        if bad.any():
+            stop = int(np.argmax(bad))
+            pending = MalformedSection(f"{what}: {self.lines[at[stop]]!r}")
+            toks, lens = toks[:stop], lens[:stop]
+        names, values, keys = [], [], []
+        widths = np.flatnonzero(np.bincount(lens)).tolist()
+        wide = max(widths, default=0)
+        for width in widths:  # lines of one token count: every pair is a strided slice
+            group = np.flatnonzero(lens == width)
+            flat = list(chain.from_iterable(
+                toks if len(widths) == 1 else [toks[k] for k in group.tolist()]))
+            for k in range(1, width, 2):
+                names += flat[k::width]
+                values += flat[k + 1::width]
+                keys.append(group * wide + k)
+        keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+        if len(widths) > 1 or wide > 3:  # put the pairs back in file order
+            order = np.argsort(keys).tolist()
+            names, values = [names[i] for i in order], [values[i] for i in order]
+            keys = keys[order]
+        return toks, names, values, keys // max(wide, 1), pending
+
+    def _codes(self, names):
+        """Each row name's constraint row index, or _OBJ, _FREE or _UNKNOWN."""
+        lookup = dict(self.row_index)
+        lookup.update(dict.fromkeys(self.free_rows, _FREE))
+        if self.obj_row is not None:
+            lookup[self.obj_row] = _OBJ
+        return np.fromiter(map(lookup.get, names, repeat(_UNKNOWN)), dtype=np.int64,
+                           count=len(names))
+
+    def model(self) -> MipModel:
+        n, mc = len(self.col_index), len(self.row_sense)
+        c = np.zeros(n)
+        c[self.obj[0]] = self.obj[1]
+        if self.maximize:
+            c = -c
+        lower, upper = np.zeros(n), np.full(n, INF)
+        for bound, (cols, vals) in ((lower, self.lower), (upper, self.upper)):
+            order = np.argsort(cols, kind="stable")
+            last = order[np.diff(cols[order], append=-1) != 0]  # each column's last line
+            bound[cols[last]] = vals[last]  # a later line overrides an earlier one
+        b = np.zeros(mc)
+        b[self.rhs[0]] = self.rhs[1]
+        senses, rhs, source = self._split_ranges(b)
+        rows, cols, vals = self.entries
+        nonzero = vals != 0.0
+        rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+        order = np.argsort(rows * n + cols, kind="stable")  # row by row, columns ascending
+        counts = np.bincount(rows, minlength=mc)
+        counts_out = counts[source]
+        indptr = np.concatenate([[0], np.cumsum(counts_out)])
+        # entry k of model row i is entry k of its source row
+        take = order[np.repeat((np.cumsum(counts) - counts)[source] - indptr[:-1], counts_out)
+                     + np.arange(indptr[-1])]
+        return MipModel.from_csr(
+            name=self.name, c=c, indptr=indptr, indices=cols[take], data=vals[take],
+            row_senses=senses, rhs=rhs, lower=lower, upper=upper,
+            integers=self.integers, maximize=self.maximize,
+        )
+
+    def _split_ranges(self, b):
+        """Each model row's sense and rhs, and the constraint row it comes from.
+
+        A row with a RANGES value becomes two rows in its place, unless it is
+        an E row whose range is 0.
+        """
+        if not len(self.ranges[0]):
+            return list(self.row_sense), b, np.arange(len(b))
+        ranges = dict(zip(self.ranges[0].tolist(), self.ranges[1].tolist()))
+        senses, rhs, source = [], [], []
+        for i, (sense, bi) in enumerate(zip(self.row_sense, b.tolist())):
+            r = ranges.get(i)
+            if r is None:
+                parts = [(sense, bi)]
+            elif sense != "E":
+                parts = [(sense, bi), ("G", bi - abs(r)) if sense == "L" else ("L", bi + abs(r))]
+            else:  # E: interval [b, b+|r|] if r >= 0 else [b-|r|, b]
+                lo, hi = (bi, bi + abs(r)) if r >= 0 else (bi - abs(r), bi)
+                parts = [("E", bi)] if lo == hi else [("G", lo), ("L", hi)]
+            for part_sense, part_rhs in parts:
+                senses.append(part_sense), rhs.append(part_rhs), source.append(i)
+        return senses, np.array(rhs, dtype=float), np.array(source, dtype=np.int64)
+
+
+def _data_lines(lines, start, end, comments):
+    """The indices and tokens of the data lines in ``lines[start:end]``.
+
+    Blank lines are skipped and so, when ``comments`` is set, are comments:
+    lines whose first token starts with "*".
+    """
+    toks = list(map(str.split, lines[start:end]))
+    keep = np.fromiter(map(len, toks), dtype=bool, count=len(toks))
+    if comments:
+        keep[[i for i in np.flatnonzero(keep).tolist() if toks[i][0][0] == "*"]] = False
+    if not keep.all():
+        toks = list(compress(toks, keep))
+    return np.flatnonzero(keep) + start, toks
+
+
+def _lines_matching(lines, *patterns) -> list:
+    """For each pattern, the indices of the lines where it matches.
+
+    The patterns search the lines joined into one text, each line after a
+    line break.
+    """
+    text = "\n" + "\n".join(lines)
+    out = []
+    for pattern in patterns:
+        found, k, seen = [], -1, 0
+        for match in pattern.finditer(text):
+            k += text.count("\n", seen, match.end())  # the line of the match's last character
+            seen = match.end()
+            if not found or found[-1] != k:
+                found.append(k)
+        out.append(found)
+    return out
+
+
+def _token(toks, k) -> list:
+    """The ``k``-th token of each line, or "" where a line has fewer tokens."""
     try:
-        return float(token)
+        return list(map(itemgetter(k), toks))
+    except IndexError:
+        return [t[k] if len(t) > k else "" for t in toks]
+
+
+def _numbers(tokens):
+    """The tokens as floats, and a mask of those that are not numbers (NaN in the floats)."""
+    try:
+        return np.array(tokens, dtype=float), np.zeros(len(tokens), dtype=bool)
     except ValueError:
-        raise MalformedSection(f"{section} line {lineno}: {token!r} is not a number") from None
+        vals, bad = np.full(len(tokens), np.nan), np.zeros(len(tokens), dtype=bool)
+        for i, token in enumerate(tokens):
+            try:
+                vals[i] = float(token)
+            except ValueError:
+                bad[i] = True
+        return vals, bad
 
 
-def _pairs(tokens, raw):
-    if len(tokens) % 2 != 0:
-        raise MalformedSection(f"odd token count in line: {raw!r}")
-    return zip(tokens[0::2], tokens[1::2])
+def _repeats(earlier, keys, where) -> np.ndarray:
+    """Which entries ``where`` selects repeat a key of ``earlier`` or of an earlier such entry."""
+    both = np.concatenate([earlier, keys[where]])
+    order = np.argsort(both, kind="stable")
+    again = np.zeros(len(both), dtype=bool)
+    again[order[1:]] = both[order[1:]] == both[order[:-1]]
+    out = np.zeros(len(keys), dtype=bool)
+    out[where] = again[len(earlier):]
+    return out
+
+
+def _extend(arrays, *more):
+    return tuple(np.concatenate(pair) for pair in zip(arrays, more))
+
+
+def _raise_first(checks, pending=None):
+    """Raise the error for the first entry that a check flags, else ``pending`` if given.
+
+    Each check pairs a mask over entries in file order (value pairs or lines)
+    with a function that makes the error for a flagged index; on one entry
+    the earlier check comes first.
+    """
+    hits = [(int(np.argmax(mask)), rank) for rank, (mask, _) in enumerate(checks) if mask.any()]
+    if hits:
+        index, rank = min(hits)
+        raise checks[rank][1](index)
+    if pending is not None:
+        raise pending
 
 
 def write_mps(model: MipModel) -> str:

@@ -2,13 +2,25 @@
 
 Everything here is written directly against the problem definitions, not
 against the package internals: brute-force enumeration for binary MIPs,
-exact rational vertex enumeration for small LPs, and a scripted RNG stub.
+exact rational vertex enumeration for small LPs, a line-by-line MPS reader,
+and a scripted RNG stub.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from banditmip.model import (
+    INF,
+    DuplicateColumnEntry,
+    DuplicateRowEntry,
+    MalformedSection,
+    MipModel,
+    ObjectiveOffset,
+    UnknownRowReference,
+)
 
 
 def dense_matrix(model):
@@ -177,3 +189,239 @@ class FakeRng:
 
     def choice(self, arr):
         return arr[self._ints.pop(0)]
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line MPS reader: the reference for parse_mps
+# ---------------------------------------------------------------------------
+
+_BOUND_KEYS_WITH_VALUE = {"LO", "UP", "FX", "LI", "UI"}
+_BOUND_KEYS_BARE = {"BV", "MI", "PL", "FR"}
+
+
+def parse_mps_reference(text: str) -> MipModel:
+    """The MPS subset of ``parse_mps``, read one line at a time.
+
+    Each line is checked and stored as it is read, into dicts keyed by row
+    and column, and the model is built from per-row lists.  It accepts the
+    same inputs as ``parse_mps`` and raises the same error, with the same
+    message, for the first line at fault.
+    """
+    name = ""
+    maximize = False
+    section = None
+    seen = set()
+    obj_row = None
+    free_rows = set()
+    row_index = {}  # constraint row name -> index
+    row_sense = []
+    col_index = {}
+    col_order = []
+    entries = {}  # (row idx, col idx) -> value, explicit zeros included
+    obj_coef = {}  # col idx -> objective value
+    integer_cols = set()
+    rhs_map = {}
+    range_map = {}
+    bounds_lo = {}
+    bounds_up = {}
+    in_integer_block = False
+    ended = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.lstrip().startswith("*"):
+            continue
+        is_header = not raw[0].isspace()
+        tokens = raw.split()
+        if is_header:
+            key = tokens[0].upper()
+            if key == "NAME":
+                name = tokens[1] if len(tokens) > 1 else ""
+                section = "NAME"
+            elif key == "OBJSENSE":
+                section = "OBJSENSE"
+                if len(tokens) > 1 and tokens[1].upper().startswith("MAX"):
+                    maximize = True
+            elif key in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
+                if key != "ROWS" and "ROWS" not in seen:
+                    raise MalformedSection(f"{key} section before ROWS")
+                section = key
+                seen.add(key)
+            elif key == "ENDATA":
+                ended = True
+                break
+            else:
+                raise MalformedSection(f"unknown section {key!r}")
+            continue
+        if section is None:
+            raise MalformedSection("data line before any section header")
+        if section == "OBJSENSE":
+            if tokens[0].upper().startswith("MAX"):
+                maximize = True
+        elif section == "ROWS":
+            if len(tokens) != 2:
+                raise MalformedSection(f"bad ROWS line: {raw!r}")
+            rtype, rname = tokens[0].upper(), tokens[1]
+            if rtype == "N":
+                if obj_row is None:
+                    obj_row = rname
+                else:
+                    free_rows.add(rname)  # extra free rows are ignored
+            elif rtype in ("L", "G", "E"):
+                row_index[rname] = len(row_sense)
+                row_sense.append(rtype)
+            else:
+                raise MalformedSection(f"unknown row type {rtype!r}")
+        elif section == "COLUMNS":
+            if "'MARKER'" in tokens:
+                if "'INTORG'" in tokens:
+                    in_integer_block = True
+                elif "'INTEND'" in tokens:
+                    in_integer_block = False
+                continue
+            cname = tokens[0]
+            if cname not in col_index:
+                col_index[cname] = len(col_order)
+                col_order.append(cname)
+            j = col_index[cname]
+            if in_integer_block:
+                integer_cols.add(j)
+            if len(tokens) % 2 == 0 or len(tokens) < 3:
+                raise MalformedSection(f"bad COLUMNS line: {raw!r}")
+            for rname, sval in zip(tokens[1::2], tokens[2::2]):
+                value = _number(sval, section, lineno)
+                if not math.isfinite(value) and rname not in free_rows:
+                    raise MalformedSection(f"COLUMNS line {lineno}: coefficient {sval!r} "
+                                           f"of row {rname!r}, column {cname!r} is not finite")
+                if rname == obj_row:
+                    if j in obj_coef:
+                        raise DuplicateColumnEntry(f"COLUMNS line {lineno}: column {cname!r} "
+                                                   f"listed twice in objective")
+                    obj_coef[j] = value
+                elif rname in free_rows:
+                    continue
+                elif rname in row_index:
+                    key = (row_index[rname], j)
+                    if key in entries:
+                        raise DuplicateColumnEntry(f"COLUMNS line {lineno}: duplicate entry "
+                                                   f"for row {rname!r}, column {cname!r}")
+                    entries[key] = value
+                else:
+                    raise UnknownRowReference(f"column entry references {rname!r}")
+        elif section == "RHS":
+            for rname, sval in _pairs(tokens[1:], raw):
+                value = _number(sval, section, lineno)
+                if rname == obj_row and value != 0.0:
+                    raise ObjectiveOffset(f"objective row {rname!r} has RHS {sval}")
+                if rname == obj_row or rname in free_rows:
+                    continue
+                if rname not in row_index:
+                    raise UnknownRowReference(f"RHS references {rname!r}")
+                if row_index[rname] in rhs_map:
+                    raise DuplicateRowEntry(f"RHS line {lineno}: row {rname!r} already has "
+                                            f"a right-hand side")
+                rhs_map[row_index[rname]] = value
+        elif section == "RANGES":
+            for rname, sval in _pairs(tokens[1:], raw):
+                if rname not in row_index:
+                    raise UnknownRowReference(f"RANGES references {rname!r}")
+                value = _number(sval, section, lineno)
+                if row_index[rname] in range_map:
+                    raise DuplicateRowEntry(f"RANGES line {lineno}: row {rname!r} already has "
+                                            f"a range")
+                range_map[row_index[rname]] = value
+        elif section == "BOUNDS":
+            kind = tokens[0].upper()
+            if kind in _BOUND_KEYS_WITH_VALUE:
+                if len(tokens) < 4:
+                    raise MalformedSection(f"bad BOUNDS line: {raw!r}")
+                cname, value = tokens[2], _number(tokens[3], section, lineno)
+            elif kind in _BOUND_KEYS_BARE:
+                if len(tokens) < 3:
+                    raise MalformedSection(f"bad BOUNDS line: {raw!r}")
+                cname, value = tokens[2], None
+            else:
+                raise MalformedSection(f"unknown bound kind {kind!r}")
+            if cname not in col_index:
+                raise MalformedSection(f"BOUNDS references unknown column {cname!r}")
+            j = col_index[cname]
+            if kind in ("LO", "FX", "LI"):
+                bounds_lo[j] = value
+            if kind in ("UP", "FX", "UI"):
+                bounds_up[j] = value
+            if kind in ("BV", "LI", "UI"):
+                integer_cols.add(j)
+            if kind == "BV":
+                bounds_lo[j] = 0.0
+                bounds_up[j] = 1.0
+            elif kind in ("MI", "FR"):
+                bounds_lo[j] = -INF
+            if kind in ("PL", "FR"):
+                bounds_up[j] = INF
+
+    if "ROWS" not in seen:
+        raise MalformedSection("missing ROWS section")
+    if "COLUMNS" not in seen:
+        raise MalformedSection("missing COLUMNS section")
+    if not ended:
+        raise MalformedSection("missing ENDATA")
+
+    n = len(col_order)
+    mc = len(row_sense)
+    c = np.zeros(n)
+    for j, v in obj_coef.items():
+        c[j] = v
+    if maximize:
+        c = -c
+    lower = np.zeros(n)
+    upper = np.full(n, INF)
+    for j, v in bounds_lo.items():
+        lower[j] = v
+    for j, v in bounds_up.items():
+        upper[j] = v
+
+    per_row = [[] for _ in range(mc)]
+    for (i, j), v in sorted(entries.items()):
+        if v != 0.0:  # explicit zeros stay out of the model
+            per_row[i].append((j, v))
+
+    row_cols, row_vals, senses, rhs = [], [], [], []
+    for i in range(mc):
+        cols = np.array([j for j, _ in per_row[i]], dtype=np.int64)
+        vals = np.array([v for _, v in per_row[i]])
+        b, sense, r = rhs_map.get(i, 0.0), row_sense[i], range_map.get(i)
+        if r is None:
+            parts = [(sense, b)]
+        elif sense != "E":
+            parts = [(sense, b), ("G", b - abs(r)) if sense == "L" else ("L", b + abs(r))]
+        else:  # E: interval [b, b+|r|] if r >= 0 else [b-|r|, b]
+            lo, hi = (b, b + abs(r)) if r >= 0 else (b - abs(r), b)
+            parts = [("E", b)] if lo == hi else [("G", lo), ("L", hi)]
+        for part_sense, part_rhs in parts:
+            row_cols.append(cols), row_vals.append(vals)
+            senses.append(part_sense), rhs.append(part_rhs)
+
+    return MipModel(
+        name=name,
+        c=c,
+        row_cols=row_cols,
+        row_vals=row_vals,
+        row_senses=senses,
+        rhs=np.array(rhs, dtype=float),
+        lower=lower,
+        upper=upper,
+        integers=np.array(sorted(integer_cols), dtype=np.int64),
+        maximize=maximize,
+    )
+
+
+def _number(token: str, section: str, lineno: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise MalformedSection(f"{section} line {lineno}: {token!r} is not a number") from None
+
+
+def _pairs(tokens, raw):
+    if len(tokens) % 2 != 0:
+        raise MalformedSection(f"odd token count in line: {raw!r}")
+    return zip(tokens[0::2], tokens[1::2])

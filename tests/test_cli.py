@@ -194,6 +194,16 @@ def test_solve_bound_that_admits_no_value_exits_with_error(tmp_path, capsys, bou
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("rhs", [" RHS R0 4 R0 7", " RHS R0 4\n RHS2 R0 7"])
+def test_solve_repeated_rhs_entry_exits_with_error(tmp_path, capsys, rhs):
+    path = tmp_path / "rhs.mps"
+    path.write_text("\n".join(["NAME RHS", "ROWS", " N OBJ", " L R0", "COLUMNS",
+                               " X0 OBJ -1 R0 1", "RHS", rhs, "ENDATA", ""]))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RHS line ") and "row 'R0' already has" in err
+
+
 MAX_KNAPSACK = """\
 NAME MAXKNAP
 OBJSENSE

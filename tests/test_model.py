@@ -4,10 +4,13 @@ import re
 import numpy as np
 import pytest
 
+import banditmip.model
+from banditmip.heuristics import variable_locks
 from banditmip.model import (
     Assignment,
     DimensionMismatch,
     DuplicateColumnEntry,
+    DuplicateRowEntry,
     MalformedSection,
     MipModel,
     ObjectiveOffset,
@@ -19,6 +22,7 @@ from banditmip.model import (
     parse_mps,
     write_mps,
 )
+from oracles import parse_mps_reference
 
 KNAPSACK_MPS = """\
 NAME SMALLKNAP
@@ -557,3 +561,385 @@ def test_load_instance_bad_uri_key_names_uri_and_key(uri, key):
     with pytest.raises(ValueError) as err:
         load_instance(uri)
     assert repr(uri) in str(err.value) and f"key {key!r}" in str(err.value), str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# parse_mps reads each section as arrays; the line-by-line reader is its reference
+# ---------------------------------------------------------------------------
+
+MODEL_ARRAYS = ("c", "rhs", "lower", "upper", "integers", "indptr", "indices", "data",
+                "entry_rows", "sense_array")
+
+
+def _outcome(read, text):
+    """A reader's error class and message, or the bytes of every array of its model."""
+    try:
+        model = read(text)
+    except ValueError as err:
+        return type(err), str(err)
+    arrays = [(key, getattr(model, key).dtype.str, getattr(model, key).shape,
+               getattr(model, key).tobytes()) for key in MODEL_ARRAYS]
+    return model.name, model.maximize, model.row_senses, arrays
+
+
+HAND_MPS = {
+    # RANGES on E rows of either sign and of zero, and on L and G rows of either sign
+    "ranges": """\
+NAME RANGED
+ROWS
+ N OBJ
+ E E0
+ E E1
+ E E2
+ L L0
+ L L1
+ G G0
+ G G1
+COLUMNS
+ X OBJ 1 E0 1
+ X E1 2 E2 -1
+ X L0 1 L1 3
+ X G0 1 G1 -2
+ Y OBJ -2 E2 4
+RHS
+ RHS E0 5 E1 -1
+ RHS E2 2 L0 4
+ RHS L1 -3 G0 1
+ RHS G1 2.5
+RANGES
+ RNG E0 2 E1 -3
+ RNG E2 0 L0 1.5
+ RNG L1 -2 G0 4
+ RNG G1 -0.5
+ENDATA
+""",
+    # MAX on the header line; extra N rows take entries and RHS values that are dropped
+    "objsense": """\
+NAME MAXED
+OBJSENSE MAX
+ROWS
+ N COST
+ N SPARE
+ N OTHER
+ L R0
+COLUMNS
+ A COST 3 R0 1
+ A SPARE 7 OTHER inf
+ B COST 0 R0 2
+ B SPARE 1
+RHS
+ RHS R0 4 SPARE 9
+ RHS COST 0
+ENDATA
+""",
+    # markers around split integer blocks; a column listed again outside its block
+    "markers": """\
+NAME MARKED
+OBJSENSE
+    MAXIMIZE
+ROWS
+ N OBJ
+ G R0
+ L R1
+COLUMNS
+ M0 'MARKER' 'INTORG'
+ X0 OBJ 1 R0 1
+ X1 OBJ 2 R1 1
+ M1 'MARKER' 'INTEND'
+ Y0 OBJ -1 R0 2
+ M2 'MARKER' 'INTORG'
+ X2 R0 3
+ M3 'MARKER' 'INTEND'
+ X2 R1 5
+ Y1 R1 -1 R0 0.5
+RHS
+ RHS R0 1 R1 6
+ENDATA
+""",
+    # BV, MI, PL, FX, LO and UP; a later line overrides an earlier one on one bound
+    "bounds": """\
+NAME BOUNDED
+ROWS
+ N OBJ
+ G R0
+COLUMNS
+ A OBJ 1 R0 1
+ B OBJ 1 R0 1
+ C OBJ 1 R0 1
+ D OBJ 1 R0 1
+ E OBJ 1 R0 1
+RHS
+ RHS R0 1
+BOUNDS
+ BV BND A
+ MI BND B
+ UP BND B 3
+ PL BND C
+ LO BND C -2
+ FX BND D 1.5
+ LO BND E 1
+ UP BND E 9
+ LO BND E 2
+ UP BND A 0
+ENDATA
+""",
+    # comments and blank lines, tabs, a comment at column 0, a second RHS vector,
+    # columns in two COLUMNS sections and lines after ENDATA
+    "layout": """\
+* a model written by hand
+NAME\tLAYOUT
+
+ROWS
+ N  OBJ
+\tL  R0
+   * an indented comment
+ G  R1
+
+COLUMNS
+    X   OBJ   1.5   R0   2
+*column 0 comment
+    X   R1    1
+RHS
+    RHS1  R0  10
+    RHS2  R1  1
+COLUMNS
+    Y   R0   1   OBJ   -1
+BOUNDS
+ UP BND Y 8
+ENDATA
+anything at all
+""",
+}
+
+
+def _generated_texts():
+    for family, size in [("knapsack", (10, 3)), ("set_cover", (30, 12)), ("gap", (16, 4))]:
+        for seed in range(4):
+            yield f"{family}-{seed}", write_mps(generate_instance(family, size, seed))
+
+
+def _malformed_texts():
+    """Every malformed MPS text the tests above feed to parse_mps."""
+    yield "no ENDATA", KNAPSACK_MPS.replace("ENDATA\n", "")
+    for section in ("ROWS", "COLUMNS"):
+        out, skip = [], False
+        for line in KNAPSACK_MPS.splitlines(keepends=True):
+            if not line[0].isspace():
+                skip = line.startswith(section)
+            if not skip:
+                out.append(line)
+        yield f"no {section}", "".join(out)
+    yield "unknown row", KNAPSACK_MPS.replace("X1 OBJ -3.0 CAP 2.0", "X1 OBJ -3.0 R9 2.0")
+    yield "duplicate", KNAPSACK_MPS.replace("X1 OBJ -3.0 CAP 2.0", "X1 OBJ -3.0 CAP 2.0 CAP 1.0")
+    yield "offset", KNAPSACK_MPS.replace(" RHS CAP 5.0", " RHS OBJ -10.0 CAP 5.0")
+    yield "nan", KNAPSACK_MPS.replace("CAP 4.0", "CAP nan")
+    for field, token in [("coef", "abc"), ("rhs", "1..0"), ("rng", "x2"), ("up", "one"),
+                         ("coef", "nan"), ("coef", "-inf")]:
+        yield f"{field}={token}", NUMBERS_MPS.format(**{**GOOD_NUMBERS, field: token})
+
+
+# malformed in ways the tests above do not reach
+ODD_MPS = {
+    # the objective row declared again as a free row: an infinite cost reaches the model
+    "objective declared twice": HAND_MPS["objsense"].replace(" N SPARE", " N SPARE\n N COST")
+    .replace("A COST 3", "A COST inf"),
+    # an explicit zero in one COLUMNS section repeated in the next
+    "zero repeated across sections": HAND_MPS["layout"].replace(
+        "    X   R1    1\n", "    X   R1    0\n").replace("    Y   R0   1", "    X   R1   2"),
+    "range repeated across sections": HAND_MPS["ranges"].replace(
+        "ENDATA", "RANGES\n RNG G1 1\nENDATA"),
+}
+
+
+@pytest.mark.parametrize("text", [*HAND_MPS.values(), *(t for _, t in _generated_texts())],
+                         ids=[*HAND_MPS, *(k for k, _ in _generated_texts())])
+def test_parse_matches_the_reference_reader(text):
+    expected = _outcome(parse_mps_reference, text)
+    assert not isinstance(expected[0], type), expected  # every case parses
+    assert _outcome(parse_mps, text) == expected
+
+
+@pytest.mark.parametrize("text", [*(t for _, t in _malformed_texts()), *ODD_MPS.values()],
+                         ids=[*(k for k, _ in _malformed_texts()), *ODD_MPS])
+def test_parse_raises_as_the_reference_reader(text):
+    expected = _outcome(parse_mps_reference, text)
+    assert isinstance(expected[0], type), "every case is malformed"
+    assert _outcome(parse_mps, text) == expected
+
+
+MUTATION_TOKENS = ["R0", "R1", "R2", "OBJ", "FREE", "X", "Y", "C0", "C1", "1", "0", "-2.5",
+                   "nan", "inf", "abc", "1e400", "-0", "'MARKER'", "'INTORG'", "'INTEND'",
+                   "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE", "MAX",
+                   "LO", "UP", "FX", "BV", "MI", "PL", "FR", "LI", "UI", "BND", "N", "L", "G",
+                   "E", "Q"]
+
+
+def _mutate(text, rng):
+    """A few random edits: lines dropped, repeated, swapped, indented or not, tokens
+    replaced, dropped or added, comments and blank lines inserted."""
+    lines = text.splitlines()
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(0, len(lines)))
+        toks = lines[k].split()
+        lead = " " if lines[k][:1].isspace() else ""
+        op = int(rng.integers(0, 8))
+        if op == 0:
+            del lines[k]
+        elif op == 1:
+            lines.insert(k, lines[k])
+        elif op == 2 and toks:
+            toks[int(rng.integers(0, len(toks)))] = str(rng.choice(MUTATION_TOKENS))
+            lines[k] = lead + " ".join(toks)
+        elif op == 3:
+            lines.insert(k, str(rng.choice(["", "   ", "* note", "  *note", "\t"])))
+        elif op == 4:
+            lines[k] = lines[k].lstrip() if lead else " " + lines[k]
+        elif op == 5:
+            j = int(rng.integers(0, len(lines)))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op == 6 and len(toks) > 1:
+            del toks[int(rng.integers(0, len(toks)))]
+            lines[k] = lead + " ".join(toks)
+        else:
+            lines[k] += " " + str(rng.choice(MUTATION_TOKENS))
+        if not lines:
+            lines = [" X"]
+    return "\r\n".join(lines) if rng.random() < 0.2 else "\n".join(lines)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, banditmip.model._CHUNK])
+def test_parse_matches_the_reference_on_mutated_texts(chunk, monkeypatch):
+    # lines read in batches of ``chunk``: a batch boundary changes neither model nor error
+    monkeypatch.setattr(banditmip.model, "_CHUNK", chunk)
+    rng = np.random.default_rng(23)
+    bases = [*HAND_MPS.values(), *(t for _, t in _generated_texts()), KNAPSACK_MPS]
+    kinds = set()
+    for _ in range(800):
+        text = _mutate(bases[int(rng.integers(0, len(bases)))], rng)
+        expected = _outcome(parse_mps_reference, text)
+        assert _outcome(parse_mps, text) == expected, text
+        kinds.add(expected[0] if isinstance(expected[0], type) else "parsed")
+    # the edits reach a model and each reader error
+    assert kinds >= {"parsed", MalformedSection, UnknownRowReference, DuplicateColumnEntry,
+                     DuplicateRowEntry, ObjectiveOffset}
+
+
+SMALL_MPS = """\
+NAME SMALL
+ROWS
+ N OBJ
+ L R0
+ G R1
+COLUMNS
+ X1 OBJ 1 R0 1
+ X1 R1 1
+ X2 OBJ 2 R0 1
+RHS
+{rhs}
+RANGES
+{ranges}
+BOUNDS
+{bounds}
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("rhs, where", [
+    (" RHS R0 4 R0 7", "RHS line 11: row 'R0'"),
+    (" RHS R0 4\n RHS R1 1 R0 7", "RHS line 12: row 'R0'"),
+    (" RHS R0 4\n RHS2 R0 9", "RHS line 12: row 'R0'"),
+])
+def test_parse_rejects_a_repeated_rhs_entry(rhs, where):
+    assert parse_mps(SMALL_MPS.format(rhs=" RHS R0 4", ranges="", bounds="")).rhs[0] == 4.0
+    with pytest.raises(DuplicateRowEntry, match=re.escape(where)):
+        parse_mps(SMALL_MPS.format(rhs=rhs, ranges="", bounds=""))
+
+
+@pytest.mark.parametrize("ranges, where", [
+    (" RNG R1 2 R1 3", "RANGES line 13: row 'R1'"),
+    (" RNG R1 2\n RNG2 R1 2", "RANGES line 14: row 'R1'"),
+])
+def test_parse_rejects_a_repeated_range(ranges, where):
+    with pytest.raises(DuplicateRowEntry, match=re.escape(where)):
+        parse_mps(SMALL_MPS.format(rhs="", ranges=ranges, bounds=""))
+
+
+@pytest.mark.parametrize("first, second", [("0", "5"), ("5", "0"), ("0", "0"), ("-0.0", "5")])
+def test_parse_counts_an_explicit_zero_as_an_entry(first, second):
+    text = SMALL_MPS.format(rhs="", ranges="", bounds="").replace(
+        " X2 OBJ 2 R0 1", f" X2 OBJ 2 R1 {first}\n X2 R1 {second}")
+    where = "COLUMNS line 10: duplicate entry for row 'R1'"
+    with pytest.raises(DuplicateColumnEntry, match=where):
+        parse_mps(text)
+
+
+def test_parse_keeps_an_explicit_zero_out_of_the_model():
+    text = SMALL_MPS.format(rhs="", ranges="", bounds="").replace(" X1 R1 1", " X1 R1 0")
+    model = parse_mps(text)
+    assert model.row_cols[1].size == 0 and np.array_equal(model.row_cols[0], [0, 1])
+
+
+def _bounded(*lines):
+    return parse_mps(SMALL_MPS.format(rhs="", ranges="", bounds="\n".join(lines)))
+
+
+def test_parse_free_bound():
+    model = _bounded(" UP BND X1 4", " FR BND X1")
+    assert model.lower[0] == -np.inf and model.upper[0] == np.inf
+    assert model.integer_set == frozenset()
+
+
+def test_parse_integer_lower_bound():
+    model = _bounded(" LI BND X2 -3")
+    assert model.lower[1] == -3.0 and model.upper[1] == np.inf
+    assert model.integer_set == {1}
+    with pytest.raises(MalformedSection, match="bad BOUNDS line"):
+        _bounded(" LI BND X2")
+
+
+def test_parse_integer_upper_bound():
+    model = _bounded(" UI BND X1 7", " LO BND X1 2")
+    assert model.lower[0] == 2.0 and model.upper[0] == 7.0
+    assert model.integer_set == {0}
+    with pytest.raises(MalformedSection, match=re.escape("BOUNDS line 15: 'x' is not a number")):
+        _bounded(" UI BND X1 x")
+
+
+@pytest.mark.parametrize("family", ["knapsack", "set_cover", "gap"])
+def test_from_csr_stores_what_the_row_constructor_stores(family):
+    model = generate_instance(family, (20, 6), 3)
+    again = MipModel.from_csr(
+        name=model.name, c=model.c, indptr=model.indptr, indices=model.indices,
+        data=model.data, row_senses=model.row_senses, rhs=model.rhs, lower=model.lower,
+        upper=model.upper, integers=model.integers, maximize=True)
+    for key in MODEL_ARRAYS:
+        a, b = getattr(model, key), getattr(again, key)
+        assert a.dtype == b.dtype and np.array_equal(a, b) and not b.flags.writeable, key
+    assert again.maximize and again.row_senses == model.row_senses
+    for a, b in zip(model.row_cols, again.row_cols):
+        assert np.array_equal(a, b) and b.base is again.indices
+    with pytest.raises(ValueError, match="duplicate column entries"):
+        MipModel.from_csr(name="dup", c=np.ones(2), indptr=[0, 2], indices=[1, 1],
+                          data=[1.0, 2.0], row_senses=["L"], rhs=[1.0], lower=np.zeros(2),
+                          upper=np.ones(2), integers=[])
+    with pytest.raises(ValueError, match="length m"):
+        MipModel.from_csr(name="short", c=np.ones(2), indptr=[0, 1], indices=[1], data=[1.0],
+                          row_senses=["L", "G"], rhs=[1.0], lower=np.zeros(2),
+                          upper=np.ones(2), integers=[])
+
+
+def test_sense_array_holds_the_row_senses_read_only():
+    model = dataclasses.replace(generate_instance("gap", (12, 4), 3),
+                                row_senses=["L", "G", "E"] + ["L"] * 4)
+    assert model.sense_array.dtype == np.dtype("U1")
+    assert model.sense_array.tolist() == model.row_senses
+    with pytest.raises(ValueError):
+        model.sense_array[0] = "G"
+    # the rounding locks read the same senses the per-row strings give
+    down, up = variable_locks(model)
+    sense = np.asarray(model.row_senses, dtype="U1")[model.entry_rows]
+    pos = model.data > 0
+    assert np.array_equal(up, np.bincount(model.indices[np.where(pos, sense != "G", sense != "L")],
+                                          minlength=model.n))
+    assert np.array_equal(down, np.bincount(
+        model.indices[np.where(pos, sense != "L", sense != "G")], minlength=model.n))
