@@ -22,7 +22,7 @@ for mode in ("default", "scheduler"):
     st = res.stats
     print(f"{mode:>9}: {res.status.value}, objective {res.objective:g}, "
           f"{res.nodes_processed} nodes, {st.heuristic_calls} heuristic calls, "
-          f"{st.incumbents_found_by_heuristics} heuristic incumbents")
+          f"{st.heuristic_successes} heuristic incumbents")
 
 assert results["default"].objective == results["scheduler"].objective
 

@@ -32,11 +32,11 @@ if len(log) > 14:
 pulls = Counter(rec["h"] for rec in log)
 print("\npull counts:", dict(pulls))
 
-per = res.stats.per_heuristic
+arms = res.stats.per_heuristic  # the scheduler's own record of each heuristic
 print("mean rewards:",
-      {h: round(st.mean_reward, 3) for h, st in per.items() if st.pulls})
+      {h: round(arm.mean_reward, 3) for h, arm in arms.items() if arm.pulls})
 print("final limits:",
-      {h: round(st.final_limit, 3) for h, st in per.items()})
+      {h: round(arm.limit.value, 3) for h, arm in arms.items()})
 
 # the exploration probability decays with the iteration count
 print("\neps_t:", ", ".join(f"t={t}: {epsilon_t(settings.epsilon, 6, t):.3f}"

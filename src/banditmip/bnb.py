@@ -7,8 +7,10 @@ integral LP solutions, then runs the cheap rounding heuristic followed by the
 controlled portfolio.  The tree holds one heuristic policy: the online
 ``Scheduler`` or the static depth-modulo ``StaticSchedule`` (the ``default``
 baseline).  Both run their picks through ``run_scheduled_heuristics``, which
-executes, records and returns each call for the tree to charge; only
-scheduler calls carry a reward, and only the scheduler adapts its limits.
+executes each and has the policy record it in that heuristic's ``ArmRecord``:
+``RunStats.per_heuristic`` is the top-level policy's record dict, and the tree
+adds only the calls' wall time.  Only the scheduler charges a reward, updates
+weights and adapts limits.
 The tree alone decides what a failed search proves.  ``beats_cutoff`` is the
 one cutoff test: the incumbent check, the prunes and the dives use it, and a
 prune that relied on a cutoff inherited from the calling tree marks the
@@ -42,7 +44,7 @@ from .simplex import (
     SimplexContext,
 )
 from . import heuristics as heur
-from .heuristics import DEFAULT_ORDER, PORTFOLIO
+from .heuristics import PORTFOLIO
 from .scheduler import Scheduler, StaticSchedule, run_scheduled_heuristics
 
 
@@ -190,18 +192,6 @@ class ConflictPool:
 
 
 @dataclass
-class HeurStat:
-    pulls: int = 0
-    successes: int = 0
-    reward_sum: Optional[float] = None  # None until a scheduler reward is charged
-    final_limit: Optional[float] = None
-
-    @property
-    def mean_reward(self) -> Optional[float]:
-        return self.reward_sum / self.pulls if self.reward_sum is not None else None
-
-
-@dataclass
 class RunStats:
     instance: str = ""
     seed: int = 0
@@ -211,22 +201,18 @@ class RunStats:
     nodes: int = 0
     objective: Optional[float] = None
     heurtime_s: float = 0.0
-    per_heuristic: dict = field(default_factory=dict)  # the one tally of portfolio calls
+    per_heuristic: dict = field(default_factory=dict)  # the policy's ArmRecord per heuristic
     # largest violation of any row by any optimal LP, over the row's size, sub-MIPs included
     max_row_residual: float = 0.0
 
     @property
     def heuristic_calls(self) -> int:
-        return sum(st.pulls for st in self.per_heuristic.values())
+        return sum(arm.pulls for arm in self.per_heuristic.values())
 
     @property
     def heuristic_successes(self) -> int:
-        return sum(st.successes for st in self.per_heuristic.values())
-
-    @property
-    def incumbents_found_by_heuristics(self) -> int:
         """A portfolio call succeeds exactly when the tree accepted its candidate."""
-        return self.heuristic_successes
+        return sum(arm.successes for arm in self.per_heuristic.values())
 
 
 @dataclass
@@ -296,7 +282,6 @@ class TreeSearch:
             own = time.perf_counter() + settings.time_limit_s
             self.deadline = own if deadline is None else min(deadline, own)
         self.stats = RunStats(mode=settings.mode, seed=settings.seed)
-        self.stats.per_heuristic = {h: HeurStat() for h in DEFAULT_ORDER}
         self.exec_rngs = {
             s.id: np.random.default_rng(
                 np.random.SeedSequence([settings.seed % 2**32, 100 + s.rank])
@@ -308,6 +293,7 @@ class TreeSearch:
                 np.random.SeedSequence([settings.seed % 2**32, 7])))
         else:  # and every rounding-only sub-MIP tree, whatever its mode: frozen limits
             self.policy = StaticSchedule(settings)
+        self.stats.per_heuristic = self.policy.arms
 
     # ------------------------------------------------------------------
     # incumbent and cutoff handling
@@ -383,13 +369,7 @@ class TreeSearch:
         heur.run_rounding(lp, self)
         if self.heur_layer == "rounding_only":
             return
-        charged = run_scheduled_heuristics(self, node, lp)
-        for h, outcome, reward in charged:
-            st = self.stats.per_heuristic[h]
-            st.pulls += 1
-            if reward is not None:
-                st.reward_sum = (st.reward_sum or 0.0) + reward.r_total
-            st.successes += int(outcome.found_incumbent)
+        for outcome in run_scheduled_heuristics(self, node, lp):
             self.stats.heurtime_s += outcome.wall_time_s
 
     # ------------------------------------------------------------------
@@ -505,9 +485,6 @@ class TreeSearch:
                                           self.ctx.max_row_residual)
         self.stats.objective = (self.incumbent.objective
                                 if self.incumbent is not None else None)
-        for h, st in self.stats.per_heuristic.items():
-            st.final_limit = self.policy.limits[h].value
-
         return SolveResult(
             status=status,
             incumbent=self.incumbent,

@@ -53,8 +53,7 @@ def shifted_geomean(values, shift: float) -> float:
 
 CSV_COLUMNS = [
     "instance", "seed", "mode", "status", "time_s", "nodes", "objective",
-    "incumbents_found_by_heuristics", "heuristic_calls",
-    "heuristic_successes", "heurtime_s",
+    "heuristic_calls", "heuristic_successes", "heurtime_s",
 ] + [
     f"{h}_{suffix}"
     for h in DEFAULT_ORDER
@@ -84,19 +83,17 @@ def stats_to_row(stats: RunStats) -> dict:
         "time_s": repr(float(stats.time_s)),
         "nodes": str(stats.nodes),
         "objective": "" if stats.objective is None else repr(float(stats.objective)),
-        "incumbents_found_by_heuristics": str(stats.incumbents_found_by_heuristics),
         "heuristic_calls": str(stats.heuristic_calls),
         "heuristic_successes": str(stats.heuristic_successes),
         "heurtime_s": repr(float(stats.heurtime_s)),
     }
     for h in DEFAULT_ORDER:
-        st = stats.per_heuristic.get(h)
-        row[f"{h}_pulls"] = str(st.pulls if st else 0)
-        row[f"{h}_successes"] = str(st.successes if st else 0)
-        mean = st.mean_reward if st else None
+        arm = stats.per_heuristic[h]
+        row[f"{h}_pulls"] = str(arm.pulls)
+        row[f"{h}_successes"] = str(arm.successes)
+        mean = arm.mean_reward
         row[f"{h}_mean_reward"] = "" if mean is None else repr(float(mean))
-        lim = st.final_limit if st else None
-        row[f"{h}_final_limit"] = "" if lim is None else repr(float(lim))
+        row[f"{h}_final_limit"] = repr(float(arm.limit.value))
     return row
 
 
@@ -349,7 +346,7 @@ def cmd_solve(args) -> int:
     print(f"{args.instance}: status={stats.status} objective={obj} "
           f"nodes={stats.nodes} time={stats.time_s:.3f}s "
           f"heur_calls={stats.heuristic_calls} "
-          f"heur_incumbents={stats.incumbents_found_by_heuristics}")
+          f"heur_incumbents={stats.heuristic_successes}")
     return 0
 
 

@@ -40,7 +40,7 @@ class DuplicateColumnEntry(MpsError):
 
 
 class DuplicateRowEntry(MpsError):
-    """RHS or RANGES gives the same row a second value."""
+    """ROWS declares a row name twice, or RHS or RANGES gives a row a second value."""
 
 
 class ObjectiveOffset(MpsError):
@@ -465,10 +465,11 @@ def parse_mps(text: str) -> MipModel:
 
     Duplicates: a (row, column) pair or a column's objective coefficient
     given twice raises :class:`DuplicateColumnEntry`, where an explicit zero
-    counts though zeros stay out of the model; a row given two RHS values or
-    two RANGES values, in one vector or in two, raises
-    :class:`DuplicateRowEntry`; a later BOUNDS line overrides an earlier one
-    on the same bound of the same column.
+    counts though zeros stay out of the model; a row name declared twice in
+    ROWS, whatever the two types, or a row given two RHS values or two RANGES
+    values, in one vector or in two, raises :class:`DuplicateRowEntry`; a
+    later BOUNDS line overrides an earlier one on the same bound of the same
+    column.
 
     Each section's data lines are read together, as arrays.  When several
     lines are at fault, the error is about the first of them.
@@ -541,11 +542,18 @@ class _MpsReader:
     def read_rows(self, at, toks):
         kinds = list(map(str.upper, _token(toks, 0)))
         names = _token(toks, 1)
+        declared = set(self.row_index) | self.free_rows | {self.obj_row}
+        again = []  # whether each line's name was declared before it
+        for name in names:
+            again.append(name in declared)
+            declared.add(name)
         _raise_first([
             (np.fromiter(map(len, toks), dtype=np.int64, count=len(toks)) != 2,
              lambda k: MalformedSection(f"bad ROWS line: {self.lines[at[k]]!r}")),
             (~np.fromiter(map(_ROW_KINDS.__contains__, kinds), dtype=bool, count=len(kinds)),
              lambda k: MalformedSection(f"unknown row type {kinds[k]!r}")),
+            (np.array(again, dtype=bool), lambda k: DuplicateRowEntry(
+                f"ROWS line {at[k] + 1}: row {names[k]!r} already declared")),
         ])
         free = [name for kind, name in zip(kinds, names) if kind == "N"]
         if free and self.obj_row is None:
@@ -587,15 +595,13 @@ class _MpsReader:
         # the objective counts as row -1: one key per (row, column) pair
         again = _repeats(np.concatenate([self.obj[0], (rows + 1) * n + cols]),
                          (code + 1) * n + col, code >= _OBJ)
-        # an objective row also declared free takes any coefficient, as free rows do
-        exempt = (code == _FREE) | (is_obj & (self.obj_row in self.free_rows))
 
         def where(p):
             return f"COLUMNS line {at[line[p]] + 1}"
 
         _raise_first([
             (not_number, lambda p: MalformedSection(f"{where(p)}: {svals[p]!r} is not a number")),
-            (~np.isfinite(vals) & ~exempt, lambda p: MalformedSection(
+            (~np.isfinite(vals) & (code != _FREE), lambda p: MalformedSection(
                 f"{where(p)}: coefficient {svals[p]!r} of row {rnames[p]!r}, column "
                 f"{names[line[p]]!r} is not finite")),
             (again & is_obj, lambda p: DuplicateColumnEntry(

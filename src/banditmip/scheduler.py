@@ -1,14 +1,18 @@
 """Heuristic policies (the bandit and the static schedule) and their one call loop.
 
-A policy holds the portfolio's working ``limits``, ``picks`` the heuristics
-to run at a node and ``record``s each outcome; :func:`run_scheduled_heuristics`
-executes the picks of either policy.  The :class:`Scheduler` runs at most one
-heuristic per invocation.  Its first pass executes every heuristic once in the
-default priority order (warmstart); afterwards a modified epsilon-greedy
-bandit takes over: with probability ``1 - eps_t`` it exploits the arm with the
-best average reward, otherwise it samples an arm proportionally to the
-weights.  Failed calls grow a skip counter that suppresses whole invocations,
-so an unproductive portfolio is consulted less and less often.
+A policy holds one :class:`ArmRecord` per portfolio heuristic: its working
+limit, weight, pulls, successes and reward sum.  It ``picks`` the heuristics
+to run at a node and ``record``s each outcome, and both policies tally pulls
+and successes in the same step; :func:`run_scheduled_heuristics` executes the
+picks of either policy.  The static schedule learns nothing more.  The
+:class:`Scheduler` also charges a reward, updates the arm's weight and adapts
+its limit, and runs at most one heuristic per invocation.  Its first pass
+executes every heuristic once in the default priority order (warmstart);
+afterwards a modified epsilon-greedy bandit takes over: with probability
+``1 - eps_t`` it exploits the arm with the best average reward, otherwise it
+samples an arm proportionally to the weights.  Failed calls grow a skip
+counter that suppresses whole invocations, so an unproductive portfolio is
+consulted less and less often.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -27,6 +31,7 @@ from .heuristics import (
     NotApplicable,
     PORTFOLIO,
     SPEC_BY_ID,
+    WorkingLimit,
     adapt_limit,
     execute,
     portfolio_limits,
@@ -115,60 +120,47 @@ def compute_reward(outcome: HeurOutcome, ctx: RewardContext, cfg: RewardConfig,
 
 
 @dataclass
-class BanditState:
-    """Weights and pull counts of the modified epsilon-greedy bandit."""
+class ArmRecord:
+    """One portfolio heuristic under a policy: its working limit, weight and tally."""
 
-    arms: tuple
-    rank: dict
-    epsilon: float
-    mode: str  # "average" or "recency"
-    alpha: float
-    prior: float = 0.0
-    weights: dict = field(default_factory=dict)
-    sums: dict = field(default_factory=dict)
-    pull_counts: dict = field(default_factory=dict)
-    t: int = 0
+    limit: WorkingLimit
+    weight: float
+    pulls: int = 0
+    successes: int = 0
+    reward_sum: Optional[float] = None  # None until a reward is charged
 
-    @classmethod
-    def create(cls, arms, epsilon: float, mode: str, alpha: float) -> "BanditState":
-        arms = tuple(arms)
-        prior = 1.0 / len(arms)
-        return cls(
-            arms=arms,
-            rank={h: i for i, h in enumerate(arms)},
-            epsilon=epsilon,
-            mode=mode,
-            alpha=alpha,
-            prior=prior,
-            weights={h: prior for h in arms},
-            sums={h: 0.0 for h in arms},
-            pull_counts={h: 0 for h in arms},
-        )
+    @property
+    def mean_reward(self) -> Optional[float]:
+        return self.reward_sum / self.pulls if self.reward_sum is not None else None
 
 
-def bandit_select(bandit: BanditState, candidates, rng) -> str:
-    """One epsilon-greedy draw over the candidate arms; does not advance t."""
-    cands = [h for h in bandit.arms if h in candidates]
+def bandit_select(sched: Scheduler, candidates, rng) -> str:
+    """One epsilon-greedy draw over the candidate arms; does not advance t.
+
+    Ties go to the arm that comes first in the records' order.
+    """
+    arms = sched.arms
+    cands = [h for h in arms if h in candidates]
     if not cands:
         raise NoApplicableHeuristic("no candidate arm")
-    eps = epsilon_t(bandit.epsilon, len(bandit.arms), bandit.t + 1)
+    eps = epsilon_t(sched.epsilon, len(arms), sched.t + 1)
     rho = float(rng.random())
     if rho > eps:
-        return max(cands, key=lambda h: (bandit.weights[h], -bandit.rank[h]))
-    wsum = sum(bandit.weights[h] for h in cands)
+        return max(cands, key=lambda h: arms[h].weight)
+    wsum = sum(arms[h].weight for h in cands)
     if wsum <= 1e-12:
         return cands[int(rng.integers(len(cands)))]
     r = float(rng.random()) * wsum
     acc = 0.0
     for h in cands:
-        acc += bandit.weights[h]
+        acc += arms[h].weight
         if r <= acc:
             return h
     return cands[-1]
 
 
-def bandit_update(bandit: BanditState, h: str, reward: float) -> None:
-    """Charge one pull of arm h and fold the reward into its weight.
+def bandit_update(sched: Scheduler, h: str, reward: float) -> None:
+    """Charge the reward of a pull of arm h, already tallied, and fold it into its weight.
 
     In average mode the initial 1/|H| weight stays in the running average as
     one pseudo-observation.  A plain replace-on-first-pull would pin an arm
@@ -176,25 +168,41 @@ def bandit_update(bandit: BanditState, h: str, reward: float) -> None:
     exploration could then never select it again; the prior keeps every arm
     reachable while washing out as real observations accumulate.
     """
-    bandit.t += 1
-    bandit.pull_counts[h] += 1
-    bandit.sums[h] += reward
-    if bandit.mode == "average":
-        bandit.weights[h] = ((bandit.prior + bandit.sums[h])
-                             / (1 + bandit.pull_counts[h]))
+    sched.t += 1
+    arm = sched.arms[h]
+    arm.reward_sum = (arm.reward_sum or 0.0) + reward
+    if sched.mode == "average":
+        arm.weight = (sched.prior + arm.reward_sum) / (1 + arm.pulls)
     else:
-        bandit.weights[h] = ((1.0 - bandit.alpha) * bandit.weights[h]
-                             + bandit.alpha * reward)
+        arm.weight = (1.0 - sched.alpha) * arm.weight + sched.alpha * reward
 
 
-class StaticSchedule:
-    """The ``default`` baseline: heuristic k runs at depths congruent to k * offset."""
+class Policy:
+    """What both policies share: one ``ArmRecord`` per portfolio heuristic."""
 
     def __init__(self, settings):
-        self.limits = portfolio_limits(settings)  # never adapted
+        limits = portfolio_limits(settings)
+        self.prior = 1.0 / len(limits)
+        self.arms = {h: ArmRecord(limit, self.prior) for h, limit in limits.items()}
+        self.reward_log = []  # one entry per call that computed a reward
+
+    def record(self, h: str, outcome: HeurOutcome, ctx: RewardContext) -> None:
+        """Tally one executed call of h; the base policy learns nothing from it."""
+        arm = self.arms[h]
+        arm.pulls += 1
+        arm.successes += int(outcome.found_incumbent)
+
+
+class StaticSchedule(Policy):
+    """The ``default`` baseline: heuristic k runs at depths congruent to k * offset.
+
+    Its limits and weights keep their initial values.
+    """
+
+    def __init__(self, settings):
+        super().__init__(settings)
         self.freq = settings.default_freq
         self.offset = settings.default_offset
-        self.reward_log = []  # stays empty: the schedule computes no reward
 
     def picks(self, depth: int, applicable) -> list:
         """Every heuristic whose depth slot this is, in the default order.
@@ -205,26 +213,24 @@ class StaticSchedule:
         return [h for k, h in enumerate(DEFAULT_ORDER, start=1)
                 if depth % self.freq == (k * self.offset) % self.freq]
 
-    def record(self, h: str, outcome: HeurOutcome, ctx: RewardContext) -> None:
-        """The schedule is fixed: nothing to learn and no reward."""
 
-
-class Scheduler:
+class Scheduler(Policy):
     """Mutable scheduler state owned by a single solve, configured by ``SolverSettings``."""
 
     def __init__(self, settings, rng: np.random.Generator):
-        self.bandit = BanditState.create(DEFAULT_ORDER, settings.epsilon,
-                                         settings.bandit_mode, settings.recency_alpha)
+        super().__init__(settings)
+        self.epsilon = settings.epsilon
+        self.mode = settings.bandit_mode  # "average" or "recency"
+        self.alpha = settings.recency_alpha
+        self.t = 0  # charged pulls so far
         self.cfg = RewardConfig(
             lam_sol=settings.lambda_sol, lam_gap=settings.lambda_gap,
             lam_eff=settings.lambda_eff, lam_conf=settings.lambda_conf,
         )
         self.beta = settings.beta
-        self.limits = portfolio_limits(settings)  # record() replaces entries in place
         self.n_fail = 0
         self.skip_remaining = 0
         self.warmstart_queue = deque(DEFAULT_ORDER)
-        self.reward_log = []
         self.rng = rng
         self._warm_call = False
 
@@ -249,12 +255,12 @@ class Scheduler:
                     self._warm_call = True
                     return h
                 queue.rotate(-1)  # defer inapplicable entries to the end
-            cands = {h for h in applicable if self.bandit.pull_counts[h] > 0}
+            cands = {h for h in applicable if self.arms[h].pulls > 0}
         else:
             cands = set(applicable)
         if not cands:
             raise NoApplicableHeuristic("no applicable heuristic")
-        return bandit_select(self.bandit, cands, self.rng)
+        return bandit_select(self, cands, self.rng)
 
     def picks(self, depth: int, applicable) -> list:
         """At most one heuristic; none inside a skip window or with no candidate."""
@@ -265,14 +271,15 @@ class Scheduler:
         except NoApplicableHeuristic:
             return []
 
-    def record(self, h: str, outcome: HeurOutcome,
-               ctx: RewardContext) -> RewardBreakdown:
-        """Observe the outcome: reward, weights, working limits, fail streak."""
-        before = self.limits[h]
+    def record(self, h: str, outcome: HeurOutcome, ctx: RewardContext) -> None:
+        """Tally the call, then learn from it: reward, weight, working limit, fail streak."""
+        super().record(h, outcome, ctx)
+        arm = self.arms[h]
+        before = arm.limit
         v_max_before = self.cfg.v_max
         breakdown = compute_reward(outcome, ctx, self.cfg, before.budget)
-        bandit_update(self.bandit, h, breakdown.r_total)
-        after = self.limits[h] = adapt_limit(before, outcome)
+        bandit_update(self, h, breakdown.r_total)
+        after = arm.limit = adapt_limit(before, outcome)
         if not self._warm_call:  # frozen during warmstart
             if outcome.found_incumbent:
                 self.n_fail = 0
@@ -280,7 +287,7 @@ class Scheduler:
                 self.n_fail += 1
                 self.skip_remaining = compute_skip_count(self.n_fail, self.beta)
         self.reward_log.append({
-            "t": self.bandit.t,
+            "t": self.t,
             "h": h,
             "klass": SPEC_BY_ID[h].klass,
             "warmstart": self._warm_call,
@@ -298,7 +305,6 @@ class Scheduler:
             "n_fail": self.n_fail,
             "skip_remaining": self.skip_remaining,
         })
-        return breakdown
 
 
 def run_scheduled_heuristics(tree: TreeSearch, node: Node, lp: LpResult) -> list:
@@ -306,18 +312,16 @@ def run_scheduled_heuristics(tree: TreeSearch, node: Node, lp: LpResult) -> list
 
     A pick that raises ``NotApplicable`` (such as an LNS kind that needs an
     incumbent while there is none) is skipped and not recorded.  Every
-    executed heuristic is recorded by the policy; returns its
-    ``(h, outcome, reward)`` triples, where the reward is None from a policy
-    that computes none.
+    executed heuristic is recorded by the policy; returns their outcomes.
     """
     policy = tree.policy
     applicable = {s.id for s in PORTFOLIO
                   if not s.requires_incumbent or tree.incumbent is not None}
-    charged = []
+    outcomes = []
     for h in policy.picks(node.depth, applicable):
         inc_before = tree.incumbent
         try:
-            outcome = execute(h, lp, tree, node.bounds, policy.limits[h], tree.exec_rngs[h])
+            outcome = execute(h, lp, tree, node.bounds, policy.arms[h].limit, tree.exec_rngs[h])
         except NotApplicable:
             continue
         found = outcome.found_incumbent  # then the call installed the incumbent
@@ -325,5 +329,6 @@ def run_scheduled_heuristics(tree: TreeSearch, node: Node, lp: LpResult) -> list
         ctx = RewardContext(is_first_incumbent=found and obj_old is None, obj_old=obj_old,
                             obj_new=tree.incumbent.objective if found else None,
                             obj_lp=lp.objective)
-        charged.append((h, outcome, policy.record(h, outcome, ctx)))
-    return charged
+        policy.record(h, outcome, ctx)
+        outcomes.append(outcome)
+    return outcomes

@@ -261,16 +261,17 @@ def parse_mps_reference(text: str) -> MipModel:
             if len(tokens) != 2:
                 raise MalformedSection(f"bad ROWS line: {raw!r}")
             rtype, rname = tokens[0].upper(), tokens[1]
-            if rtype == "N":
-                if obj_row is None:
-                    obj_row = rname
-                else:
-                    free_rows.add(rname)  # extra free rows are ignored
-            elif rtype in ("L", "G", "E"):
+            if rtype not in ("N", "L", "G", "E"):
+                raise MalformedSection(f"unknown row type {rtype!r}")
+            if rname == obj_row or rname in free_rows or rname in row_index:
+                raise DuplicateRowEntry(f"ROWS line {lineno}: row {rname!r} already declared")
+            if rtype != "N":
                 row_index[rname] = len(row_sense)
                 row_sense.append(rtype)
+            elif obj_row is None:
+                obj_row = rname
             else:
-                raise MalformedSection(f"unknown row type {rtype!r}")
+                free_rows.add(rname)  # extra free rows are ignored
         elif section == "COLUMNS":
             if "'MARKER'" in tokens:
                 if "'INTORG'" in tokens:

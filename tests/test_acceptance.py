@@ -21,7 +21,7 @@ from banditmip.heuristics import (
 )
 from banditmip.model import generate_instance
 from banditmip.scheduler import (
-    BanditState,
+    Policy,
     RewardConfig,
     RewardContext,
     Scheduler,
@@ -40,8 +40,13 @@ LIMITS = portfolio_limits(SETTINGS)
 
 
 def _bandit():
-    return BanditState.create(DEFAULT_ORDER, SETTINGS.epsilon, SETTINGS.bandit_mode,
-                              SETTINGS.recency_alpha)
+    return Scheduler(SETTINGS, np.random.default_rng(0))
+
+
+def _pull(sched, h, reward):
+    """Charge one pull of h with the given reward, as ``Scheduler.record`` charges it."""
+    Policy.record(sched, h, HeurOutcome(heuristic=h), None)  # the tally both policies share
+    bandit_update(sched, h, reward)
 
 
 def _cfg():
@@ -182,9 +187,9 @@ def test_acceptance_2_formula_oracles():
         h = DEFAULT_ORDER[int(rng.integers(6))]
         r = float(rng.random())
         logged[h].append(r)
-        bandit_update(bandit, h, r)
+        _pull(bandit, h, r)
         want = (1 / 6 + math.fsum(logged[h])) / (1 + len(logged[h]))
-        assert abs(bandit.weights[h] - want) <= 1e-9
+        assert abs(bandit.arms[h].weight - want) <= 1e-9
 
     _report(2, "skip count, f/q updates, reward, eps_t and weight maintenance "
                "match independent oracles on 10^4 fuzzed inputs each", True)
@@ -203,12 +208,12 @@ def test_acceptance_3_bandit_convergence():
         rng = np.random.default_rng(seed)
         bandit = _bandit()
         for h in DEFAULT_ORDER:  # warmstart pass
-            bandit_update(bandit, h, float(rng.random() < means[h]))
+            _pull(bandit, h, float(rng.random() < means[h]))
         for _ in range(10_000 - 6):
             h = bandit_select(bandit, arms, rng)
-            bandit_update(bandit, h, float(rng.random() < means[h]))
-        best = bandit.pull_counts["rand_dive"]
-        if best > max(bandit.pull_counts[h] for h in DEFAULT_ORDER[:-1]):
+            _pull(bandit, h, float(rng.random() < means[h]))
+        best = bandit.arms["rand_dive"].pulls
+        if best > max(bandit.arms[h].pulls for h in DEFAULT_ORDER[:-1]):
             wins += 1
     elapsed = time.time() - t0
     _report(3, f"best arm dominant in {wins}/20 seeds (need >= 18) "
@@ -365,9 +370,9 @@ def test_acceptance_6_comparative_study(tmp_path):
     for r in rows:
         pairs.setdefault((r["instance"], r["seed"]), {})[r["mode"]] = r
     found_default = [k for k, v in pairs.items()
-                     if int(v["default"]["incumbents_found_by_heuristics"]) >= 1]
+                     if int(v["default"]["heuristic_successes"]) >= 1]
     also = [k for k in found_default
-            if int(pairs[k]["scheduler"]["incumbents_found_by_heuristics"]) >= 1]
+            if int(pairs[k]["scheduler"]["heuristic_successes"]) >= 1]
     share_a = len(also) / max(1, len(found_default))
 
     ok_b_runs = 0

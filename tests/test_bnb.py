@@ -320,9 +320,9 @@ def test_heuristic_settings_reach_both_modes():
         assert getattr(SolverSettings(), key) != value
 
     res = solve(model, SolverSettings(mode="default", seed=1, node_limit=60, **cfg))
-    assert sum(st.pulls for st in res.stats.per_heuristic.values()) > 0
-    for h, st in res.stats.per_heuristic.items():
-        assert st.final_limit == (cfg["f_init"] if h in LNS_KINDS else cfg["q_init"])
+    assert sum(arm.pulls for arm in res.stats.per_heuristic.values()) > 0
+    for h, arm in res.stats.per_heuristic.items():
+        assert arm.limit.value == (cfg["f_init"] if h in LNS_KINDS else cfg["q_init"])
 
     tree = TreeSearch(model, SolverSettings(mode="scheduler", seed=1, node_limit=60, **cfg))
     res = tree.run()
@@ -334,14 +334,14 @@ def test_heuristic_settings_reach_both_modes():
     assert dive["n_max"] == cfg["dive_max_depth"]
     assert dive["limit_before"] == cfg["q_init"]
     sched = tree.policy
-    assert sched.bandit.epsilon == cfg["epsilon"]
+    assert sched.epsilon == cfg["epsilon"]
     assert sched.beta == cfg["beta"]
     assert (sched.cfg.lam_sol, sched.cfg.lam_gap, sched.cfg.lam_eff, sched.cfg.lam_conf) == (
         cfg["lambda_sol"], cfg["lambda_gap"], cfg["lambda_eff"], cfg["lambda_conf"])
-    for h, st in res.stats.per_heuristic.items():  # the reported limits are the scheduler's
-        lim = sched.limits[h]
-        assert lim.budget == (cfg["lns_node_budget"] if h in LNS_KINDS else cfg["dive_max_depth"])
-        assert st.final_limit == lim.value
+    assert res.stats.per_heuristic is sched.arms  # the reported limits are the scheduler's
+    for h, arm in sched.arms.items():
+        assert arm.limit.budget == (cfg["lns_node_budget"] if h in LNS_KINDS
+                                    else cfg["dive_max_depth"])
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -695,10 +695,34 @@ def test_scheduler_mode_single_heuristic_per_invocation():
     ts = [rec["t"] for rec in res.scheduler_log]
     assert ts == list(range(1, len(ts) + 1))
     assert res.stats.heuristic_calls == len(ts)
-    for h, st in res.stats.per_heuristic.items():  # charged exactly what was recorded
+    for h, arm in res.stats.per_heuristic.items():  # charged exactly what was recorded
         recs = [rec for rec in res.scheduler_log if rec["h"] == h]
-        assert st.pulls == len(recs)
-        assert st.reward_sum == (sum(rec["r_total"] for rec in recs) if recs else None)
+        assert arm.pulls == len(recs)
+        assert arm.reward_sum == (sum(rec["r_total"] for rec in recs) if recs else None)
+
+
+@pytest.mark.parametrize("mode", ["default", "scheduler"])
+def test_per_heuristic_is_the_policys_arm_record(mode):
+    """The run reports the policy's own records; in scheduler mode they hold exactly what
+    the call log holds, and the static schedule charges no reward and keeps its limits."""
+    model = generate_instance("gap", (24, 4), 5)
+    tree = TreeSearch(model, SolverSettings(mode=mode, seed=1))
+    res = tree.run()
+    initial = heuristics.portfolio_limits(tree.settings)
+    assert res.stats.heuristic_calls > 0
+    for h, arm in res.stats.per_heuristic.items():
+        assert arm is tree.policy.arms[h]
+        recs = [rec for rec in res.scheduler_log if rec["h"] == h]
+        if mode == "default":
+            assert not recs and arm.reward_sum is None and arm.limit == initial[h]
+            continue
+        assert arm.pulls == len(recs)
+        assert arm.successes == sum(rec["found_incumbent"] for rec in recs)
+        reward_sum = None
+        for rec in recs:  # left to right, the order the pulls were charged in
+            reward_sum = (reward_sum or 0.0) + rec["r_total"]
+        assert arm.reward_sum == reward_sum
+        assert arm.limit.value == (recs[-1]["limit_after"] if recs else initial[h].value)
 
 
 @pytest.mark.parametrize("mode", ["default", "scheduler"])
@@ -719,8 +743,10 @@ def test_inapplicable_heuristic_is_skipped_and_not_charged(mode, monkeypatch):
     assert res.status is SolveStatus.OPTIMAL
     assert res.stats.per_heuristic["coef_dive"].pulls == 0
     assert all(rec["h"] != "coef_dive" for rec in res.scheduler_log)
-    assert res.stats.heuristic_calls == sum(st.pulls for st in res.stats.per_heuristic.values())
-    assert res.stats.incumbents_found_by_heuristics == res.stats.heuristic_successes
+    assert res.stats.heuristic_calls == sum(arm.pulls for arm in res.stats.per_heuristic.values())
+    # a portfolio call succeeds exactly when the tree accepted its one candidate
+    accepted = [src for src, _ in res.incumbent_log if src in heuristics.DEFAULT_ORDER]
+    assert res.stats.heuristic_successes == len(accepted)
     assert res.stats.heuristic_calls > 0
 
 

@@ -23,8 +23,7 @@ from banditmip.heuristics import DEFAULT_ORDER
 
 GOLDEN_COLUMNS = [
     "instance", "seed", "mode", "status", "time_s", "nodes", "objective",
-    "incumbents_found_by_heuristics", "heuristic_calls",
-    "heuristic_successes", "heurtime_s",
+    "heuristic_calls", "heuristic_successes", "heurtime_s",
     "rens_pulls", "rens_successes", "rens_mean_reward", "rens_final_limit",
     "rins_pulls", "rins_successes", "rins_mean_reward", "rins_final_limit",
     "mutation_pulls", "mutation_successes", "mutation_mean_reward",
@@ -204,6 +203,14 @@ def test_solve_repeated_rhs_entry_exits_with_error(tmp_path, capsys, rhs):
     assert err.startswith("error: RHS line ") and "row 'R0' already has" in err
 
 
+def test_solve_row_declared_twice_exits_with_error(tmp_path, capsys):
+    path = tmp_path / "rows.mps"
+    path.write_text("\n".join(["NAME ROWS", "ROWS", " N OBJ", " L R0", " L R0", "COLUMNS",
+                               " X0 OBJ -1 R0 1", "RHS", " RHS R0 4", "ENDATA", ""]))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == "error: ROWS line 5: row 'R0' already declared\n"
+
+
 MAX_KNAPSACK = """\
 NAME MAXKNAP
 OBJSENSE
@@ -346,8 +353,7 @@ def _row(instance, seed, mode, status="optimal", time_s=1.0, nodes=100,
     row.update(
         instance=instance, seed=str(seed), mode=mode, status=status,
         time_s=repr(float(time_s)), nodes=str(nodes), objective="0.0",
-        incumbents_found_by_heuristics="0", heuristic_calls="0",
-        heuristic_successes="0", heurtime_s=repr(float(heurtime)),
+        heuristic_calls="0", heuristic_successes="0", heurtime_s=repr(float(heurtime)),
     )
     return row
 

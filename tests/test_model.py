@@ -740,9 +740,14 @@ def _malformed_texts():
 
 # malformed in ways the tests above do not reach
 ODD_MPS = {
-    # the objective row declared again as a free row: an infinite cost reaches the model
-    "objective declared twice": HAND_MPS["objsense"].replace(" N SPARE", " N SPARE\n N COST")
-    .replace("A COST 3", "A COST inf"),
+    # a row name declared twice in ROWS, whatever the two types
+    "objective declared twice": HAND_MPS["objsense"].replace(" N SPARE", " N SPARE\n N COST"),
+    "constraint row declared twice": KNAPSACK_MPS.replace(" L CAP\n", " L CAP\n L CAP\n"),
+    "objective declared again as a row": KNAPSACK_MPS.replace(" L CAP\n", " L CAP\n L OBJ\n"),
+    "free row declared twice": KNAPSACK_MPS.replace(" L CAP\n", " N FREE\n L CAP\n N FREE\n"),
+    "L and G rows of one name": KNAPSACK_MPS.replace(" L CAP\n", " L CAP\n G CAP\n"),
+    "row declared again in a second ROWS section": KNAPSACK_MPS.replace(
+        "COLUMNS\n", "ROWS\n G CAP\nCOLUMNS\n", 1),
     # an explicit zero in one COLUMNS section repeated in the next
     "zero repeated across sections": HAND_MPS["layout"].replace(
         "    X   R1    1\n", "    X   R1    0\n").replace("    Y   R0   1", "    X   R1   2"),
@@ -819,9 +824,11 @@ def test_parse_matches_the_reference_on_mutated_texts(chunk, monkeypatch):
         expected = _outcome(parse_mps_reference, text)
         assert _outcome(parse_mps, text) == expected, text
         kinds.add(expected[0] if isinstance(expected[0], type) else "parsed")
+        if expected[0] is DuplicateRowEntry and expected[1].startswith("ROWS"):
+            kinds.add("row declared twice")
     # the edits reach a model and each reader error
     assert kinds >= {"parsed", MalformedSection, UnknownRowReference, DuplicateColumnEntry,
-                     DuplicateRowEntry, ObjectiveOffset}
+                     DuplicateRowEntry, ObjectiveOffset, "row declared twice"}
 
 
 SMALL_MPS = """\

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from banditmip.bnb import SolverSettings
 from banditmip.heuristics import DEFAULT_ORDER, HeurOutcome, portfolio_limits
 from banditmip.scheduler import (
-    BanditState,
+    ArmRecord,
     NoApplicableHeuristic,
+    Policy,
     RewardConfig,
     RewardContext,
     Scheduler,
@@ -27,9 +29,30 @@ BETA = SETTINGS.beta
 LIMITS = portfolio_limits(SETTINGS)
 
 
-def _bandit(arms=DEFAULT_ORDER, epsilon=SETTINGS.epsilon, mode=SETTINGS.bandit_mode,
+def _bandit(arms=None, epsilon=SETTINGS.epsilon, mode=SETTINGS.bandit_mode,
             alpha=SETTINGS.recency_alpha):
-    return BanditState.create(arms, epsilon, mode, alpha)
+    """A fresh scheduler; ``arms`` replaces its records with stand-ins under one limit."""
+    settings = replace(SETTINGS, epsilon=epsilon, bandit_mode=mode, recency_alpha=alpha)
+    sched = Scheduler(settings, np.random.default_rng(0))
+    if arms is not None:
+        sched.prior = 1.0 / len(arms)
+        sched.arms = {h: ArmRecord(LIMITS["rens"], sched.prior) for h in arms}
+    return sched
+
+
+def _set_weights(sched, weights):
+    for h, w in weights.items():
+        sched.arms[h].weight = w
+
+
+def _pull(sched, h, reward):
+    """Charge one pull of h with the given reward, as ``Scheduler.record`` charges it."""
+    Policy.record(sched, h, _outcome(h), None)  # the tally both policies share
+    bandit_update(sched, h, reward)
+
+
+def _pulls(sched):
+    return {h: arm.pulls for h, arm in sched.arms.items()}
 
 
 def _cfg(v_max=0):
@@ -166,7 +189,7 @@ def test_seventh_selection_enters_bandit_phase():
     seventh = sched.select(ALL)
     assert seventh in DEFAULT_ORDER
     assert not sched._warm_call
-    assert sched.bandit.t == 6  # six charged warmstart pulls behind us
+    assert sched.t == 6  # six charged warmstart pulls behind us
 
 
 def test_warmstart_defers_inapplicable_heuristics():
@@ -208,7 +231,7 @@ def test_epsilon_t_formula_and_decay():
 def test_exploit_branch_takes_argmax():
     bandit = _bandit()
     bandit.t = 5  # next iteration is t = 6 = |H|, so eps_t = 0.7
-    bandit.weights = dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4]))
+    _set_weights(bandit, dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4])))
     pick = bandit_select(bandit, ALL, FakeRng(randoms=[0.9]))
     assert pick == "rins"
 
@@ -216,7 +239,7 @@ def test_exploit_branch_takes_argmax():
 def test_exploit_tie_breaks_by_default_rank():
     bandit = _bandit()
     bandit.t = 5
-    bandit.weights = {h: 0.5 for h in DEFAULT_ORDER}
+    _set_weights(bandit, {h: 0.5 for h in DEFAULT_ORDER})
     pick = bandit_select(bandit, ALL, FakeRng(randoms=[0.99]))
     assert pick == "rens"
 
@@ -224,7 +247,7 @@ def test_exploit_tie_breaks_by_default_rank():
 def test_weighted_draw_distribution_scripted():
     arms = ("a", "b", "c")
     bandit = _bandit(arms)
-    bandit.weights = {"a": 0.4, "b": 0.1, "c": 0.0}
+    _set_weights(bandit, {"a": 0.4, "b": 0.1, "c": 0.0})
     # rho below eps forces a draw; second value lands in an arm's weight slice
     assert bandit_select(bandit, set(arms), FakeRng(randoms=[0.0, 0.79])) == "a"
     assert bandit_select(bandit, set(arms), FakeRng(randoms=[0.0, 0.81])) == "b"
@@ -234,7 +257,7 @@ def test_weighted_draw_distribution_scripted():
 def test_weighted_draw_distribution_statistical():
     arms = ("a", "b", "c")
     bandit = _bandit(arms)
-    bandit.weights = {"a": 0.4, "b": 0.1, "c": 0.0}
+    _set_weights(bandit, {"a": 0.4, "b": 0.1, "c": 0.0})
     bandit.epsilon = 100.0  # always draw from the weight distribution
     rng = np.random.default_rng(5)
     counts = {h: 0 for h in arms}
@@ -249,7 +272,7 @@ def test_weighted_draw_distribution_statistical():
 def test_zero_weights_fall_back_to_uniform():
     arms = ("a", "b", "c")
     bandit = _bandit(arms)
-    bandit.weights = {h: 0.0 for h in arms}
+    _set_weights(bandit, {h: 0.0 for h in arms})
     pick = bandit_select(bandit, set(arms), FakeRng(randoms=[0.0], ints=[2]))
     assert pick == "c"
 
@@ -257,7 +280,7 @@ def test_zero_weights_fall_back_to_uniform():
 def test_greedy_consistency_with_eps_zero():
     bandit = _bandit(epsilon=0.0)
     bandit.t = 100
-    bandit.weights = dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4]))
+    _set_weights(bandit, dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4])))
     rng = np.random.default_rng(0)
     picks = {bandit_select(bandit, ALL, rng) for _ in range(50)}
     assert picks == {"rins"}
@@ -266,10 +289,10 @@ def test_greedy_consistency_with_eps_zero():
 def test_scaling_weights_changes_nothing():
     base = _bandit()
     base.t = 10
-    base.weights = dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4]))
+    _set_weights(base, dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4])))
     scaled = _bandit()
     scaled.t = 10
-    scaled.weights = {h: 5.0 * w for h, w in base.weights.items()}
+    _set_weights(scaled, {h: 5.0 * arm.weight for h, arm in base.arms.items()})
     seq_a = [bandit_select(base, ALL, np.random.default_rng(7)) for _ in range(200)]
     # a fresh generator with the same seed replays the identical draw sequence
     seq_b = [bandit_select(scaled, ALL, np.random.default_rng(7)) for _ in range(200)]
@@ -290,23 +313,23 @@ def test_first_pull_blends_with_prior():
     # the 1/|H| prior counts as one pseudo-observation so no arm's weight can
     # collapse to zero after a failed first pull
     bandit = _bandit()
-    assert bandit.weights["rens"] == pytest.approx(1 / 6)
-    bandit_update(bandit, "rens", 0.6)
-    assert bandit.weights["rens"] == pytest.approx((1 / 6 + 0.6) / 2)
+    assert bandit.arms["rens"].weight == pytest.approx(1 / 6)
+    _pull(bandit, "rens", 0.6)
+    assert bandit.arms["rens"].weight == pytest.approx((1 / 6 + 0.6) / 2)
 
 
 def test_weights_never_collapse_to_zero():
     bandit = _bandit()
     for _ in range(50):
-        bandit_update(bandit, "rens", 0.0)
-    assert bandit.weights["rens"] > 0
+        _pull(bandit, "rens", 0.0)
+    assert bandit.arms["rens"].weight > 0
 
 
 def test_average_weight_tracks_prior_smoothed_mean():
     bandit = _bandit()
-    bandit_update(bandit, "rens", 0.6)
-    bandit_update(bandit, "rens", 0.2)
-    assert bandit.weights["rens"] == pytest.approx((1 / 6 + 0.8) / 3, abs=1e-12)
+    _pull(bandit, "rens", 0.6)
+    _pull(bandit, "rens", 0.2)
+    assert bandit.arms["rens"].weight == pytest.approx((1 / 6 + 0.8) / 3, abs=1e-12)
 
 
 def test_average_weight_matches_mean_fuzz():
@@ -317,22 +340,22 @@ def test_average_weight_matches_mean_fuzz():
         h = DEFAULT_ORDER[int(rng.integers(6))]
         r = float(rng.random())
         rewards[h].append(r)
-        bandit_update(bandit, h, r)
+        _pull(bandit, h, r)
     for h in DEFAULT_ORDER:
         if rewards[h]:
             mean = (1 / 6 + math.fsum(rewards[h])) / (1 + len(rewards[h]))
-            assert abs(bandit.weights[h] - mean) <= 1e-12
-    assert sum(bandit.pull_counts.values()) == bandit.t
+            assert abs(bandit.arms[h].weight - mean) <= 1e-12
+    assert sum(_pulls(bandit).values()) == bandit.t
 
 
 def test_recency_mode_blends_exponentially():
     bandit = _bandit(("a", "b"), mode="recency", alpha=0.1)
-    w0 = bandit.weights["a"]
-    bandit_update(bandit, "a", 1.0)
-    assert bandit.weights["a"] == pytest.approx(0.9 * w0 + 0.1)
-    w1 = bandit.weights["a"]
-    bandit_update(bandit, "a", 0.0)
-    assert bandit.weights["a"] == pytest.approx(0.9 * w1)
+    w0 = bandit.arms["a"].weight
+    _pull(bandit, "a", 1.0)
+    assert bandit.arms["a"].weight == pytest.approx(0.9 * w0 + 0.1)
+    w1 = bandit.arms["a"].weight
+    _pull(bandit, "a", 0.0)
+    assert bandit.arms["a"].weight == pytest.approx(0.9 * w1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +448,12 @@ def test_bandit_prefers_better_arm_quickly():
         rng = np.random.default_rng(seed)
         bandit = _bandit()
         for h in DEFAULT_ORDER:  # warmstart: one observation per arm
-            bandit_update(bandit, h, float(rng.random() < means[h]))
+            _pull(bandit, h, float(rng.random() < means[h]))
         for _ in range(10_000 - 6):
             h = bandit_select(bandit, ALL, rng)
-            bandit_update(bandit, h, float(rng.random() < means[h]))
-        if max(bandit.pull_counts, key=bandit.pull_counts.get) == "rand_dive":
+            _pull(bandit, h, float(rng.random() < means[h]))
+        pulls = _pulls(bandit)
+        if max(pulls, key=pulls.get) == "rand_dive":
             wins += 1
     assert wins >= 4
 
