@@ -193,13 +193,9 @@ class ConflictPool:
 
 @dataclass
 class RunStats:
-    instance: str = ""
-    seed: int = 0
-    mode: str = ""
-    status: str = ""
+    """What a run measured that its ``SolveResult`` and settings do not already say."""
+
     time_s: float = 0.0
-    nodes: int = 0
-    objective: Optional[float] = None
     heurtime_s: float = 0.0
     per_heuristic: dict = field(default_factory=dict)  # the policy's ArmRecord per heuristic
     # largest violation of any row by any optimal LP, over the row's size, sub-MIPs included
@@ -281,7 +277,7 @@ class TreeSearch:
         if settings.time_limit_s is not None:
             own = time.perf_counter() + settings.time_limit_s
             self.deadline = own if deadline is None else min(deadline, own)
-        self.stats = RunStats(mode=settings.mode, seed=settings.seed)
+        self.stats = RunStats()
         self.exec_rngs = {
             s.id: np.random.default_rng(
                 np.random.SeedSequence([settings.seed % 2**32, 100 + s.rank])
@@ -478,13 +474,9 @@ class TreeSearch:
             if self.incumbent is not None:
                 dual = min(dual, self.incumbent.objective)
 
-        self.stats.status = status.value
-        self.stats.nodes = self.nodes_processed
         self.stats.time_s = time.perf_counter() - t0
         self.stats.max_row_residual = max(self.stats.max_row_residual,
                                           self.ctx.max_row_residual)
-        self.stats.objective = (self.incumbent.objective
-                                if self.incumbent is not None else None)
         return SolveResult(
             status=status,
             incumbent=self.incumbent,

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .bnb import SETTING_SPECS, RunStats, SolverSettings, solve
+from .bnb import SETTING_SPECS, SolverSettings, solve
 from .heuristics import DEFAULT_ORDER
 from .model import load_instance
 
@@ -64,25 +64,23 @@ TIME_COLUMNS = ("time_s", "heurtime_s")
 
 
 def run_single(uri: str, settings: SolverSettings) -> tuple:
-    """Solve one instance URI; returns (RunStats, SolveResult)."""
+    """Solve one instance URI; returns its CSV row and the SolveResult as the solver left it.
+
+    The result is in minimize form; the row reports the objective in the input's own sense.
+    """
     model = load_instance(uri)
     result = solve(model, settings)
-    stats = result.stats
-    stats.instance = uri
-    if stats.objective is not None and model.maximize:
-        stats.objective = -stats.objective
-    return stats, result
-
-
-def stats_to_row(stats: RunStats) -> dict:
+    stats, objective = result.stats, result.objective
+    if objective is not None and model.maximize:
+        objective = -objective
     row = {
-        "instance": stats.instance,
-        "seed": str(stats.seed),
-        "mode": stats.mode,
-        "status": stats.status,
+        "instance": uri,
+        "seed": str(settings.seed),
+        "mode": settings.mode,
+        "status": result.status.value,
         "time_s": repr(float(stats.time_s)),
-        "nodes": str(stats.nodes),
-        "objective": "" if stats.objective is None else repr(float(stats.objective)),
+        "nodes": str(result.nodes_processed),
+        "objective": "" if objective is None else repr(float(objective)),
         "heuristic_calls": str(stats.heuristic_calls),
         "heuristic_successes": str(stats.heuristic_successes),
         "heurtime_s": repr(float(stats.heurtime_s)),
@@ -94,7 +92,7 @@ def stats_to_row(stats: RunStats) -> dict:
         mean = arm.mean_reward
         row[f"{h}_mean_reward"] = "" if mean is None else repr(float(mean))
         row[f"{h}_final_limit"] = repr(float(arm.limit.value))
-    return row
+    return row, result
 
 
 def error_row(uri: str, seed: int, mode: str) -> dict:
@@ -113,13 +111,13 @@ def bench_rows(uris, seeds, base: SolverSettings, modes=("default", "scheduler")
             for mode in modes:
                 settings = dataclasses.replace(base, seed=seed, mode=mode)
                 try:
-                    stats, _ = run_single(uri, settings)
+                    row, _ = run_single(uri, settings)
                 except Exception as exc:  # one failed run must not end the sweep
                     print(f"bench: error on {uri} seed={seed} mode={mode}: "
                           f"{type(exc).__name__}: {exc}", file=sys.stderr)
                     yield error_row(uri, seed, mode)
                 else:
-                    yield stats_to_row(stats)
+                    yield row
 
 
 def write_csv(rows, fh):
@@ -330,23 +328,23 @@ def cmd_solve(args) -> int:
         settings = _settings_from_args(args)
         # opened before the solve, so that an unusable path fails before the work
         with open(args.log, "w") if args.log else contextlib.nullcontext() as log:
-            stats, result = run_single(args.instance, settings)
+            row, result = run_single(args.instance, settings)
             if log:
                 for rec in result.scheduler_log:
                     log.write(json.dumps({"type": "call", **rec}, sort_keys=True) + "\n")
                 log.write(json.dumps(
-                    {"type": "run_stats", **stats_to_row(stats),
-                     "max_row_residual": repr(float(stats.max_row_residual))},
+                    {"type": "run_stats", **row,
+                     "max_row_residual": repr(float(result.stats.max_row_residual))},
                     sort_keys=True,
                 ) + "\n")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    obj = "-" if stats.objective is None else f"{stats.objective:.6g}"
-    print(f"{args.instance}: status={stats.status} objective={obj} "
-          f"nodes={stats.nodes} time={stats.time_s:.3f}s "
-          f"heur_calls={stats.heuristic_calls} "
-          f"heur_incumbents={stats.heuristic_successes}")
+    obj = f"{float(row['objective']):.6g}" if row["objective"] else "-"
+    print(f"{args.instance}: status={row['status']} objective={obj} "
+          f"nodes={row['nodes']} time={result.stats.time_s:.3f}s "
+          f"heur_calls={row['heuristic_calls']} "
+          f"heur_incumbents={row['heuristic_successes']}")
     return 0
 
 

@@ -120,7 +120,7 @@ def adapt_limit(limit: WorkingLimit, outcome: HeurOutcome) -> WorkingLimit:
 
 def variable_locks(model: MipModel):
     """Count rows that can be violated by rounding each variable down / up."""
-    sense = model.sense_array[model.entry_rows]
+    sense = model.senses[model.entry_rows]
     pos = model.data > 0
     # a positive entry locks rounding up in an L or E row and down in a G or E row
     up = np.where(pos, sense != "G", sense != "L")

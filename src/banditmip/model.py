@@ -55,84 +55,67 @@ class DimensionMismatch(ValueError):
 class MipModel:
     """A mixed integer program ``min c.x  s.t. rows, bounds, x_i integral for i in I``.
 
-    The constructor takes the rows as parallel (column-index, value) arrays
-    per row and stores them once, read-only, in compressed sparse row form:
-    row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
-    ``indices[indptr[i]:indptr[i + 1]]``, and ``entry_rows`` names the row of
-    each entry.  ``row_cols`` and ``row_vals`` become views into ``indices``
-    and ``data``, and ``sense_array`` holds ``row_senses`` as one read-only
-    ``"U1"`` array; :meth:`from_csr` takes the rows in CSR form instead.
-    ``maximize`` records that the original input was a
-    maximization whose objective was negated on the way in; reported
-    objectives should be un-negated by the caller when that flag is set.
+    The rows come in compressed sparse row form and are stored once,
+    read-only: row ``i`` has the coefficients ``data[indptr[i]:indptr[i + 1]]``
+    in the columns ``indices[indptr[i]:indptr[i + 1]]``, the sense
+    ``senses[i]`` (``"L"``, ``"G"`` or ``"E"``, one ``"U1"`` array) and the
+    right-hand side ``rhs[i]``; ``entry_rows`` names the row of each entry.
+    ``integers`` holds the integer columns, sorted and unique.
+    ``row_cols`` and ``row_vals`` give each row's slice of ``indices`` and
+    ``data`` as a list of views, made anew on each read.  ``maximize``
+    records that the original input was a maximization whose objective was
+    negated on the way in; reported objectives should be un-negated by the
+    caller when that flag is set.
     """
 
     name: str
     c: np.ndarray
-    row_cols: list
-    row_vals: list
-    row_senses: list
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    senses: np.ndarray
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     integers: np.ndarray
     maximize: bool = False
-    indptr: np.ndarray = field(init=False, repr=False)
-    indices: np.ndarray = field(init=False, repr=False)
-    data: np.ndarray = field(init=False, repr=False)
     entry_rows: np.ndarray = field(init=False, repr=False)
-    sense_array: np.ndarray = field(init=False, repr=False)
-    _intset: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (len(self.row_cols) == len(self.row_vals) == len(self.row_senses) == len(self.rhs)):
-            raise ValueError("row arrays must all have length m")
-        counts = np.array([len(idx) for idx in self.row_cols], dtype=np.int64)
-        bad = counts != np.array([len(val) for val in self.row_vals], dtype=np.int64)
-        if bad.any():
-            raise ValueError(f"row {np.argmax(bad)}: index/value length mismatch")
-        self._store(np.concatenate([[0], np.cumsum(counts)]),
-                    np.concatenate([np.zeros(0, dtype=np.int64), *self.row_cols]),
-                    np.concatenate([np.zeros(0), *self.row_vals]))
-
-    @classmethod
-    def from_csr(cls, *, name, c, indptr, indices, data, row_senses, rhs, lower, upper,
-                 integers, maximize=False) -> "MipModel":
-        """The model whose rows are already in CSR form, with no per-row arrays to join.
-
-        ``indptr``, ``indices`` and ``data`` are stored as the constructor
-        would store them; every other argument is the constructor's.
-        """
-        model = cls.__new__(cls)
-        model.name, model.c, model.row_senses, model.rhs = name, c, row_senses, rhs
-        model.lower, model.upper, model.integers, model.maximize = lower, upper, integers, maximize
-        if not len(indptr) == len(row_senses) + 1 == len(rhs) + 1:
-            raise ValueError("row arrays must all have length m")
-        model._store(np.asarray(indptr, dtype=np.int64), np.asarray(indices),
-                     np.asarray(data, dtype=float))
-        return model
-
-    def _store(self, indptr, indices, data):
-        """Convert and validate every field and keep the rows in read-only CSR form."""
         self.c = np.asarray(self.c, dtype=float)
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         self.integers = np.unique(np.asarray(self.integers))
-        self.row_senses = [str(s) for s in self.row_senses]
-        self.sense_array = np.asarray(self.row_senses, dtype=str)  # "U1" once validated
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.entry_rows = np.repeat(np.arange(self.m), np.diff(indptr))
+        self.senses = np.asarray(self.senses, dtype=str)  # "U1" once validated
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices)
+        self.data = np.asarray(self.data, dtype=float)
+        self._validate_csr()
+        self.entry_rows = np.repeat(np.arange(self.m), np.diff(self.indptr))
         self._validate()
         self.indices = self.indices.astype(np.int64, copy=False)
         self.integers = self.integers.astype(np.int64)
-        self._intset = frozenset(self.integers.tolist())
-        for arr in (self.c, self.rhs, self.lower, self.upper, self.integers, self.sense_array,
+        for arr in (self.c, self.rhs, self.lower, self.upper, self.integers, self.senses,
                     self.indptr, self.indices, self.data, self.entry_rows):
             arr.setflags(write=False)
-        ends = self.indptr.tolist()
-        self.row_cols = [self.indices[a:b] for a, b in zip(ends, ends[1:])]
-        self.row_vals = [self.data[a:b] for a, b in zip(ends, ends[1:])]
+
+    def _validate_csr(self):
+        """Check that ``indptr`` cuts ``indices`` and ``data`` into m rows."""
+        indptr, nnz = self.indptr, len(self.indices)
+        if not len(indptr) == len(self.senses) + 1 == self.m + 1:
+            raise ValueError("row arrays must all have length m: senses and rhs m, indptr m + 1")
+        if indptr[0] != 0:
+            raise ValueError(f"indptr must start at 0, not {indptr[0]}")
+        drop = np.diff(indptr) < 0
+        if drop.any():
+            k = int(np.argmax(drop))
+            raise ValueError(f"indptr must not decrease: indptr[{k + 1}] = {indptr[k + 1]} "
+                             f"< indptr[{k}] = {indptr[k]}")
+        if indptr[-1] != nnz:
+            raise ValueError(f"indptr must end at len(indices) = {nnz}, not {indptr[-1]}")
+        if len(self.data) != nnz:
+            raise ValueError(f"data has {len(self.data)} entries but indices has {nnz}")
 
     def _validate(self):
         n = self.n
@@ -151,10 +134,10 @@ class MipModel:
             raise ValueError("integers: every entry must be a whole column index")
         if self.integers.size and (self.integers.min() < 0 or self.integers.max() >= n):
             raise ValueError("integer index out of range")
-        bad = ~np.isin(self.sense_array, SENSES)
+        bad = ~np.isin(self.senses, SENSES)
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"row {i}: unknown sense {self.row_senses[i]!r}")
+            raise ValueError(f"row {i}: unknown sense {str(self.senses[i])!r}")
         idx = self.indices
         self._reject(~_integral(idx), "column index is not an integer")
         self._reject((idx < 0) | (idx >= n), "column index out of range")
@@ -179,12 +162,22 @@ class MipModel:
         return len(self.rhs)
 
     @property
-    def integer_set(self) -> frozenset:
-        return self._intset
+    def row_cols(self) -> list:
+        return self._rows(self.indices)
+
+    @property
+    def row_vals(self) -> list:
+        return self._rows(self.data)
+
+    def _rows(self, entries: np.ndarray) -> list:
+        """Each row's slice of an entry array, as views."""
+        ends = self.indptr.tolist()
+        return [entries[a:b] for a, b in zip(ends, ends[1:])]
 
     def is_binary(self, j: int) -> bool:
+        k = np.searchsorted(self.integers, j)
         return (
-            j in self._intset
+            k < len(self.integers) and self.integers[k] == j
             and self.lower[j] >= -DEFAULT_INT_TOL
             and self.upper[j] <= 1.0 + DEFAULT_INT_TOL
         )
@@ -243,7 +236,7 @@ def evaluate_solution(
         raise DimensionMismatch(
             f"assignment has {len(values)} entries, model has {model.n}"
         )
-    senses = model.sense_array
+    senses = model.senses
     with np.errstate(invalid="ignore"):  # inf - inf from a non-finite entry: see below
         gap = model.row_activity(values) - model.rhs
         worst = np.max(np.concatenate([
@@ -340,9 +333,10 @@ def _gen_knapsack(n, m, seed, rng):
     model = MipModel(
         name=f"knapsack_n{n}_m{m}_s{seed}",
         c=-values,  # maximize value, stored as a minimization
-        row_cols=[np.arange(n)] * m,
-        row_vals=[weights[i] for i in range(m)],
-        row_senses=["L"] * m,
+        indptr=np.arange(m + 1) * n,
+        indices=np.tile(np.arange(n), m),
+        data=weights.reshape(-1),
+        senses=["L"] * m,
         rhs=cap,
         lower=np.zeros(n),
         upper=np.ones(n),
@@ -357,14 +351,15 @@ def _gen_set_cover(n, m, seed, rng):
     row_cols = []
     for _ in range(m):
         k = int(rng.integers(1, min(n, 6) + 1))
-        cols = np.sort(rng.choice(n, size=k, replace=False))
-        row_cols.append(cols)
+        row_cols.append(np.sort(rng.choice(n, size=k, replace=False)))
+    indices = np.concatenate(row_cols)
     model = MipModel(
         name=f"set_cover_n{n}_m{m}_s{seed}",
         c=cost,
-        row_cols=row_cols,
-        row_vals=[np.ones(len(cols)) for cols in row_cols],
-        row_senses=["G"] * m,
+        indptr=np.concatenate([[0], np.cumsum([len(cols) for cols in row_cols])]),
+        indices=indices,
+        data=np.ones(len(indices)),
+        senses=["G"] * m,
         rhs=np.ones(m),
         lower=np.zeros(n),
         upper=np.ones(n),
@@ -388,25 +383,17 @@ def _gen_gap(n, m, seed, rng):
     cap += slack
     cap = np.maximum(cap, 1.0)
 
-    row_cols, row_vals, senses, rhs = [], [], [], []
-    for j in range(tasks):  # each task assigned exactly once
-        row_cols.append(np.array([i * tasks + j for i in range(agents)]))
-        row_vals.append(np.ones(agents))
-        senses.append("E")
-        rhs.append(1.0)
-    for i in range(agents):  # agent capacities
-        row_cols.append(np.arange(i * tasks, (i + 1) * tasks))
-        row_vals.append(weight[i].copy())
-        senses.append("L")
-        rhs.append(cap[i])
-
+    # rows 0..tasks-1: each task assigned exactly once, its column in every agent's
+    # block; then one capacity row per agent, over the agent's block
     model = MipModel(
         name=f"gap_n{n}_m{m}_s{seed}",
         c=cost.reshape(-1),
-        row_cols=row_cols,
-        row_vals=row_vals,
-        row_senses=senses,
-        rhs=np.array(rhs),
+        indptr=np.concatenate([np.arange(tasks) * agents, nv + np.arange(agents + 1) * tasks]),
+        indices=np.concatenate([np.arange(nv).reshape(agents, tasks).T.reshape(-1),
+                                np.arange(nv)]),
+        data=np.concatenate([np.ones(nv), weight.reshape(-1)]),
+        senses=["E"] * tasks + ["L"] * agents,
+        rhs=np.concatenate([np.ones(tasks), cap]),
         lower=np.zeros(nv),
         upper=np.ones(nv),
         integers=np.arange(nv),
@@ -458,7 +445,9 @@ def parse_mps(text: str) -> MipModel:
     markers), RHS, RANGES, BOUNDS, ENDATA.  Default variable domain is
     [0, +inf).  The bound kinds are LO, UP and FX (lower, upper, both), MI
     (lower -inf), PL (upper +inf), FR (free), BV (binary), and LI and UI
-    (lower and upper bounds that also make the column integer).  RANGES rows
+    (lower and upper bounds that also make the column integer).  A negative
+    UP or UI bound on a column whose lower bound no BOUNDS line sets makes
+    that lower bound -inf, as HiGHS and CPLEX read it.  RANGES rows
     are split into two inequality rows in place.  Maximization inputs are
     negated into minimize form.  A nonzero RHS on the objective row (a
     constant objective offset) raises :class:`ObjectiveOffset`.
@@ -524,6 +513,7 @@ class _MpsReader:
         self.ranges = ints, floats
         self.lower = ints, floats  # columns and values, in line order
         self.upper = ints, floats
+        self.negative_up = ints  # columns of UP and UI lines with a negative value
 
     def section(self, key, head, at, toks):
         if key == "NAME":
@@ -680,6 +670,8 @@ class _MpsReader:
                 integer |= here
         self.lower = _extend(self.lower, col[sets[0]], value[0, sets[0]])
         self.upper = _extend(self.upper, col[sets[1]], value[1, sets[1]])
+        ups = (kinds == _BOUND_ID["UP"]) | (kinds == _BOUND_ID["UI"])
+        self.negative_up = np.concatenate([self.negative_up, col[ups & (vals < 0)]])
         self.integers = np.concatenate([self.integers, col[integer]])
 
     def _pairs(self, at, toks, least, what):
@@ -731,6 +723,7 @@ class _MpsReader:
         if self.maximize:
             c = -c
         lower, upper = np.zeros(n), np.full(n, INF)
+        lower[self.negative_up] = -INF  # unless a BOUNDS line sets the lower bound too
         for bound, (cols, vals) in ((lower, self.lower), (upper, self.upper)):
             order = np.argsort(cols, kind="stable")
             last = order[np.diff(cols[order], append=-1) != 0]  # each column's last line
@@ -748,9 +741,9 @@ class _MpsReader:
         # entry k of model row i is entry k of its source row
         take = order[np.repeat((np.cumsum(counts) - counts)[source] - indptr[:-1], counts_out)
                      + np.arange(indptr[-1])]
-        return MipModel.from_csr(
+        return MipModel(
             name=self.name, c=c, indptr=indptr, indices=cols[take], data=vals[take],
-            row_senses=senses, rhs=rhs, lower=lower, upper=upper,
+            senses=senses, rhs=rhs, lower=lower, upper=upper,
             integers=self.integers, maximize=self.maximize,
         )
 
@@ -873,7 +866,7 @@ def write_mps(model: MipModel) -> str:
     out = [f"NAME {model.name}" if model.name else "NAME"]
     out.append("ROWS")
     out.append(" N OBJ")
-    for i, sense in enumerate(model.row_senses):
+    for i, sense in enumerate(model.senses.tolist()):
         out.append(f" {sense} R{i}")
 
     order = np.argsort(model.indices, kind="stable")  # by column, rows ascending in each
@@ -883,8 +876,7 @@ def write_mps(model: MipModel) -> str:
     out.append("COLUMNS")
     in_int = False
     marker = 0
-    for j in range(model.n):
-        want_int = j in model.integer_set
+    for j, want_int in enumerate(np.isin(np.arange(model.n), model.integers).tolist()):
         if want_int and not in_int:
             out.append(f" MK{marker} 'MARKER' 'INTORG'")
             marker += 1

@@ -380,7 +380,7 @@ class SimplexContext:
         self.m = m
         self.A = self._lp_matrix(np.arange(m), np.ones(m))  # [A | I]
         self.b = np.concatenate([model.rhs, [row[3] for row in extra]])
-        senses = np.concatenate([model.sense_array,
+        senses = np.concatenate([model.senses,
                                  np.asarray([row[2] for row in extra], dtype="U1")])
         self.slack_lo = np.where(senses == "G", -INF, 0.0)  # s = b - a.x: >= 0 on an L row
         self.slack_up = np.where(senses == "L", INF, 0.0)

@@ -23,6 +23,19 @@ from banditmip.model import (
 )
 
 
+def model_from_rows(row_cols, row_vals, **fields):
+    """The MipModel whose row i has the coefficients ``row_vals[i]`` in the columns ``row_cols[i]``."""
+    return MipModel(indptr=np.cumsum([0] + [len(cols) for cols in row_cols]),
+                    indices=np.concatenate([np.zeros(0, dtype=np.int64), *row_cols]),
+                    data=np.concatenate([np.zeros(0), *row_vals]), **fields)
+
+
+def model_from_dense(rows, **fields):
+    """The MipModel whose constraint matrix has the given dense rows; zeros stay out."""
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    return model_from_rows([np.flatnonzero(r) for r in rows], [r[r != 0] for r in rows], **fields)
+
+
 def dense_matrix(model):
     """The model's constraint matrix as a dense array, filled row by row."""
     A = np.zeros((model.m, model.n))
@@ -46,7 +59,7 @@ def brute_force_binary(model):
     ok &= (X <= model.upper + 1e-9).all(axis=1)
     A = dense_matrix(model)
     act = X @ A.T
-    for i, sense in enumerate(model.row_senses):
+    for i, sense in enumerate(model.senses):
         if sense == "L":
             ok &= act[:, i] <= model.rhs[i] + 1e-9
         elif sense == "G":
@@ -224,6 +237,7 @@ def parse_mps_reference(text: str) -> MipModel:
     range_map = {}
     bounds_lo = {}
     bounds_up = {}
+    negative_up = set()  # columns with an UP or UI line of negative value
     in_integer_block = False
     ended = False
 
@@ -349,6 +363,8 @@ def parse_mps_reference(text: str) -> MipModel:
                 bounds_lo[j] = value
             if kind in ("UP", "FX", "UI"):
                 bounds_up[j] = value
+            if kind in ("UP", "UI") and value < 0:
+                negative_up.add(j)
             if kind in ("BV", "LI", "UI"):
                 integer_cols.add(j)
             if kind == "BV":
@@ -375,6 +391,8 @@ def parse_mps_reference(text: str) -> MipModel:
         c = -c
     lower = np.zeros(n)
     upper = np.full(n, INF)
+    for j in negative_up - bounds_lo.keys():  # no BOUNDS line sets its lower bound
+        lower[j] = -INF
     for j, v in bounds_lo.items():
         lower[j] = v
     for j, v in bounds_up.items():
@@ -401,12 +419,12 @@ def parse_mps_reference(text: str) -> MipModel:
             row_cols.append(cols), row_vals.append(vals)
             senses.append(part_sense), rhs.append(part_rhs)
 
-    return MipModel(
+    return model_from_rows(
+        row_cols,
+        row_vals,
         name=name,
         c=c,
-        row_cols=row_cols,
-        row_vals=row_vals,
-        row_senses=senses,
+        senses=senses,
         rhs=np.array(rhs, dtype=float),
         lower=lower,
         upper=upper,

@@ -18,25 +18,19 @@ from banditmip.bnb import (
 )
 from banditmip import bnb as bnb_mod, heuristics, model as model_mod
 from banditmip.heuristics import LNS_KINDS, NotApplicable
-from banditmip.model import Assignment, MipModel, generate_instance, load_instance
+from banditmip.model import Assignment, generate_instance, load_instance
 from banditmip.simplex import FEAS_TOL, BoundState, LpResult, LpStatus
 
-from oracles import brute_force_binary
+from oracles import brute_force_binary, model_from_dense
 
 
 def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     n = len(c)
-    row_cols, row_vals = [], []
-    for row in rows:
-        idx = [j for j, v in enumerate(row) if v != 0]
-        row_cols.append(np.array(idx, dtype=np.int64))
-        row_vals.append(np.array([row[j] for j in idx], dtype=float))
-    return MipModel(
+    return model_from_dense(
+        rows,
         name="t",
         c=np.array(c, dtype=float),
-        row_cols=row_cols,
-        row_vals=row_vals,
-        row_senses=list(senses),
+        senses=list(senses),
         rhs=np.array(rhs, dtype=float),
         lower=np.zeros(n) if lower is None else np.array(lower, dtype=float),
         upper=np.ones(n) if upper is None else np.array(upper, dtype=float),

@@ -18,8 +18,9 @@ from banditmip.cli import (
     shifted_geomean,
     summarize_runs,
 )
-from banditmip.bnb import SolverSettings
+from banditmip.bnb import SolverSettings, solve
 from banditmip.heuristics import DEFAULT_ORDER
+from banditmip.model import parse_mps
 
 GOLDEN_COLUMNS = [
     "instance", "seed", "mode", "status", "time_s", "nodes", "objective",
@@ -240,6 +241,48 @@ def test_maximize_objective_reported_unnegated(tmp_path):
     final = [json.loads(line) for line in log.read_text().splitlines()][-1]
     # optimum picks item 2 (value 5); reported in the original MAX sense
     assert float(final["objective"]) == pytest.approx(5.0)
+
+
+MAX_OBJ = """\
+NAME MAXOBJ
+OBJSENSE
+ MAX
+ROWS
+ N OBJ
+ L R0
+COLUMNS
+ M0 'MARKER' 'INTORG'
+ X OBJ 3 R0 2
+ Y OBJ 2 R0 1
+ M1 'MARKER' 'INTEND'
+RHS
+ RHS R0 5
+BOUNDS
+ UP BND Y 3
+ENDATA
+"""
+
+
+def test_maximize_objective_is_negated_back_only_where_it_is_reported(tmp_path, capsys):
+    """max 3x + 2y s.t. 2x + y <= 5, y <= 3: optimum 9 at (1, 3), -9 in minimize form."""
+    path = tmp_path / "max.mps"
+    path.write_text(MAX_OBJ)
+    log = tmp_path / "log.jsonl"
+    assert main(["solve", str(path), "--log", str(log)]) == 0
+    assert "status=optimal objective=9 " in capsys.readouterr().out
+    final = json.loads(log.read_text().splitlines()[-1])
+    assert final["type"] == "run_stats" and final["objective"] == "9.0"
+    manifest, out = tmp_path / "suite.txt", tmp_path / "runs.csv"
+    _write_manifest(manifest, [str(path)])
+    assert main(["bench", str(manifest), "--seeds", "1", "--out", str(out)]) == 0
+    assert [row["objective"] for row in csv.DictReader(out.open())] == ["9.0", "9.0"]
+
+    settings = SolverSettings(seed=1)
+    row, result = cli.run_single(str(path), settings)
+    direct = solve(parse_mps(MAX_OBJ), settings)
+    assert row["objective"] == "9.0" and row["instance"] == str(path)
+    assert result.objective == direct.objective == -9.0
+    assert result.dual_bound == direct.dual_bound == -9.0
 
 
 def test_solve_default_mode_logs_no_bandit_records(tmp_path):

@@ -24,11 +24,10 @@ from banditmip.heuristics import (
     run_rounding,
     variable_locks,
 )
-from banditmip.model import (Assignment, MipModel, evaluate_solution, generate_instance,
-                             snap_integral)
+from banditmip.model import Assignment, evaluate_solution, generate_instance, snap_integral
 from banditmip.simplex import BoundState, LpResult, LpStatus, SimplexContext
 
-from oracles import brute_force_binary
+from oracles import brute_force_binary, model_from_dense
 
 SETTINGS = SolverSettings()
 LIMITS = portfolio_limits(SETTINGS)
@@ -38,17 +37,11 @@ DIVE = LIMITS["frac_dive"]  # value q = q_init, budget = dive_max_depth
 
 def _model(c, rows, senses, rhs, upper=None, name="h"):
     n = len(c)
-    row_cols, row_vals = [], []
-    for row in rows:
-        idx = [j for j, v in enumerate(row) if v != 0]
-        row_cols.append(np.array(idx, dtype=np.int64))
-        row_vals.append(np.array([row[j] for j in idx], dtype=float))
-    return MipModel(
+    return model_from_dense(
+        rows,
         name=name,
         c=np.array(c, dtype=float),
-        row_cols=row_cols,
-        row_vals=row_vals,
-        row_senses=list(senses),
+        senses=list(senses),
         rhs=np.array(rhs, dtype=float),
         lower=np.zeros(n),
         upper=np.ones(n) if upper is None else np.array(upper, dtype=float),
@@ -249,7 +242,7 @@ def _locks_loop(model):
     """The per-row loop variable_locks replaced, kept as its reference."""
     down = np.zeros(model.n, dtype=np.int64)
     up = np.zeros(model.n, dtype=np.int64)
-    for idx, val, sense in zip(model.row_cols, model.row_vals, model.row_senses):
+    for idx, val, sense in zip(model.row_cols, model.row_vals, model.senses):
         pos = idx[val > 0]
         neg = idx[val < 0]
         if sense in ("L", "E"):
@@ -266,10 +259,10 @@ def _locks_loop(model):
 def test_vectorized_locks_match_loop(family, sense):
     model = generate_instance(family, (30, 6), 3)
     rng = np.random.default_rng(1)
-    senses = {"generated": model.row_senses,
+    senses = {"generated": model.senses,
               "mixed": [str(s) for s in rng.choice(list("LGE"), size=model.m)]}
     vals = [np.where(rng.random(len(v)) < 0.3, -v, v) for v in model.row_vals]
-    model = replace(model, row_senses=senses.get(sense, [sense] * model.m), row_vals=vals)
+    model = replace(model, senses=senses.get(sense, [sense] * model.m), data=np.concatenate(vals))
     down, up = variable_locks(model)
     ref_down, ref_up = _locks_loop(model)
     assert down.dtype == up.dtype == np.int64

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -22,7 +23,7 @@ from banditmip.model import (
     parse_mps,
     write_mps,
 )
-from oracles import parse_mps_reference
+from oracles import model_from_rows, parse_mps_reference
 
 KNAPSACK_MPS = """\
 NAME SMALLKNAP
@@ -49,7 +50,7 @@ def test_parse_knapsack_mps():
     assert model.n == 2 and model.m == 1
     assert set(model.integers) == {0, 1}
     assert np.array_equal(model.c, [-3.0, -5.0])
-    assert model.row_senses == ["L"]
+    assert model.senses.tolist() == ["L"]
     assert np.array_equal(model.row_cols[0], [0, 1])
     assert np.array_equal(model.row_vals[0], [2.0, 4.0])
     assert model.rhs[0] == 5.0
@@ -123,7 +124,7 @@ ENDATA
     model = parse_mps(text)
     assert model.lower[0] == -2.0 and model.upper[0] == 4.0
     assert model.lower[1] == 3.0 and model.upper[1] == 3.0
-    assert model.lower[2] == 0.0 and model.upper[2] == 1.0 and 2 in model.integer_set
+    assert model.lower[2] == 0.0 and model.upper[2] == 1.0 and 2 in model.integers
     assert model.lower[3] == -np.inf and model.upper[3] == np.inf
 
 
@@ -163,7 +164,7 @@ ENDATA
     model = parse_mps(text)
     # 3 <= x <= 5 expressed as two rows
     assert model.m == 2
-    assert model.row_senses == ["L", "G"]
+    assert model.senses.tolist() == ["L", "G"]
     assert model.rhs[0] == 5.0 and model.rhs[1] == 3.0
 
 
@@ -185,7 +186,7 @@ ENDATA
     model = parse_mps(text)
     # an E row with a range becomes the interval [lo, hi]
     assert model.m == 2
-    senses = dict(zip(model.row_senses, model.rhs))
+    senses = dict(zip(model.senses.tolist(), model.rhs))
     assert senses["G"] == lo and senses["L"] == hi
 
 
@@ -240,7 +241,7 @@ def test_write_parse_roundtrip(family, size, seed):
     assert np.array_equal(back.lower, model.lower)
     assert np.array_equal(back.upper, model.upper)
     assert np.array_equal(back.rhs, model.rhs)
-    assert back.row_senses == model.row_senses
+    assert np.array_equal(back.senses, model.senses)
     for a_idx, b_idx, a_val, b_val in zip(
         model.row_cols, back.row_cols, model.row_vals, back.row_vals
     ):
@@ -268,12 +269,12 @@ def test_roundtrip_on_irregular_random_models():
         upper = np.where(np.isinf(lower), 0.0, lower) + rng.integers(0, 9, size=n)
         upper = np.where(rng.random(n) < 0.2, np.inf, upper)
         nint = int(rng.integers(0, n + 1))
-        model = MipModel(
+        model = model_from_rows(
+            rows_c,
+            rows_v,
             name="irr",
             c=rng.integers(-9, 10, size=n).astype(float),
-            row_cols=rows_c,
-            row_vals=rows_v,
-            row_senses=senses,
+            senses=senses,
             rhs=rng.integers(-9, 10, size=m).astype(float),
             lower=lower,
             upper=upper,
@@ -286,7 +287,7 @@ def test_roundtrip_on_irregular_random_models():
         assert np.array_equal(back.lower, model.lower)
         assert np.array_equal(back.upper, model.upper)
         assert np.array_equal(back.rhs, model.rhs)
-        assert back.row_senses == model.row_senses
+        assert np.array_equal(back.senses, model.senses)
         for a, b in zip(back.row_cols, model.row_cols):
             assert np.array_equal(a, b)
         for a, b in zip(back.row_vals, model.row_vals):
@@ -338,9 +339,10 @@ def _tiny_model():
     return MipModel(
         name="tiny",
         c=np.array([0.0, 0.0]),
-        row_cols=[np.array([0, 1])],
-        row_vals=[np.array([1.0, 1.0])],
-        row_senses=["L"],
+        indptr=[0, 2],
+        indices=[0, 1],
+        data=[1.0, 1.0],
+        senses=["L"],
         rhs=np.array([1.0]),
         lower=np.zeros(2),
         upper=np.ones(2),
@@ -352,9 +354,10 @@ def test_model_validation_rejects_bad_construction():
     base = dict(
         name="bad",
         c=np.array([1.0, 1.0]),
-        row_cols=[np.array([0, 1])],
-        row_vals=[np.array([1.0, 1.0])],
-        row_senses=["L"],
+        indptr=[0, 2],
+        indices=[0, 1],
+        data=[1.0, 1.0],
+        senses=["L"],
         rhs=np.array([1.0]),
         lower=np.zeros(2),
         upper=np.ones(2),
@@ -364,43 +367,58 @@ def test_model_validation_rejects_bad_construction():
     for patch in [
         {"lower": np.array([2.0, 0.0])},                      # lower > upper
         {"integers": np.array([5])},                          # index out of range
-        {"row_cols": [np.array([0, 0])],
-         "row_vals": [np.array([1.0, 2.0])]},                 # duplicate column
-        {"row_vals": [np.array([1.0, 0.0])]},                 # explicit zero
-        {"row_senses": ["Q"]},                                # unknown sense
-        {"row_cols": [np.array([0, 7])]},                     # column out of range
-        {"row_vals": [np.array([1.0, np.nan])]},              # NaN coefficient
-        {"row_vals": [np.array([np.inf, 1.0])]},              # infinite coefficient
+        {"indices": [0, 0], "data": [1.0, 2.0]},              # duplicate column
+        {"data": [1.0, 0.0]},                                 # explicit zero
+        {"senses": ["Q"]},                                    # unknown sense
+        {"indices": [0, 7]},                                  # column out of range
+        {"data": [1.0, np.nan]},                              # NaN coefficient
+        {"data": [np.inf, 1.0]},                              # infinite coefficient
         {"rhs": np.array([np.nan])},                          # NaN rhs
         {"c": np.array([np.nan, 1.0])},                       # NaN cost
         {"lower": np.array([np.nan, 0.0])},                   # NaN lower bound
         {"upper": np.array([1.0, np.nan])},                   # NaN upper bound
-        {"row_cols": [np.array([0.5, 1.0])]},                 # non-integral column index
+        {"indices": [0.5, 1.0]},                              # non-integral column index
         {"integers": np.array([0.5])},                        # non-integral integer index
-        {"row_vals": [np.array([1.0])]},                      # index/value length mismatch
+        {"data": [1.0]},                                      # index/value length mismatch
     ]:
         with pytest.raises(ValueError):
             MipModel(**{**base, **patch})
 
 
 @pytest.mark.parametrize("patch, message", [
-    ({"row_vals": [np.array([1.0, 1.0]), np.array([np.nan])]}, "row 1: coefficient"),
+    ({"data": [1.0, 1.0, np.nan]}, "row 1: coefficient"),
     ({"rhs": np.array([1.0, np.nan])}, "rhs[1]"),
     ({"c": np.array([1.0, np.nan])}, "c[1]"),
     ({"lower": np.array([0.0, np.nan])}, "lower[1]"),
-    ({"row_cols": [np.array([0, 1]), np.array([0.5])]}, "row 1: column index"),
-    ({"row_cols": [np.array([0, 1]), np.array([1])],
-      "row_vals": [np.array([1.0, 1.0]), np.array([1.0, 2.0])]}, "row 1: index/value"),
+    ({"indices": [0, 1, 0.5]}, "row 1: column index"),
+    ({"data": [1.0, 1.0, 3.0, 2.0]}, "data has 4 entries but indices has 3"),
     # an infinite bound that admits no value, though lower <= upper holds
     ({"lower": np.array([0.0, np.inf]), "upper": np.array([1.0, np.inf])}, "lower[1] is inf"),
     ({"lower": np.array([-np.inf, 0.0]), "upper": np.array([-np.inf, 1.0])},
      "upper[0] is -inf"),
 ])
 def test_model_validation_names_the_field_and_the_first_bad_row(patch, message):
-    base = dict(name="bad", c=np.ones(2), row_cols=[np.array([0, 1]), np.array([1])],
-                row_vals=[np.array([1.0, 1.0]), np.array([3.0])], row_senses=["L", "G"],
-                rhs=np.ones(2), lower=np.zeros(2), upper=np.ones(2), integers=np.arange(2))
+    base = dict(name="bad", c=np.ones(2), indptr=[0, 2, 3], indices=[0, 1, 1],
+                data=[1.0, 1.0, 3.0], senses=["L", "G"], rhs=np.ones(2), lower=np.zeros(2),
+                upper=np.ones(2), integers=np.arange(2))
     MipModel(**base)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MipModel(**{**base, **patch})
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"indptr": [1, 2, 3]}, "indptr must start at 0, not 1"),
+    ({"indptr": [0, 3, 2]}, "indptr must not decrease: indptr[2] = 2 < indptr[1] = 3"),
+    ({"indptr": [0, 1, 1]}, "indptr must end at len(indices) = 3, not 1"),
+    ({"indptr": [0, 2, 4]}, "indptr must end at len(indices) = 3, not 4"),
+    ({"data": [1.0, 1.0]}, "data has 2 entries but indices has 3"),
+    ({"indptr": [0, 3]}, "row arrays must all have length m"),
+])
+def test_csr_arrays_are_checked_before_they_are_read(patch, message):
+    base = dict(name="csr", c=np.ones(2), indptr=[0, 2, 3], indices=[0, 1, 1],
+                data=[1.0, 1.0, 3.0], senses=["L", "G"], rhs=np.ones(2), lower=np.zeros(2),
+                upper=np.ones(2), integers=[])
+    assert MipModel(**base).row_activity(np.ones(2)).tolist() == [2.0, 3.0]
     with pytest.raises(ValueError, match=re.escape(message)):
         MipModel(**{**base, **patch})
 
@@ -442,18 +460,13 @@ def test_rows_are_read_only_views_of_the_csr_store():
 
 def test_replace_rebuilds_the_csr_store():
     model = _tiny_model()
-    wider = dataclasses.replace(
-        model, row_cols=[np.array([1]), np.array([0, 1])],
-        row_vals=[np.array([2.0]), np.array([1.0, -1.0])],
-        row_senses=["L", "G"], rhs=np.array([1.0, 0.0]))
-    assert np.array_equal(wider.indptr, [0, 1, 3])
-    assert np.array_equal(wider.indices, [1, 0, 1])
-    assert np.array_equal(wider.data, [2.0, 1.0, -1.0])
+    wider = dataclasses.replace(model, indptr=[0, 1, 3], indices=[1, 0, 1],
+                                data=[2.0, 1.0, -1.0], senses=["L", "G"], rhs=np.array([1.0, 0.0]))
+    assert np.array_equal(wider.entry_rows, [0, 1, 1])
+    assert [cols.tolist() for cols in wider.row_cols] == [[1], [0, 1]]
     assert np.array_equal(wider.row_activity(np.array([1.0, 3.0])), [6.0, -2.0])
     same = dataclasses.replace(model, c=np.array([1.0, 2.0]))
-    assert same.indices is not model.indices
-    assert np.array_equal(same.indices, model.indices)
-    assert np.array_equal(same.data, model.data)
+    assert same.indices is model.indices and same.data is model.data  # read-only: shared
     assert same.row_cols[0].base is same.indices
 
 
@@ -485,7 +498,7 @@ def _loop_violation(model, x):
     """Largest violation by a per-row loop, the reference for the vectorized check."""
     act = model.row_activity(x)
     viol = 0.0
-    for i, sense in enumerate(model.row_senses):
+    for i, sense in enumerate(model.senses):
         gap = act[i] - model.rhs[i]
         viol = max(viol, gap if sense == "L" else -gap if sense == "G" else abs(gap))
     for j in range(model.n):
@@ -497,8 +510,8 @@ def _loop_violation(model, x):
 def test_evaluate_matches_a_per_row_loop(family):
     rng = np.random.default_rng(9)
     model = generate_instance(family, (14, 5), 2)
-    senses = ["L", "G", "E"] + model.row_senses[3:]  # every sense
-    model = dataclasses.replace(model, row_senses=senses)
+    senses = ["L", "G", "E"] + model.senses[3:].tolist()  # every sense
+    model = dataclasses.replace(model, senses=senses)
     for _ in range(30):
         x = np.where(rng.random(model.n) < 0.5, rng.integers(0, 2, model.n),
                      rng.uniform(-0.5, 1.5, model.n))
@@ -568,7 +581,7 @@ def test_load_instance_bad_uri_key_names_uri_and_key(uri, key):
 # ---------------------------------------------------------------------------
 
 MODEL_ARRAYS = ("c", "rhs", "lower", "upper", "integers", "indptr", "indices", "data",
-                "entry_rows", "sense_array")
+                "entry_rows", "senses")
 
 
 def _outcome(read, text):
@@ -579,7 +592,7 @@ def _outcome(read, text):
         return type(err), str(err)
     arrays = [(key, getattr(model, key).dtype.str, getattr(model, key).shape,
                getattr(model, key).tobytes()) for key in MODEL_ARRAYS]
-    return model.name, model.maximize, model.row_senses, arrays
+    return model.name, model.maximize, arrays
 
 
 HAND_MPS = {
@@ -681,6 +694,31 @@ BOUNDS
  UP BND E 9
  LO BND E 2
  UP BND A 0
+ENDATA
+""",
+    # a negative UP or UI bound frees the lower bound unless a BOUNDS line sets it
+    "negative up": """\
+NAME NEGUP
+ROWS
+ N OBJ
+ G R0
+COLUMNS
+ A OBJ 1 R0 1
+ B OBJ 1 R0 1
+ C OBJ 1 R0 1
+ D OBJ 1 R0 1
+ E OBJ 1 R0 1
+RHS
+ RHS R0 -40
+BOUNDS
+ UP BND A -2
+ UI BND B -3
+ LO BND C -5
+ UP BND C -1
+ UP BND D -1
+ FX BND D -4
+ UP BND E -6
+ UP BND E 2
 ENDATA
 """,
     # comments and blank lines, tabs, a comment at column 0, a second RHS vector,
@@ -893,13 +931,13 @@ def _bounded(*lines):
 def test_parse_free_bound():
     model = _bounded(" UP BND X1 4", " FR BND X1")
     assert model.lower[0] == -np.inf and model.upper[0] == np.inf
-    assert model.integer_set == frozenset()
+    assert model.integers.size == 0
 
 
 def test_parse_integer_lower_bound():
     model = _bounded(" LI BND X2 -3")
     assert model.lower[1] == -3.0 and model.upper[1] == np.inf
-    assert model.integer_set == {1}
+    assert model.integers.tolist() == [1]
     with pytest.raises(MalformedSection, match="bad BOUNDS line"):
         _bounded(" LI BND X2")
 
@@ -907,44 +945,76 @@ def test_parse_integer_lower_bound():
 def test_parse_integer_upper_bound():
     model = _bounded(" UI BND X1 7", " LO BND X1 2")
     assert model.lower[0] == 2.0 and model.upper[0] == 7.0
-    assert model.integer_set == {0}
+    assert model.integers.tolist() == [0]
     with pytest.raises(MalformedSection, match=re.escape("BOUNDS line 15: 'x' is not a number")):
         _bounded(" UI BND X1 x")
 
 
+@pytest.mark.parametrize("lines, lower, upper", [
+    ([" UP BND X1 -2"], -np.inf, -2.0),
+    ([" UI BND X1 -2"], -np.inf, -2.0),
+    ([" UP BND X1 -2", " UP BND X1 3"], -np.inf, 3.0),
+    ([" LO BND X1 -5", " UP BND X1 -2"], -5.0, -2.0),
+    ([" UP BND X1 -2", " LO BND X1 -5"], -5.0, -2.0),
+    ([" MI BND X1", " UP BND X1 -2"], -np.inf, -2.0),
+    ([" UP BND X1 -2", " MI BND X1"], -np.inf, -2.0),
+    ([" FX BND X1 -3", " UP BND X1 -2"], -3.0, -2.0),
+    ([" UP BND X1 -2", " FX BND X1 -3"], -3.0, -3.0),
+    ([" UP BND X1 0"], 0.0, 0.0),
+    ([" UP BND X1 2"], 0.0, 2.0),
+])
+def test_parse_negative_upper_bound_without_a_lower_bound_line(lines, lower, upper):
+    """A negative UP or UI bound makes the lower bound -inf unless a BOUNDS line sets it."""
+    text = SMALL_MPS.format(rhs="", ranges="", bounds="\n".join(lines))
+    model = parse_mps(text)
+    assert (model.lower[0], model.upper[0]) == (lower, upper)
+    assert (model.lower[1], model.upper[1]) == (0.0, np.inf)
+    assert _outcome(parse_mps, text) == _outcome(parse_mps_reference, text)
+
+
+# SHA-256 of write_mps(generate_instance(family, size, seed)) as the generators made it
+# when they joined per-row arrays; building the CSR arrays directly must not move a byte
+GENERATED_SHA256 = {
+    ("knapsack", (20, 3), 1): "ed70385fdf92e9c4875d009809bc7aa0287d5af9995b7c24d7ab63c75a4820e7",
+    ("knapsack", (60, 8), 7): "fa4ab0493abe69f788a687c39b661c48fb82c3da5997bbce7fdaf6d83d1e1808",
+    ("set_cover", (40, 15), 2): "a90e77a9efa6ab3858e6ebada06ac9cd216ee503feb38741294e9b9f8303c20d",
+    ("set_cover", (300, 150), 9): "b31a49c787a03d059a04f64ea337e219ed81e7ccc39a04634ea9c82b10333e22",
+    ("gap", (24, 4), 5): "6aafc9efd18e0be3181f1cf7be34f0afedf95f2bc191be2fc4f87291c5b0de76",
+    ("gap", (90, 7), 3): "6485428d5be3fcf0dce53252401770666df8eb352b008f0ba1d7974564e43759",
+}
+
+
+@pytest.mark.parametrize("family, size, seed", list(GENERATED_SHA256))
+def test_generated_instances_are_pinned(family, size, seed):
+    text = write_mps(generate_instance(family, size, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_SHA256[family, size, seed]
+
+
 @pytest.mark.parametrize("family", ["knapsack", "set_cover", "gap"])
-def test_from_csr_stores_what_the_row_constructor_stores(family):
+def test_row_helper_stores_what_the_generator_stores(family):
     model = generate_instance(family, (20, 6), 3)
-    again = MipModel.from_csr(
-        name=model.name, c=model.c, indptr=model.indptr, indices=model.indices,
-        data=model.data, row_senses=model.row_senses, rhs=model.rhs, lower=model.lower,
-        upper=model.upper, integers=model.integers, maximize=True)
+    again = model_from_rows(
+        model.row_cols, model.row_vals, name=model.name, c=model.c, senses=model.senses,
+        rhs=model.rhs, lower=model.lower, upper=model.upper, integers=model.integers,
+        maximize=True)
     for key in MODEL_ARRAYS:
         a, b = getattr(model, key), getattr(again, key)
         assert a.dtype == b.dtype and np.array_equal(a, b) and not b.flags.writeable, key
-    assert again.maximize and again.row_senses == model.row_senses
+    assert again.maximize
     for a, b in zip(model.row_cols, again.row_cols):
         assert np.array_equal(a, b) and b.base is again.indices
-    with pytest.raises(ValueError, match="duplicate column entries"):
-        MipModel.from_csr(name="dup", c=np.ones(2), indptr=[0, 2], indices=[1, 1],
-                          data=[1.0, 2.0], row_senses=["L"], rhs=[1.0], lower=np.zeros(2),
-                          upper=np.ones(2), integers=[])
-    with pytest.raises(ValueError, match="length m"):
-        MipModel.from_csr(name="short", c=np.ones(2), indptr=[0, 1], indices=[1], data=[1.0],
-                          row_senses=["L", "G"], rhs=[1.0], lower=np.zeros(2),
-                          upper=np.ones(2), integers=[])
 
 
 def test_sense_array_holds_the_row_senses_read_only():
-    model = dataclasses.replace(generate_instance("gap", (12, 4), 3),
-                                row_senses=["L", "G", "E"] + ["L"] * 4)
-    assert model.sense_array.dtype == np.dtype("U1")
-    assert model.sense_array.tolist() == model.row_senses
+    senses = ["L", "G", "E"] + ["L"] * 4
+    model = dataclasses.replace(generate_instance("gap", (12, 4), 3), senses=senses)
+    assert model.senses.dtype == np.dtype("U1")
+    assert model.senses.tolist() == senses
     with pytest.raises(ValueError):
-        model.sense_array[0] = "G"
+        model.senses[0] = "G"
     # the rounding locks read the same senses the per-row strings give
     down, up = variable_locks(model)
-    sense = np.asarray(model.row_senses, dtype="U1")[model.entry_rows]
+    sense = np.asarray(senses, dtype="U1")[model.entry_rows]
     pos = model.data > 0
     assert np.array_equal(up, np.bincount(model.indices[np.where(pos, sense != "G", sense != "L")],
                                           minlength=model.n))

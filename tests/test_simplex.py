@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from banditmip import simplex
-from banditmip.model import MipModel, evaluate_solution, generate_instance
+from banditmip.model import evaluate_solution, generate_instance
 from banditmip.model import INF
 from banditmip.simplex import (
     AT_LOWER,
@@ -28,22 +28,15 @@ from banditmip.simplex import (
     solve_lp,
 )
 
-from oracles import dense_matrix, lp_vertex_oracle
+from oracles import dense_matrix, lp_vertex_oracle, model_from_dense
 
 
 def _model(c, rows, senses, rhs, lower, upper, integers=()):
-    n = len(c)
-    row_cols, row_vals = [], []
-    for row in rows:
-        idx = [j for j, v in enumerate(row) if v != 0]
-        row_cols.append(np.array(idx, dtype=np.int64))
-        row_vals.append(np.array([row[j] for j in idx], dtype=float))
-    return MipModel(
+    return model_from_dense(
+        rows,
         name="lp",
         c=np.array(c, dtype=float),
-        row_cols=row_cols,
-        row_vals=row_vals,
-        row_senses=list(senses),
+        senses=list(senses),
         rhs=np.array(rhs, dtype=float),
         lower=np.array(lower, dtype=float),
         upper=np.array(upper, dtype=float),
@@ -266,7 +259,7 @@ def _assert_cover_optimum_matches_highs(model, res):
     A = np.zeros((model.m, model.n))
     for i, (cols, vals) in enumerate(zip(model.row_cols, model.row_vals)):
         A[i, cols] = vals
-    assert set(model.row_senses) == {"G"}
+    assert set(model.senses) == {"G"}
     ref = linprog(model.c, A_ub=-A, b_ub=-model.rhs,
                   bounds=list(zip(model.lower, model.upper)), method="highs")
     assert ref.status == 0
@@ -856,7 +849,7 @@ def test_cold_start_matches_the_row_loop(monkeypatch, store_rows):
             assert A is ctx.A  # no artificial: the context's own matrix
         nbase = ctx.n + ctx.m
         for i in np.flatnonzero(basis >= nbase):
-            seen_art.add((model.row_senses[i], float(np.sign(ref[3][i, basis[i]]))))
+            seen_art.add((model.senses[i], float(np.sign(ref[3][i, basis[i]]))))
     pins = _model(**PHASE1)
     ctx = SimplexContext(pins)
     start = ctx._cold_start(np.concatenate([pins.lower, ctx.slack_lo]),
@@ -1232,7 +1225,7 @@ def _slack_basis_is_primal_feasible(model):
     act = model.row_activity(x)
     ok = {"L": act <= model.rhs + 1e-7, "G": act >= model.rhs - 1e-7,
           "E": np.abs(act - model.rhs) <= 1e-7}
-    return all(ok[s][i] for i, s in enumerate(model.row_senses))
+    return all(ok[s][i] for i, s in enumerate(model.senses))
 
 
 def _slack_basis_is_dual_feasible(model):

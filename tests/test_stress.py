@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from banditmip.bnb import SolveStatus, SolverSettings, solve
-from banditmip.model import MipModel
 from banditmip.simplex import BoundState, LpStatus, solve_lp
 
-from oracles import lp_vertex_oracle
+from oracles import lp_vertex_oracle, model_from_rows
 
 
 def _sparse_rows(A):
@@ -69,9 +68,9 @@ def test_lp_agrees_with_scipy_highs():
         )
         if ref.status not in (0, 2):
             continue
-        model = MipModel(
-            name="f", c=c, row_cols=rows_c, row_vals=rows_v,
-            row_senses=list(senses), rhs=b, lower=lower, upper=upper,
+        model = model_from_rows(
+            rows_c, rows_v, name="f", c=c,
+            senses=list(senses), rhs=b, lower=lower, upper=upper,
             integers=np.array([], dtype=np.int64),
         )
         mine = solve_lp(model, BoundState.from_model(model))
@@ -103,9 +102,9 @@ def test_mixed_integer_models_match_two_stage_oracle():
         rows_c, rows_v = _sparse_rows(A.astype(float))
         if rows_c is None:
             continue
-        model = MipModel(
-            name="s", c=c.astype(float), row_cols=rows_c, row_vals=rows_v,
-            row_senses=list(senses), rhs=b.astype(float),
+        model = model_from_rows(
+            rows_c, rows_v, name="s", c=c.astype(float),
+            senses=list(senses), rhs=b.astype(float),
             lower=lower.astype(float), upper=upper.astype(float),
             integers=np.arange(nb),
         )
