@@ -1,5 +1,8 @@
 """LP-based branch and bound with a pluggable primal heuristic layer.
 
+A top-level solve searches ``model.presolve``'s reduced model: integer
+singleton rows become bounds and rows the bounds imply are dropped, with
+every column kept, so incumbents and no-goods need no translation back.
 Node selection is best-bound with depth-first plunging.  At every node the
 solver re-optimizes the relaxation from its parent's optimal basis (the
 simplex's dual warm start), prunes by bound or infeasibility, harvests
@@ -34,7 +37,8 @@ from typing import NamedTuple, Optional, get_args, get_type_hints
 import numpy as np
 
 from .model import (DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Assignment, MipModel,
-                    evaluate_solution, fractionality, round_half_down, snap_integral)
+                    evaluate_solution, fractionality, presolve, round_half_down,
+                    snap_integral)
 from .simplex import (
     DEFAULT_ITER_LIMIT,
     BoundState,
@@ -503,7 +507,13 @@ def solve(model: MipModel, settings: SolverSettings, *,
     INFEASIBLE, with ``cutoff_pruned`` telling whether the proof relied on the
     cutoff (or dropped a node whose own LP point breaks a row, which proves
     nothing).  ``root_bounds`` restricts the search box (used by LNS sub-MIPs).
+    Without it the search runs on ``presolve(model, settings.feas_tol)``: the
+    same columns, fewer rows and tighter bounds, so the incumbent is a point of
+    ``model``.  With it the model is taken as given, as a sub-MIP already gets
+    its tree's presolved model.
     """
+    if root_bounds is None:
+        model = presolve(model, settings.feas_tol)
     tree = TreeSearch(
         model, settings,
         root_bounds=root_bounds,

@@ -1,9 +1,12 @@
-"""Problem container, solution evaluation, instance generators and MPS subset I/O.
+"""Problem container, solution evaluation, presolve, instance generators and MPS subset I/O.
 
 Everything downstream works on :class:`MipModel` in minimize form.  Models are
-immutable after construction; generators are pure functions of their
-arguments, so the same (family, size, seed) triple always reproduces the same
-instance byte for byte.
+immutable after construction, and ``==`` compares them by identity;
+generators are pure functions of their arguments, so the same (family, size,
+seed) triple always reproduces the same instance byte for byte.
+:func:`presolve` turns integer singleton rows into bounds and drops the rows
+the bounds imply; it keeps every column, so its model's points are the
+input's, and ``bnb.solve`` runs every top-level search on it.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class DimensionMismatch(ValueError):
     """A vector does not match the model's variable count."""
 
 
-@dataclass
+@dataclass(eq=False)  # identity: the fields are arrays, which have no single truth value
 class MipModel:
     """A mixed integer program ``min c.x  s.t. rows, bounds, x_i integral for i in I``.
 
@@ -236,11 +239,9 @@ def evaluate_solution(
         raise DimensionMismatch(
             f"assignment has {len(values)} entries, model has {model.n}"
         )
-    senses = model.senses
     with np.errstate(invalid="ignore"):  # inf - inf from a non-finite entry: see below
-        gap = model.row_activity(values) - model.rhs
         worst = np.max(np.concatenate([
-            np.where(senses == "L", gap, np.where(senses == "G", -gap, np.abs(gap))),
+            _row_violation(model.senses, model.row_activity(values) - model.rhs),
             model.lower - values,
             values - model.upper,
         ]), initial=0.0)
@@ -255,6 +256,11 @@ def evaluate_solution(
         objective=objective,
         max_violation=viol,
     )
+
+
+def _row_violation(senses: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """How far each row misses its sense, given ``gap`` = activity - rhs (negative: slack)."""
+    return np.where(senses == "L", gap, np.where(senses == "G", -gap, np.abs(gap)))
 
 
 def fractionality(v):
@@ -283,6 +289,62 @@ def snap_integral(model: MipModel, x: np.ndarray, int_tol: float) -> np.ndarray 
     out = x.copy()
     out[model.integers] = round_half_down(xi)
     return out
+
+
+def presolve(model: MipModel, feas_tol: float = DEFAULT_FEAS_TOL) -> MipModel:
+    """``model`` with its integer singleton rows turned into bounds and its implied rows dropped.
+
+    A row with one entry ``a x_j`` on an integer column becomes the bounds
+    that admit exactly the integers ``evaluate_solution`` accepts in that row
+    within ``feas_tol``; several rows on one column intersect.  Then every G
+    row whose least activity over the tightened box is ``>= rhs``, and every
+    L row whose greatest is ``<= rhs``, is dropped (a plain float comparison).
+    E rows, continuous singleton rows and all columns stay, so a point of the
+    result is a point of ``model``.  Returns ``model`` itself when no row goes,
+    or when a tightened lower bound would pass its upper bound: the search
+    then proves the model infeasible as it would have.
+    """
+    sizes = np.diff(model.indptr)
+    rows = np.flatnonzero(sizes == 1)
+    rows = rows[np.isin(model.indices[model.indptr[rows]], model.integers)]
+    at = model.indptr[rows]
+    cols, a, b, senses = model.indices[at], model.data[at], model.rhs[rows], model.senses[rows]
+
+    def meets(v):  # evaluate_solution's row test for x_j = v
+        return _row_violation(senses, a * v - b) <= feas_tol
+
+    # the activity the row admits, as a range of x_j, rounded inward to integers and then
+    # moved one step where the division's round-off put an end on the wrong side
+    least = np.where(senses == "L", -INF, b - feas_tol)
+    most = np.where(senses == "G", INF, b + feas_tol)
+    lo = np.ceil(np.where(a > 0, least, most) / a)
+    hi = np.floor(np.where(a > 0, most, least) / a)
+    lo = np.where(meets(lo - 1), lo - 1, np.where(meets(lo), lo, lo + 1))
+    hi = np.where(meets(hi + 1), hi + 1, np.where(meets(hi), hi, hi - 1))
+    lower, upper = model.lower.copy(), model.upper.copy()
+    np.maximum.at(lower, cols, lo)
+    np.minimum.at(upper, cols, hi)
+    if np.any(lower > upper):
+        return model
+
+    def activity(at_pos, at_neg):  # each column at at_pos where its entry is positive
+        x = np.where(model.data > 0, at_pos[model.indices], at_neg[model.indices])
+        return np.bincount(model.entry_rows, weights=model.data * x, minlength=model.m)
+
+    drop = (((model.senses == "G") & (activity(lower, upper) >= model.rhs))
+            | ((model.senses == "L") & (activity(upper, lower) <= model.rhs)))
+    drop[rows] = True
+    if not drop.any():
+        return model
+    keep = ~drop
+    entries = keep[model.entry_rows]
+    return MipModel(
+        name=model.name, c=model.c,
+        indptr=np.concatenate([[0], np.cumsum(sizes[keep])]),
+        indices=model.indices[entries], data=model.data[entries],
+        senses=model.senses[keep], rhs=model.rhs[keep],
+        lower=lower, upper=upper, integers=model.integers, maximize=model.maximize,
+    )
 
 
 # ---------------------------------------------------------------------------

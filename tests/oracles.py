@@ -73,6 +73,30 @@ def brute_force_binary(model):
     return float(objs[best]), X[ok][best]
 
 
+def brute_force_integer(model, tol=1e-9):
+    """Exact optimum of an all-integer model with a small finite box, by full enumeration.
+
+    A point is feasible when each row holds within ``tol``.  Returns
+    (objective, argmin values) or (None, None) when infeasible.
+    """
+    assert len(model.integers) == model.n
+    assert np.all(np.isfinite(model.lower)) and np.all(np.isfinite(model.upper))
+    axes = [np.arange(math.ceil(lo), math.floor(up) + 1, dtype=float)
+            for lo, up in zip(model.lower, model.upper)]
+    assert math.prod(len(a) for a in axes) <= 1 << 16, "enumeration oracle limited to small boxes"
+    X = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, model.n)
+    act = X @ dense_matrix(model).T
+    ok = np.ones(len(X), dtype=bool)
+    for i, sense in enumerate(model.senses):
+        gap = act[:, i] - model.rhs[i]
+        ok &= {"L": gap, "G": -gap, "E": np.abs(gap)}[sense] <= tol
+    if not ok.any():
+        return None, None
+    objs = X[ok] @ model.c
+    best = int(np.argmin(objs))
+    return float(objs[best]), X[ok][best]
+
+
 def _solve_exact(M, r):
     """Gaussian elimination over Fractions; returns None when singular."""
     n = len(r)

@@ -463,8 +463,9 @@ def test_fractionality_just_past_int_tol_is_branched_on(rhs):
 
 def test_rounded_lp_point_that_breaks_a_row_is_branched_on():
     # the root LP puts x0 at 1 - 5e-7, integral within int_tol, but x0 = 1 breaks
-    # the row: a rejected rounding proves nothing, so the node is branched on
-    model = _model([-1], [[2e6]], "L", [2e6 - 1])
+    # the row: a rejected rounding proves nothing, so the node is branched on; x1
+    # keeps the row from being a singleton, which presolve would make a bound
+    model = _model([-1, 0], [[2e6, 1]], "L", [2e6 - 1])
     res = solve(model, SolverSettings())
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == 0.0 and res.dual_bound == 0.0

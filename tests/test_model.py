@@ -1020,3 +1020,11 @@ def test_sense_array_holds_the_row_senses_read_only():
                                           minlength=model.n))
     assert np.array_equal(down, np.bincount(
         model.indices[np.where(pos, sense != "L", sense != "G")], minlength=model.n))
+
+
+def test_models_compare_by_identity():
+    # the fields are arrays, so a field-wise == would have no single truth value
+    a = generate_instance("gap", (12, 4), 3)
+    b = generate_instance("gap", (12, 4), 3)
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
