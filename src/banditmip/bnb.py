@@ -204,6 +204,9 @@ class RunStats:
     per_heuristic: dict = field(default_factory=dict)  # the policy's ArmRecord per heuristic
     # largest violation of any row by any optimal LP, over the row's size, sub-MIPs included
     max_row_residual: float = 0.0
+    # the model the search ran on: its row count, and how many bounds presolve changed
+    searched_rows: int = 0
+    tightened_bounds: int = 0
 
     @property
     def heuristic_calls(self) -> int:
@@ -512,14 +515,16 @@ def solve(model: MipModel, settings: SolverSettings, *,
     ``model``.  With it the model is taken as given, as a sub-MIP already gets
     its tree's presolved model.
     """
-    if root_bounds is None:
-        model = presolve(model, settings.feas_tol)
+    searched = model if root_bounds is not None else presolve(model, settings.feas_tol)
     tree = TreeSearch(
-        model, settings,
+        searched, settings,
         root_bounds=root_bounds,
         cutoff=cutoff,
         extra_cuts=extra_cuts,
         heur_layer=heur_layer,
         deadline=deadline,
     )
+    tree.stats.searched_rows = searched.m
+    tree.stats.tightened_bounds = int(np.count_nonzero(searched.lower != model.lower)
+                                      + np.count_nonzero(searched.upper != model.upper))
     return tree.run()

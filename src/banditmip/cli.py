@@ -334,7 +334,9 @@ def cmd_solve(args) -> int:
                     log.write(json.dumps({"type": "call", **rec}, sort_keys=True) + "\n")
                 log.write(json.dumps(
                     {"type": "run_stats", **row,
-                     "max_row_residual": repr(float(result.stats.max_row_residual))},
+                     "max_row_residual": repr(float(result.stats.max_row_residual)),
+                     "searched_rows": str(result.stats.searched_rows),
+                     "tightened_bounds": str(result.stats.tightened_bounds)},
                     sort_keys=True,
                 ) + "\n")
     except (OSError, ValueError) as exc:

@@ -33,12 +33,18 @@ infeasible LP only with a Farkas row that cannot reach its bound anywhere in
 the box, and falls back to a cold solve otherwise.  A basis saved before cut
 rows were appended is extended with their slacks.
 
-With no usable basis, an LP on the column store (below) takes the slack
-basis as one: in a MIP it is nearly always dual feasible once boxed columns
-sit at the bound their cost wants, so the dual loop does phase 1's work in
-far fewer pivots (347 instead of 1595 on a 400-row set-cover root).  A cold
-solve is a textbook two-phase primal simplex; it runs when the slack basis
-is not dual feasible, after an uncertified Farkas row, for every LP below
+With no usable basis, an LP on the column store (below) starts from a crash
+basis, ``SimplexContext._crash`` (Bixby 1992).  It begins at the slack basis
+with boxed columns at the bound their cost wants, which in a MIP is nearly
+always dual feasible, and makes one dual simplex step on each out-of-range
+row that no earlier step touched.  That row of B^-1 is still a unit row, so
+a step reads only the row's own entries, and the basis stays dual feasible
+and triangular: its inverse peels with no bump.  The dual loop then does
+phase 1's work in far fewer pivots: on the presolved 400-row set-cover roots
+(225 and 258 rows, seeds 1 and 2) 28 and 37, where the slack basis takes 202
+and 233 and the two-phase primal 1595 on the full 400 rows.  A cold solve is
+a textbook two-phase primal simplex; it runs when the slack basis is not
+dual feasible, after an uncertified Farkas row, for every LP below
 ``ROW_UPDATE_MIN_M`` rows with no usable basis, and whenever ``warm=False``.
 Warm results always agree with a cold solve; an optional shadow check
 asserts exactly that against the two-phase primal, and that every row holds
@@ -59,7 +65,8 @@ recomputes ``x_B`` and ``d`` from the updated inverse and rebuilds it only
 when the refreshed point's residuals show drift (``DRIFT_TOL``): an explicit
 inverse keeps no file of updates that could grow too long, so the numerical
 check is the only reason left to re-invert (Koberstein 2005).  On the 400-row
-set-cover roots that leaves one inversion per solve, the warm start's.
+set-cover roots from the slack basis (over 300 pivots) that leaves one
+inversion per solve, the warm start's.
 Between those steps the dual loop carries ``d`` across each pivot with the
 pivot row ``alpha`` it already has, ``d -= d_q / alpha_q * alpha``; only the
 round-off of ``d`` differs from recomputing it, and the pricing rule is the
@@ -205,6 +212,15 @@ def _descent(vstat: np.ndarray, g: np.ndarray, movable: np.ndarray, tol: float) 
         | ((vstat == AT_UPPER) & (g > tol))
         | ((vstat == FREE) & (np.abs(g) > tol))
     )
+
+
+def _to_wanted_bounds(vstat: np.ndarray, d: np.ndarray, lo: np.ndarray, up: np.ndarray) -> bool:
+    """Move each boxed nonbasic variable to the bound its reduced cost wants, in place;
+    whether every nonbasic variable is then dual feasible."""
+    boxed = (vstat != BASIC) & (lo > -INF) & (up < INF)
+    vstat[boxed & (d > DUAL_TOL)] = AT_LOWER
+    vstat[boxed & (d < -DUAL_TOL)] = AT_UPPER
+    return not np.any(_descent(vstat, d, up - lo > 0, DUAL_TOL))
 
 
 class _Csc:
@@ -429,7 +445,7 @@ class SimplexContext:
         A box in which some row cannot reach its range (``_box_certificate``)
         is ``INFEASIBLE`` after 0 pivots, whatever ``iter_limit`` and
         ``deadline``.  Otherwise a warm solve without a usable basis starts
-        on the column store from the slack basis, any other cold.
+        on the column store from the crash basis, any other cold.
         ``deadline`` is a ``time.perf_counter()`` value after which the
         solve stops with ``TIME_LIMIT``.
         """
@@ -500,9 +516,10 @@ class SimplexContext:
     # ------------------------------------------------------------------
 
     def _solve_inner(self, bounds, iter_limit, warm, saved=None, deadline=None):
-        """A warm start (``saved``, then on the column store the slack basis), the dual loop and
+        """A warm start (``saved``, then on the column store the crash basis), the dual loop and
         phase 2; the two-phase primal instead when no start is usable or the dual loop cannot
-        certify infeasibility.  A dual loop's pivots before that count toward ``iter_limit``."""
+        certify infeasibility.  A dual loop's pivots before that count toward ``iter_limit``.
+        The crash and its inversion run before the first clock read."""
         if np.any(bounds.lower > bounds.upper + 1e-9):
             gap = float(np.max(bounds.lower - bounds.upper)) if len(bounds.lower) else 0.0
             return LpResult(LpStatus.INFEASIBLE, None, INF, 0,
@@ -513,11 +530,9 @@ class SimplexContext:
         up = np.concatenate([bounds.upper, self.slack_up])
         A, cost = self.A, self.cost
 
-        starts = [saved] if warm and saved is not None else []
-        if warm and isinstance(A, _Csc):  # the slack basis, structurals at a bound
-            starts.append((np.arange(n, nbase),
-                           np.repeat([AT_LOWER, BASIC], [n, m]).astype(np.int8)))
-        warmed = next(filter(None, (self._try_warm_start(lo, up, s) for s in starts)), None)
+        warmed = self._try_warm_start(lo, up, saved) if warm and saved is not None else None
+        if warmed is None and warm and isinstance(A, _Csc):
+            warmed = self._try_warm_start(lo, up, self._crash(lo, up))
         status, iters, resid = None, 0, 0.0
         if warmed is not None:
             basis, vstat, val, binv, d = warmed
@@ -582,6 +597,76 @@ class SimplexContext:
                 np.concatenate([val, np.abs(left[art])]), A,
                 np.concatenate([lo, np.zeros(nart)]), np.concatenate([up, np.full(nart, INF)]))
 
+    def _crash(self, lo, up):
+        """A triangular, dual feasible start: the slack basis after one dual step per row it can.
+
+        Each structural sits at the bound its cost wants, as a warm start would
+        put it.  When that leaves the slack basis dual feasible, the rows whose
+        slack is out of range are taken, fewest entries first (ties by index);
+        each that no earlier entered column touches still has e_i as its row
+        of B^-1, so its pivot row is the row's own entries, and the dual
+        loop's ratio test on it picks the column that enters for its slack.
+        The reduced costs are carried over the row's columns, and every row of
+        the entered column is marked touched.  Every step is a dual simplex
+        step, so the basis stays dual feasible, and no step touches a later
+        pivot row, so it stays triangular: ``_Csc.basis_inverse`` peels it with
+        no bump (Bixby 1992).  Returns (basis, vstat); with no row crashed it
+        is the slack basis.
+        """
+        n, m = self.n, self.m
+        basis = np.arange(n, n + m)
+        vstat = np.full(n + m, BASIC, dtype=np.int8)
+        vstat[:n] = _bound_status(lo[:n], up[:n])
+        cost = self.cost[:n]  # the reduced costs at the slack basis
+        if not _to_wanted_bounds(vstat[:n], cost, lo[:n], up[:n]):
+            return basis, vstat  # not dual feasible: no dual step applies
+        slack = self.b - self.A[:, :n] @ _nonbasic_values(vstat[:n], lo[:n], up[:n])
+        below = lo[n:] - slack > FEAS_TOL
+        out = np.flatnonzero(below | (slack - up[n:] > FEAS_TOL))
+        rows, cols, vals = self.entries
+        start = np.searchsorted(rows, np.arange(m + 1))
+        out = out[np.argsort(np.diff(start)[out], kind="stable")]
+        start, cols, vals = start.tolist(), cols.tolist(), vals.tolist()
+        d, st, movable = cost.tolist(), vstat[:n].tolist(), (up[:n] > lo[:n]).tolist()
+        col_start, col_rows = self.A.start.tolist(), self.A.rows.tolist()
+        touched = [False] * m
+        for i in out.tolist():
+            if touched[i]:
+                continue
+            to_lower = bool(below[i])
+            # the dual loop's entering candidates on this row, as (|d_j / alpha_j|, j, alpha_j)
+            cand = []
+            for k in range(start[i], start[i + 1]):
+                j, a = cols[k], vals[k]
+                if not movable[j]:
+                    continue
+                s = st[j]
+                if s == FREE:
+                    ok = abs(a) > PIVOT_TOL
+                elif (s == AT_LOWER) == to_lower:
+                    ok = a < -PIVOT_TOL
+                else:  # at its upper bound when to_lower, at its lower one otherwise
+                    ok = a > PIVOT_TOL
+                if ok:
+                    cand.append((abs(d[j] / a), j, a))
+            if not cand:
+                continue  # the dual loop finds this row's Farkas certificate or pivots
+            least, big = min(cand)[0] + 1e-12, 0.0
+            for ratio, j, a in cand:  # the largest |alpha_j| among the ties, the first of equals
+                if ratio <= least and abs(a) > big:
+                    q, aq, big = j, a, abs(a)
+            step = d[q] / aq
+            for k in range(start[i], start[i + 1]):
+                d[cols[k]] -= step * vals[k]
+            d[q] = 0.0
+            st[q] = BASIC
+            basis[i] = q
+            vstat[n + i] = AT_LOWER if to_lower else AT_UPPER
+            for r in col_rows[col_start[q]:col_start[q + 1]]:
+                touched[r] = True
+        vstat[:n] = st
+        return basis, vstat
+
     def _try_warm_start(self, lo, up, saved):
         """A saved basis set up for the dual loop under new bounds, or None when it cannot start.
 
@@ -601,10 +686,7 @@ class SimplexContext:
         except np.linalg.LinAlgError:
             return None
         d = _reduced_costs(self.cost, basis, binv, self.A)
-        boxed = (vstat != BASIC) & (lo > -INF) & (up < INF)
-        vstat[boxed & (d > DUAL_TOL)] = AT_LOWER
-        vstat[boxed & (d < -DUAL_TOL)] = AT_UPPER
-        if np.any(_descent(vstat, d, up - lo > 0, DUAL_TOL)):
+        if not _to_wanted_bounds(vstat, d, lo, up):
             return None  # not dual feasible
         val = _nonbasic_values(vstat, lo, up)
         val[basis] = _basic_values(binv, self.A, self.b, vstat, val)

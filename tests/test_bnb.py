@@ -284,13 +284,25 @@ def test_time_limit_overshoot_is_small(mode):
 
 
 def test_time_limit_stops_a_running_root_lp():
-    """The root LP of this solve takes 0.7-0.9 s when the deadline is not read inside it."""
-    model = load_instance("gen:set_cover:n=3200,m=1600,seed=1")
+    """The root LP of this solve takes about 4,000 dual pivots (over 2 s) when the deadline
+    is not read inside it."""
+    model = load_instance("gen:knapsack:n=400,m=200,seed=1")
     t0 = time.perf_counter()
     res = solve(model, SolverSettings(seed=1, time_limit_s=0.01))
     elapsed = time.perf_counter() - t0
     assert res.status is SolveStatus.TIME_LIMIT and res.incumbent is None
     assert res.nodes_processed <= 1 and res.dual_bound == -math.inf  # the root stays open
+    assert elapsed <= 0.4
+
+
+def test_time_limit_overshoot_of_the_crash_start_is_small():
+    """The crash basis and its inversion run before the root LP's first clock read; on this
+    1,928-row root they and the first REFACTOR_EVERY dual pivots take about 0.05 s."""
+    model = load_instance("gen:set_cover:n=6400,m=3200,seed=1")
+    t0 = time.perf_counter()
+    res = solve(model, SolverSettings(seed=1, time_limit_s=0.01))
+    elapsed = time.perf_counter() - t0
+    assert res.status is SolveStatus.TIME_LIMIT
     assert elapsed <= 0.4
 
 

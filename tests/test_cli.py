@@ -97,6 +97,21 @@ def test_solve_log_reports_max_row_residual(tmp_path):
     assert "max_row_residual" not in CSV_COLUMNS  # the bench CSV keeps its columns
 
 
+@pytest.mark.parametrize("uri, rows, bounds", [
+    ("gen:set_cover:n=800,m=400,seed=1", 225, 66),
+    ("gen:set_cover:n=800,m=400,seed=2", 258, 60),
+    ("gen:gap:n=300,m=10,seed=1", 40, 0),  # presolve leaves a gap model as it is
+])
+def test_solve_log_reports_what_presolve_removed(tmp_path, uri, rows, bounds):
+    """The rows of the model the search ran on, and the bounds presolve changed."""
+    log = tmp_path / "log.jsonl"
+    assert main(["solve", uri, "--node-limit", "1", "--log", str(log)]) == 0
+    final = [json.loads(line) for line in log.read_text().splitlines()][-1]
+    assert final["type"] == "run_stats"
+    assert (final["searched_rows"], final["tightened_bounds"]) == (str(rows), str(bounds))
+    assert not {"searched_rows", "tightened_bounds"} & set(CSV_COLUMNS)
+
+
 def _oracle_reward(rec):
     """Reward recomputed from raw call data, coded separately from the package."""
     r_sol = 1.0 if rec["found_incumbent"] else 0.0

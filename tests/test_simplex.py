@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from banditmip import simplex
-from banditmip.model import evaluate_solution, generate_instance
+from banditmip.model import evaluate_solution, generate_instance, presolve
 from banditmip.model import INF
 from banditmip.simplex import (
     AT_LOWER,
@@ -42,6 +42,13 @@ def _model(c, rows, senses, rhs, lower, upper, integers=()):
         upper=np.array(upper, dtype=float),
         integers=np.array(integers, dtype=np.int64),
     )
+
+
+def _slack_basis(model):
+    """The slack basis with every structural at its lower bound: the dual loop's start
+    before the crash, passed as ``basis=`` where a test pins the dual loop's own path."""
+    n, m = model.n, model.m
+    return np.arange(n, n + m), np.repeat([AT_LOWER, BASIC], [n, m]).astype(np.int8)
 
 
 def test_bound_optimal_without_rows():
@@ -284,7 +291,8 @@ def test_cover_lp_dual_cold_start_agrees_with_highs(monkeypatch):
     cold_start = SimplexContext._cold_start
     monkeypatch.setattr(SimplexContext, "_cold_start",
                         lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
-    res = SimplexContext(model, shadow_check=True).solve(BoundState.from_model(model))
+    res = SimplexContext(model, shadow_check=True).solve(BoundState.from_model(model),
+                                                         basis=_slack_basis(model))
     assert cold_starts == [1]  # the shadow check's reference alone, which stays two-phase
     assert res.iterations == 132  # a changed pivot path fails here first
     _assert_cover_optimum_matches_highs(model, res)
@@ -311,7 +319,7 @@ def test_forced_cover_column_resolves_by_dual_simplex():
     model = generate_instance("set_cover", (300, 150), 0)
     ctx = SimplexContext(model, shadow_check=True)
     bounds = BoundState.from_model(model)
-    res = ctx.solve(bounds)
+    res = ctx.solve(bounds, basis=_slack_basis(model))
     for step in range(4):
         j = int(np.flatnonzero(res.x > 0.5 if step % 2 == 0 else res.x < 0.5)[step])
         bounds = bounds.fixed(j, 1.0)
@@ -465,7 +473,7 @@ def test_carried_reduced_costs_match_across_refactors(monkeypatch):
     """A cover root from the slack basis: more than REFACTOR_EVERY dual pivots, each checked."""
     model = generate_instance("set_cover", (300, 150), 0)
     errors = _watch_carried_reduced_costs(monkeypatch)
-    res = SimplexContext(model).solve(BoundState.from_model(model))
+    res = SimplexContext(model).solve(BoundState.from_model(model), basis=_slack_basis(model))
     assert res.status is LpStatus.OPTIMAL
     assert len(errors) > 2 * REFACTOR_EVERY
     assert max(errors) <= 1e-9
@@ -482,7 +490,7 @@ def test_dual_loop_evaluates_reduced_costs_only_at_refactors(monkeypatch):
                         lambda *a: calls.append(1) or reduced_costs(*a))
     ctx = SimplexContext(model)
     bounds = BoundState.from_model(model)
-    res = ctx.solve(bounds)
+    res = ctx.solve(bounds, basis=_slack_basis(model))
     assert res.iterations > REFACTOR_EVERY  # the root passes a refactor
     assert len(calls) <= 2 + res.iterations // REFACTOR_EVERY, (len(calls), res.iterations)
     for step in range(4):
@@ -533,11 +541,12 @@ def test_a_passed_deadline_stops_a_cold_column_store_lp(warm):
     (two-phase) at its first refactor; the shadow check then compares nothing."""
     model = generate_instance("set_cover", (300, 150), 0)
     bounds = BoundState.from_model(model)
-    full = SimplexContext(model).solve(bounds, warm=warm)
+    slacks = _slack_basis(model)
+    full = SimplexContext(model).solve(bounds, warm=warm, basis=slacks)
     assert full.status is LpStatus.OPTIMAL and full.iterations > REFACTOR_EVERY
     ctx = SimplexContext(model, shadow_check=True)
     assert isinstance(ctx.A, _Csc)
-    res = ctx.solve(bounds, warm=warm, deadline=time.perf_counter() - 1.0)
+    res = ctx.solve(bounds, warm=warm, basis=slacks, deadline=time.perf_counter() - 1.0)
     assert res.status is LpStatus.TIME_LIMIT and res.x is None and res.basis is None
     assert res.iterations == REFACTOR_EVERY
 
@@ -563,7 +572,7 @@ def test_cover_root_inverts_only_at_the_warm_start(monkeypatch, seed, objective)
     model = generate_instance("set_cover", (800, 400), seed)
     calls = _inverse_calls(monkeypatch)
     ctx = SimplexContext(model)
-    res = ctx.solve(BoundState.from_model(model))
+    res = ctx.solve(BoundState.from_model(model), basis=_slack_basis(model))
     assert res.status is LpStatus.OPTIMAL and res.iterations > 5 * REFACTOR_EVERY
     assert res.objective == pytest.approx(objective, abs=1e-7)
     assert calls == [("_try_warm_start", None)]  # the slack basis's
@@ -587,7 +596,8 @@ def test_planted_drift_is_mended_at_the_first_refresh(monkeypatch):
 
     monkeypatch.setattr(simplex, "_eta_update", drifting)
     calls = _inverse_calls(monkeypatch)
-    res = SimplexContext(model, shadow_check=True).solve(BoundState.from_model(model))
+    res = SimplexContext(model, shadow_check=True).solve(BoundState.from_model(model),
+                                                         basis=_slack_basis(model))
     assert res.status is LpStatus.OPTIMAL and len(pivots) > REFACTOR_EVERY
     assert [it for caller, it in calls if caller == "_dual_loop"] == [REFACTOR_EVERY]
     assert res.objective == pytest.approx(216.0, abs=1e-7)
@@ -1192,7 +1202,7 @@ def test_cover_lp_agrees_on_both_stores(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the dual cold start from the slack basis
+# the dual cold start from the crash basis
 # ---------------------------------------------------------------------------
 
 def _lp_with_rows_for_bounds(rng):
@@ -1253,14 +1263,21 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
 
     Each solve must take the path its box and slack basis call for: none when
     a row cannot reach its range over the box (the box certificate), else the
-    dual loop when the basis is dual feasible, else the two-phase primal (also
+    dual loop from the crash basis when the slack basis is dual feasible (the
+    crash keeps it so, and is accepted), else the two-phase primal (also
     after an uncertified Farkas row), which needs no phase 1 when the slack
     basis is primal feasible.
     """
     monkeypatch.setattr(simplex, "ROW_UPDATE_MIN_M", 1)
-    dual_statuses, cold_starts, boxed = [], [], []
+    dual_statuses, cold_starts, boxed, crashed = [], [], [], []
     dual_loop, cold_start = SimplexContext._dual_loop, SimplexContext._cold_start
     box_certificate = SimplexContext._box_certificate
+    crash = SimplexContext._crash
+
+    def counted_crash(self, lo, up):
+        out = crash(self, lo, up)
+        crashed.append(int(np.sum(out[0] < self.n)))  # rows whose slack left the basis
+        return out
 
     def counted_box(self, bounds):
         out = box_certificate(self, bounds)
@@ -1276,7 +1293,9 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
     monkeypatch.setattr(SimplexContext, "_cold_start",
                         lambda self, lo, up: cold_starts.append(1) or cold_start(self, lo, up))
     monkeypatch.setattr(SimplexContext, "_box_certificate", counted_box)
+    monkeypatch.setattr(SimplexContext, "_crash", counted_crash)
     rng = np.random.default_rng(31)
+    crashed_lps = 0
     paths = {"certified": 0, "primal": 0, "dual": 0, "two-phase": 0}
     certified = optimal = 0
     for _ in range(300):
@@ -1284,6 +1303,7 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
         dual_statuses.clear()
         cold_starts.clear()
         boxed.clear()
+        crashed.clear()
         ctx = SimplexContext(model)
         assert isinstance(ctx.A, _Csc)
         res = ctx.solve(BoundState.from_model(model))
@@ -1293,7 +1313,8 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
             assert res.status is LpStatus.INFEASIBLE and res.iterations == 0, case
         elif _slack_basis_is_dual_feasible(model):
             path = "dual"
-            assert len(dual_statuses) == 1, case
+            assert len(crashed) == 1 and len(dual_statuses) == 1, case
+            crashed_lps += crashed[0] > 0
             expected = (dual_statuses, [1] if dual_statuses[0] is None else [])
         elif _slack_basis_is_primal_feasible(model):
             path, expected = "primal", ([], [1])  # a cold start without artificials
@@ -1315,3 +1336,66 @@ def test_dual_cold_start_matches_oracle(monkeypatch):
     assert paths["dual"] > 50 and paths["two-phase"] > 50 and paths["primal"] > 5, paths
     assert paths["certified"] > 20, paths
     assert certified > 20 and optimal > 50, (certified, optimal)
+    assert crashed_lps > 50, crashed_lps
+
+
+def _crash_of(model):
+    """A fresh context on ``model`` and the crash basis of its own box."""
+    ctx = SimplexContext(model)
+    lo = np.concatenate([model.lower, ctx.slack_lo])
+    up = np.concatenate([model.upper, ctx.slack_up])
+    return ctx, ctx._crash(lo, up)
+
+
+@pytest.mark.parametrize("family, shape, seed", [
+    ("set_cover", (800, 400), 1), ("set_cover", (800, 400), 2), ("gap", (1500, 10), 1)])
+def test_crash_basis_peels_with_an_empty_bump(monkeypatch, family, shape, seed):
+    """No crash step enters a column on a row an earlier one touched, so the basis is
+    triangular: the peel covers every row and no dense inverse runs."""
+    model = presolve(generate_instance(family, shape, seed))
+    ctx, (basis, vstat) = _crash_of(model)
+    assert isinstance(ctx.A, _Csc) and np.sum(basis < model.n) > 10
+    assert np.all(vstat[basis] == BASIC) and np.sum(vstat == BASIC) == model.m
+
+    def no_bump(M):
+        raise AssertionError(f"a bump of {len(M)} columns")
+
+    monkeypatch.setattr(np.linalg, "inv", no_bump)
+    binv = ctx.A.basis_inverse(basis)
+    B = ctx.A[:, basis]
+    dense = np.zeros((model.m, model.m))
+    dense[B.rows, B.col] = B.vals
+    assert np.abs(binv @ dense - np.eye(model.m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed, objective", [(1, 752.25), (2, 728.0)])
+def test_cover_root_from_the_crash_needs_no_refresh(monkeypatch, seed, objective):
+    """The presolved 400-row cover roots (225 and 258 rows) take 202-233 dual pivots from
+    the slack basis; from the crash they end before the first refresh, on one inverse."""
+    model = presolve(generate_instance("set_cover", (800, 400), seed))
+    calls = _inverse_calls(monkeypatch)
+    ctx = SimplexContext(model)
+    res = ctx.solve(BoundState.from_model(model))
+    assert res.status is LpStatus.OPTIMAL and res.iterations < REFACTOR_EVERY
+    assert res.objective == pytest.approx(objective, abs=1e-7)
+    assert calls == [("_try_warm_start", None)]  # the crash basis's
+    slack = ctx.solve(BoundState.from_model(model), basis=_slack_basis(model))
+    assert slack.iterations > 3 * REFACTOR_EVERY
+    assert slack.objective == pytest.approx(objective, abs=1e-7)
+
+
+@pytest.mark.parametrize("family, shape, seed", [
+    ("set_cover", (300, 150), 0), ("gap", (1500, 10), 1)])
+def test_crash_start_passes_the_shadow_check(family, shape, seed):
+    """Roots from the crash, and children re-solved from their bases, against the two-phase
+    primal: E and L rows (gap) and G rows (set cover)."""
+    model = generate_instance(family, shape, seed)
+    ctx = SimplexContext(model, shadow_check=True)  # asserts warm == cold inside
+    assert np.sum(_crash_of(model)[1][0] < model.n) > 10
+    bounds = BoundState.from_model(model)
+    res = ctx.solve(bounds)
+    assert res.status is LpStatus.OPTIMAL
+    pivots = 0
+    for j in np.flatnonzero(res.x > 0.5)[:3]:
+        pivots += ctx.solve(bounds.fixed(int(j), 0.0), basis=res.basis).iterations
+    assert pivots > 0
