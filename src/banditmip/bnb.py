@@ -15,12 +15,25 @@ executes each and has the policy record it in that heuristic's ``ArmRecord``:
 adds only the calls' wall time.  Only the scheduler charges a reward, updates
 weights and adapts limits.
 The tree alone decides what a failed search proves.  ``beats_cutoff`` is the
-one cutoff test: the incumbent check, the prunes and the dives use it, and a
-prune that relied on a cutoff inherited from the calling tree marks the
-result ``cutoff_pruned``.  A heuristic hands ``record_conflict`` the bounds it
-proved infeasible; when they differ from the root's only by fixed binaries,
-the no-good cut excluding that assignment joins all later node LPs (and LNS
-sub-MIPs).
+one cutoff test: the incumbent check, the prunes, the dives and reduced-cost
+fixing use it.  When the model's ``integral_objective`` holds, every
+incumbent (its integer columns integral) is worth an integer and no point is
+worth between ``ceil(cutoff) - 1`` and the cutoff, so the test keeps only
+objectives below ``ceil(cutoff) - 1 + INTEGRAL_CUTOFF_TOL`` (Achterberg 2007,
+ch. 7): a search no longer looks for improvements that cannot exist.  On
+such a model, before branching and after the node's heuristics, the tree
+also fixes each nonbasic integer column at the integral bound it sits on when
+the LP objective plus its reduced cost's magnitude fails the test (ch. 8),
+and both children inherit those bounds.  Any other model keeps the plain
+test and fixes nothing, and nothing of this acts before a tree has a
+cutoff.  A prune or
+fixing that relied on a cutoff inherited from the calling tree marks the
+result ``cutoff_pruned``, so an LNS sub-MIP closed by it proves no no-good.
+A heuristic hands ``record_conflict`` the bounds it proved infeasible; when
+they differ from the root's only by fixed binaries, the no-good cut excluding
+that assignment joins all later node LPs (and LNS sub-MIPs).  A dive's
+no-good stays valid below fixed nodes: it excludes only the box the dive
+proved LP-infeasible, and fixings only make that box smaller.
 """
 
 from __future__ import annotations
@@ -40,6 +53,8 @@ from .model import (DEFAULT_FEAS_TOL, DEFAULT_INT_TOL, Assignment, MipModel,
                     evaluate_solution, fractionality, presolve, round_half_down,
                     snap_integral)
 from .simplex import (
+    AT_LOWER,
+    AT_UPPER,
     DEFAULT_ITER_LIMIT,
     BoundState,
     INF,
@@ -50,6 +65,15 @@ from .simplex import (
 from . import heuristics as heur
 from .heuristics import PORTFOLIO
 from .scheduler import Scheduler, StaticSchedule, run_scheduled_heuristics
+
+
+# On a model whose objective is integral, an objective counts as below the integer
+# ceil(cutoff) - 1 up to this margin.  Every candidate reaches update_incumbent
+# with its integer columns snapped or rounded to exact integers, so an incumbent's
+# objective is an exact sum of integers; an LP bound may sit above the best integer point it covers by
+# round-off and the simplex's tolerances (FEAS_TOL 1e-7 on each bound and row),
+# far below 1e-6, and the margin is far below the whole unit the test gains.
+INTEGRAL_CUTOFF_TOL = 1e-6
 
 
 class NoFractionalVariable(Exception):
@@ -207,6 +231,7 @@ class RunStats:
     # the model the search ran on: its row count, and how many bounds presolve changed
     searched_rows: int = 0
     tightened_bounds: int = 0
+    reduced_cost_fixings: int = 0  # columns this tree fixed by reduced cost, sub-MIPs aside
 
     @property
     def heuristic_calls(self) -> int:
@@ -306,9 +331,18 @@ class TreeSearch:
         own = self.incumbent.objective if self.incumbent is not None else INF
         return min(own, self.inherited_cutoff)
 
-    def beats_cutoff(self, objective: float) -> bool:
-        """The one cutoff test: only an objective strictly below the cutoff is worth having."""
-        return objective < self.effective_cutoff() - 1e-9
+    def beats_cutoff(self, objective):
+        """The one cutoff test: only an objective strictly below the cutoff is worth having.
+
+        When the model's ``integral_objective`` holds, no integral point is worth
+        between ceil(cutoff) - 1 and the cutoff, so only objectives below
+        ceil(cutoff) - 1 + ``INTEGRAL_CUTOFF_TOL`` pass (the cutoff itself is an
+        integer once an incumbent sets it).  ``objective`` may be an array.
+        """
+        cutoff = self.effective_cutoff()
+        if self.model.integral_objective and cutoff < INF:
+            return objective < math.ceil(cutoff - INTEGRAL_CUTOFF_TOL) - 1 + INTEGRAL_CUTOFF_TOL
+        return objective < cutoff - 1e-9
 
     def update_incumbent(self, x: np.ndarray, source: str = "lp") -> bool:
         """The one check of every candidate: keep x if integral-feasible and strictly improving."""
@@ -324,9 +358,41 @@ class TreeSearch:
         """Whether a node with this bound is pruned; notes one that needed the inherited cutoff."""
         if self.beats_cutoff(bound):
             return False
+        self._note_cutoff_use()
+        return True
+
+    def _note_cutoff_use(self):
+        """Mark the result ``cutoff_pruned`` when the cutoff just used was inherited."""
         if self.incumbent is None and self.inherited_cutoff < INF:
             self.cutoff_pruned = True
-        return True
+
+    def _fix_by_reduced_cost(self, bounds: BoundState, lp: LpResult) -> BoundState:
+        """``bounds`` with each nonbasic integer column of ``lp`` fixed at the bound it sits on
+        when ``lp.objective + |d_j|`` fails ``beats_cutoff``; ``bounds`` itself unless the
+        model's ``integral_objective`` holds.
+
+        By LP duality that sum bounds the objective of every point of the box
+        with x_j one unit or more off its (integral) bound, so the fixing drops
+        no point worth having.  A fixing that needed the inherited cutoff
+        marks the result ``cutoff_pruned``, as ``_pruned`` does.
+        """
+        if (lp.basis is None or self.effective_cutoff() == INF
+                or not self.model.integral_objective):
+            return bounds
+        ints = self.model.integers
+        cols = ints[~self.beats_cutoff(lp.objective + np.abs(lp.reduced_costs[ints]))]
+        status = lp.basis[1][cols]
+        lo, up = bounds.lower[cols], bounds.upper[cols]
+        at = np.where(status == AT_LOWER, lo, up)
+        fix = ((status == AT_LOWER) | (status == AT_UPPER)) & (lo < up) & (at == np.floor(at))
+        if not fix.any():
+            return bounds
+        cols = cols[fix]
+        lower, upper = bounds.lower.copy(), bounds.upper.copy()
+        lower[cols] = upper[cols] = at[fix]
+        self.stats.reduced_cost_fixings += len(cols)
+        self._note_cutoff_use()
+        return BoundState(lower=lower, upper=upper)
 
     def record_conflict(self, bounds: BoundState, free: Optional[int] = None):
         """Store the no-good of ``bounds``, proven infeasible, for every later LP.
@@ -452,11 +518,12 @@ class TreeSearch:
                 self.cutoff_pruned = True
                 continue
             v = lp.x[j]
+            bounds = self._fix_by_reduced_cost(node.bounds, lp)  # j is basic: never fixed
             down = Node(self.next_id, node.depth + 1,
-                        node.bounds.tightened(j, hi=math.floor(v)), lp.objective, lp.basis)
+                        bounds.tightened(j, hi=math.floor(v)), lp.objective, lp.basis)
             self.next_id += 1
             up = Node(self.next_id, node.depth + 1,
-                      node.bounds.tightened(j, lo=math.ceil(v)), lp.objective, lp.basis)
+                      bounds.tightened(j, lo=math.ceil(v)), lp.objective, lp.basis)
             self.next_id += 1
             prefer, other = (down, up) if round_half_down(v) < v else (up, down)
             if self.plunge_streak < settings.plunge_depth:

@@ -336,7 +336,8 @@ def cmd_solve(args) -> int:
                     {"type": "run_stats", **row,
                      "max_row_residual": repr(float(result.stats.max_row_residual)),
                      "searched_rows": str(result.stats.searched_rows),
-                     "tightened_bounds": str(result.stats.tightened_bounds)},
+                     "tightened_bounds": str(result.stats.tightened_bounds),
+                     "reduced_cost_fixings": str(result.stats.reduced_cost_fixings)},
                     sort_keys=True,
                 ) + "\n")
     except (OSError, ValueError) as exc:

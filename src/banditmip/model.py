@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, count, filterfalse, repeat
 from operator import itemgetter
 
@@ -65,7 +66,9 @@ class MipModel:
     right-hand side ``rhs[i]``; ``entry_rows`` names the row of each entry.
     ``integers`` holds the integer columns, sorted and unique.
     ``row_cols`` and ``row_vals`` give each row's slice of ``indices`` and
-    ``data`` as a list of views, made anew on each read.  ``maximize``
+    ``data`` as a list of views, made anew on each read.  ``integral_objective``,
+    computed once, says whether every point with integral integer columns has
+    an integral objective.  ``maximize``
     records that the original input was a maximization whose objective was
     negated on the way in; reported objectives should be un-negated by the
     caller when that flag is set.
@@ -176,6 +179,13 @@ class MipModel:
         """Each row's slice of an entry array, as views."""
         ends = self.indptr.tolist()
         return [entries[a:b] for a, b in zip(ends, ends[1:])]
+
+    @cached_property
+    def integral_objective(self) -> bool:
+        """Every cost on an integer column is an integer and every continuous column costs 0."""
+        continuous = np.ones(self.n, dtype=bool)
+        continuous[self.integers] = False
+        return bool(np.all(self.c[continuous] == 0.0) and np.all(_integral(self.c[self.integers])))
 
     def is_binary(self, j: int) -> bool:
         k = np.searchsorted(self.integers, j)

@@ -48,9 +48,13 @@ dual feasible, after an uncertified Farkas row, for every LP below
 ``ROW_UPDATE_MIN_M`` rows with no usable basis, and whenever ``warm=False``.
 Warm results always agree with a cold solve; an optional shadow check
 asserts exactly that against the two-phase primal, and that every row holds
-at each optimal solution.  Every ``REFACTOR_EVERY`` (64) pivots each pivot
-loop reads the clock, so a solve given a ``deadline`` stops at the first such
-step after it with status ``TIME_LIMIT``.
+at each optimal solution.  Each pivot loop reads the clock before its first
+pivot and every ``REFACTOR_EVERY`` (64) pivots, so a solve given a
+``deadline`` stops at the first such read after it with status
+``TIME_LIMIT``.  A loop with no pivot to make reads no clock, so a start
+that is already optimal comes back ``OPTIMAL`` however late.  An optimal result carries the structurals' reduced costs
+from the primal loop's last pricing, which proved it optimal: branch and
+bound fixes columns by them at no further cost.
 
 The basis inverse is kept explicitly and changed by one product-form (eta)
 update per basis change, shared by phase-1 artificial eviction and the pivot
@@ -142,6 +146,8 @@ class LpResult:
     iterations: int
     phase1_residual: float = 0.0
     basis: tuple | None = None  # (basis, vstat) of an optimal solve; never mutated
+    # d = c - (c_B B^-1) A of an optimal solve's structurals, from its last pricing
+    reduced_costs: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -519,7 +525,8 @@ class SimplexContext:
         """A warm start (``saved``, then on the column store the crash basis), the dual loop and
         phase 2; the two-phase primal instead when no start is usable or the dual loop cannot
         certify infeasibility.  A dual loop's pivots before that count toward ``iter_limit``.
-        The crash and its inversion run before the first clock read."""
+        Each pivot loop reads the clock before its first pivot, after the crash and its
+        inversion."""
         if np.any(bounds.lower > bounds.upper + 1e-9):
             gap = float(np.max(bounds.lower - bounds.upper)) if len(bounds.lower) else 0.0
             return LpResult(LpStatus.INFEASIBLE, None, INF, 0,
@@ -542,7 +549,7 @@ class SimplexContext:
             basis, vstat, val, A, lo, up = self._cold_start(lo, up)
             status, nart = LpStatus.OPTIMAL, len(val) - nbase  # nart: artificials
             if nart:  # phase 1
-                status, iters = self._pivot_loop(
+                status, iters, _ = self._pivot_loop(
                     A, lo, up, basis, vstat, val, np.repeat([0.0, 1.0], [nbase, nart]),
                     iter_limit, iters, _inverse(A, basis), deadline)
                 resid = float(val[nbase:].sum())
@@ -555,13 +562,14 @@ class SimplexContext:
                     cost = np.concatenate([cost, np.zeros(nart)])
                 binv = _inverse(A, basis)
         if status is LpStatus.OPTIMAL:
-            status, iters = self._pivot_loop(
+            status, iters, d = self._pivot_loop(
                 A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv, deadline)
         if status is LpStatus.OPTIMAL:
             x = np.clip(val[:n].copy(), bounds.lower, bounds.upper)
             art_basic = np.any(basis >= nbase)
             return LpResult(status, x, float(self.model.c @ x), iters,
-                            basis=None if art_basic else (basis.copy(), vstat[:nbase].copy()))
+                            basis=None if art_basic else (basis.copy(), vstat[:nbase].copy()),
+                            reduced_costs=d[:n].copy())
         if status is LpStatus.INFEASIBLE:
             return LpResult(status, None, INF, iters, phase1_residual=resid)
         return LpResult(status, None, -INF if status is LpStatus.UNBOUNDED else float("nan"), iters)
@@ -707,9 +715,10 @@ class SimplexContext:
         at each pivot.
         Returns (status, pivots, binv, residual): OPTIMAL when the basis is
         primal feasible, INFEASIBLE with the certified violation of a Farkas
-        row, ITER_LIMIT, TIME_LIMIT when a periodic step finds ``deadline``
-        passed, or None when a row without an entering candidate could not be
-        certified infeasible.
+        row, ITER_LIMIT, TIME_LIMIT when the clock, read once a leaving row is
+        chosen for the first pivot and at each periodic step, is past
+        ``deadline``, or None when a row
+        without an entering candidate could not be certified infeasible.
         """
         A, b, cost = self.A, self.b, self.cost
         movable = up - lo > 0
@@ -745,6 +754,8 @@ class SimplexContext:
                 r = int(rows[np.argmin(basis[rows])])
             if iters >= iter_limit:
                 return LpStatus.ITER_LIMIT, iters, binv, 0.0
+            if not iters and deadline is not None and time.perf_counter() > deadline:
+                return LpStatus.TIME_LIMIT, iters, binv, 0.0  # before the first pivot
             to_lower = below[r] > above[r]
             alpha = binv[r] @ A
             # x_B[r] = beta_r - alpha @ x_N must rise when to_lower, fall otherwise
@@ -852,24 +863,33 @@ class SimplexContext:
                 _eta_update(binv, _column_image(binv, A, j), r)
 
     def _pivot_loop(self, A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv, deadline):
-        """Bounded primal simplex from a feasible basis with inverse ``binv``; (status, pivots)."""
+        """Bounded primal simplex from a feasible basis with inverse ``binv``.
+
+        Returns (status, pivots, d): ``d`` holds the reduced costs that priced
+        an OPTIMAL basis, and is None otherwise.  The clock is read once pricing
+        finds this call's first entering column, and every ``REFACTOR_EVERY``
+        pivots.
+        """
         m = len(basis)
         movable = up - lo > 0
         since_refactor = 0
+        start = iters
         with np.errstate(invalid="ignore"):
             while True:
                 if iters >= iter_limit:
-                    return LpStatus.ITER_LIMIT, iters
+                    return LpStatus.ITER_LIMIT, iters, None
                 if since_refactor >= REFACTOR_EVERY:
                     if deadline is not None and time.perf_counter() > deadline:
-                        return LpStatus.TIME_LIMIT, iters
+                        return LpStatus.TIME_LIMIT, iters, None
                     binv = _inverse(A, basis)
                     val[basis] = _basic_values(binv, A, self.b, vstat, val)
                     since_refactor = 0
                 d = _reduced_costs(cost, basis, binv, A)
                 cand = np.nonzero(_descent(vstat, d, movable, DUAL_TOL))[0]
                 if cand.size == 0:
-                    return LpStatus.OPTIMAL, iters
+                    return LpStatus.OPTIMAL, iters, d
+                if iters == start and deadline is not None and time.perf_counter() > deadline:
+                    return LpStatus.TIME_LIMIT, iters, None  # before the first pivot
                 if iters < BLAND_AFTER:
                     scores = np.abs(d[cand])
                     j = int(cand[int(np.argmax(scores))])
@@ -893,7 +913,7 @@ class SimplexContext:
                 t_basic = ratios.min() if m else INF
                 t = min(own, t_basic)
                 if t == INF:
-                    return LpStatus.UNBOUNDED, iters
+                    return LpStatus.UNBOUNDED, iters, None
                 t = max(t, 0.0)
 
                 val[basis] = xb - t * z

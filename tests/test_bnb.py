@@ -273,8 +273,8 @@ def test_time_limit_status():
 def test_time_limit_overshoot_is_small(mode):
     """A solve that cannot finish stops within half a second of its limit.
 
-    The pivot loops read the deadline only every 64 pivots:
-    milliseconds at this size."""
+    The pivot loops read the deadline before their first pivot and every 64
+    pivots: milliseconds at this size."""
     model = generate_instance("gap", (600, 20), 1)
     t0 = time.perf_counter()
     res = solve(model, SolverSettings(mode=mode, seed=1, time_limit_s=1.0))
@@ -296,8 +296,9 @@ def test_time_limit_stops_a_running_root_lp():
 
 
 def test_time_limit_overshoot_of_the_crash_start_is_small():
-    """The crash basis and its inversion run before the root LP's first clock read; on this
-    1,928-row root they and the first REFACTOR_EVERY dual pivots take about 0.05 s."""
+    """The crash basis and its inversion run before the root LP's first clock read, which
+    comes before the first dual pivot; on this 1,928-row root they take a few hundredths of
+    a second."""
     model = load_instance("gen:set_cover:n=6400,m=3200,seed=1")
     t0 = time.perf_counter()
     res = solve(model, SolverSettings(seed=1, time_limit_s=0.01))
@@ -631,6 +632,127 @@ def test_accumulated_cuts_never_cut_off_optimum():
         assert again.status is SolveStatus.OPTIMAL
         assert again.objective == pytest.approx(res.objective, abs=1e-9)
     assert checked >= 1  # at least one run actually produced cuts
+
+
+# ---------------------------------------------------------------------------
+# integral objective: the cutoff margin and reduced-cost fixing
+# ---------------------------------------------------------------------------
+
+INTEGRAL_SPECS = [("gap", (14, 3)), ("set_cover", (14, 7)), ("knapsack", (14, 2))]
+
+
+@pytest.mark.parametrize("mode", ["default", "scheduler"])
+def test_integral_objective_pruning_matches_enumeration(mode):
+    """Pruning at ceil(cutoff) - 1 and fixing by reduced cost keep every brute-force optimum."""
+    fixings = 0
+    for fam, size in INTEGRAL_SPECS:
+        for seed in range(10):
+            model = generate_instance(fam, size, seed)
+            assert model.integral_objective
+            best, _ = brute_force_binary(model)
+            res = solve(model, SolverSettings(mode=mode, seed=seed))
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.objective == pytest.approx(best, abs=1e-9), (fam, size, seed)
+            fixings += res.stats.reduced_cost_fixings
+    assert fixings > 0  # the fixing step ran, not only the cutoff margin
+
+
+@pytest.mark.parametrize("mode", ["default", "scheduler"])
+def test_half_integer_costs_keep_the_plain_cutoff(mode):
+    """Halved costs are not all integers: the property is false and every optimum stands."""
+    for fam, size in INTEGRAL_SPECS:
+        for seed in (0, 1, 2):
+            base = generate_instance(fam, size, seed)
+            model = dataclasses.replace(base, c=base.c / 2)
+            assert not model.integral_objective
+            best, _ = brute_force_binary(model)
+            res = solve(model, SolverSettings(mode=mode, seed=seed))
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.objective == pytest.approx(best, abs=1e-9), (fam, size, seed)
+            assert res.stats.reduced_cost_fixings == 0  # fixing acts only on integral ones
+
+
+def _costed_continuous_model():
+    """min -3 x0 - 2 x1 - 2 x2 - 0.5 y  s.t.  2 x0 + 2 x1 + 2 x2 + y <= 5, y in [0, 4]:
+    rounding the root LP gives (1, 1, 0, 0), worth -5, and the optimum is 0.5 better."""
+    return _model([-3, -2, -2, -0.5], [[2, 2, 2, 1]], "L", [5],
+                  upper=[1, 1, 1, 4], integers=[0, 1, 2])
+
+
+@pytest.mark.parametrize("mode", ["default", "scheduler"])
+def test_costed_continuous_column_keeps_the_plain_cutoff(mode):
+    model = _costed_continuous_model()
+    assert not model.integral_objective
+    best = math.inf  # enumerate the binaries, y at its best value in the room the row leaves
+    for xs in np.ndindex(2, 2, 2):
+        room = 5 - 2 * sum(xs)
+        if room >= 0:
+            best = min(best, float(model.c[:3] @ xs) - 0.5 * min(room, 4))
+    res = solve(model, SolverSettings(mode=mode, seed=1))
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(best, abs=1e-9) == -5.5
+    assert res.stats.reduced_cost_fixings == 0
+
+
+def test_integral_objective_needs_integer_costs_and_free_continuous_columns():
+    assert _model([2, -3], [[1, 1]], "L", [1]).integral_objective
+    assert not _model([2, -3.5], [[1, 1]], "L", [1]).integral_objective
+    # a continuous column that costs nothing leaves the objective integral
+    assert _model([2, 0], [[1, 1]], "L", [1], integers=[0]).integral_objective
+    assert not _model([2, 1], [[1, 1]], "L", [1], integers=[0]).integral_objective
+
+
+def test_integral_candidate_one_below_the_cutoff_is_accepted():
+    model = _model([1, 1, 1], [[1, 1, 1]], "G", [1], upper=[5, 5, 5])
+    assert model.integral_objective
+    tree = TreeSearch(model, SolverSettings(), cutoff=3.0)
+    assert tree.beats_cutoff(2.0) and tree.beats_cutoff(2.0 + 1e-7)
+    assert not tree.beats_cutoff(2.5)  # no integral point is worth that
+    assert not tree.update_incumbent(np.array([1.0, 1.0, 1.0]))  # worth the cutoff itself
+    assert tree.update_incumbent(np.array([1.0, 1.0, 0.0]))  # exactly 1 below it
+    assert tree.incumbent.objective == 2.0
+    assert not tree.update_incumbent(np.array([0.0, 1.0, 1.0]))  # equal, not better
+    # integral within int_tol: the margin absorbs the round-off of its objective
+    assert tree.update_incumbent(np.array([1.0 - 1e-7, 0.0, 0.0]))
+    # a caller's fractional cutoff: 2 is below 2.5, and the test keeps it
+    assert TreeSearch(model, SolverSettings(), cutoff=2.5).update_incumbent(
+        np.array([1.0, 1.0, 0.0]))
+
+
+def _fixing_model():
+    """min 5 x0  s.t.  2 x1 - x0 = 1,  x0 + x2 <= 1: only (1, 1, 0) is feasible, worth 5.
+
+    With x2 fixed to 0 and the cutoff 5, the root LP puts x1 at 1/2 with x0 at
+    0, reduced cost 5, so x0 is fixed there by reduced cost; both children are
+    then LP-infeasible.  Without the fixing the up child would be pruned by
+    the cutoff."""
+    return _model([5, 0, 0], [[-1, 2, 0], [1, 0, 1]], "EL", [1, 1])
+
+
+def test_a_fixing_that_needs_the_inherited_cutoff_marks_the_sub_mip():
+    model = _fixing_model()
+    bounds = BoundState.from_model(model).fixed(2, 0.0)
+    res = solve(model, SolverSettings(), root_bounds=bounds, cutoff=5.0)
+    assert res.status is SolveStatus.INFEASIBLE and res.incumbent is None
+    assert res.stats.reduced_cost_fixings == 1
+    assert res.cutoff_pruned
+    # with no cutoff nothing is fixed, and the sub-MIP finds the point
+    free = solve(model, SolverSettings(), root_bounds=bounds)
+    assert free.objective == 5.0 and free.stats.reduced_cost_fixings == 0
+
+
+def test_lns_records_no_nogood_from_a_sub_mip_closed_by_fixing():
+    """RENS fixes x2 at 0 and leaves x0, x1 in [0, 1]: the sub-MIP finds nothing better than
+    the incumbent, and a no-good x2 != 0 would cut off the only feasible point."""
+    model = _fixing_model()
+    tree = TreeSearch(model, SolverSettings())
+    assert tree.update_incumbent(np.array([1.0, 1.0, 0.0]))
+    lp = LpResult(LpStatus.OPTIMAL, np.array([0.4, 0.6, 0.0]), 2.0, 0)
+    limit = heuristics.portfolio_limits(tree.settings)["rens"]
+    out = heuristics.run_lns("rens", lp, tree, dataclasses.replace(limit, value=0.3),
+                             np.random.default_rng(0))
+    assert out.fixed_count == 1 and out.sub_mip_infeasible
+    assert out.conflicts_found == 0 and tree.pool.nogood_cuts == []
 
 
 # ---------------------------------------------------------------------------

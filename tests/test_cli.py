@@ -112,6 +112,22 @@ def test_solve_log_reports_what_presolve_removed(tmp_path, uri, rows, bounds):
     assert not {"searched_rows", "tightened_bounds"} & set(CSV_COLUMNS)
 
 
+@pytest.mark.parametrize("uri, seed, nodes, fixed", [
+    ("gen:gap:n=300,m=10,seed=1", 1, 1, False),  # no incumbent, so no cutoff to fix against
+    ("gen:gap:n=300,m=10,seed=2", 2, 100, True),
+])
+def test_solve_log_reports_reduced_cost_fixings(tmp_path, uri, seed, nodes, fixed):
+    """The columns the top-level tree fixed by reduced cost against its cutoff."""
+    log = tmp_path / "log.jsonl"
+    assert main(["solve", uri, "--seed", str(seed), "--node-limit", str(nodes),
+                 "--log", str(log)]) == 0
+    final = [json.loads(line) for line in log.read_text().splitlines()][-1]
+    assert final["type"] == "run_stats"
+    assert (final["objective"] != "") is fixed
+    assert (int(final["reduced_cost_fixings"]) > 0) is fixed
+    assert "reduced_cost_fixings" not in CSV_COLUMNS
+
+
 def _oracle_reward(rec):
     """Reward recomputed from raw call data, coded separately from the package."""
     r_sol = 1.0 if rec["found_incumbent"] else 0.0

@@ -535,10 +535,40 @@ def test_context_keeps_nothing_between_solves(family, shape, seed):
     assert again.x.tobytes() == first.x.tobytes()
 
 
+@pytest.mark.parametrize("family, size, seed", [
+    ("gap", (24, 4), 5),  # the dense store
+    ("knapsack", (14, 3), 3),
+    ("set_cover", (300, 150), 0),  # the column store, from the crash basis
+])
+def test_reduced_costs_price_the_optimal_basis(family, size, seed):
+    """``reduced_costs`` is c - A'y with B'y = c_B solved afresh, and dual feasible at the
+    bound each nonbasic structural sits on; so on a warm child and a cold solve."""
+    model = generate_instance(family, size, seed)
+    ctx = SimplexContext(model)
+    bounds = BoundState.from_model(model)
+    root = ctx.solve(bounds)
+    j = int(np.argmax(np.minimum(root.x - np.floor(root.x), np.ceil(root.x) - root.x)))
+    child = ctx.solve(bounds.tightened(j, hi=np.floor(root.x[j])), basis=root.basis)
+    cold = ctx.solve(bounds, warm=False)
+    full = np.hstack([dense_matrix(model), np.eye(model.m)])
+    cost = np.concatenate([model.c, np.zeros(model.m)])
+    for res in (root, child, cold):
+        assert res.status is LpStatus.OPTIMAL
+        basis, vstat = res.basis
+        y = np.linalg.solve(full[:, basis].T, cost[basis])
+        d = cost[:model.n] - full[:, :model.n].T @ y
+        assert np.allclose(res.reduced_costs, d, atol=1e-9)
+        status = vstat[:model.n]
+        assert np.all(res.reduced_costs[status == AT_LOWER] >= -1e-9)
+        assert np.all(res.reduced_costs[status == AT_UPPER] <= 1e-9)
+    capped = ctx.solve(bounds, iter_limit=0)  # only an optimal LP carries them
+    assert capped.status is LpStatus.ITER_LIMIT and capped.reduced_costs is None
+
+
 @pytest.mark.parametrize("warm", [True, False])
 def test_a_passed_deadline_stops_a_cold_column_store_lp(warm):
     """A deadline already passed stops the dual loop from the slack basis (warm) or phase 1
-    (two-phase) at its first refactor; the shadow check then compares nothing."""
+    (two-phase) before its first pivot; the shadow check then compares nothing."""
     model = generate_instance("set_cover", (300, 150), 0)
     bounds = BoundState.from_model(model)
     slacks = _slack_basis(model)
@@ -548,7 +578,24 @@ def test_a_passed_deadline_stops_a_cold_column_store_lp(warm):
     assert isinstance(ctx.A, _Csc)
     res = ctx.solve(bounds, warm=warm, basis=slacks, deadline=time.perf_counter() - 1.0)
     assert res.status is LpStatus.TIME_LIMIT and res.x is None and res.basis is None
-    assert res.iterations == REFACTOR_EVERY
+    assert res.iterations == 0
+
+
+@pytest.mark.parametrize("family, size, seed", [
+    ("gap", (24, 4), 5),  # the dense store
+    ("set_cover", (300, 150), 0),  # the column store
+])
+def test_a_passed_deadline_keeps_a_start_that_is_already_optimal(family, size, seed):
+    """Neither loop reads the clock when it has no pivot to make: re-solved from its own
+    optimal basis, an LP comes back OPTIMAL after 0 pivots however late it is."""
+    model = generate_instance(family, size, seed)
+    bounds = BoundState.from_model(model)
+    ctx = SimplexContext(model, shadow_check=True)
+    first = ctx.solve(bounds)
+    assert first.status is LpStatus.OPTIMAL and first.iterations > 0
+    again = ctx.solve(bounds, basis=first.basis, deadline=time.perf_counter() - 1.0)
+    assert again.status is LpStatus.OPTIMAL and again.iterations == 0
+    assert again.objective == pytest.approx(first.objective, abs=1e-9)
 
 
 def _inverse_calls(monkeypatch):
