@@ -20,7 +20,9 @@ fixing use it.  When the model's ``integral_objective`` holds, every
 incumbent (its integer columns integral) is worth an integer and no point is
 worth between ``ceil(cutoff) - 1`` and the cutoff, so the test keeps only
 objectives below ``ceil(cutoff) - 1 + INTEGRAL_CUTOFF_TOL`` (Achterberg 2007,
-ch. 7): a search no longer looks for improvements that cannot exist.  On
+ch. 7): a search no longer looks for improvements that cannot exist.  For
+the same reason, a solve that stops early reports the least open LP bound
+rounded up, ``ceil(bound - INTEGRAL_CUTOFF_TOL)``, as its dual bound.  On
 such a model, before branching and after the node's heuristics, the tree
 also fixes each nonbasic integer column at the integral bound it sits on when
 the LP objective plus its reduced cost's magnitude fails the test (ch. 8),
@@ -408,7 +410,7 @@ class TreeSearch:
             differs[free] = False
         cols = np.flatnonzero(differs)
         if (not len(cols) or np.any(bounds.lower[cols] != bounds.upper[cols])
-                or not all(self.model.is_binary(j) for j in cols)):
+                or not self.model.binary[cols].all()):
             return
         ones = bounds.lower[cols] > 0.5
         cut = (cols, np.where(ones, -1.0, 1.0), "G", 1.0 - int(ones.sum()))
@@ -545,6 +547,8 @@ class TreeSearch:
                 dual = INF
         else:
             dual = open_bound
+            if self.model.integral_objective and abs(dual) < INF:
+                dual = float(math.ceil(dual - INTEGRAL_CUTOFF_TOL))  # no point is worth less
             if self.incumbent is not None:
                 dual = min(dual, self.incumbent.objective)
 

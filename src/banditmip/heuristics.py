@@ -25,6 +25,8 @@ Rounding, dives and LNS, like the tree's branching, judge integrality with
 :func:`~banditmip.model.fractionality` and round to the nearest integer with
 :func:`~banditmip.model.round_half_down`, the one rule ``model.py`` defines;
 only directed roundings (bounds, dive directions) call ``floor`` or ``ceil``.
+Rounding and ``coef_dive`` choose their direction by one lock rule,
+:func:`lock_round`.
 """
 
 from __future__ import annotations
@@ -136,6 +138,15 @@ def _open_fractional(ints: np.ndarray, x: np.ndarray, bounds, int_tol: float) ->
     return ints[keep].tolist()
 
 
+def lock_round(v, down, up):
+    """Round ``v`` (a number or an array) to the side with fewer locks, to the nearest on a tie.
+
+    Floor where ``down`` (the rows rounding down may violate) is smaller, ceil
+    where ``up`` is, and ``round_half_down`` where they are equal.
+    """
+    return np.where(down < up, np.floor(v), np.where(up < down, np.ceil(v), round_half_down(v)))
+
+
 def run_rounding(lp: LpResult, tree: TreeSearch) -> HeurOutcome:
     """Round every fractional integer variable to its lock-preferred side.
 
@@ -147,10 +158,8 @@ def run_rounding(lp: LpResult, tree: TreeSearch) -> HeurOutcome:
     down, up = tree.locks[0][ints], tree.locks[1][ints]
     x = lp.x.copy()
     v = x[ints]
-    nearest = round_half_down(v)
-    t = np.where(down < up, np.floor(v), np.where(up < down, np.ceil(v), nearest))
-    t = np.minimum(np.maximum(t, model.lower[ints]), model.upper[ints])
-    x[ints] = np.where(fractionality(v) <= tree.settings.int_tol, nearest, t)
+    t = np.minimum(np.maximum(lock_round(v, down, up), model.lower[ints]), model.upper[ints])
+    x[ints] = np.where(fractionality(v) <= tree.settings.int_tol, round_half_down(v), t)
     return HeurOutcome(heuristic="rounding",
                        found_incumbent=bool(tree.update_incumbent(x, "rounding")))
 
@@ -199,12 +208,7 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
                 target = round_half_down(x_ref[j])
             elif kind == "coef_dive":
                 j = cands[np.argmin(np.minimum(down_locks[cands], up_locks[cands]))]
-                if down_locks[j] < up_locks[j]:
-                    target = math.floor(x_ref[j])
-                elif up_locks[j] < down_locks[j]:
-                    target = math.ceil(x_ref[j])
-                else:
-                    target = round_half_down(x_ref[j])
+                target = lock_round(x_ref[j], down_locks[j], up_locks[j])
             else:  # rand_dive
                 j = int(rng.choice(np.array(cands)))
                 target = (math.floor(x_ref[j]) if rng.random() < 0.5
@@ -237,7 +241,7 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
             if retry is None or retry.status is LpStatus.INFEASIBLE:
                 out.conflicts_found = 1
                 # both values of a binary j dead prove the bounds before its fixing infeasible
-                if retry is not None and model.is_binary(j):
+                if retry is not None and model.binary[j]:
                     tree.record_conflict(prev, free=j)
                 return finish()
             last_fix = (j, float(opp), prev, xj)

@@ -187,13 +187,14 @@ class MipModel:
         continuous[self.integers] = False
         return bool(np.all(self.c[continuous] == 0.0) and np.all(_integral(self.c[self.integers])))
 
-    def is_binary(self, j: int) -> bool:
-        k = np.searchsorted(self.integers, j)
-        return (
-            k < len(self.integers) and self.integers[k] == j
-            and self.lower[j] >= -DEFAULT_INT_TOL
-            and self.upper[j] <= 1.0 + DEFAULT_INT_TOL
-        )
+    @cached_property
+    def binary(self) -> np.ndarray:
+        """Which columns are integers with bounds inside [0, 1], up to ``DEFAULT_INT_TOL``."""
+        mask = np.zeros(self.n, dtype=bool)
+        ints = self.integers
+        mask[ints] = ((self.lower[ints] >= -DEFAULT_INT_TOL)
+                      & (self.upper[ints] <= 1.0 + DEFAULT_INT_TOL))
+        return mask
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """Activities a_i . x for every row."""

@@ -1,14 +1,17 @@
 """Heuristic policies (the bandit and the static schedule) and their one call loop.
 
-A policy holds one :class:`ArmRecord` per portfolio heuristic: its working
-limit, weight, pulls, successes and reward sum.  It ``picks`` the heuristics
-to run at a node and ``record``s each outcome, and both policies tally pulls
-and successes in the same step; :func:`run_scheduled_heuristics` executes the
-picks of either policy.  The static schedule learns nothing more.  The
-:class:`Scheduler` also charges a reward, updates the arm's weight and adapts
-its limit, and runs at most one heuristic per invocation.  Its first pass
-executes every heuristic once in the default priority order (warmstart);
-afterwards a modified epsilon-greedy bandit takes over: with probability
+A policy holds its ``settings`` and one :class:`ArmRecord` per portfolio
+heuristic: its working limit, weight, pulls, successes and reward sum.  It
+``picks`` the heuristics to run at a node and ``record``s each outcome, and
+both policies tally pulls and successes in the same step;
+:func:`run_scheduled_heuristics` executes the picks of either policy.  The
+static schedule learns nothing more.  The :class:`Scheduler` is the one
+object that holds the bandit: it runs at most one heuristic per invocation,
+and its ``record`` charges the pure :func:`compute_reward` against the
+running ``v_max``, folds it into the arm's weight (``update``), adapts the
+arm's limit and grows or resets the fail streak.  Its first pass executes
+every heuristic once in the default priority order (warmstart); afterwards
+its ``draw``, a modified epsilon-greedy bandit, takes over: with probability
 ``1 - eps_t`` it exploits the arm with the best average reward, otherwise it
 samples an arm proportionally to the weights.  Failed calls grow a skip
 counter that suppresses whole invocations, so an unproductive portfolio is
@@ -42,10 +45,6 @@ if TYPE_CHECKING:
     from .bnb import Node, TreeSearch
 
 
-class NoApplicableHeuristic(Exception):
-    """No candidate heuristic can run in the current solver state."""
-
-
 def epsilon_t(epsilon: float, n_arms: int, t: int) -> float:
     """Exploration probability at iteration t: epsilon * sqrt(|H| / t)."""
     return epsilon * math.sqrt(n_arms / t)
@@ -73,15 +72,6 @@ class RewardBreakdown:
 
 
 @dataclass
-class RewardConfig:
-    lam_sol: float
-    lam_gap: float
-    lam_eff: float
-    lam_conf: float
-    v_max: int = 0  # running max of conflicts found by any call so far
-
-
-@dataclass
 class RewardContext:
     """Incumbent objectives around one heuristic call (minimize form)."""
 
@@ -91,12 +81,14 @@ class RewardContext:
     obj_lp: float
 
 
-def compute_reward(outcome: HeurOutcome, ctx: RewardContext, cfg: RewardConfig,
+def compute_reward(outcome: HeurOutcome, ctx: RewardContext, settings, v_max: int,
                    budget: int) -> RewardBreakdown:
-    """Four-component reward in [0, 1]; updates cfg.v_max as a side effect.
+    """Four-component reward in [0, 1], weighted by the settings' ``lambda_*``.
 
-    ``budget`` is that of the working limit the call ran under: the efficiency
-    term pays for the share of it left unused.
+    ``v_max`` is the most conflicts any earlier call found: the conflict term
+    pays for the share of it this call found.  ``budget`` is that of the
+    working limit the call ran under: the efficiency term pays for the share
+    of it left unused.
     """
     r_sol = 1.0 if outcome.found_incumbent else 0.0
     if not outcome.found_incumbent:
@@ -112,10 +104,9 @@ def compute_reward(outcome: HeurOutcome, ctx: RewardContext, cfg: RewardConfig,
             r_gap = min(max(improvement / denom, 0.0), 1.0)
     r_eff = min(max(1.0 - outcome.nodes_used / budget, 0.0), 1.0)
     v = outcome.conflicts_found
-    r_conf = 0.0 if cfg.v_max == 0 else min(v / cfg.v_max, 1.0)
-    cfg.v_max = max(cfg.v_max, v)
-    r_total = (cfg.lam_sol * r_sol + cfg.lam_gap * r_gap
-               + cfg.lam_eff * r_eff + cfg.lam_conf * r_conf)
+    r_conf = 0.0 if v_max == 0 else min(v / v_max, 1.0)
+    r_total = (settings.lambda_sol * r_sol + settings.lambda_gap * r_gap
+               + settings.lambda_eff * r_eff + settings.lambda_conf * r_conf)
     return RewardBreakdown(r_sol, r_gap, r_eff, r_conf, r_total)
 
 
@@ -134,56 +125,13 @@ class ArmRecord:
         return self.reward_sum / self.pulls if self.reward_sum is not None else None
 
 
-def bandit_select(sched: Scheduler, candidates, rng) -> str:
-    """One epsilon-greedy draw over the candidate arms; does not advance t.
-
-    Ties go to the arm that comes first in the records' order.
-    """
-    arms = sched.arms
-    cands = [h for h in arms if h in candidates]
-    if not cands:
-        raise NoApplicableHeuristic("no candidate arm")
-    eps = epsilon_t(sched.epsilon, len(arms), sched.t + 1)
-    rho = float(rng.random())
-    if rho > eps:
-        return max(cands, key=lambda h: arms[h].weight)
-    wsum = sum(arms[h].weight for h in cands)
-    if wsum <= 1e-12:
-        return cands[int(rng.integers(len(cands)))]
-    r = float(rng.random()) * wsum
-    acc = 0.0
-    for h in cands:
-        acc += arms[h].weight
-        if r <= acc:
-            return h
-    return cands[-1]
-
-
-def bandit_update(sched: Scheduler, h: str, reward: float) -> None:
-    """Charge the reward of a pull of arm h, already tallied, and fold it into its weight.
-
-    In average mode the initial 1/|H| weight stays in the running average as
-    one pseudo-observation.  A plain replace-on-first-pull would pin an arm
-    whose first reward is 0 at weight 0, and the weight-proportional
-    exploration could then never select it again; the prior keeps every arm
-    reachable while washing out as real observations accumulate.
-    """
-    sched.t += 1
-    arm = sched.arms[h]
-    arm.reward_sum = (arm.reward_sum or 0.0) + reward
-    if sched.mode == "average":
-        arm.weight = (sched.prior + arm.reward_sum) / (1 + arm.pulls)
-    else:
-        arm.weight = (1.0 - sched.alpha) * arm.weight + sched.alpha * reward
-
-
 class Policy:
-    """What both policies share: one ``ArmRecord`` per portfolio heuristic."""
+    """What both policies share: their settings and one ``ArmRecord`` per portfolio heuristic."""
 
     def __init__(self, settings):
+        self.settings = settings
         limits = portfolio_limits(settings)
-        self.prior = 1.0 / len(limits)
-        self.arms = {h: ArmRecord(limit, self.prior) for h, limit in limits.items()}
+        self.arms = {h: ArmRecord(limit, 1.0 / len(limits)) for h, limit in limits.items()}
         self.reward_log = []  # one entry per call that computed a reward
 
     def record(self, h: str, outcome: HeurOutcome, ctx: RewardContext) -> None:
@@ -199,52 +147,72 @@ class StaticSchedule(Policy):
     Its limits and weights keep their initial values.
     """
 
-    def __init__(self, settings):
-        super().__init__(settings)
-        self.freq = settings.default_freq
-        self.offset = settings.default_offset
-
     def picks(self, depth: int, applicable) -> list:
         """Every heuristic whose depth slot this is, in the default order.
 
         ``applicable`` is not consulted: an earlier pick at the same node may
         install the incumbent a later one needs, so ``run_lns`` checks each.
         """
+        freq, offset = self.settings.default_freq, self.settings.default_offset
         return [h for k, h in enumerate(DEFAULT_ORDER, start=1)
-                if depth % self.freq == (k * self.offset) % self.freq]
+                if depth % freq == (k * offset) % freq]
 
 
 class Scheduler(Policy):
-    """Mutable scheduler state owned by a single solve, configured by ``SolverSettings``."""
+    """The bandit of a single solve: its arms, draw, update, reward state and skip window."""
 
     def __init__(self, settings, rng: np.random.Generator):
         super().__init__(settings)
-        self.epsilon = settings.epsilon
-        self.mode = settings.bandit_mode  # "average" or "recency"
-        self.alpha = settings.recency_alpha
+        self.rng = rng
         self.t = 0  # charged pulls so far
-        self.cfg = RewardConfig(
-            lam_sol=settings.lambda_sol, lam_gap=settings.lambda_gap,
-            lam_eff=settings.lambda_eff, lam_conf=settings.lambda_conf,
-        )
-        self.beta = settings.beta
+        self.v_max = 0  # the most conflicts any call has found so far
         self.n_fail = 0
         self.skip_remaining = 0
         self.warmstart_queue = deque(DEFAULT_ORDER)
-        self.rng = rng
         self._warm_call = False
 
-    def should_run(self) -> bool:
-        """Skip-window gate; skips are disabled while warmstart is pending."""
-        if self.warmstart_queue:
-            return True
-        if self.skip_remaining > 0:
-            self.skip_remaining -= 1
-            return False
-        return True
+    def draw(self, cands) -> str:
+        """One epsilon-greedy draw over the candidate arms; does not advance t.
 
-    def select(self, applicable) -> str:
-        """Next heuristic: warmstart queue first, then the bandit."""
+        Ties go to the arm that comes first in the records' order.
+        """
+        arms = self.arms
+        cands = [h for h in arms if h in cands]
+        eps = epsilon_t(self.settings.epsilon, len(arms), self.t + 1)
+        rho = float(self.rng.random())
+        if rho > eps:
+            return max(cands, key=lambda h: arms[h].weight)
+        wsum = sum(arms[h].weight for h in cands)
+        if wsum <= 1e-12:
+            return cands[int(self.rng.integers(len(cands)))]
+        r = float(self.rng.random()) * wsum
+        acc = 0.0
+        for h in cands:
+            acc += arms[h].weight
+            if r <= acc:
+                return h
+        return cands[-1]
+
+    def update(self, h: str, reward: float) -> None:
+        """Charge the reward of a pull of arm h, already tallied, and fold it into its weight.
+
+        In average mode the initial 1/|H| weight stays in the running average as
+        one pseudo-observation.  A plain replace-on-first-pull would pin an arm
+        whose first reward is 0 at weight 0, and the weight-proportional
+        exploration could then never select it again; the prior keeps every arm
+        reachable while washing out as real observations accumulate.
+        """
+        self.t += 1
+        arm = self.arms[h]
+        arm.reward_sum = (arm.reward_sum or 0.0) + reward
+        if self.settings.bandit_mode == "average":
+            arm.weight = (1.0 / len(self.arms) + arm.reward_sum) / (1 + arm.pulls)
+        else:
+            alpha = self.settings.recency_alpha
+            arm.weight = (1.0 - alpha) * arm.weight + alpha * reward
+
+    def select(self, applicable) -> Optional[str]:
+        """Next heuristic: warmstart queue first, then the bandit; None with no candidate."""
         self._warm_call = False
         queue = self.warmstart_queue
         if queue:
@@ -257,35 +225,37 @@ class Scheduler(Policy):
                 queue.rotate(-1)  # defer inapplicable entries to the end
             cands = {h for h in applicable if self.arms[h].pulls > 0}
         else:
-            cands = set(applicable)
-        if not cands:
-            raise NoApplicableHeuristic("no applicable heuristic")
-        return bandit_select(self, cands, self.rng)
+            cands = applicable
+        return self.draw(cands) if cands else None
 
     def picks(self, depth: int, applicable) -> list:
-        """At most one heuristic; none inside a skip window or with no candidate."""
-        if not self.should_run():
+        """At most one heuristic; none inside a skip window or with no candidate.
+
+        A pending skip is spent here, once per invocation; skips wait while
+        warmstart is pending.
+        """
+        if not self.warmstart_queue and self.skip_remaining > 0:
+            self.skip_remaining -= 1
             return []
-        try:
-            return [self.select(applicable)]
-        except NoApplicableHeuristic:
-            return []
+        h = self.select(applicable)
+        return [] if h is None else [h]
 
     def record(self, h: str, outcome: HeurOutcome, ctx: RewardContext) -> None:
         """Tally the call, then learn from it: reward, weight, working limit, fail streak."""
         super().record(h, outcome, ctx)
         arm = self.arms[h]
         before = arm.limit
-        v_max_before = self.cfg.v_max
-        breakdown = compute_reward(outcome, ctx, self.cfg, before.budget)
-        bandit_update(self, h, breakdown.r_total)
+        v_max_before = self.v_max
+        breakdown = compute_reward(outcome, ctx, self.settings, v_max_before, before.budget)
+        self.v_max = max(v_max_before, outcome.conflicts_found)
+        self.update(h, breakdown.r_total)
         after = arm.limit = adapt_limit(before, outcome)
         if not self._warm_call:  # frozen during warmstart
             if outcome.found_incumbent:
                 self.n_fail = 0
             else:
                 self.n_fail += 1
-                self.skip_remaining = compute_skip_count(self.n_fail, self.beta)
+                self.skip_remaining = compute_skip_count(self.n_fail, self.settings.beta)
         self.reward_log.append({
             "t": self.t,
             "h": h,

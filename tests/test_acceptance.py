@@ -22,11 +22,8 @@ from banditmip.heuristics import (
 from banditmip.model import generate_instance
 from banditmip.scheduler import (
     Policy,
-    RewardConfig,
     RewardContext,
     Scheduler,
-    bandit_select,
-    bandit_update,
     compute_reward,
     compute_skip_count,
     epsilon_t,
@@ -46,12 +43,7 @@ def _bandit():
 def _pull(sched, h, reward):
     """Charge one pull of h with the given reward, as ``Scheduler.record`` charges it."""
     Policy.record(sched, h, HeurOutcome(heuristic=h), None)  # the tally both policies share
-    bandit_update(sched, h, reward)
-
-
-def _cfg():
-    return RewardConfig(SETTINGS.lambda_sol, SETTINGS.lambda_gap, SETTINGS.lambda_eff,
-                        SETTINGS.lambda_conf)
+    sched.update(h, reward)
 
 
 def _report(num, desc, ok):
@@ -133,7 +125,7 @@ def test_acceptance_2_formula_oracles():
         assert abs(new.value - want) <= 1e-9
         dive = new
 
-    cfg = _cfg()
+    sched = _bandit()  # its record charges each reward against its running v_max
     for _ in range(n):
         h = DEFAULT_ORDER[int(rng.integers(6))]
         is_lns = h in ("rens", "rins", "mutation")
@@ -154,8 +146,10 @@ def test_acceptance_2_formula_oracles():
             obj_new=None if (not found or first) else obj_new,
             obj_lp=obj_lp,
         )
-        v_before = cfg.v_max
-        bd = compute_reward(out, ctx, cfg, LIMITS[h].budget)
+        v_before = sched.v_max
+        sched.record(h, out, ctx)
+        bd = sched.reward_log[-1]
+        assert bd["n_max"] == LIMITS[h].budget
         # independent recomputation
         r_sol = 1.0 if found else 0.0
         if not found:
@@ -172,8 +166,8 @@ def test_acceptance_2_formula_oracles():
         r_eff = min(max(1.0 - out.nodes_used / (500 if is_lns else 100), 0.0), 1.0)
         r_conf = 0.0 if v_before == 0 else min(out.conflicts_found / v_before, 1.0)
         want = 0.3 * r_sol + 0.3 * r_gap + 0.2 * r_eff + 0.2 * r_conf
-        assert abs(bd.r_total - want) <= 1e-9
-        assert cfg.v_max == max(v_before, out.conflicts_found)
+        assert abs(bd["r_total"] - want) <= 1e-9
+        assert sched.v_max == max(v_before, out.conflicts_found)
 
     for _ in range(n):
         eps = float(rng.uniform(0.0, 1.0))
@@ -209,8 +203,9 @@ def test_acceptance_3_bandit_convergence():
         bandit = _bandit()
         for h in DEFAULT_ORDER:  # warmstart pass
             _pull(bandit, h, float(rng.random() < means[h]))
+        bandit.rng = rng
         for _ in range(10_000 - 6):
-            h = bandit_select(bandit, arms, rng)
+            h = bandit.draw(arms)
             _pull(bandit, h, float(rng.random() < means[h]))
         best = bandit.arms["rand_dive"].pulls
         if best > max(bandit.arms[h].pulls for h in DEFAULT_ORDER[:-1]):
@@ -244,21 +239,22 @@ def test_acceptance_4_warmstart_and_skip_semantics():
     # (b) a streak of 23 failed calls skips exactly the next 8 invocations
     executed = 0
     while executed < 23:
-        if not sched.should_run():
+        picked = sched.picks(0, every)
+        if not picked:
             continue
-        h = sched.select(every)
+        [h] = picked
         sched.record(h, _fail_outcome(h), RewardContext(False, None, None, 0.0))
         executed += 1
     assert sched.n_fail == 23
     skipped = 0
-    while not sched.should_run():
+    while not sched.picks(0, every):
         skipped += 1
-    ok_b = skipped == 8 == compute_skip_count(23, sched.beta)
+    ok_b = skipped == 8 == compute_skip_count(23, sched.settings.beta)
 
     # (c) skips are disabled during warmstart
     fresh = Scheduler(SolverSettings(), np.random.default_rng(1))
     fresh.skip_remaining = 5
-    ok_c = all(fresh.should_run() for _ in range(4)) and fresh.skip_remaining == 5
+    ok_c = all(fresh.picks(0, every) for _ in range(4)) and fresh.skip_remaining == 5
 
     _report(4, "warmstart order, 23-failure streak skips 8, skips frozen in "
                "warmstart", ok_a and ok_b and ok_c)
@@ -272,7 +268,7 @@ def test_acceptance_5_invariant_suite():
     rng = np.random.default_rng(99)
 
     # rewards stay in [0, 1] under 10^5 random outcomes
-    cfg = _cfg()
+    v_max = 0
     for _ in range(100_000):
         h = DEFAULT_ORDER[int(rng.integers(6))]
         found = bool(rng.random() < 0.3)
@@ -291,7 +287,8 @@ def test_acceptance_5_invariant_suite():
             obj_new=None if (not found or first) else obj_old - float(rng.uniform(0, 4)),
             obj_lp=obj_lp,
         )
-        bd = compute_reward(out, ctx, cfg, LIMITS[h].budget)
+        bd = compute_reward(out, ctx, SETTINGS, v_max, LIMITS[h].budget)
+        v_max = max(v_max, out.conflicts_found)  # as Scheduler.record keeps it
         assert -1e-12 <= bd.r_total <= 1.0 + 1e-12
 
     # f and q never leave their boxes under 10^5 random updates

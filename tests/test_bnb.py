@@ -18,7 +18,8 @@ from banditmip.bnb import (
 )
 from banditmip import bnb as bnb_mod, heuristics, model as model_mod
 from banditmip.heuristics import LNS_KINDS, NotApplicable
-from banditmip.model import Assignment, generate_instance, load_instance
+from banditmip.model import Assignment, generate_instance, load_instance, presolve
+from banditmip.scheduler import compute_skip_count
 from banditmip.simplex import FEAS_TOL, BoundState, LpResult, LpStatus
 
 from oracles import brute_force_binary, model_from_dense
@@ -314,6 +315,36 @@ def test_lp_iteration_exhaustion_never_claims_optimality():
     assert res.incumbent is None
 
 
+@pytest.mark.parametrize("uri, mode, nodes, raw, reported", [
+    ("gen:gap:n=300,m=10,seed=1", "scheduler", 100, 56.979, 57.0),
+    ("gen:set_cover:n=800,m=400,seed=1", "default", 1, 752.25, 753.0),
+])
+def test_an_integral_objective_reports_its_open_bound_rounded_up(uri, mode, nodes, raw,
+                                                                 reported):
+    """Every point of such a model is worth an integer, so no point is worth less than the
+    least open LP bound rounded up."""
+    model = load_instance(uri)
+    assert model.integral_objective
+    settings = SolverSettings(mode=mode, seed=1, node_limit=nodes, time_limit_s=None)
+    tree = TreeSearch(presolve(model, settings.feas_tol), settings)
+    res = tree.run()
+    assert res.status is SolveStatus.NODE_LIMIT
+    assert tree._open_bound() == pytest.approx(raw, abs=1e-3)
+    assert res.dual_bound == reported < res.objective
+
+
+def test_a_fractional_objective_reports_the_exact_open_bound():
+    model = load_instance("gen:gap:n=60,m=4,seed=1")
+    model = dataclasses.replace(model, c=model.c + 0.25)
+    assert not model.integral_objective
+    settings = SolverSettings(seed=1, node_limit=10, time_limit_s=None)
+    tree = TreeSearch(presolve(model, settings.feas_tol), settings)
+    res = tree.run()
+    assert res.status is SolveStatus.NODE_LIMIT
+    assert res.dual_bound == tree._open_bound() < res.objective
+    assert res.dual_bound != math.ceil(res.dual_bound)
+
+
 NON_DEFAULT_HEURISTIC_SETTINGS = dict(
     f_init=0.6, q_init=0.2, lambda_sol=0.4, lambda_gap=0.25, lambda_eff=0.1,
     lambda_conf=0.25, epsilon=0.5, beta=0.2, lns_node_budget=50, dive_max_depth=40,
@@ -341,10 +372,18 @@ def test_heuristic_settings_reach_both_modes():
     assert dive["n_max"] == cfg["dive_max_depth"]
     assert dive["limit_before"] == cfg["q_init"]
     sched = tree.policy
-    assert sched.epsilon == cfg["epsilon"]
-    assert sched.beta == cfg["beta"]
-    assert (sched.cfg.lam_sol, sched.cfg.lam_gap, sched.cfg.lam_eff, sched.cfg.lam_conf) == (
-        cfg["lambda_sol"], cfg["lambda_gap"], cfg["lambda_eff"], cfg["lambda_conf"])
+    assert sched.settings.epsilon == cfg["epsilon"]
+    for rec in res.scheduler_log:  # each reward weighs its parts by the given lambdas
+        assert rec["r_total"] == (cfg["lambda_sol"] * rec["r_sol"]
+                                  + cfg["lambda_gap"] * rec["r_gap"]
+                                  + cfg["lambda_eff"] * rec["r_eff"]
+                                  + cfg["lambda_conf"] * rec["r_conf"])
+    failed = [rec for rec in res.scheduler_log
+              if not rec["warmstart"] and not rec["found_incumbent"]]
+    assert any(compute_skip_count(rec["n_fail"], cfg["beta"])
+               != compute_skip_count(rec["n_fail"], SolverSettings().beta) for rec in failed)
+    for rec in failed:  # each failure opens the skip window the given beta sets
+        assert rec["skip_remaining"] == compute_skip_count(rec["n_fail"], cfg["beta"])
     assert res.stats.per_heuristic is sched.arms  # the reported limits are the scheduler's
     for h, arm in sched.arms.items():
         assert arm.limit.budget == (cfg["lns_node_budget"] if h in LNS_KINDS

@@ -18,6 +18,7 @@ from banditmip.heuristics import (
     WorkingLimit,
     _open_fractional,
     adapt_limit,
+    lock_round,
     portfolio_limits,
     run_diving,
     run_lns,
@@ -236,6 +237,18 @@ def test_vectorized_rounding_matches_loop():
                            update_incumbent=lambda cand, src: seen.append(cand.copy()))
     run_rounding(lp, tree)
     assert np.array_equal(seen[0], _rounding_loop(x, model, locks, 1e-6))
+
+
+def test_lock_round_is_the_scalar_rule_on_numbers_and_arrays():
+    rng = np.random.default_rng(11)
+    v = rng.integers(-4, 5, size=500) + rng.choice([0.5, 0.3, 0.7, 0.0, 1e-7], size=500)
+    down, up = rng.integers(0, 3, size=500), rng.integers(0, 3, size=500)
+    want = [math.floor(a) if d < u else math.ceil(a) if u < d else _round_nearest(a)
+            for a, d, u in zip(v, down, up)]
+    assert np.array_equal(lock_round(v, down, up), want)
+    assert [float(lock_round(a, d, u)) for a, d, u in zip(v, down, up)] == want
+    assert lock_round(2.5, 1, 1) == 2.0 and lock_round(2.5, 0, 1) == 2.0
+    assert lock_round(2.5, 1, 0) == 3.0
 
 
 def _locks_loop(model):

@@ -128,6 +128,58 @@ ENDATA
     assert model.lower[3] == -np.inf and model.upper[3] == np.inf
 
 
+def _is_binary_rule(model, j):
+    """The per-column rule the ``binary`` mask replaced, kept as its reference."""
+    return bool(j in set(model.integers.tolist())
+                and model.lower[j] >= -banditmip.model.DEFAULT_INT_TOL
+                and model.upper[j] <= 1.0 + banditmip.model.DEFAULT_INT_TOL)
+
+
+BINARY_MIX_MPS = """\
+NAME BINMIX
+ROWS
+ N OBJ
+ G R0
+COLUMNS
+ M0 'MARKER' 'INTORG'
+ B OBJ 1.0 R0 1.0
+ G OBJ 1.0 R0 1.0
+ N OBJ 1.0 R0 1.0
+ T OBJ 1.0 R0 1.0
+ F OBJ 1.0 R0 1.0
+ P OBJ 1.0 R0 1.0
+ M1 'MARKER' 'INTEND'
+ C OBJ 1.0 R0 1.0
+ D OBJ 1.0 R0 1.0
+RHS
+ RHS R0 1.0
+BOUNDS
+ UP BND B 1.0
+ UP BND G 5.0
+ LO BND N -1.0
+ UP BND N 1.0
+ LO BND T -1e-7
+ UP BND T 1.0000001
+ FX BND F 1.0
+ UP BND P 1.1
+ UP BND C 1.0
+ LO BND D -3.0
+ UP BND D 0.5
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("family", ["knapsack", "set_cover", "gap"])
+def test_binary_mask_matches_the_per_column_rule(family):
+    for model in (generate_instance(family, (30, 6), 3), parse_mps(BINARY_MIX_MPS)):
+        want = [_is_binary_rule(model, j) for j in range(model.n)]
+        assert model.binary.dtype == bool and model.binary.tolist() == want
+    # binaries B, T (within DEFAULT_INT_TOL) and F; G and P reach past 1, N below 0, C and D
+    # are continuous
+    assert parse_mps(BINARY_MIX_MPS).binary.tolist() == [True, False, False, True, True,
+                                                         False, False, False]
+
+
 def test_parse_objsense_max_negates():
     text = """\
 NAME MAXI

@@ -9,13 +9,9 @@ from banditmip.bnb import SolverSettings
 from banditmip.heuristics import DEFAULT_ORDER, HeurOutcome, portfolio_limits
 from banditmip.scheduler import (
     ArmRecord,
-    NoApplicableHeuristic,
     Policy,
-    RewardConfig,
     RewardContext,
     Scheduler,
-    bandit_select,
-    bandit_update,
     compute_reward,
     compute_skip_count,
     epsilon_t,
@@ -35,9 +31,14 @@ def _bandit(arms=None, epsilon=SETTINGS.epsilon, mode=SETTINGS.bandit_mode,
     settings = replace(SETTINGS, epsilon=epsilon, bandit_mode=mode, recency_alpha=alpha)
     sched = Scheduler(settings, np.random.default_rng(0))
     if arms is not None:
-        sched.prior = 1.0 / len(arms)
-        sched.arms = {h: ArmRecord(LIMITS["rens"], sched.prior) for h in arms}
+        sched.arms = {h: ArmRecord(LIMITS["rens"], 1.0 / len(arms)) for h in arms}
     return sched
+
+
+def _draw(sched, cands, rng):
+    """One bandit draw of ``sched`` over ``cands`` with the given generator."""
+    sched.rng = rng
+    return sched.draw(cands)
 
 
 def _set_weights(sched, weights):
@@ -48,16 +49,11 @@ def _set_weights(sched, weights):
 def _pull(sched, h, reward):
     """Charge one pull of h with the given reward, as ``Scheduler.record`` charges it."""
     Policy.record(sched, h, _outcome(h), None)  # the tally both policies share
-    bandit_update(sched, h, reward)
+    sched.update(h, reward)
 
 
 def _pulls(sched):
     return {h: arm.pulls for h, arm in sched.arms.items()}
-
-
-def _cfg(v_max=0):
-    return RewardConfig(SETTINGS.lambda_sol, SETTINGS.lambda_gap, SETTINGS.lambda_eff,
-                        SETTINGS.lambda_conf, v_max)
 
 
 def _sched(rng=None):
@@ -110,23 +106,23 @@ def test_skip_count_saturates_instead_of_overflowing():
     h = sched.select(ALL)
     sched.record(h, _outcome(h), _ctx())
     assert sched.n_fail == 1 and sched.skip_remaining == sys.maxsize
-    assert not sched.should_run()
+    assert sched.picks(0, ALL) == []
 
 
-def test_should_run_counts_down_pending_skips():
+def test_picks_count_down_pending_skips():
     sched = _sched()
     _drain_warmstart(sched)
     sched.skip_remaining = 2
-    assert not sched.should_run()
-    assert not sched.should_run()
-    assert sched.should_run()
+    assert sched.picks(0, ALL) == []
+    assert sched.picks(0, ALL) == []
+    assert sched.picks(0, ALL) != []
 
 
 def test_skips_disabled_during_warmstart():
     sched = _sched()
     sched.skip_remaining = 5
     assert sched.warmstart_queue
-    assert sched.should_run()
+    assert sched.picks(0, ALL) != []
     assert sched.skip_remaining == 5  # untouched while warmstart is pending
 
 
@@ -134,8 +130,7 @@ def test_three_failures_yield_no_skip_yet():
     sched = _sched()
     _drain_warmstart(sched)
     for _ in range(3):
-        assert sched.should_run()
-        h = sched.select(ALL)
+        [h] = sched.picks(0, ALL)
         sched.record(h, _outcome(h), _ctx())
     assert sched.n_fail == 3
     assert sched.skip_remaining == 0  # floor(e^0.3) - 1
@@ -147,13 +142,14 @@ def test_skipped_invocations_match_skip_count_exactly():
     skipped_since_exec = 0
     expected_next = 0
     for _ in range(600):
-        if not sched.should_run():
+        picked = sched.picks(0, ALL)
+        if not picked:
             skipped_since_exec += 1
             continue
         assert skipped_since_exec == expected_next
-        h = sched.select(ALL)
+        [h] = picked
         sched.record(h, _outcome(h), _ctx())  # always fail
-        expected_next = compute_skip_count(sched.n_fail, sched.beta)
+        expected_next = compute_skip_count(sched.n_fail, BETA)
         skipped_since_exec = 0
 
 
@@ -161,14 +157,13 @@ def test_success_resets_fail_streak():
     sched = _sched()
     _drain_warmstart(sched)
     for _ in range(30):
-        if not sched.should_run():
-            continue
-        h = sched.select(ALL)
-        sched.record(h, _outcome(h), _ctx())
+        for h in sched.picks(0, ALL):
+            sched.record(h, _outcome(h), _ctx())
     assert sched.n_fail > 0
-    while not sched.should_run():
-        pass
-    h = sched.select(ALL)
+    picked = []
+    while not picked:
+        picked = sched.picks(0, ALL)
+    [h] = picked
     sched.record(h, _outcome(h, found=True), _ctx(found=True, first=True))
     assert sched.n_fail == 0
 
@@ -232,7 +227,7 @@ def test_exploit_branch_takes_argmax():
     bandit = _bandit()
     bandit.t = 5  # next iteration is t = 6 = |H|, so eps_t = 0.7
     _set_weights(bandit, dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4])))
-    pick = bandit_select(bandit, ALL, FakeRng(randoms=[0.9]))
+    pick = _draw(bandit, ALL, FakeRng(randoms=[0.9]))
     assert pick == "rins"
 
 
@@ -240,7 +235,7 @@ def test_exploit_tie_breaks_by_default_rank():
     bandit = _bandit()
     bandit.t = 5
     _set_weights(bandit, {h: 0.5 for h in DEFAULT_ORDER})
-    pick = bandit_select(bandit, ALL, FakeRng(randoms=[0.99]))
+    pick = _draw(bandit, ALL, FakeRng(randoms=[0.99]))
     assert pick == "rens"
 
 
@@ -249,21 +244,20 @@ def test_weighted_draw_distribution_scripted():
     bandit = _bandit(arms)
     _set_weights(bandit, {"a": 0.4, "b": 0.1, "c": 0.0})
     # rho below eps forces a draw; second value lands in an arm's weight slice
-    assert bandit_select(bandit, set(arms), FakeRng(randoms=[0.0, 0.79])) == "a"
-    assert bandit_select(bandit, set(arms), FakeRng(randoms=[0.0, 0.81])) == "b"
-    assert bandit_select(bandit, set(arms), FakeRng(randoms=[0.0, 0.999])) == "b"
+    assert _draw(bandit, set(arms), FakeRng(randoms=[0.0, 0.79])) == "a"
+    assert _draw(bandit, set(arms), FakeRng(randoms=[0.0, 0.81])) == "b"
+    assert _draw(bandit, set(arms), FakeRng(randoms=[0.0, 0.999])) == "b"
 
 
 def test_weighted_draw_distribution_statistical():
     arms = ("a", "b", "c")
-    bandit = _bandit(arms)
+    bandit = _bandit(arms, epsilon=100.0)  # always draw from the weight distribution
     _set_weights(bandit, {"a": 0.4, "b": 0.1, "c": 0.0})
-    bandit.epsilon = 100.0  # always draw from the weight distribution
     rng = np.random.default_rng(5)
     counts = {h: 0 for h in arms}
     n = 20_000
     for _ in range(n):
-        counts[bandit_select(bandit, set(arms), rng)] += 1
+        counts[_draw(bandit, set(arms), rng)] += 1
     assert counts["a"] / n == pytest.approx(0.8, abs=0.02)
     assert counts["b"] / n == pytest.approx(0.2, abs=0.02)
     assert counts["c"] == 0
@@ -273,7 +267,7 @@ def test_zero_weights_fall_back_to_uniform():
     arms = ("a", "b", "c")
     bandit = _bandit(arms)
     _set_weights(bandit, {h: 0.0 for h in arms})
-    pick = bandit_select(bandit, set(arms), FakeRng(randoms=[0.0], ints=[2]))
+    pick = _draw(bandit, set(arms), FakeRng(randoms=[0.0], ints=[2]))
     assert pick == "c"
 
 
@@ -282,7 +276,7 @@ def test_greedy_consistency_with_eps_zero():
     bandit.t = 100
     _set_weights(bandit, dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4])))
     rng = np.random.default_rng(0)
-    picks = {bandit_select(bandit, ALL, rng) for _ in range(50)}
+    picks = {_draw(bandit, ALL, rng) for _ in range(50)}
     assert picks == {"rins"}
 
 
@@ -293,16 +287,19 @@ def test_scaling_weights_changes_nothing():
     scaled = _bandit()
     scaled.t = 10
     _set_weights(scaled, {h: 5.0 * arm.weight for h, arm in base.arms.items()})
-    seq_a = [bandit_select(base, ALL, np.random.default_rng(7)) for _ in range(200)]
+    seq_a = [_draw(base, ALL, np.random.default_rng(7)) for _ in range(200)]
     # a fresh generator with the same seed replays the identical draw sequence
-    seq_b = [bandit_select(scaled, ALL, np.random.default_rng(7)) for _ in range(200)]
+    seq_b = [_draw(scaled, ALL, np.random.default_rng(7)) for _ in range(200)]
     assert seq_a == seq_b
 
 
-def test_no_applicable_heuristic_raises():
+def test_no_candidate_selects_none():
     bandit = _bandit()
-    with pytest.raises(NoApplicableHeuristic):
-        bandit_select(bandit, set(), FakeRng(randoms=[0.5]))
+    bandit.rng = FakeRng(randoms=[0.5])
+    assert bandit.select(set()) is None  # warmstart pending, no arm pulled yet
+    bandit.warmstart_queue.clear()
+    assert bandit.select(set()) is None  # the bandit's turn
+    assert bandit.picks(0, set()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +361,7 @@ def test_recency_mode_blends_exponentially():
 
 def test_reward_first_incumbent_example():
     out = _outcome("frac_dive", found=True, nodes=100)
-    bd = compute_reward(out, _ctx(found=True, first=True, obj_lp=0.0), _cfg(), 400)
+    bd = compute_reward(out, _ctx(found=True, first=True, obj_lp=0.0), SETTINGS, 0, 400)
     assert bd.r_sol == 1.0 and bd.r_gap == 1.0
     assert bd.r_eff == pytest.approx(0.75)
     assert bd.r_conf == 0.0
@@ -373,7 +370,7 @@ def test_reward_first_incumbent_example():
 
 def test_reward_failure_with_max_conflicts():
     out = _outcome("frac_dive", nodes=100, conflicts=3)
-    bd = compute_reward(out, _ctx(), _cfg(v_max=3), 100)
+    bd = compute_reward(out, _ctx(), SETTINGS, 3, 100)
     assert bd.r_sol == 0.0 and bd.r_gap == 0.0 and bd.r_eff == 0.0
     assert bd.r_conf == 1.0
     assert bd.r_total == pytest.approx(0.2)
@@ -382,7 +379,7 @@ def test_reward_failure_with_max_conflicts():
 def test_reward_gap_ratio():
     out = _outcome("frac_dive", found=True, nodes=100)
     bd = compute_reward(
-        out, _ctx(found=True, obj_old=10.0, obj_new=8.0, obj_lp=6.0), _cfg(), 100
+        out, _ctx(found=True, obj_old=10.0, obj_new=8.0, obj_lp=6.0), SETTINGS, 0, 100
     )
     assert bd.r_gap == pytest.approx(0.5)
     assert bd.r_total == pytest.approx(0.3 + 0.15 + 0.0 + 0.0)
@@ -391,28 +388,33 @@ def test_reward_gap_ratio():
 def test_reward_gap_degenerate_denominator():
     out = _outcome("rens", found=True, nodes=0)
     bd = compute_reward(
-        out, _ctx(found=True, obj_old=5.0, obj_new=4.0, obj_lp=5.0), _cfg(),
+        out, _ctx(found=True, obj_old=5.0, obj_new=4.0, obj_lp=5.0), SETTINGS, 0,
         LIMITS["rens"].budget,
     )
     assert bd.r_gap == 1.0
 
 
 def test_first_conflict_rewarded_zero_then_normalized():
-    cfg = _cfg()
-    budget = LIMITS["frac_dive"].budget
-    out = _outcome("frac_dive", conflicts=5)
-    bd1 = compute_reward(out, _ctx(), cfg, budget)
-    assert bd1.r_conf == 0.0  # v_max counts strictly past calls
-    assert cfg.v_max == 5
-    bd2 = compute_reward(_outcome("frac_dive", conflicts=5), _ctx(), cfg, budget)
-    assert bd2.r_conf == 1.0
-    bd3 = compute_reward(_outcome("frac_dive", conflicts=2), _ctx(), cfg, budget)
-    assert bd3.r_conf == pytest.approx(0.4)
+    sched = _sched()  # the scheduler keeps v_max across the calls it records
+
+    def charge(conflicts):
+        sched.record("frac_dive", _outcome("frac_dive", conflicts=conflicts), _ctx())
+        rec = sched.reward_log[-1]
+        assert rec["n_max"] == LIMITS["frac_dive"].budget
+        return rec
+
+    bd1 = charge(5)
+    assert bd1["r_conf"] == 0.0  # v_max counts strictly past calls
+    assert sched.v_max == 5
+    bd2 = charge(5)
+    assert bd2["r_conf"] == 1.0
+    bd3 = charge(2)
+    assert bd3["r_conf"] == pytest.approx(0.4)
 
 
 def test_reward_fuzz_stays_in_unit_interval():
     rng = np.random.default_rng(17)
-    cfg = _cfg()
+    v_max = 0
     for _ in range(20_000):
         h = DEFAULT_ORDER[int(rng.integers(6))]
         found = bool(rng.random() < 0.3)
@@ -432,7 +434,8 @@ def test_reward_fuzz_stays_in_unit_interval():
                        obj_new=None if first else obj_new, obj_lp=obj_lp)
         else:
             ctx = _ctx()
-        bd = compute_reward(out, ctx, cfg, LIMITS[h].budget)
+        bd = compute_reward(out, ctx, SETTINGS, v_max, LIMITS[h].budget)
+        v_max = max(v_max, out.conflicts_found)  # as Scheduler.record keeps it
         for v in (bd.r_sol, bd.r_gap, bd.r_eff, bd.r_conf, bd.r_total):
             assert -1e-12 <= v <= 1.0 + 1e-12
 
@@ -450,7 +453,7 @@ def test_bandit_prefers_better_arm_quickly():
         for h in DEFAULT_ORDER:  # warmstart: one observation per arm
             _pull(bandit, h, float(rng.random() < means[h]))
         for _ in range(10_000 - 6):
-            h = bandit_select(bandit, ALL, rng)
+            h = _draw(bandit, ALL, rng)
             _pull(bandit, h, float(rng.random() < means[h]))
         pulls = _pulls(bandit)
         if max(pulls, key=pulls.get) == "rand_dive":
