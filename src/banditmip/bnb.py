@@ -145,7 +145,7 @@ class SolverSettings:
     """
 
     # "default" is the static depth-modulo baseline schedule
-    mode: str = _setting("scheduler", choices=("scheduler", "default"))
+    mode: str = _setting("scheduler", choices=("default", "scheduler"))
     seed: int = 0  # any integer: the RNG streams take it mod 2**32
     node_limit: Optional[int] = _setting(None, ge=0)  # None: no node limit
     time_limit_s: Optional[float] = _setting(60.0, ge=0)  # desk-scale default; None disables

@@ -2,8 +2,8 @@
 
 ``solve`` runs one instance and can dump a JSONL log with one record per
 scheduler call plus a final run-stats record.  ``bench`` runs the cross
-product of a manifest's instances, a seed list and both modes into a CSV
-with a stable column schema.  ``summarize`` aggregates such a CSV with
+product of a manifest's instances, a seed list and every declared mode into a
+CSV with a stable column schema.  ``summarize`` aggregates such a CSV with
 shifted geometric means into a comparison table (overall, time brackets and
 the subset solved to optimality everywhere).
 """
@@ -17,8 +17,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 from .bnb import SETTING_SPECS, SolverSettings, solve
 from .heuristics import DEFAULT_ORDER
@@ -26,6 +25,11 @@ from .model import load_instance
 
 TIME_SHIFT = 1.0
 NODE_SHIFT = 100.0
+# the modes bench runs and summarize compares; the first is the one the ratios are over
+MODES = SETTING_SPECS["mode"].choices
+# (CSV column, summary key, geomean shift): the cells summarize checks and aggregates
+AGGREGATED = (("time_s", "time", TIME_SHIFT), ("nodes", "nodes", NODE_SHIFT),
+              ("heurtime_s", "heurtime", TIME_SHIFT))
 
 
 class EmptyInput(ValueError):
@@ -59,8 +63,6 @@ CSV_COLUMNS = [
     for h in DEFAULT_ORDER
     for suffix in ("pulls", "successes", "mean_reward", "final_limit")
 ]
-
-TIME_COLUMNS = ("time_s", "heurtime_s")
 
 
 def run_single(uri: str, settings: SolverSettings) -> tuple:
@@ -101,14 +103,14 @@ def error_row(uri: str, seed: int, mode: str) -> dict:
     return row
 
 
-def bench_rows(uris, seeds, base: SolverSettings, modes=("default", "scheduler")):
-    """Cross product of instances x seeds x modes; failures become error rows.
+def bench_rows(uris, seeds, base: SolverSettings):
+    """Cross product of instances x seeds x ``MODES``; failures become error rows.
 
     Each failure also prints its URI, seed, mode and exception to stderr.
     """
     for uri in uris:
         for seed in seeds:
-            for mode in modes:
+            for mode in MODES:
                 settings = dataclasses.replace(base, seed=seed, mode=mode)
                 try:
                     row, _ = run_single(uri, settings)
@@ -133,29 +135,33 @@ def write_csv(rows, fh):
 
 @dataclass
 class SummaryRow:
+    """One subset of the table: ``per_mode`` holds each mode's solved count and ``AGGREGATED``
+    geomeans (``None`` on an empty subset), ``relative`` each later mode's geomeans over the
+    first mode's (``None`` where that one is 0 or missing)."""
+
     label: str
     count: int
-    solved_default: int = 0
-    time_default: Optional[float] = None
-    nodes_default: Optional[float] = None
-    solved_scheduler: int = 0
-    time_scheduler: Optional[float] = None
-    nodes_scheduler: Optional[float] = None
-    rel_time: Optional[float] = None
-    rel_nodes: Optional[float] = None
-    rel_heurtime: Optional[float] = None
+    per_mode: dict = field(default_factory=dict)
+    relative: dict = field(default_factory=dict)
 
 
 def _read_runs(fh):
+    """(instance, seed) -> {mode: row} for the pairs with a row in every mode; error rows
+    are left out, and a run that appears twice is an error."""
     reader = csv.DictReader(fh)
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
     if missing:
         raise SchemaMismatch(f"stats CSV lacks columns: {missing}")
-    pairs = {}
+    pairs, lines = {}, {}
     for row in reader:
+        run = (row["instance"], row["seed"], row["mode"])
+        if run in lines:
+            raise SchemaMismatch(f"stats CSV line {reader.line_num}: instance {run[0]!r} "
+                                 f"seed {run[1]!r} mode {run[2]!r} repeats line {lines[run]}")
+        lines[run] = reader.line_num
         if row["status"] == "error":
             continue
-        for col in ("time_s", "nodes", "heurtime_s"):  # the columns summarize aggregates
+        for col, _, _ in AGGREGATED:
             try:
                 usable = 0 <= float(row[col]) < math.inf  # NaN fails this too
             except (TypeError, ValueError):
@@ -163,43 +169,21 @@ def _read_runs(fh):
             if not usable:
                 raise SchemaMismatch(f"stats CSV line {reader.line_num}: column {col!r} "
                                      f"holds {row[col]!r}, not a finite number >= 0")
-        key = (row["instance"], row["seed"])
-        pairs.setdefault(key, {})[row["mode"]] = row
-    return {k: v for k, v in pairs.items()
-            if "default" in v and "scheduler" in v}
+        pairs.setdefault(run[:2], {})[row["mode"]] = row
+    return {k: v for k, v in pairs.items() if all(m in v for m in MODES)}
 
 
 def _aggregate(label, pairs) -> SummaryRow:
     out = SummaryRow(label=label, count=len(pairs))
-    if not pairs:
-        return out
-    per_mode = {}
-    for mode in ("default", "scheduler"):
-        rows = [v[mode] for v in pairs.values()]
-        solved = sum(1 for r in rows if r["status"] == "optimal")
-        times = [float(r["time_s"]) for r in rows]
-        nodes = [float(r["nodes"]) for r in rows]
-        heurtimes = [float(r["heurtime_s"]) for r in rows]
-        per_mode[mode] = {
-            "solved": solved,
-            "time": shifted_geomean(times, TIME_SHIFT),
-            "nodes": shifted_geomean(nodes, NODE_SHIFT),
-            "heurtime": shifted_geomean(heurtimes, TIME_SHIFT),
-        }
-    out.solved_default = per_mode["default"]["solved"]
-    out.time_default = per_mode["default"]["time"]
-    out.nodes_default = per_mode["default"]["nodes"]
-    out.solved_scheduler = per_mode["scheduler"]["solved"]
-    out.time_scheduler = per_mode["scheduler"]["time"]
-    out.nodes_scheduler = per_mode["scheduler"]["nodes"]
-
-    def ratio(a, b):
-        return a / b if b else None
-
-    out.rel_time = ratio(per_mode["scheduler"]["time"], per_mode["default"]["time"])
-    out.rel_nodes = ratio(per_mode["scheduler"]["nodes"], per_mode["default"]["nodes"])
-    out.rel_heurtime = ratio(per_mode["scheduler"]["heurtime"],
-                             per_mode["default"]["heurtime"])
+    for mode in MODES:
+        runs = [v[mode] for v in pairs.values()]
+        stats = out.per_mode[mode] = {"solved": sum(r["status"] == "optimal" for r in runs)}
+        for col, key, shift in AGGREGATED:
+            stats[key] = shifted_geomean([float(r[col]) for r in runs], shift) if runs else None
+    first = out.per_mode[MODES[0]]
+    for mode in MODES[1:]:
+        out.relative[mode] = {key: out.per_mode[mode][key] / first[key] if first[key] else None
+                              for _, key, _ in AGGREGATED}
     return out
 
 
@@ -208,44 +192,41 @@ def summarize_runs(fh, brackets=(), time_limit: float = 60.0):
     pairs = _read_runs(fh)
     rows = [_aggregate("all", pairs)]
     for t in brackets:
-        subset = {
-            k: v for k, v in pairs.items()
-            if any(v[m]["status"] == "optimal" for m in ("default", "scheduler"))
-            and max(float(v[m]["time_s"]) for m in ("default", "scheduler")) >= t
-        }
+        subset = {k: v for k, v in pairs.items()
+                  if any(v[m]["status"] == "optimal" for m in MODES)
+                  and max(float(v[m]["time_s"]) for m in MODES) >= t}
         rows.append(_aggregate(f"[{t:g},{time_limit:g}]", subset))
     by_instance = {}
     for (inst, seed), v in pairs.items():
         by_instance.setdefault(inst, []).append(v)
-    all_opt = {
-        k: v for k, v in pairs.items()
-        if all(r[m]["status"] == "optimal"
-               for r in by_instance[k[0]] for m in ("default", "scheduler"))
-    }
+    all_opt = {k: v for k, v in pairs.items()
+               if all(r[m]["status"] == "optimal" for r in by_instance[k[0]] for m in MODES)}
     rows.append(_aggregate("all-optimal", all_opt))
     return rows
 
 
 def format_summary(rows) -> str:
+    """Each mode's block of solved count and time and node geomeans; after each later
+    mode, its block of time, node and heuristic-time ratios over the first mode."""
     def fmt(v, nd=2):
         return "-" if v is None else f"{v:.{nd}f}"
 
-    header = (
-        f"{'subset':<14}{'n':>5} | {'solved':>6}{'time':>9}{'nodes':>9} | "
-        f"{'solved':>6}{'time':>9}{'nodes':>9} | {'time':>6}{'nodes':>6}{'heurt':>6}"
-    )
-    lines = [
-        f"{'':<14}{'':>5} | {'default':>24} | {'scheduler':>24} | {'relative':>18}",
-        header,
-        "-" * len(header),
-    ]
+    title, header = [f"{'':<14}{'':>5}"], [f"{'subset':<14}{'n':>5}"]
+    for mode in MODES:
+        title.append(f"{mode:>24}")
+        header.append(f"{'solved':>6}{'time':>9}{'nodes':>9}")
+        if mode != MODES[0]:
+            title.append(f"{'relative':>18}")
+            header.append(f"{'time':>6}{'nodes':>6}{'heurt':>6}")
+    lines = [" | ".join(title), " | ".join(header), "-" * len(" | ".join(header))]
     for r in rows:
-        lines.append(
-            f"{r.label:<14}{r.count:>5} | "
-            f"{r.solved_default:>6}{fmt(r.time_default):>9}{fmt(r.nodes_default, 1):>9} | "
-            f"{r.solved_scheduler:>6}{fmt(r.time_scheduler):>9}{fmt(r.nodes_scheduler, 1):>9} | "
-            f"{fmt(r.rel_time):>6}{fmt(r.rel_nodes):>6}{fmt(r.rel_heurtime):>6}"
-        )
+        cells = [f"{r.label:<14}{r.count:>5}"]
+        for mode, s in r.per_mode.items():
+            cells.append(f"{s['solved']:>6}{fmt(s['time']):>9}{fmt(s['nodes'], 1):>9}")
+            if mode in r.relative:
+                q = r.relative[mode]
+                cells.append(f"{fmt(q['time']):>6}{fmt(q['nodes']):>6}{fmt(q['heurtime']):>6}")
+        lines.append(" | ".join(cells))
     return "\n".join(lines)
 
 
@@ -324,25 +305,21 @@ def _settings_from_args(args) -> SolverSettings:
 
 
 def cmd_solve(args) -> int:
-    try:
-        settings = _settings_from_args(args)
-        # opened before the solve, so that an unusable path fails before the work
-        with open(args.log, "w") if args.log else contextlib.nullcontext() as log:
-            row, result = run_single(args.instance, settings)
-            if log:
-                for rec in result.scheduler_log:
-                    log.write(json.dumps({"type": "call", **rec}, sort_keys=True) + "\n")
-                log.write(json.dumps(
-                    {"type": "run_stats", **row,
-                     "max_row_residual": repr(float(result.stats.max_row_residual)),
-                     "searched_rows": str(result.stats.searched_rows),
-                     "tightened_bounds": str(result.stats.tightened_bounds),
-                     "reduced_cost_fixings": str(result.stats.reduced_cost_fixings)},
-                    sort_keys=True,
-                ) + "\n")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    settings = _settings_from_args(args)
+    # opened before the solve, so that an unusable path fails before the work
+    with open(args.log, "w") if args.log else contextlib.nullcontext() as log:
+        row, result = run_single(args.instance, settings)
+        if log:
+            for rec in result.scheduler_log:
+                log.write(json.dumps({"type": "call", **rec}, sort_keys=True) + "\n")
+            log.write(json.dumps(
+                {"type": "run_stats", **row,
+                 "max_row_residual": repr(float(result.stats.max_row_residual)),
+                 "searched_rows": str(result.stats.searched_rows),
+                 "tightened_bounds": str(result.stats.tightened_bounds),
+                 "reduced_cost_fixings": str(result.stats.reduced_cost_fixings)},
+                sort_keys=True,
+            ) + "\n")
     obj = f"{float(row['objective']):.6g}" if row["objective"] else "-"
     print(f"{args.instance}: status={row['status']} objective={obj} "
           f"nodes={row['nodes']} time={result.stats.time_s:.3f}s "
@@ -352,31 +329,28 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        with open(args.manifest) as fh:
-            uris = [line.strip() for line in fh
-                    if line.strip() and not line.strip().startswith("#")]
-        base = _settings_from_args(args)
-        seeds = _number_list(args.seeds, int, "--seeds") if args.seeds else [0]
-        with open(args.out, "w", newline="") as fh:
-            write_csv(bench_rows(uris, seeds, base), fh)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.manifest) as fh:
+        uris = [line.strip() for line in fh
+                if line.strip() and not line.strip().startswith("#")]
+    base = _settings_from_args(args)
+    seeds = _number_list(args.seeds, int, "--seeds") if args.seeds else [0]
+    with open(args.out, "w", newline="") as fh:
+        write_csv(bench_rows(uris, seeds, base), fh)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_summarize(args) -> int:
-    try:
-        brackets = _number_list(args.brackets, float, "--brackets") if args.brackets else []
-        with open(args.csv) as fh:
-            rows = summarize_runs(fh, brackets=brackets, time_limit=args.time_limit)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    brackets = _number_list(args.brackets, float, "--brackets") if args.brackets else []
+    if not all(0 <= t < math.inf for t in brackets):  # NaN fails this too
+        raise ValueError(f"--brackets: expected finite numbers >= 0, got {args.brackets!r}")
+    with open(args.csv) as fh:
+        rows = summarize_runs(fh, brackets=brackets, time_limit=args.time_limit)
     print(format_summary(rows))
     return 0
+
+
+COMMANDS = {"solve": cmd_solve, "bench": cmd_bench, "summarize": cmd_summarize}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,13 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve a single instance")
     ps.add_argument("instance", help="gen:... URI or MPS file path")
-    ps.add_argument("--mode", choices=SETTING_SPECS["mode"].choices, default=None)
+    ps.add_argument("--mode", choices=MODES, default=None)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--time-limit", type=float, default=None)
     ps.add_argument("--node-limit", type=int, default=None)
     ps.add_argument("--config", default=None)
     ps.add_argument("--log", default=None, help="JSONL call log output path")
-    ps.set_defaults(func=cmd_solve)
 
     pb = sub.add_parser("bench", help="run a manifest of instances")
     pb.add_argument("manifest", help="file with one instance URI per line")
@@ -403,20 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--time-limit", type=float, default=None)
     pb.add_argument("--node-limit", type=int, default=None)
     pb.add_argument("--config", default=None)
-    pb.set_defaults(func=cmd_bench)
 
     pm = sub.add_parser("summarize", help="aggregate a bench CSV")
     pm.add_argument("csv")
     pm.add_argument("--brackets", default="")
     pm.add_argument("--time-limit", type=float, default=60.0,
                     help="nominal per-run limit used in bracket labels")
-    pm.set_defaults(func=cmd_summarize)
     return p
 
 
 def main(argv=None) -> int:
+    """Run one command; an unusable input or path ends it with ``error: ...`` and status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -448,8 +448,8 @@ def test_summarize_identical_modes_relative_one():
     table = summarize_runs(io.StringIO(_csv_text(rows)))
     allrow = table[0]
     assert allrow.count == 3
-    assert allrow.rel_time == pytest.approx(1.0, abs=1e-9)
-    assert allrow.rel_nodes == pytest.approx(1.0, abs=1e-9)
+    assert allrow.relative["scheduler"]["time"] == pytest.approx(1.0, abs=1e-9)
+    assert allrow.relative["scheduler"]["nodes"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_summarize_relative_nodes_against_sgm_oracle():
@@ -460,7 +460,7 @@ def test_summarize_relative_nodes_against_sgm_oracle():
     table = summarize_runs(io.StringIO(_csv_text(rows)))
     want = (shifted_geomean([90.0, 180.0], 100.0)
             / shifted_geomean([100.0, 200.0], 100.0))
-    assert table[0].rel_nodes == pytest.approx(want, abs=1e-9)
+    assert table[0].relative["scheduler"]["nodes"] == pytest.approx(want, abs=1e-9)
 
 
 def test_summarize_bracket_above_all_times_is_empty():
@@ -470,7 +470,7 @@ def test_summarize_bracket_above_all_times_is_empty():
     table = summarize_runs(io.StringIO(_csv_text(rows)), brackets=[50.0])
     bracket = [r for r in table if r.label.startswith("[50")]
     assert len(bracket) == 1 and bracket[0].count == 0
-    assert bracket[0].time_default is None
+    assert bracket[0].per_mode["default"]["time"] is None
 
 
 def test_summarize_bracket_filters_by_max_time():
@@ -520,6 +520,25 @@ def test_summarize_names_a_negative_or_non_finite_cell(col, cell):
                               "not a finite number >= 0")
 
 
+@pytest.mark.parametrize("status", ["optimal", "error"])
+def test_summarize_names_a_repeated_run(status):
+    rows = [_row("a", 1, "default"), _row("a", 1, "scheduler"), _row("b", 1, "default"),
+            _row("b", 1, "scheduler"), _row("a", 1, "scheduler", status=status, time_s=9.0)]
+    with pytest.raises(SchemaMismatch) as err:
+        summarize_runs(io.StringIO(_csv_text(rows)))
+    assert str(err.value) == (
+        "stats CSV line 6: instance 'a' seed '1' mode 'scheduler' repeats line 3")
+
+
+def test_summarize_repeated_run_exits_with_error(tmp_path, capsys):
+    rows = [_row("a", 1, "default"), _row("a", 1, "scheduler"), _row("a", 1, "default")]
+    path = tmp_path / "runs.csv"
+    path.write_text(_csv_text(rows))
+    assert main(["summarize", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: stats CSV line 4: instance 'a' seed '1' mode 'default' repeats line 2\n")
+
+
 def test_summarize_non_numeric_cell_exits_with_error(tmp_path, capsys):
     rows = [_row("a", 1, "default"), _row("a", 1, "scheduler")]
     rows[0]["time_s"] = "abc"
@@ -535,6 +554,17 @@ def test_summarize_bad_brackets_exit_with_error(tmp_path, capsys):
     assert main(["summarize", str(path), "--brackets", "1,y"]) == 2
     assert capsys.readouterr().err == (
         "error: --brackets: expected comma-separated numbers, got '1,y'\n")
+
+
+@pytest.mark.parametrize("brackets", ["nan", "1,inf", "-1", "0.5,-0.1"])
+def test_summarize_brackets_must_be_finite_and_not_negative(tmp_path, capsys, brackets):
+    path = tmp_path / "runs.csv"
+    path.write_text(_csv_text([_row("a", 1, "default"), _row("a", 1, "scheduler")]))
+    assert main(["summarize", str(path), "--brackets", brackets]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --brackets: expected finite numbers >= 0, got {brackets!r}\n")
 
 
 def test_bench_bad_seeds_exit_with_error(tmp_path, capsys):
@@ -571,6 +601,34 @@ def test_format_summary_handles_empty_rows():
     table = summarize_runs(io.StringIO(_csv_text([])), brackets=[1.0])
     text = format_summary(table)
     assert "all-optimal" in text
+
+
+PINNED_TABLE = """\
+                    |                  default |                scheduler |           relative
+subset            n | solved     time    nodes | solved     time    nodes |   time nodes heurt
+----------------------------------------------------------------------------------------------
+all               3 |      2     1.15    122.4 |      3     0.99     80.2 |   0.86  0.66  0.90
+[0,60]            3 |      2     1.15    122.4 |      3     0.99     80.2 |   0.86  0.66  0.90
+[1.5,60]          1 |      0     3.00    400.0 |      1     2.00    200.0 |   0.67  0.50  0.50
+[100,60]          0 |      0        -        - |      0        -        - |      -     -     -
+all-optimal       1 |      1     0.25     10.0 |      1     0.75     30.0 |   3.00  3.00     -"""
+
+
+def test_format_summary_text_is_pinned():
+    """(b, 2) has an error row and drops out; the node limit on (a, 2) keeps instance a
+    out of all-optimal; the brackets select every pair, one pair and none."""
+    rows = [
+        _row("a", 1, "default", time_s=1.0, nodes=100, heurtime=0.1),
+        _row("a", 1, "scheduler", time_s=0.5, nodes=50, heurtime=0.2),
+        _row("a", 2, "default", status="node_limit", time_s=3.0, nodes=400, heurtime=0.5),
+        _row("a", 2, "scheduler", time_s=2.0, nodes=200, heurtime=0.25),
+        _row("b", 1, "default", time_s=0.25, nodes=10, heurtime=0.0),
+        _row("b", 1, "scheduler", time_s=0.75, nodes=30, heurtime=0.05),
+        _row("b", 2, "default", time_s=4.0, nodes=500, heurtime=1.0),
+        cli.error_row("b", 2, "scheduler"),
+    ]
+    table = summarize_runs(io.StringIO(_csv_text(rows)), brackets=[0.0, 1.5, 100.0])
+    assert format_summary(table) == PINNED_TABLE
 
 
 # ---------------------------------------------------------------------------

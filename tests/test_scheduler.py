@@ -287,10 +287,12 @@ def test_scaling_weights_changes_nothing():
     scaled = _bandit()
     scaled.t = 10
     _set_weights(scaled, {h: 5.0 * arm.weight for h, arm in base.arms.items()})
-    seq_a = [_draw(base, ALL, np.random.default_rng(7)) for _ in range(200)]
-    # a fresh generator with the same seed replays the identical draw sequence
-    seq_b = [_draw(scaled, ALL, np.random.default_rng(7)) for _ in range(200)]
+    base.rng, scaled.rng = np.random.default_rng(7), np.random.default_rng(7)
+    # one generator per sequence, advanced across its draws, so the sequences explore too
+    seq_a = [base.draw(ALL) for _ in range(200)]
+    seq_b = [scaled.draw(ALL) for _ in range(200)]
     assert seq_a == seq_b
+    assert len(set(seq_a)) > 1
 
 
 def test_no_candidate_selects_none():
