@@ -65,7 +65,6 @@ from .simplex import (
     SimplexContext,
 )
 from . import heuristics as heur
-from .heuristics import PORTFOLIO
 from .scheduler import Scheduler, StaticSchedule, run_scheduled_heuristics
 
 
@@ -234,6 +233,10 @@ class RunStats:
     searched_rows: int = 0
     tightened_bounds: int = 0
     reduced_cost_fixings: int = 0  # columns this tree fixed by reduced cost, sub-MIPs aside
+    # bases the LP layer inverted from scratch, and warm starts that reused a cached
+    # factor instead, sub-MIPs included
+    lp_inversions: int = 0
+    factor_reuses: int = 0
 
     @property
     def heuristic_calls(self) -> int:
@@ -312,18 +315,21 @@ class TreeSearch:
             own = time.perf_counter() + settings.time_limit_s
             self.deadline = own if deadline is None else min(deadline, own)
         self.stats = RunStats()
-        self.exec_rngs = {
-            s.id: np.random.default_rng(
-                np.random.SeedSequence([settings.seed % 2**32, 100 + s.rank])
-            )
-            for s in PORTFOLIO
-        }
+        self.exec_rngs = {}  # each heuristic's own generator, made on first use
         if settings.mode == "scheduler" and heur_layer == "auto":
             self.policy = Scheduler(settings, np.random.default_rng(
                 np.random.SeedSequence([settings.seed % 2**32, 7])))
         else:  # and every rounding-only sub-MIP tree, whatever its mode: frozen limits
             self.policy = StaticSchedule(settings)
         self.stats.per_heuristic = self.policy.arms
+
+    def exec_rng(self, h: str) -> np.random.Generator:
+        """Heuristic ``h``'s generator, seeded from the solver seed and its rank."""
+        rng = self.exec_rngs.get(h)
+        if rng is None:
+            rng = self.exec_rngs[h] = np.random.default_rng(np.random.SeedSequence(
+                [self.settings.seed % 2**32, 100 + heur.SPEC_BY_ID[h].rank]))
+        return rng
 
     # ------------------------------------------------------------------
     # incumbent and cutoff handling
@@ -430,6 +436,8 @@ class TreeSearch:
         )
         self.stats.max_row_residual = max(self.stats.max_row_residual,
                                           res.stats.max_row_residual)
+        self.stats.lp_inversions += res.stats.lp_inversions
+        self.stats.factor_reuses += res.stats.factor_reuses
         return res
 
     # ------------------------------------------------------------------
@@ -555,6 +563,8 @@ class TreeSearch:
         self.stats.time_s = time.perf_counter() - t0
         self.stats.max_row_residual = max(self.stats.max_row_residual,
                                           self.ctx.max_row_residual)
+        self.stats.lp_inversions += self.ctx.inversions
+        self.stats.factor_reuses += self.ctx.factor_reuses
         return SolveResult(
             status=status,
             incumbent=self.incumbent,

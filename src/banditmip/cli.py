@@ -316,6 +316,8 @@ def cmd_solve(args) -> int:
                 {"type": "run_stats", **row,
                  "max_row_residual": repr(float(result.stats.max_row_residual)),
                  "searched_rows": str(result.stats.searched_rows),
+                 "lp_inversions": str(result.stats.lp_inversions),
+                 "factor_reuses": str(result.stats.factor_reuses),
                  "tightened_bounds": str(result.stats.tightened_bounds),
                  "reduced_cost_fixings": str(result.stats.reduced_cost_fixings)},
                 sort_keys=True,
@@ -344,6 +346,11 @@ def cmd_summarize(args) -> int:
     brackets = _number_list(args.brackets, float, "--brackets") if args.brackets else []
     if not all(0 <= t < math.inf for t in brackets):  # NaN fails this too
         raise ValueError(f"--brackets: expected finite numbers >= 0, got {args.brackets!r}")
+    if not 0 < args.time_limit < math.inf:
+        raise ValueError(f"--time-limit: expected a finite number > 0, got {args.time_limit!r}")
+    if any(t >= args.time_limit for t in brackets):
+        raise ValueError(f"--brackets: each value must be below --time-limit "
+                         f"{args.time_limit:g}, got {args.brackets!r}")
     with open(args.csv) as fh:
         rows = summarize_runs(fh, brackets=brackets, time_limit=args.time_limit)
     print(format_summary(rows))

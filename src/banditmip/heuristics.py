@@ -4,13 +4,18 @@ Diving heuristics walk a single probing path of variable fixings, re-solving
 the LP only when the share of integer variables touched since the last solve
 exceeds the adaptive threshold ``q`` (with a forced checkpoint every
 ``ceil(1/q)`` fixings), backtracking once on infeasibility and recording a
-conflict when both directions die.  LNS heuristics fix ``ceil(f * |I|)``
-integer variables around a reference point and solve the restricted sub-MIP
-with a node budget and the incumbent as cutoff.  Both classes run under one
-:class:`WorkingLimit` type: its ``value`` is the fixing rate ``f`` of an LNS
-heuristic or the re-solve threshold ``q`` of a dive, and its ``budget`` is the
-sub-MIP node budget or the dive's maximum depth.  :func:`adapt_limit` adapts
-either multiplicatively after every call.
+conflict when both directions die.  A dive lists the open fractional integers
+of each LP point once, in the order it takes them (``frac_dive`` by
+fractionality, ``coef_dive`` by locks, ties by index), and each fixing takes
+its column off the list; the fixings before the next LP solve change no
+other bound and not the point, so the list is what a fresh scan would give
+(``rand_dive`` draws from it in index order).  LNS heuristics fix
+``ceil(f * |I|)`` integer variables around a reference point and solve the
+restricted sub-MIP with a node budget and the incumbent as cutoff.  Both
+classes run under one :class:`WorkingLimit` type: its ``value`` is the fixing
+rate ``f`` of an LNS heuristic or the re-solve threshold ``q`` of a dive, and
+its ``budget`` is the sub-MIP node budget or the dive's maximum depth.
+:func:`adapt_limit` adapts either multiplicatively after every call.
 
 Every heuristic reads the :class:`~banditmip.bnb.TreeSearch` it serves: its
 model, LP context, root bounds, locks, settings, deadline, incumbent and
@@ -182,6 +187,7 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
 
     x_ref = lp.x
     basis = lp.basis  # each LP starts from the basis of the dive's last optimal one
+    cands = None  # x_ref's open fractional integers, in the order the dive takes them
     steps = 0
     changed = 0  # fixings since the last LP solve
     last_fix = None  # (j, value, bounds before the fix, reference LP value)
@@ -195,24 +201,27 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
     while True:
         if tree.deadline is not None and time.perf_counter() > tree.deadline:
             return finish()
-        cands = _open_fractional(ints, x_ref, bounds, settings.int_tol)
+        if cands is None:  # a new LP point; each fixing below takes its column out
+            cands = _open_fractional(ints, x_ref, bounds, settings.int_tol)
+            if kind != "rand_dive":  # ties keep ascending index, as argmin's first would
+                key = (fractionality(x_ref[cands]) if kind == "frac_dive"
+                       else np.minimum(down_locks[cands], up_locks[cands]))
+                cands = [cands[k] for k in np.argsort(key, kind="stable")]
         must_solve = False
         if not cands:
             if changed == 0:
                 return finish()  # LP is fresh and nothing is left to fix
             must_solve = True  # confirm integrality on a fresh LP
         else:
-            # argmin takes the first of tied candidates, which ascend: the lowest index
-            if kind == "frac_dive":
-                j = cands[np.argmin(fractionality(x_ref[cands]))]
-                target = round_half_down(x_ref[j])
-            elif kind == "coef_dive":
-                j = cands[np.argmin(np.minimum(down_locks[cands], up_locks[cands]))]
-                target = lock_round(x_ref[j], down_locks[j], up_locks[j])
-            else:  # rand_dive
+            if kind == "rand_dive":
                 j = int(rng.choice(np.array(cands)))
+                cands.remove(j)
                 target = (math.floor(x_ref[j]) if rng.random() < 0.5
                           else math.ceil(x_ref[j]))
+            else:
+                j = cands.pop(0)
+                target = (round_half_down(x_ref[j]) if kind == "frac_dive"
+                          else lock_round(x_ref[j], down_locks[j], up_locks[j]))
             target = min(max(float(target), math.ceil(bounds.lower[j] - 1e-9)),
                          math.floor(bounds.upper[j] + 1e-9))
             prev = bounds
@@ -250,7 +259,7 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
             return finish()
         if not tree.beats_cutoff(res.objective):
             return finish()
-        x_ref, basis = res.x, res.basis
+        x_ref, basis, cands = res.x, res.basis, None
         changed = 0
         x = snap_integral(model, x_ref, settings.int_tol)
         if x is not None:

@@ -291,7 +291,7 @@ def run_scheduled_heuristics(tree: TreeSearch, node: Node, lp: LpResult) -> list
     for h in policy.picks(node.depth, applicable):
         inc_before = tree.incumbent
         try:
-            outcome = execute(h, lp, tree, node.bounds, policy.arms[h].limit, tree.exec_rngs[h])
+            outcome = execute(h, lp, tree, node.bounds, policy.arms[h].limit, tree.exec_rng(h))
         except NotApplicable:
             continue
         found = outcome.found_incumbent  # then the call installed the incumbent

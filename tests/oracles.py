@@ -3,7 +3,7 @@
 Everything here is written directly against the problem definitions, not
 against the package internals: brute-force enumeration for binary MIPs,
 exact rational vertex enumeration for small LPs, a line-by-line MPS reader,
-and a scripted RNG stub.
+a dive that rescans its candidates at every fixing, and a scripted RNG stub.
 """
 
 import itertools
@@ -226,6 +226,84 @@ class FakeRng:
 
     def choice(self, arr):
         return arr[self._ints.pop(0)]
+
+
+# ---------------------------------------------------------------------------
+# A dive that rescans its candidates at every fixing: the reference for run_diving
+# ---------------------------------------------------------------------------
+
+def run_diving_reference(kind, lp, tree, bounds, limit, rng):
+    """``run_diving``'s path, choosing each fixing by a fresh scan of the LP point.
+
+    Before every fixing the open fractional integers of the last LP point are
+    listed again, in index order, and the pick is the first with the least
+    fractionality (``frac_dive``) or the fewest locks (``coef_dive``), or a
+    ``rng.choice`` over the whole list (``rand_dive``).  Returns
+    (found, steps, conflicts).
+    """
+    def frac(v):
+        return min(v - math.floor(v), math.ceil(v) - v)
+
+    def nearest(v):  # the lower integer on a tie
+        return math.floor(v) if v - math.floor(v) <= math.ceil(v) - v else math.ceil(v)
+
+    model, settings = tree.model, tree.settings
+    ints = model.integers
+    down_locks, up_locks = tree.locks
+    q, force_every = limit.value, math.ceil(1.0 / limit.value)
+    x_ref, basis = lp.x, lp.basis
+    steps = changed = conflicts = 0
+    last_fix = None
+    while True:
+        cands = [int(j) for j in ints
+                 if bounds.upper[j] - bounds.lower[j] > 1e-9 and frac(x_ref[j]) > settings.int_tol]
+        if not cands:
+            if changed == 0:
+                return False, steps, conflicts
+        else:
+            if kind == "frac_dive":  # min() keeps the first of equal keys: the lowest index
+                j = min(cands, key=lambda k: frac(x_ref[k]))
+                target = nearest(x_ref[j])
+            elif kind == "coef_dive":
+                j = min(cands, key=lambda k: min(down_locks[k], up_locks[k]))
+                v, down, up = x_ref[j], down_locks[j], up_locks[j]
+                target = math.floor(v) if down < up else math.ceil(v) if up < down else nearest(v)
+            else:
+                j = int(rng.choice(np.array(cands)))
+                target = math.floor(x_ref[j]) if rng.random() < 0.5 else math.ceil(x_ref[j])
+            target = min(max(float(target), math.ceil(bounds.lower[j] - 1e-9)),
+                         math.floor(bounds.upper[j] + 1e-9))
+            prev, bounds = bounds, bounds.fixed(j, target)
+            last_fix = (j, target, prev, float(x_ref[j]))
+            steps += 1
+            changed += 1
+            if not (changed / len(ints) > q or changed >= force_every or steps >= limit.budget):
+                continue
+        res = tree.ctx.solve(bounds, iter_limit=settings.lp_iter_limit, basis=basis)
+        if res.status.value == "infeasible" and last_fix is not None:
+            j, tgt, prev, xj = last_fix
+            opp = math.ceil(xj) if tgt == math.floor(xj) else math.floor(xj)
+            retry = None
+            if prev.lower[j] - 1e-9 <= opp <= prev.upper[j] + 1e-9:
+                bounds = prev.fixed(j, float(opp))
+                retry = tree.ctx.solve(bounds, iter_limit=settings.lp_iter_limit, basis=basis)
+            if retry is None or retry.status.value == "infeasible":
+                if retry is not None and model.binary[j]:
+                    tree.record_conflict(prev, free=j)
+                return False, steps, 1
+            last_fix = (j, float(opp), prev, xj)
+            res = retry
+        if res.status.value != "optimal" or not tree.beats_cutoff(res.objective):
+            return False, steps, conflicts
+        x_ref, basis = res.x, res.basis
+        changed = 0
+        if all(frac(x_ref[j]) <= settings.int_tol for j in ints):
+            x = x_ref.copy()
+            for j in ints:
+                x[j] = nearest(x[j])
+            return bool(tree.update_incumbent(x, kind)), steps, conflicts
+        if steps >= limit.budget:
+            return False, steps, conflicts
 
 
 # ---------------------------------------------------------------------------

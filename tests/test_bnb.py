@@ -984,6 +984,24 @@ def test_max_row_residual_stays_within_lp_tolerance(family, size, seed, mode, no
     assert 0.0 <= res.stats.max_row_residual <= FEAS_TOL
 
 
+def test_inversions_and_factor_reuses_add_up_over_every_tree(monkeypatch):
+    """``RunStats`` counts the LP work of the top-level tree and of every LNS sub-MIP."""
+    contexts = []
+    init = bnb_mod.SimplexContext.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
+
+    monkeypatch.setattr(bnb_mod.SimplexContext, "__init__", recording)
+    res = solve(generate_instance("gap", (120, 6), 1),
+                SolverSettings(seed=1, node_limit=60, time_limit_s=None))
+    assert len(contexts) > 1  # sub-MIPs ran
+    assert res.stats.lp_inversions == sum(c.inversions for c in contexts)
+    assert res.stats.factor_reuses == sum(c.factor_reuses for c in contexts)
+    assert 0 < res.stats.factor_reuses < res.stats.lp_inversions
+
+
 @pytest.mark.parametrize("family, size, seed, node_limit", [
     ("gap", (120, 6), 1, 60),  # dense LPs, dives and sub-MIPs
     ("set_cover", (300, 280), 3, 40),  # the column store, past the root

@@ -128,6 +128,22 @@ def test_solve_log_reports_reduced_cost_fixings(tmp_path, uri, seed, nodes, fixe
     assert "reduced_cost_fixings" not in CSV_COLUMNS
 
 
+@pytest.mark.parametrize("args, reused", [
+    # both children of a node, and its first dive LP, start from one basis
+    (["gen:gap:n=300,m=10,seed=1", "--seed", "1", "--node-limit", "100"], True),
+    # a 225-row root on the column store, which caches no factor
+    (["gen:set_cover:n=800,m=400,seed=1", "--node-limit", "1"], False),
+])
+def test_solve_log_reports_inversions_and_factor_reuses(tmp_path, args, reused):
+    log = tmp_path / "log.jsonl"
+    assert main(["solve", *args, "--log", str(log)]) == 0
+    final = [json.loads(line) for line in log.read_text().splitlines()][-1]
+    assert final["type"] == "run_stats"
+    assert int(final["lp_inversions"]) > 0
+    assert (int(final["factor_reuses"]) > 0) is reused
+    assert not {"lp_inversions", "factor_reuses"} & set(CSV_COLUMNS)
+
+
 def _oracle_reward(rec):
     """Reward recomputed from raw call data, coded separately from the package."""
     r_sol = 1.0 if rec["found_incumbent"] else 0.0
@@ -565,6 +581,37 @@ def test_summarize_brackets_must_be_finite_and_not_negative(tmp_path, capsys, br
     assert captured.out == ""
     assert captured.err == (
         f"error: --brackets: expected finite numbers >= 0, got {brackets!r}\n")
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf", "-5", "0"])
+def test_summarize_time_limit_must_be_finite_and_positive(tmp_path, capsys, limit):
+    path = tmp_path / "runs.csv"
+    path.write_text(_csv_text([_row("a", 1, "default"), _row("a", 1, "scheduler")]))
+    assert main(["summarize", str(path), "--time-limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --time-limit: expected a finite number > 0, got {float(limit)!r}\n")
+
+
+@pytest.mark.parametrize("brackets", ["100", "1,60", "60.5"])
+def test_summarize_brackets_must_stay_below_the_time_limit(tmp_path, capsys, brackets):
+    """A bracket [t, limit] with t at or above the limit would print a reversed row."""
+    path = tmp_path / "runs.csv"
+    path.write_text(_csv_text([_row("a", 1, "default"), _row("a", 1, "scheduler")]))
+    assert main(["summarize", str(path), "--brackets", brackets, "--time-limit", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --brackets: each value must be below --time-limit 60, got {brackets!r}\n")
+
+
+def test_summarize_brackets_below_the_time_limit_print_their_rows(tmp_path, capsys):
+    path = tmp_path / "runs.csv"
+    path.write_text(_csv_text([_row("a", 1, "default"), _row("a", 1, "scheduler")]))
+    assert main(["summarize", str(path), "--brackets", "0,59.5", "--time-limit", "60"]) == 0
+    out = capsys.readouterr().out
+    assert "[0,60]" in out and "[59.5,60]" in out
 
 
 def test_bench_bad_seeds_exit_with_error(tmp_path, capsys):

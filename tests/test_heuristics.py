@@ -28,7 +28,7 @@ from banditmip.heuristics import (
 from banditmip.model import Assignment, evaluate_solution, generate_instance, snap_integral
 from banditmip.simplex import BoundState, LpResult, LpStatus, SimplexContext
 
-from oracles import brute_force_binary, model_from_dense
+from oracles import brute_force_binary, model_from_dense, run_diving_reference
 
 SETTINGS = SolverSettings()
 LIMITS = portfolio_limits(SETTINGS)
@@ -548,3 +548,31 @@ def test_portfolio_metadata():
     assert not by_id["rens"].requires_incumbent
     assert all(not by_id[k].requires_incumbent
                for k in ("frac_dive", "coef_dive", "rand_dive"))
+
+
+@pytest.mark.parametrize("kind", ["frac_dive", "coef_dive", "rand_dive"])
+def test_dive_fixings_match_a_per_step_rescan(kind, monkeypatch):
+    """A dive walks its candidates in one order per LP point; the reference rescans the
+    point before every fixing.  Both fix the same (j, value) sequence, retries included,
+    on seeded gap and knapsack models with several fixings between LP solves."""
+    fixings = []
+    fixed = BoundState.fixed
+    monkeypatch.setattr(BoundState, "fixed",
+                        lambda self, j, v: fixings.append((int(j), float(v))) or fixed(self, j, v))
+    models = [generate_instance("gap", (24, 4), 5), generate_instance("gap", (36, 6), 2),
+              generate_instance("knapsack", (60, 5), 1), generate_instance("knapsack", (80, 4), 3)]
+    total = batched = 0  # fixings, and dives that fixed more columns than they solved LPs
+    for model, seed in itertools.product(models, range(3)):
+        tree, lp, bounds = _root(model)
+        fixings.clear()
+        solve, lps = tree.ctx.solve, []
+        tree.ctx.solve = lambda *a, **k: lps.append(1) or solve(*a, **k)
+        out = run_diving(kind, lp, tree, bounds, DIVE, np.random.default_rng(seed))
+        got = (list(fixings), out.found_incumbent, out.nodes_used, out.conflicts_found)
+        tree, lp, bounds = _root(model)
+        fixings.clear()
+        ref = run_diving_reference(kind, lp, tree, bounds, DIVE, np.random.default_rng(seed))
+        assert got == (list(fixings), *ref), (kind, model.name, seed)
+        total += len(fixings)
+        batched += out.nodes_used > len(lps)
+    assert total > 100 and batched > 0

@@ -1446,3 +1446,101 @@ def test_crash_start_passes_the_shadow_check(family, shape, seed):
     for j in np.flatnonzero(res.x > 0.5)[:3]:
         pivots += ctx.solve(bounds.fixed(int(j), 0.0), basis=res.basis).iterations
     assert pivots > 0
+
+
+# ---------------------------------------------------------------------------
+# the factor cache: one inverse per start basis on the dense store
+# ---------------------------------------------------------------------------
+
+def _child_bounds(model, lp):
+    """Both children of each fractional integer of ``lp``: the boxes a branch and bound
+    re-solves from ``lp``'s basis."""
+    bounds = BoundState.from_model(model)
+    out = []
+    for j in np.flatnonzero(np.abs(lp.x - np.round(lp.x)) > 1e-6):
+        out += [bounds.tightened(int(j), hi=np.floor(lp.x[j])),
+                bounds.tightened(int(j), lo=np.ceil(lp.x[j]))]
+    return out
+
+
+def _same_bits(a, b):
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    assert np.float64(a.phase1_residual).tobytes() == np.float64(b.phase1_residual).tobytes()
+    for got, want in ((a.x, b.x), (a.reduced_costs, b.reduced_costs)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+    assert (a.basis is None) == (b.basis is None)
+    if a.basis is not None:
+        assert a.basis[0].tobytes() == b.basis[0].tobytes()
+        assert a.basis[1].tobytes() == b.basis[1].tobytes()
+
+
+@pytest.mark.parametrize("family, shape, seed", [
+    ("gap", (24, 4), 5), ("gap", (300, 10), 1), ("knapsack", (40, 3), 2)])
+def test_a_reused_factor_solves_bit_for_bit_like_a_fresh_one(family, shape, seed):
+    """Every child of the root re-solved twice from the root's basis in one context, the
+    second time from the cached (B^-1, d), equals the same LP in a context of its own."""
+    model = generate_instance(family, shape, seed)
+    ctx = SimplexContext(model)
+    assert not isinstance(ctx.A, _Csc)
+    root = ctx.solve(BoundState.from_model(model))
+    children = _child_bounds(model, root)
+    assert len(children) >= 4
+    for bounds in children + children:
+        fresh = SimplexContext(model)
+        _same_bits(ctx.solve(bounds, basis=root.basis), fresh.solve(bounds, basis=root.basis))
+        assert fresh.factor_reuses == 0
+    # the first warm start inverts the root's basis, and the second pass reuses it throughout
+    assert ctx.factor_reuses > len(children)
+
+
+def test_the_factor_cache_keeps_its_bound_and_drops_the_oldest(monkeypatch):
+    """With room for two factors, a third start basis evicts the least recently used."""
+    monkeypatch.setattr(simplex, "FACTOR_CACHE_SIZE", 2)
+    model = generate_instance("gap", (24, 4), 5)
+    ctx = SimplexContext(model)
+    root = ctx.solve(BoundState.from_model(model))
+    children = [ctx.solve(b, basis=root.basis) for b in _child_bounds(model, root)]
+    bases = [root.basis] + [c.basis for c in children if c.basis is not None]
+    distinct = {b[0].tobytes(): b for b in bases}
+    assert len(distinct) >= 3
+    a, b, c = list(distinct.values())[:3]
+    bounds = BoundState.from_model(model)
+    ctx._factors.clear()
+
+    def reused(basis):
+        before = ctx.factor_reuses
+        ctx.solve(bounds, basis=basis)
+        assert len(ctx._factors) <= 2
+        return ctx.factor_reuses - before
+
+    assert [reused(a), reused(b), reused(a), reused(c), reused(b), reused(a)] == [0, 0, 1, 0, 0, 0]
+
+
+def test_a_cut_row_drops_every_cached_factor():
+    model = generate_instance("gap", (24, 4), 5)
+    ctx = SimplexContext(model)
+    bounds = BoundState.from_model(model)
+    root = ctx.solve(bounds)
+    ctx.solve(bounds, basis=root.basis)
+    assert len(ctx._factors) == 1
+    ctx.add_cut_row([0, 1], [1.0, 1.0], "L", 2.0)
+    assert len(ctx._factors) == 0
+    inversions, reuses = ctx.inversions, ctx.factor_reuses
+    again = ctx.solve(bounds, basis=root.basis)  # extended by the cut's slack, inverted anew
+    assert (ctx.inversions, ctx.factor_reuses) == (inversions + 1, reuses)
+    _same_bits(again, SimplexContext(model, cuts=[([0, 1], [1.0, 1.0], "L", 2.0)]).solve(
+        bounds, basis=root.basis))
+
+
+def test_the_column_store_caches_no_factor():
+    model = generate_instance("set_cover", (300, 150), 0)
+    ctx = SimplexContext(model)
+    assert isinstance(ctx.A, _Csc)
+    bounds = BoundState.from_model(model)
+    root = ctx.solve(bounds)
+    ctx.solve(bounds, basis=root.basis)
+    ctx.solve(bounds, basis=root.basis)
+    assert ctx.factor_reuses == 0 and not ctx._factors and ctx.inversions >= 3
