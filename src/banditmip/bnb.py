@@ -33,9 +33,12 @@ fixing that relied on a cutoff inherited from the calling tree marks the
 result ``cutoff_pruned``, so an LNS sub-MIP closed by it proves no no-good.
 A heuristic hands ``record_conflict`` the bounds it proved infeasible; when
 they differ from the root's only by fixed binaries, the no-good cut excluding
-that assignment joins all later node LPs (and LNS sub-MIPs).  A dive's
-no-good stays valid below fixed nodes: it excludes only the box the dive
-proved LP-infeasible, and fixings only make that box smaller.
+that assignment becomes a row of the search's one ``SimplexContext``, which
+every later node LP and each LNS sub-MIP (``ctx=``) solves on: its cut rows
+are the one no-good store and its counters count each LP once, so a sub-MIP's
+result reports the whole search's.  A dive's no-good stays valid below fixed
+nodes: it excludes only the box the dive proved LP-infeasible, and fixings
+only make that box smaller.
 """
 
 from __future__ import annotations
@@ -83,6 +86,10 @@ class NoFractionalVariable(Exception):
 
 class InvalidSettings(ValueError):
     """A ``SolverSettings`` field holds a value the solver cannot run with."""
+
+
+class InvalidSearch(ValueError):
+    """A ``TreeSearch`` keyword holds a value the search cannot run with."""
 
 
 class SolveStatus(Enum):
@@ -227,14 +234,14 @@ class RunStats:
     time_s: float = 0.0
     heurtime_s: float = 0.0
     per_heuristic: dict = field(default_factory=dict)  # the policy's ArmRecord per heuristic
-    # largest violation of any row by any optimal LP, over the row's size, sub-MIPs included
+    # largest violation of any row by any optimal LP of the search, over the row's size
     max_row_residual: float = 0.0
     # the model the search ran on: its row count, and how many bounds presolve changed
     searched_rows: int = 0
     tightened_bounds: int = 0
     reduced_cost_fixings: int = 0  # columns this tree fixed by reduced cost, sub-MIPs aside
-    # bases the LP layer inverted from scratch, and warm starts that reused a cached
-    # factor instead, sub-MIPs included
+    # bases the search's LP context inverted from scratch, and warm starts that reused a
+    # cached factor instead; like max_row_residual, a sub-MIP reports the whole search's
     lp_inversions: int = 0
     factor_reuses: int = 0
 
@@ -289,18 +296,27 @@ class TreeSearch:
     def __init__(self, model: MipModel, settings: SolverSettings, *,
                  root_bounds: Optional[BoundState] = None,
                  cutoff: Optional[float] = None,
-                 extra_cuts=(),
+                 ctx: Optional[SimplexContext] = None,
                  heur_layer: str = "auto",
                  deadline: Optional[float] = None):
+        if heur_layer not in ("auto", "rounding_only"):
+            raise InvalidSearch(f"heur_layer must be 'auto' or 'rounding_only', got {heur_layer!r}")
+        sides = () if root_bounds is None else (root_bounds.lower, root_bounds.upper)
+        if any(np.shape(side) != (model.n,) for side in sides):
+            raise InvalidSearch(f"root_bounds must hold {model.n} values a side, "
+                                f"got shapes {[np.shape(side) for side in sides]}")
+        if cutoff is not None and not cutoff > -INF:  # NaN or -inf
+            raise InvalidSearch(f"cutoff must be a number above -inf, got {cutoff!r}")
+        if ctx is not None and ctx.model is not model:
+            raise InvalidSearch("ctx must be an LP context of the model searched")
         self.model = model
         self.settings = settings
         self.root_bounds = (root_bounds if root_bounds is not None
                             else BoundState.from_model(model))
         self.inherited_cutoff = cutoff if cutoff is not None else INF
-        self.heur_layer = heur_layer  # "auto" or "rounding_only"
-        self.ctx = SimplexContext(model, cuts=extra_cuts,
-                                  shadow_check=settings.shadow_lp_check)
-        self.pool = ConflictPool()
+        self.heur_layer = heur_layer
+        self.ctx = ctx if ctx is not None else SimplexContext(
+            model, shadow_check=settings.shadow_lp_check)
         self.locks = heur.variable_locks(model)
         self.incumbent: Optional[Assignment] = None
         self.incumbent_log = []
@@ -419,26 +435,14 @@ class TreeSearch:
                 or not self.model.binary[cols].all()):
             return
         ones = bounds.lower[cols] > 0.5
-        cut = (cols, np.where(ones, -1.0, 1.0), "G", 1.0 - int(ones.sum()))
-        self.pool.nogood_cuts.append(cut)
-        self.ctx.add_cut_row(*cut)
+        self.ctx.add_cut_row(cols, np.where(ones, -1.0, 1.0), "G", 1.0 - int(ones.sum()))
 
     def sub_solve(self, bounds: BoundState, node_limit: int):
-        """Solve an LNS sub-MIP on ``bounds`` under this tree's cutoff, cuts, deadline, settings."""
-        sub_settings = replace(self.settings, node_limit=node_limit, time_limit_s=None)
-        res = solve(
-            self.model, sub_settings,
-            root_bounds=bounds,
-            cutoff=self.effective_cutoff(),
-            extra_cuts=list(self.pool.nogood_cuts),
-            heur_layer="rounding_only",
-            deadline=self.deadline,
-        )
-        self.stats.max_row_residual = max(self.stats.max_row_residual,
-                                          res.stats.max_row_residual)
-        self.stats.lp_inversions += res.stats.lp_inversions
-        self.stats.factor_reuses += res.stats.factor_reuses
-        return res
+        """Solve an LNS sub-MIP on ``bounds`` on this tree's LP context, under its cutoff,
+        deadline and settings."""
+        return solve(self.model, replace(self.settings, node_limit=node_limit, time_limit_s=None),
+                     root_bounds=bounds, cutoff=self.effective_cutoff(), ctx=self.ctx,
+                     heur_layer="rounding_only", deadline=self.deadline)
 
     # ------------------------------------------------------------------
     # heuristic layer
@@ -561,27 +565,19 @@ class TreeSearch:
                 dual = min(dual, self.incumbent.objective)
 
         self.stats.time_s = time.perf_counter() - t0
-        self.stats.max_row_residual = max(self.stats.max_row_residual,
-                                          self.ctx.max_row_residual)
-        self.stats.lp_inversions += self.ctx.inversions
-        self.stats.factor_reuses += self.ctx.factor_reuses
-        return SolveResult(
-            status=status,
-            incumbent=self.incumbent,
-            dual_bound=dual,
-            nodes_processed=self.nodes_processed,
-            stats=self.stats,
-            scheduler_log=list(self.policy.reward_log),
-            conflict_pool=self.pool,
-            cutoff_pruned=self.cutoff_pruned,
-            incumbent_log=list(self.incumbent_log),
-        )
+        self.stats.max_row_residual = self.ctx.max_row_residual
+        self.stats.lp_inversions = self.ctx.inversions
+        self.stats.factor_reuses = self.ctx.factor_reuses
+        return SolveResult(status, self.incumbent, dual, self.nodes_processed, self.stats,
+                           scheduler_log=list(self.policy.reward_log),
+                           conflict_pool=ConflictPool(self.ctx.cut_rows),
+                           cutoff_pruned=self.cutoff_pruned, incumbent_log=list(self.incumbent_log))
 
 
 def solve(model: MipModel, settings: SolverSettings, *,
           root_bounds: Optional[BoundState] = None,
           cutoff: Optional[float] = None,
-          extra_cuts=(),
+          ctx: Optional[SimplexContext] = None,
           heur_layer: str = "auto",
           deadline: Optional[float] = None) -> SolveResult:
     """Branch-and-bound solve of a model under the given settings.
@@ -594,17 +590,13 @@ def solve(model: MipModel, settings: SolverSettings, *,
     Without it the search runs on ``presolve(model, settings.feas_tol)``: the
     same columns, fewer rows and tighter bounds, so the incumbent is a point of
     ``model``.  With it the model is taken as given, as a sub-MIP already gets
-    its tree's presolved model.
+    its tree's presolved model.  ``ctx`` is the LP context to solve on, the
+    calling tree's for a sub-MIP: its cut rows, and so the result's
+    ``conflict_pool``, and its counters are the whole search's.
     """
     searched = model if root_bounds is not None else presolve(model, settings.feas_tol)
-    tree = TreeSearch(
-        searched, settings,
-        root_bounds=root_bounds,
-        cutoff=cutoff,
-        extra_cuts=extra_cuts,
-        heur_layer=heur_layer,
-        deadline=deadline,
-    )
+    tree = TreeSearch(searched, settings, root_bounds=root_bounds, cutoff=cutoff, ctx=ctx,
+                      heur_layer=heur_layer, deadline=deadline)
     tree.stats.searched_rows = searched.m
     tree.stats.tightened_bounds = int(np.count_nonzero(searched.lower != model.lower)
                                       + np.count_nonzero(searched.upper != model.upper))

@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .bnb import SETTING_SPECS, SolverSettings, solve
+from .bnb import SETTING_SPECS, RunStats, SolverSettings, solve
 from .heuristics import DEFAULT_ORDER
 from .model import load_instance
 
@@ -312,14 +312,12 @@ def cmd_solve(args) -> int:
         if log:
             for rec in result.scheduler_log:
                 log.write(json.dumps({"type": "call", **rec}, sort_keys=True) + "\n")
+            # every scalar RunStats field, so that a new counter needs no edit here
+            stats = {f.name: getattr(result.stats, f.name) for f in dataclasses.fields(RunStats)}
             log.write(json.dumps(
                 {"type": "run_stats", **row,
-                 "max_row_residual": repr(float(result.stats.max_row_residual)),
-                 "searched_rows": str(result.stats.searched_rows),
-                 "lp_inversions": str(result.stats.lp_inversions),
-                 "factor_reuses": str(result.stats.factor_reuses),
-                 "tightened_bounds": str(result.stats.tightened_bounds),
-                 "reduced_cost_fixings": str(result.stats.reduced_cost_fixings)},
+                 **{name: repr(float(v)) if isinstance(v, float) else str(v)
+                    for name, v in stats.items() if isinstance(v, (int, float))}},
                 sort_keys=True,
             ) + "\n")
     obj = f"{float(row['objective']):.6g}" if row["objective"] else "-"

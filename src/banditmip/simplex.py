@@ -19,11 +19,12 @@ first.  The certificate sits in ``solve``, not in the simplex, so the
 shadow check below still solves every certified LP with the two-phase
 primal.
 
-A :class:`SimplexContext` keeps the expanded matrix and nothing of a solve:
-every optimal :class:`LpResult` carries its own basis, and ``solve(...,
-basis=)`` is the only way to start from one.  Branch and bound re-solves each
-child node from its parent's basis, and a dive each LP from the basis of its
-last optimal one.  Every usable basis takes one warm path: each boxed
+A :class:`SimplexContext` serves a whole search, LNS sub-MIPs included: it
+keeps the expanded matrix with the search's cut rows, counters and the factor
+cache below, but no basis.  Every optimal :class:`LpResult` carries its own,
+and ``solve(..., basis=)`` is the only way to start from one.  Branch and
+bound re-solves each child node from its parent's basis, and a dive each LP
+from the basis of its last optimal one.  Every usable basis takes one warm path: each boxed
 nonbasic variable moves to the bound its reduced cost wants and, if that
 leaves the basis dual feasible, a bounded dual simplex (largest violation
 leaves, smallest ``|d_j / alpha_j|`` enters) restores primal feasibility; a
@@ -92,8 +93,9 @@ so every result is the one a fresh context gives.  When the dual loop makes
 no pivot, the primal pass takes that same ``d`` as its first pricing.
 ``add_cut_row`` clears the cache.  The column store keeps none: with one
 there, the 400-row set-cover root solved 5% slower.  On the benchmark's gap
-n=300, m=10 search at workload seed 1, 70 of the 299 warm starts reuse a
-factor (``RunStats`` counts ``lp_inversions`` and ``factor_reuses``).
+n=300, m=10 search at workload seed 1, whose LNS sub-MIPs share the tree's
+context and so its cache, 68 of the 299 warm starts reuse a factor
+(``RunStats`` counts ``lp_inversions`` and ``factor_reuses``).
 
 One builder, ``SimplexContext._lp_matrix``, makes every LP matrix from a list
 of nonzeros: the model's CSR entries, then the cut rows', then one unit
@@ -463,6 +465,11 @@ class SimplexContext:
         A = np.zeros((self.m, ncols))
         A[rows, cols] = vals
         return A
+
+    @property
+    def cut_rows(self) -> list:
+        """The rows after the model's, in the order they came, as (cols, vals, sense, rhs)."""
+        return list(self._extra)
 
     def add_cut_row(self, cols, vals, sense: str, rhs: float):
         """Append a valid inequality; saved bases stay usable, with its slack basic."""

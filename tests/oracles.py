@@ -3,7 +3,8 @@
 Everything here is written directly against the problem definitions, not
 against the package internals: brute-force enumeration for binary MIPs,
 exact rational vertex enumeration for small LPs, a line-by-line MPS reader,
-a dive that rescans its candidates at every fixing, and a scripted RNG stub.
+a dive that rescans its candidates at every fixing, a model with extra rows
+appended as plain model rows, and a scripted RNG stub.
 """
 
 import itertools
@@ -34,6 +35,17 @@ def model_from_dense(rows, **fields):
     """The MipModel whose constraint matrix has the given dense rows; zeros stay out."""
     rows = [np.asarray(row, dtype=float) for row in rows]
     return model_from_rows([np.flatnonzero(r) for r in rows], [r[r != 0] for r in rows], **fields)
+
+
+def with_rows(model, rows):
+    """``model`` with each ``(cols, vals, sense, rhs)`` of ``rows`` appended as a plain model row."""
+    return model_from_rows(
+        model.row_cols + [np.asarray(cols) for cols, _, _, _ in rows],
+        model.row_vals + [np.asarray(vals, dtype=float) for _, vals, _, _ in rows],
+        name=model.name, c=model.c, lower=model.lower, upper=model.upper,
+        integers=model.integers, maximize=model.maximize,
+        senses=list(model.senses) + [sense for _, _, sense, _ in rows],
+        rhs=np.concatenate([model.rhs, [rhs for _, _, _, rhs in rows]]))
 
 
 def dense_matrix(model):

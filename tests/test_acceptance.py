@@ -29,7 +29,7 @@ from banditmip.scheduler import (
     epsilon_t,
 )
 
-from oracles import brute_force_binary
+from oracles import brute_force_binary, with_rows
 
 
 SETTINGS = SolverSettings()
@@ -323,8 +323,8 @@ def test_acceptance_5_invariant_suite():
                 lns_calls_checked += 1
         if res.conflict_pool.nogood_cuts:
             cuts_checked += 1
-            again = solve(model, SolverSettings(mode="default", seed=seed),
-                          extra_cuts=res.conflict_pool.nogood_cuts)
+            again = solve(with_rows(model, res.conflict_pool.nogood_cuts),
+                          SolverSettings(mode="default", seed=seed))
             assert again.status is SolveStatus.OPTIMAL
             assert abs(again.objective - res.objective) <= 1e-9
     assert cuts_checked >= 1 and lns_calls_checked >= 5

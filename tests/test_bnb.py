@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from banditmip.bnb import (
+    InvalidSearch,
     InvalidSettings,
     Node,
     NoFractionalVariable,
@@ -20,9 +21,9 @@ from banditmip import bnb as bnb_mod, heuristics, model as model_mod
 from banditmip.heuristics import LNS_KINDS, NotApplicable
 from banditmip.model import Assignment, generate_instance, load_instance, presolve
 from banditmip.scheduler import compute_skip_count
-from banditmip.simplex import FEAS_TOL, BoundState, LpResult, LpStatus
+from banditmip.simplex import FEAS_TOL, BoundState, LpResult, LpStatus, SimplexContext
 
-from oracles import brute_force_binary, model_from_dense
+from oracles import brute_force_binary, model_from_dense, with_rows
 
 
 def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
@@ -151,6 +152,54 @@ def test_settings_are_frozen_so_every_change_is_checked():
 
 
 # ---------------------------------------------------------------------------
+# search keywords, checked where TreeSearch takes them
+# ---------------------------------------------------------------------------
+
+def test_an_unknown_heur_layer_is_rejected():
+    # "rounding" once ran the static portfolio here: 16 heuristic calls, no scheduler log
+    model = load_instance("gen:gap:n=24,m=4,seed=5")
+    with pytest.raises(InvalidSearch, match="heur_layer must be 'auto' or 'rounding_only'"):
+        solve(model, SolverSettings(seed=1, node_limit=30), heur_layer="rounding")
+    with pytest.raises(InvalidSearch, match="heur_layer"):
+        TreeSearch(model, SolverSettings(), heur_layer="rounding")
+
+
+def test_root_bounds_of_another_length_are_rejected():
+    model = _model([1, 1, 1], [[1, 1, 1]], "L", [2])
+    short = BoundState(np.zeros(2), np.ones(2))
+    with pytest.raises(InvalidSearch, match=r"root_bounds must hold 3 values a side"):
+        solve(model, SolverSettings(), root_bounds=short)
+    with pytest.raises(InvalidSearch, match="root_bounds"):
+        TreeSearch(model, SolverSettings(), root_bounds=BoundState(np.zeros(3), np.ones(4)))
+
+
+@pytest.mark.parametrize("cutoff", [float("nan"), -math.inf])
+def test_a_cutoff_that_is_nan_or_minus_infinity_is_rejected(cutoff):
+    # NaN was silently ignored, as min(inf, nan) is inf; on an integral objective -inf
+    # raised OverflowError from math.ceil in beats_cutoff
+    model = _model([1, 1], [[1, 1]], "G", [1])
+    assert model.integral_objective
+    with pytest.raises(InvalidSearch, match="cutoff must be a number above -inf"):
+        solve(model, SolverSettings(), root_bounds=BoundState.from_model(model), cutoff=cutoff)
+    with pytest.raises(InvalidSearch, match="cutoff"):
+        TreeSearch(model, SolverSettings(), cutoff=cutoff)
+    assert solve(model, SolverSettings(), cutoff=math.inf).objective == 1.0
+
+
+def test_a_context_of_another_model_is_rejected():
+    # min x s.t. 2x >= 3, x + y <= 25: presolve makes the first row a bound and drops the second
+    model = _model([1, 0], [[2, 0], [1, 1]], "GL", [3, 25], upper=[10, 10])
+    assert presolve(model, SolverSettings().feas_tol) is not model
+    with pytest.raises(InvalidSearch, match="ctx must be an LP context of the model searched"):
+        solve(model, SolverSettings(), ctx=SimplexContext(model))  # meets the presolved copy
+    with pytest.raises(InvalidSearch, match="ctx"):
+        TreeSearch(model, SolverSettings(), ctx=SimplexContext(_model([1], [[1]], "L", [1])))
+    ctx = SimplexContext(model)
+    res = solve(model, SolverSettings(), root_bounds=BoundState.from_model(model), ctx=ctx)
+    assert res.objective == 2.0 and ctx.inversions == res.stats.lp_inversions > 0
+
+
+# ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
@@ -210,19 +259,29 @@ def test_full_solves_under_lp_shadow_checking():
 def test_each_node_lp_starts_from_its_parents_basis(monkeypatch):
     from banditmip.simplex import SimplexContext
 
-    # per tree's context: (basis handed in, basis returned) of each node LP.  The
-    # context itself is the key, which keeps it alive: a freed sub-MIP context's
-    # id() can be reused by a later one and would merge two trees' calls.
+    # per tree: (basis handed in, basis returned) of each node LP.  A sub-MIP tree solves
+    # on its caller's context, so the tree whose run is innermost is the key; the tree
+    # itself, which keeps it alive: a freed sub-MIP tree's id() can be reused by a later
+    # one and would merge two trees' calls.
     calls = {}
     solve_lp = SimplexContext.solve
     run_diving = heuristics.run_diving
+    run_tree = TreeSearch.run
     diving = []  # nonempty while a dive runs: its LPs are not node LPs
+    running = []  # the trees whose run is under way, innermost last
 
     def recording(self, bounds, *args, **kwargs):
         res = solve_lp(self, bounds, *args, **kwargs)
         if not diving:
-            calls.setdefault(self, []).append((kwargs["basis"], res.basis))
+            calls.setdefault(running[-1], []).append((kwargs["basis"], res.basis))
         return res
+
+    def run(tree):
+        running.append(tree)
+        try:
+            return run_tree(tree)
+        finally:
+            running.pop()
 
     def dive(*args, **kwargs):
         diving.append(True)
@@ -233,6 +292,7 @@ def test_each_node_lp_starts_from_its_parents_basis(monkeypatch):
 
     monkeypatch.setattr(SimplexContext, "solve", recording)
     monkeypatch.setattr(heuristics, "run_diving", dive)
+    monkeypatch.setattr(TreeSearch, "run", run)
     res = solve(generate_instance("gap", (24, 4), 5), SolverSettings(mode="default", seed=1))
     assert res.status is SolveStatus.OPTIMAL
     assert sum(map(len, calls.values())) > res.nodes_processed > 20  # sub-MIP trees too
@@ -604,7 +664,7 @@ def test_record_conflict_stores_binary_nogood():
     tree = TreeSearch(model, SolverSettings())
     rows = tree.ctx.m
     tree.record_conflict(_fixings(model, x0=1.0, x1=0.0))
-    cols, vals, sense, rhs = tree.pool.nogood_cuts[0]
+    cols, vals, sense, rhs = tree.ctx.cut_rows[0]
     # cut (1 - x0) + x1 >= 1
     assert list(cols) == [0, 1]
     assert list(vals) == [-1.0, 1.0]
@@ -616,14 +676,14 @@ def test_record_conflict_general_integer_counts_only():
     model = _model([1, 1], [[1, 1]], "L", [3], upper=[2, 1])
     tree = TreeSearch(model, SolverSettings())
     tree.record_conflict(_fixings(model, x0=2.0))
-    assert not tree.pool.nogood_cuts
+    assert not tree.ctx.cut_rows
 
 
 def test_record_conflict_root_bounds_are_noop():
     model = _model([1], [], "", [])
     tree = TreeSearch(model, SolverSettings())
     tree.record_conflict(BoundState.from_model(model))
-    assert not tree.pool.nogood_cuts
+    assert not tree.ctx.cut_rows
 
 
 def test_record_conflict_tightened_integer_is_no_assignment():
@@ -632,7 +692,7 @@ def test_record_conflict_tightened_integer_is_no_assignment():
     tree = TreeSearch(model, SolverSettings())
     rows = tree.ctx.m
     tree.record_conflict(_fixings(model, x0=1.0).tightened(1, hi=2))
-    assert not tree.pool.nogood_cuts and tree.ctx.m == rows
+    assert not tree.ctx.cut_rows and tree.ctx.m == rows
 
 
 def test_record_conflict_leaves_the_free_variable_out():
@@ -640,7 +700,7 @@ def test_record_conflict_leaves_the_free_variable_out():
     tree = TreeSearch(model, SolverSettings())
     tree.record_conflict(_fixings(model, x0=1.0, x1=0.0), free=1)
     tree.record_conflict(_fixings(model, x1=1.0).tightened(2, hi=1), free=2)
-    assert [(list(c), list(v), s, r) for c, v, s, r in tree.pool.nogood_cuts] == [
+    assert [(list(c), list(v), s, r) for c, v, s, r in tree.ctx.cut_rows] == [
         ([0], [-1.0], "G", 0.0),  # 1 - x0 >= 1: x1's fixing is not part of the cut
         ([1], [-1.0], "G", 0.0),  # x2 is general and only tightened, but it is free
     ]
@@ -651,7 +711,7 @@ def test_nogood_cut_preserves_optimum():
     plain = solve(model, SolverSettings())
     tree = TreeSearch(model, SolverSettings())
     tree.record_conflict(_fixings(model, x0=1.0, x1=1.0))
-    cut = solve(model, SolverSettings(), extra_cuts=tree.pool.nogood_cuts)
+    cut = solve(with_rows(model, tree.ctx.cut_rows), SolverSettings())
     assert cut.objective == pytest.approx(plain.objective)
 
 
@@ -666,8 +726,7 @@ def test_accumulated_cuts_never_cut_off_optimum():
         if not cuts:
             continue
         checked += 1
-        again = solve(model, SolverSettings(mode="default", seed=seed),
-                      extra_cuts=cuts)
+        again = solve(with_rows(model, cuts), SolverSettings(mode="default", seed=seed))
         assert again.status is SolveStatus.OPTIMAL
         assert again.objective == pytest.approx(res.objective, abs=1e-9)
     assert checked >= 1  # at least one run actually produced cuts
@@ -791,7 +850,80 @@ def test_lns_records_no_nogood_from_a_sub_mip_closed_by_fixing():
     out = heuristics.run_lns("rens", lp, tree, dataclasses.replace(limit, value=0.3),
                              np.random.default_rng(0))
     assert out.fixed_count == 1 and out.sub_mip_infeasible
-    assert out.conflicts_found == 0 and tree.pool.nogood_cuts == []
+    assert out.conflicts_found == 0 and tree.ctx.cut_rows == []
+
+
+def _lp_bits(res):
+    """An LP result's status, pivots and objective, and the bytes of its arrays."""
+    arrays = (res.x, *(res.basis or ()), res.reduced_costs)
+    return (res.status, res.iterations, repr(res.objective), repr(res.phase1_residual),
+            [None if a is None else a.tobytes() for a in arrays])
+
+
+def _cut_bits(cut):
+    cols, vals, sense, rhs = cut
+    return cols.tobytes(), vals.tobytes(), sense, repr(rhs)
+
+
+@pytest.mark.parametrize("size, seed, status", [((36, 6), 2, SolveStatus.OPTIMAL),
+                                                ((24, 4), 5, SolveStatus.INFEASIBLE)],
+                         ids=["optimal", "infeasible"])
+def test_a_sub_mip_on_the_shared_context_equals_one_on_a_fresh_context(size, seed, status,
+                                                                        monkeypatch):
+    """An LNS sub-MIP solves on its tree's context, whose factor cache and counters hold the
+    tree's LPs.  Its result and every LP of it are those of a sub-MIP on a fresh context with
+    the same cut rows, bit for bit, and it leaves the context's rows as it found them: a
+    rounding-only tree records no conflict."""
+    model = generate_instance("gap", size, seed)
+    settings = SolverSettings(seed=seed, time_limit_s=None)
+    cuts = solve(model, settings).conflict_pool.nogood_cuts
+    assert cuts
+    tree = TreeSearch(model, settings)
+    for cut in cuts:
+        tree.ctx.add_cut_row(*cut)
+    root = tree.ctx.solve(tree.root_bounds)  # the tree's own LP, before the sub-MIP
+    ints = model.integers
+    near = ints[np.argsort(np.abs(root.x[ints] - np.round(root.x[ints])), kind="stable")]
+    lower, upper = tree.root_bounds.lower.copy(), tree.root_bounds.upper.copy()
+    fixed = near[:len(ints) // 2]
+    lower[fixed] = upper[fixed] = np.round(root.x[fixed])
+    bounds = BoundState(lower, upper)
+
+    lps, conflicts = [], []
+    solve_lp, record_conflict = SimplexContext.solve, TreeSearch.record_conflict
+
+    def recording(self, *args, **kwargs):
+        res = solve_lp(self, *args, **kwargs)
+        lps.append(_lp_bits(res))
+        return res
+
+    def recorded(self, *args, **kwargs):
+        conflicts.append(self)
+        return record_conflict(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexContext, "solve", recording)
+    monkeypatch.setattr(TreeSearch, "record_conflict", recorded)
+
+    def outcome(res):
+        inc = None if res.incumbent is None else res.incumbent.values.tobytes()
+        return (res.status, res.nodes_processed, repr(res.dual_bound), inc, res.incumbent_log,
+                res.cutoff_pruned, lps[:])
+
+    rows, before = tree.ctx.m, [_cut_bits(c) for c in tree.ctx.cut_rows]
+    shared = []
+    for _ in range(2):  # the second sub-MIP finds the first one's factors in the cache
+        lps.clear()
+        reuses = tree.ctx.factor_reuses
+        shared.append(outcome(tree.sub_solve(bounds, node_limit=50)))
+        assert tree.ctx.m == rows and [_cut_bits(c) for c in tree.ctx.cut_rows] == before
+    lps.clear()
+    fresh = SimplexContext(model, cuts=tree.ctx.cut_rows)
+    sub_settings = dataclasses.replace(settings, node_limit=50)
+    res = solve(model, sub_settings, root_bounds=bounds, ctx=fresh, heur_layer="rounding_only")
+    assert res.status is status and res.nodes_processed > 1
+    assert shared == [outcome(res)] * 2
+    assert tree.ctx.factor_reuses - reuses > fresh.factor_reuses
+    assert not conflicts
 
 
 # ---------------------------------------------------------------------------
@@ -985,20 +1117,27 @@ def test_max_row_residual_stays_within_lp_tolerance(family, size, seed, mode, no
 
 
 def test_inversions_and_factor_reuses_add_up_over_every_tree(monkeypatch):
-    """``RunStats`` counts the LP work of the top-level tree and of every LNS sub-MIP."""
-    contexts = []
-    init = bnb_mod.SimplexContext.__init__
+    """``RunStats`` counts the LP work of the top-level tree and of every LNS sub-MIP, all
+    of it done on the search's one context."""
+    contexts, subs = [], []
+    init, sub_solve = bnb_mod.SimplexContext.__init__, TreeSearch.sub_solve
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         contexts.append(self)
 
+    def counted(tree, *args, **kwargs):
+        subs.append(tree)
+        return sub_solve(tree, *args, **kwargs)
+
     monkeypatch.setattr(bnb_mod.SimplexContext, "__init__", recording)
+    monkeypatch.setattr(TreeSearch, "sub_solve", counted)
     res = solve(generate_instance("gap", (120, 6), 1),
                 SolverSettings(seed=1, node_limit=60, time_limit_s=None))
-    assert len(contexts) > 1  # sub-MIPs ran
-    assert res.stats.lp_inversions == sum(c.inversions for c in contexts)
-    assert res.stats.factor_reuses == sum(c.factor_reuses for c in contexts)
+    assert subs  # sub-MIPs ran
+    [ctx] = contexts
+    assert res.stats.lp_inversions == ctx.inversions
+    assert res.stats.factor_reuses == ctx.factor_reuses
     assert 0 < res.stats.factor_reuses < res.stats.lp_inversions
 
 

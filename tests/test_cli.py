@@ -144,6 +144,19 @@ def test_solve_log_reports_inversions_and_factor_reuses(tmp_path, args, reused):
     assert not {"lp_inversions", "factor_reuses"} & set(CSV_COLUMNS)
 
 
+def test_solve_log_run_stats_record_keys_are_pinned(tmp_path):
+    """The record holds the CSV row and every scalar ``RunStats`` field, each as text."""
+    log = tmp_path / "log.jsonl"
+    assert main(["solve", "gen:gap:n=24,m=4,seed=5", "--seed", "1", "--node-limit", "20",
+                 "--log", str(log)]) == 0
+    final = json.loads(log.read_text().splitlines()[-1])
+    assert set(final) == {"type", *CSV_COLUMNS, "max_row_residual", "searched_rows",
+                          "tightened_bounds", "reduced_cost_fixings", "lp_inversions",
+                          "factor_reuses"}
+    assert final["type"] == "run_stats"
+    assert all(isinstance(value, str) for value in final.values())
+
+
 def _oracle_reward(rec):
     """Reward recomputed from raw call data, coded separately from the package."""
     r_sol = 1.0 if rec["found_incumbent"] else 0.0

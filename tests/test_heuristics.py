@@ -332,7 +332,7 @@ def test_dive_both_directions_dead_records_conflict():
     assert out.conflicts_found == 1
     assert not out.sub_mip_infeasible
     # x1 = 0 leaves x2 = 0.5, whose both values are dead: the no-good x1 >= 1
-    [(cols, vals, sense, rhs)] = tree.pool.nogood_cuts
+    [(cols, vals, sense, rhs)] = tree.ctx.cut_rows
     assert (list(cols), list(vals), sense, rhs) == ([1], [1.0], "G", 1.0)
     assert tree.ctx.m == rows + 1
 
@@ -500,7 +500,7 @@ def test_rens_sub_mip_branches_where_rounding_breaks_a_row():
     best, _ = brute_force_binary(model)
     assert out.found_incumbent and not out.sub_mip_infeasible
     assert tree.incumbent.objective == best == -1.0
-    assert out.conflicts_found == 0 and not tree.pool.nogood_cuts
+    assert out.conflicts_found == 0 and not tree.ctx.cut_rows
 
 
 def test_lns_node_usage_within_budget():
