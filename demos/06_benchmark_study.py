@@ -34,7 +34,7 @@ write_csv(bench_rows(SUITE, SEEDS, base), buf)
 print(f"ran {len(SUITE)} instances x {len(SEEDS)} seeds x 2 modes")
 
 buf.seek(0)
-table = summarize_runs(buf, brackets=[0.05, 0.2], time_limit=60.0)
+table = summarize_runs(buf, brackets=[0.05, 0.2])
 print()
 print(format_summary(table))
 print()

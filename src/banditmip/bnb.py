@@ -9,11 +9,12 @@ simplex's dual warm start), prunes by bound or infeasibility, harvests
 integral LP solutions, then runs the cheap rounding heuristic followed by the
 controlled portfolio.  The tree holds one heuristic policy: the online
 ``Scheduler`` or the static depth-modulo ``StaticSchedule`` (the ``default``
-baseline).  Both run their picks through ``run_scheduled_heuristics``, which
-executes each and has the policy record it in that heuristic's ``ArmRecord``:
-``RunStats.per_heuristic`` is the top-level policy's record dict, and the tree
-adds only the calls' wall time.  Only the scheduler charges a reward, updates
-weights and adapts limits.
+baseline).  Both run their picks through ``run_scheduled_heuristics``: it
+skips a pick that needs an incumbent while there is none, times every other
+call into ``RunStats.heurtime_s`` and has the policy record it in that
+heuristic's ``ArmRecord``.  ``RunStats.per_heuristic`` is the top-level
+policy's record dict, and the tree keeps no call bookkeeping of its own.  Only
+the scheduler charges a reward, updates weights and adapts limits.
 The tree alone decides what a failed search proves.  ``beats_cutoff`` is the
 one cutoff test: the incumbent check, the prunes, the dives and reduced-cost
 fixing use it.  When the model's ``integral_objective`` holds, every
@@ -232,7 +233,7 @@ class RunStats:
     """What a run measured that its ``SolveResult`` and settings do not already say."""
 
     time_s: float = 0.0
-    heurtime_s: float = 0.0
+    heurtime_s: float = 0.0  # wall time of the executed portfolio calls, timed by the call loop
     per_heuristic: dict = field(default_factory=dict)  # the policy's ArmRecord per heuristic
     # largest violation of any row by any optimal LP of the search, over the row's size
     max_row_residual: float = 0.0
@@ -452,8 +453,7 @@ class TreeSearch:
         heur.run_rounding(lp, self)
         if self.heur_layer == "rounding_only":
             return
-        for outcome in run_scheduled_heuristics(self, node, lp):
-            self.stats.heurtime_s += outcome.wall_time_s
+        run_scheduled_heuristics(self, node, lp)
 
     # ------------------------------------------------------------------
     # main loop

@@ -2,10 +2,11 @@
 
 ``solve`` runs one instance and can dump a JSONL log with one record per
 scheduler call plus a final run-stats record.  ``bench`` runs the cross
-product of a manifest's instances, a seed list and every declared mode into a
-CSV with a stable column schema.  ``summarize`` aggregates such a CSV with
-shifted geometric means into a comparison table (overall, time brackets and
-the subset solved to optimality everywhere).
+product of a manifest's instances, a seed list (each instance and seed listed
+once) and every declared mode into a CSV with a stable column schema.
+``summarize`` aggregates such a CSV with shifted geometric means into a
+comparison table (overall, time brackets and the subset solved to optimality
+everywhere).
 """
 
 from __future__ import annotations
@@ -187,15 +188,19 @@ def _aggregate(label, pairs) -> SummaryRow:
     return out
 
 
-def summarize_runs(fh, brackets=(), time_limit: float = 60.0):
-    """Build the comparison table: all pairs, time brackets, all-optimal subset."""
+def summarize_runs(fh, brackets=()):
+    """Build the comparison table: all pairs, time brackets, all-optimal subset.
+
+    Bracket ``>=t`` holds the pairs some mode solved to optimality and some mode
+    took at least t seconds on.
+    """
     pairs = _read_runs(fh)
     rows = [_aggregate("all", pairs)]
     for t in brackets:
         subset = {k: v for k, v in pairs.items()
                   if any(v[m]["status"] == "optimal" for m in MODES)
                   and max(float(v[m]["time_s"]) for m in MODES) >= t}
-        rows.append(_aggregate(f"[{t:g},{time_limit:g}]", subset))
+        rows.append(_aggregate(f">={t:g}", subset))
     by_instance = {}
     for (inst, seed), v in pairs.items():
         by_instance.setdefault(inst, []).append(v)
@@ -329,11 +334,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    uris = {}  # manifest URI -> its line number
     with open(args.manifest) as fh:
-        uris = [line.strip() for line in fh
-                if line.strip() and not line.strip().startswith("#")]
+        for lineno, raw in enumerate(fh, start=1):
+            uri = raw.strip()
+            if not uri or uri.startswith("#"):
+                continue
+            if uri in uris:  # summarize would reject the CSV's repeated runs
+                raise ValueError(f"manifest line {lineno}: instance {uri!r} "
+                                 f"repeats line {uris[uri]}")
+            uris[uri] = lineno
     base = _settings_from_args(args)
-    seeds = _number_list(args.seeds, int, "--seeds") if args.seeds else [0]
+    seeds = _number_list(args.seeds, int, "--seeds")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"--seeds: each seed must appear once, got {args.seeds!r}")
     with open(args.out, "w", newline="") as fh:
         write_csv(bench_rows(uris, seeds, base), fh)
     print(f"wrote {args.out}")
@@ -344,13 +358,8 @@ def cmd_summarize(args) -> int:
     brackets = _number_list(args.brackets, float, "--brackets") if args.brackets else []
     if not all(0 <= t < math.inf for t in brackets):  # NaN fails this too
         raise ValueError(f"--brackets: expected finite numbers >= 0, got {args.brackets!r}")
-    if not 0 < args.time_limit < math.inf:
-        raise ValueError(f"--time-limit: expected a finite number > 0, got {args.time_limit!r}")
-    if any(t >= args.time_limit for t in brackets):
-        raise ValueError(f"--brackets: each value must be below --time-limit "
-                         f"{args.time_limit:g}, got {args.brackets!r}")
     with open(args.csv) as fh:
-        rows = summarize_runs(fh, brackets=brackets, time_limit=args.time_limit)
+        rows = summarize_runs(fh, brackets=brackets)
     print(format_summary(rows))
     return 0
 
@@ -384,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("summarize", help="aggregate a bench CSV")
     pm.add_argument("csv")
-    pm.add_argument("--brackets", default="")
-    pm.add_argument("--time-limit", type=float, default=60.0,
-                    help="nominal per-run limit used in bracket labels")
+    pm.add_argument("--brackets", default="",
+                    help="comma-separated times t, one '>=t' row each")
     return p
 
 

@@ -25,6 +25,8 @@ improvement and reports whether it was taken.  Nor does one judge what its
 failure proves: a dive asks ``tree.beats_cutoff`` whether an LP is still worth
 following, and a dive or LNS call hands the bounds it proved infeasible to
 ``tree.record_conflict``, which decides whether they make a no-good cut.
+Nor does one decide whether it may run or time itself: the call loop,
+:func:`~banditmip.scheduler.run_scheduled_heuristics`, does both.
 
 Rounding, dives and LNS, like the tree's branching, judge integrality with
 :func:`~banditmip.model.fractionality` and round to the nearest integer with
@@ -48,10 +50,6 @@ from .simplex import BoundState, LpResult, LpStatus
 
 if TYPE_CHECKING:
     from .bnb import TreeSearch
-
-
-class NotApplicable(Exception):
-    """The heuristic cannot run in the current state (e.g. no incumbent yet)."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class HeurOutcome:
     nodes_used: int = 0
     conflicts_found: int = 0
     sub_mip_infeasible: bool = False
-    wall_time_s: float = 0.0
     fixed_count: int = 0
 
 
@@ -174,13 +171,10 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
     """Probe one path of fixings below node ``bounds``: sparse LP re-solves, one-level backtracking."""
     if kind not in DIVE_KINDS:
         raise ValueError(f"unknown diving kind {kind!r}")
-    t0 = time.perf_counter()
     out = HeurOutcome(heuristic=kind)
     model, settings = tree.model, tree.settings
     ints = model.integers
     n_int = len(ints)
-    if n_int == 0:
-        raise NotApplicable(f"{kind}: model has no integer variables")
     down_locks, up_locks = tree.locks
     q = limit.value
     force_every = math.ceil(1.0 / q)
@@ -195,7 +189,6 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
     def finish(accepted=False):
         out.found_incumbent = accepted
         out.nodes_used = steps
-        out.wall_time_s = time.perf_counter() - t0
         return out
 
     while True:
@@ -272,19 +265,12 @@ def run_lns(kind: str, lp: LpResult, tree: TreeSearch, limit: WorkingLimit,
             rng: np.random.Generator) -> HeurOutcome:
     """Fix ceil(f * |I|) integer variables around a reference point, solve the sub-MIP.
 
-    Raises ``NotApplicable`` for a kind that needs an incumbent while the tree
-    has none: the one place that rule is enforced for a pick.
+    ``rins`` and ``mutation`` fix around the incumbent: the tree must have one
+    (``run_scheduled_heuristics`` runs no such pick before it does).
     """
     if kind not in LNS_KINDS:
         raise ValueError(f"unknown LNS kind {kind!r}")
-    spec = SPEC_BY_ID[kind]
-    incumbent = tree.incumbent
-    if spec.requires_incumbent and incumbent is None:
-        raise NotApplicable(f"{kind} needs an incumbent")
     ints = tree.model.integers
-    if not len(ints):
-        raise NotApplicable(f"{kind}: model has no integer variables")
-    t0 = time.perf_counter()
     out = HeurOutcome(heuristic=kind)
     k = min(math.ceil(limit.value * len(ints)), len(ints))
     xi = lp.x[ints]
@@ -298,7 +284,7 @@ def run_lns(kind: str, lp: LpResult, tree: TreeSearch, limit: WorkingLimit,
         lower[box] = np.maximum(lower[box], np.floor(lp.x[box]))
         upper[box] = np.minimum(upper[box], np.ceil(lp.x[box]))
     else:
-        inc = round_half_down(incumbent.values[ints])
+        inc = round_half_down(tree.incumbent.values[ints])
         if kind == "rins":
             dist = np.abs(xi - inc)
             agree = np.flatnonzero(dist <= tree.settings.int_tol)
@@ -321,7 +307,6 @@ def run_lns(kind: str, lp: LpResult, tree: TreeSearch, limit: WorkingLimit,
             tree.record_conflict(bounds)
     elif sub.incumbent is not None:
         out.found_incumbent = bool(tree.update_incumbent(sub.incumbent.values, kind))
-    out.wall_time_s = time.perf_counter() - t0
     return out
 
 

@@ -4,24 +4,26 @@ A policy holds its ``settings`` and one :class:`ArmRecord` per portfolio
 heuristic: its working limit, weight, pulls, successes and reward sum.  It
 ``picks`` the heuristics to run at a node and ``record``s each outcome, and
 both policies tally pulls and successes in the same step;
-:func:`run_scheduled_heuristics` executes the picks of either policy.  The
-static schedule learns nothing more.  The :class:`Scheduler` is the one
-object that holds the bandit: it runs at most one heuristic per invocation,
-and its ``record`` charges the pure :func:`compute_reward` against the
-running ``v_max``, folds it into the arm's weight (``update``), adapts the
-arm's limit and grows or resets the fail streak.  Its first pass executes
-every heuristic once in the default priority order (warmstart); afterwards
-its ``draw``, a modified epsilon-greedy bandit, takes over: with probability
-``1 - eps_t`` it exploits the arm with the best average reward, otherwise it
-samples an arm proportionally to the weights.  Failed calls grow a skip
-counter that suppresses whole invocations, so an unproductive portfolio is
-consulted less and less often.
+:func:`run_scheduled_heuristics` is the one call loop of either policy: it
+alone decides whether a pick runs (one that needs an incumbent waits for one),
+and it times each call.  The static schedule learns nothing more.  The
+:class:`Scheduler` is the one object that holds the bandit: it runs at most
+one heuristic per invocation, and its ``record`` charges the pure
+:func:`compute_reward` against the running ``v_max``, folds it into the arm's
+weight (``update``), adapts the arm's limit and grows or resets the fail
+streak.  Its first pass executes every heuristic once in the default priority
+order (warmstart); afterwards its ``draw``, a modified epsilon-greedy bandit,
+takes over: with probability ``1 - eps_t`` it exploits the arm with the best
+average reward, otherwise it samples an arm proportionally to the weights.
+Failed calls grow a skip counter that suppresses whole invocations, so an
+unproductive portfolio is consulted less and less often.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
@@ -31,7 +33,6 @@ import numpy as np
 from .heuristics import (
     DEFAULT_ORDER,
     HeurOutcome,
-    NotApplicable,
     PORTFOLIO,
     SPEC_BY_ID,
     WorkingLimit,
@@ -151,7 +152,8 @@ class StaticSchedule(Policy):
         """Every heuristic whose depth slot this is, in the default order.
 
         ``applicable`` is not consulted: an earlier pick at the same node may
-        install the incumbent a later one needs, so ``run_lns`` checks each.
+        install the incumbent a later one needs, so the call loop checks each
+        pick as it comes up.
         """
         freq, offset = self.settings.default_freq, self.settings.default_offset
         return [h for k, h in enumerate(DEFAULT_ORDER, start=1)
@@ -277,28 +279,27 @@ class Scheduler(Policy):
         })
 
 
-def run_scheduled_heuristics(tree: TreeSearch, node: Node, lp: LpResult) -> list:
+def run_scheduled_heuristics(tree: TreeSearch, node: Node, lp: LpResult) -> None:
     """Run the tree's policy's picks at a node; the one path of both modes.
 
-    A pick that raises ``NotApplicable`` (such as an LNS kind that needs an
-    incumbent while there is none) is skipped and not recorded.  Every
-    executed heuristic is recorded by the policy; returns their outcomes.
+    A pick that needs an incumbent while the tree has none (only the static
+    schedule makes one) is skipped untouched: it runs nothing and the policy
+    records nothing.  Each executed pick is timed into ``tree.stats.heurtime_s``
+    and recorded by the policy.
     """
     policy = tree.policy
     applicable = {s.id for s in PORTFOLIO
                   if not s.requires_incumbent or tree.incumbent is not None}
-    outcomes = []
     for h in policy.picks(node.depth, applicable):
         inc_before = tree.incumbent
-        try:
-            outcome = execute(h, lp, tree, node.bounds, policy.arms[h].limit, tree.exec_rng(h))
-        except NotApplicable:
+        if SPEC_BY_ID[h].requires_incumbent and inc_before is None:
             continue
+        t0 = time.perf_counter()
+        outcome = execute(h, lp, tree, node.bounds, policy.arms[h].limit, tree.exec_rng(h))
+        tree.stats.heurtime_s += time.perf_counter() - t0
         found = outcome.found_incumbent  # then the call installed the incumbent
         obj_old = inc_before.objective if inc_before is not None else None
         ctx = RewardContext(is_first_incumbent=found and obj_old is None, obj_old=obj_old,
                             obj_new=tree.incumbent.objective if found else None,
                             obj_lp=lp.objective)
         policy.record(h, outcome, ctx)
-        outcomes.append(outcome)
-    return outcomes

@@ -359,7 +359,7 @@ def test_acceptance_6_comparative_study(tmp_path):
     assert len(rows) == 30 * 4 * 2
 
     with out.open() as fh:
-        table = summarize_runs(fh, brackets=[0.1, 0.5], time_limit=60.0)
+        table = summarize_runs(fh, brackets=[0.1, 0.5])
     print()
     print(format_summary(table))
 

@@ -17,8 +17,8 @@ from banditmip.bnb import (
     select_branch_variable,
     solve,
 )
-from banditmip import bnb as bnb_mod, heuristics, model as model_mod
-from banditmip.heuristics import LNS_KINDS, NotApplicable
+from banditmip import bnb as bnb_mod, heuristics, model as model_mod, scheduler as scheduler_mod
+from banditmip.heuristics import LNS_KINDS
 from banditmip.model import Assignment, generate_instance, load_instance, presolve
 from banditmip.scheduler import compute_skip_count
 from banditmip.simplex import FEAS_TOL, BoundState, LpResult, LpStatus, SimplexContext
@@ -478,17 +478,10 @@ def test_monotone_incumbents():
 def test_solve_deterministic_replay():
     model = generate_instance("gap", (24, 4), 8)
 
-    def counted(self, bounds):
-        out = box_certificate(self, bounds)
-        certified.append(out is not None)
-        return out
-
     def run():
         res = solve(model, SolverSettings(mode="scheduler", seed=2))
-        log = [{k: v for k, v in rec.items() if k != "wall_time_s"}
-               for rec in res.scheduler_log]
         return (res.status, res.objective, res.nodes_processed,
-                res.incumbent_log, log)
+                res.incumbent_log, res.scheduler_log)
 
     assert run() == run()
 
@@ -1027,27 +1020,46 @@ def test_per_heuristic_is_the_policys_arm_record(mode):
 
 @pytest.mark.parametrize("mode", ["default", "scheduler"])
 def test_inapplicable_heuristic_is_skipped_and_not_charged(mode, monkeypatch):
-    run_diving = heuristics.run_diving
-    refused = []
+    """A rins or mutation pick before the first incumbent never reaches ``run_lns``, charges
+    no pull and logs no record: the call loop skips it.  Only the static schedule makes such
+    picks (4 on this solve); the bandit draws from the applicable heuristics."""
+    run_lns, execute = heuristics.run_lns, scheduler_mod.execute
+    lns_calls, picked, executed = [], [], []
 
-    def refuse_coef_dive(kind, *args):
-        if kind == "coef_dive":
-            refused.append(kind)
-            raise NotApplicable("coef_dive refused")
-        return run_diving(kind, *args)
+    def spy_lns(kind, lp, tree, *args):
+        lns_calls.append((kind, tree.incumbent is not None))
+        return run_lns(kind, lp, tree, *args)
 
-    monkeypatch.setattr(heuristics, "run_diving", refuse_coef_dive)
+    def spy_execute(h, *args):
+        executed.append(h)
+        return execute(h, *args)
+
+    monkeypatch.setattr(heuristics, "run_lns", spy_lns)
+    monkeypatch.setattr(scheduler_mod, "execute", spy_execute)
+    for cls in (scheduler_mod.StaticSchedule, scheduler_mod.Scheduler):
+        def picks(self, depth, applicable, _original=cls.picks):
+            out = _original(self, depth, applicable)
+            picked.extend(out)
+            return out
+        monkeypatch.setattr(cls, "picks", picks)
     model = generate_instance("gap", (24, 4), 5)
     res = solve(model, SolverSettings(mode=mode, seed=1))
-    assert refused
     assert res.status is SolveStatus.OPTIMAL
-    assert res.stats.per_heuristic["coef_dive"].pulls == 0
-    assert all(rec["h"] != "coef_dive" for rec in res.scheduler_log)
-    assert res.stats.heuristic_calls == sum(arm.pulls for arm in res.stats.per_heuristic.values())
+    needs = [h for h in heuristics.DEFAULT_ORDER if heuristics.SPEC_BY_ID[h].requires_incumbent]
+    assert all(had_incumbent for kind, had_incumbent in lns_calls if kind in needs)
+    skipped = list(picked)
+    for h in executed:
+        skipped.remove(h)
+    assert set(skipped) <= set(needs)
+    assert len(skipped) == (4 if mode == "default" else 0)
+    for h, arm in res.stats.per_heuristic.items():
+        assert arm.pulls == executed.count(h)
+    if mode == "scheduler":
+        assert [rec["h"] for rec in res.scheduler_log] == executed
+    assert res.stats.heuristic_calls == len(executed) > 0
     # a portfolio call succeeds exactly when the tree accepted its one candidate
     accepted = [src for src, _ in res.incumbent_log if src in heuristics.DEFAULT_ORDER]
     assert res.stats.heuristic_successes == len(accepted)
-    assert res.stats.heuristic_calls > 0
 
 
 @pytest.mark.parametrize("mode", ["default", "scheduler"])

@@ -497,7 +497,7 @@ def test_summarize_bracket_above_all_times_is_empty():
         _row("a", 1, "default", time_s=1.0), _row("a", 1, "scheduler", time_s=2.0),
     ]
     table = summarize_runs(io.StringIO(_csv_text(rows)), brackets=[50.0])
-    bracket = [r for r in table if r.label.startswith("[50")]
+    bracket = [r for r in table if r.label == ">=50"]
     assert len(bracket) == 1 and bracket[0].count == 0
     assert bracket[0].per_mode["default"]["time"] is None
 
@@ -508,7 +508,7 @@ def test_summarize_bracket_filters_by_max_time():
         _row("b", 1, "default", time_s=9.0), _row("b", 1, "scheduler", time_s=0.2),
     ]
     table = summarize_runs(io.StringIO(_csv_text(rows)), brackets=[5.0])
-    bracket = [r for r in table if r.label.startswith("[5")]
+    bracket = [r for r in table if r.label == ">=5"]
     assert bracket[0].count == 1  # only instance b took >= 5s in some mode
 
 
@@ -596,35 +596,13 @@ def test_summarize_brackets_must_be_finite_and_not_negative(tmp_path, capsys, br
         f"error: --brackets: expected finite numbers >= 0, got {brackets!r}\n")
 
 
-@pytest.mark.parametrize("limit", ["nan", "inf", "-5", "0"])
-def test_summarize_time_limit_must_be_finite_and_positive(tmp_path, capsys, limit):
-    path = tmp_path / "runs.csv"
-    path.write_text(_csv_text([_row("a", 1, "default"), _row("a", 1, "scheduler")]))
-    assert main(["summarize", str(path), "--time-limit", limit]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: --time-limit: expected a finite number > 0, got {float(limit)!r}\n")
-
-
-@pytest.mark.parametrize("brackets", ["100", "1,60", "60.5"])
-def test_summarize_brackets_must_stay_below_the_time_limit(tmp_path, capsys, brackets):
-    """A bracket [t, limit] with t at or above the limit would print a reversed row."""
-    path = tmp_path / "runs.csv"
-    path.write_text(_csv_text([_row("a", 1, "default"), _row("a", 1, "scheduler")]))
-    assert main(["summarize", str(path), "--brackets", brackets, "--time-limit", "60"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: --brackets: each value must be below --time-limit 60, got {brackets!r}\n")
-
-
 def test_summarize_brackets_below_the_time_limit_print_their_rows(tmp_path, capsys):
+    """Each bracket t prints a row labelled ``>=t``, whatever the runs' time limit was."""
     path = tmp_path / "runs.csv"
     path.write_text(_csv_text([_row("a", 1, "default"), _row("a", 1, "scheduler")]))
-    assert main(["summarize", str(path), "--brackets", "0,59.5", "--time-limit", "60"]) == 0
-    out = capsys.readouterr().out
-    assert "[0,60]" in out and "[59.5,60]" in out
+    assert main(["summarize", str(path), "--brackets", "0,59.5,120"]) == 0
+    labels = [line.split()[0] for line in capsys.readouterr().out.splitlines()[3:]]
+    assert labels == ["all", ">=0", ">=59.5", ">=120", "all-optimal"]
 
 
 def test_bench_bad_seeds_exit_with_error(tmp_path, capsys):
@@ -634,6 +612,32 @@ def test_bench_bad_seeds_exit_with_error(tmp_path, capsys):
     assert main(["bench", str(manifest), "--seeds", "1,x", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: --seeds: expected comma-separated numbers, got '1,x'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("", "--seeds: expected comma-separated numbers, got ''"),
+    ("1,1", "--seeds: each seed must appear once, got '1,1'"),
+    ("2,1,2", "--seeds: each seed must appear once, got '2,1,2'"),
+], ids=["empty", "repeated", "repeated_apart"])
+def test_bench_seeds_a_summary_would_reject_exit_with_error(tmp_path, capsys, seeds, message):
+    """No seed list that would write a run twice (or silently run seed 0) reaches the CSV."""
+    manifest = tmp_path / "suite.txt"
+    manifest.write_text("gen:knapsack:n=8,m=1,seed=1\n")
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(manifest), "--seeds", seeds, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_bench_repeated_manifest_instance_exits_with_error(tmp_path, capsys):
+    manifest = tmp_path / "suite.txt"
+    manifest.write_text("# suite\ngen:knapsack:n=8,m=1,seed=1\n\ngen:gap:n=8,m=2,seed=2\n"
+                        "  gen:knapsack:n=8,m=1,seed=1\n")
+    out = tmp_path / "runs.csv"
+    assert main(["bench", str(manifest), "--seeds", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: manifest line 5: instance 'gen:knapsack:n=8,m=1,seed=1' repeats line 2\n")
     assert not out.exists()
 
 
@@ -668,9 +672,9 @@ PINNED_TABLE = """\
 subset            n | solved     time    nodes | solved     time    nodes |   time nodes heurt
 ----------------------------------------------------------------------------------------------
 all               3 |      2     1.15    122.4 |      3     0.99     80.2 |   0.86  0.66  0.90
-[0,60]            3 |      2     1.15    122.4 |      3     0.99     80.2 |   0.86  0.66  0.90
-[1.5,60]          1 |      0     3.00    400.0 |      1     2.00    200.0 |   0.67  0.50  0.50
-[100,60]          0 |      0        -        - |      0        -        - |      -     -     -
+>=0               3 |      2     1.15    122.4 |      3     0.99     80.2 |   0.86  0.66  0.90
+>=1.5             1 |      0     3.00    400.0 |      1     2.00    200.0 |   0.67  0.50  0.50
+>=100             0 |      0        -        - |      0        -        - |      -     -     -
 all-optimal       1 |      1     0.25     10.0 |      1     0.75     30.0 |   3.00  3.00     -"""
 
 

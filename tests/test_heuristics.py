@@ -8,11 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from banditmip.bnb import SolverSettings, TreeSearch
+from banditmip import heuristics
+from banditmip.bnb import Node, SolverSettings, TreeSearch
 from banditmip.heuristics import (
     DEFAULT_ORDER,
     HeurOutcome,
-    NotApplicable,
     PORTFOLIO,
     SPEC_BY_ID,
     WorkingLimit,
@@ -26,6 +26,7 @@ from banditmip.heuristics import (
     variable_locks,
 )
 from banditmip.model import Assignment, evaluate_solution, generate_instance, snap_integral
+from banditmip.scheduler import run_scheduled_heuristics
 from banditmip.simplex import BoundState, LpResult, LpStatus, SimplexContext
 
 from oracles import brute_force_binary, model_from_dense, run_diving_reference
@@ -449,12 +450,34 @@ def test_lns_fixing_count_is_ceil_f_times_I():
     assert out.fixed_count == 9  # ceil(0.9 * 10)
 
 
-def test_rins_needs_incumbent():
+def test_rins_needs_incumbent(monkeypatch):
+    """In either mode the call loop skips rins and mutation picks while the tree has no
+    incumbent, before their generator or ``run_lns`` is touched, and charges them nothing;
+    with an incumbent the same picks run, are timed and are charged."""
     model = _model([-1, -1], [[1, 1]], "L", [1.5])
-    tree, lp, bounds = _root(model)
-    for kind in ("rins", "mutation"):
-        with pytest.raises(NotApplicable):
-            run_lns(kind, lp, tree, LNS, np.random.default_rng(0))
+    original_lns, lns_calls = heuristics.run_lns, []
+
+    def spy_lns(kind, *args):
+        lns_calls.append(kind)
+        return original_lns(kind, *args)
+
+    monkeypatch.setattr(heuristics, "run_lns", spy_lns)
+    for mode in ("default", "scheduler"):
+        lns_calls.clear()
+        tree, lp, bounds = _root(model, mode=mode)
+        monkeypatch.setattr(tree.policy, "picks", lambda depth, applicable: ["rins", "mutation"])
+        node = Node(id=0, depth=0, bounds=bounds, parent_dualbound=lp.objective)
+        run_scheduled_heuristics(tree, node, lp)
+        assert lns_calls == [] and tree.exec_rngs == {} and tree.stats.heurtime_s == 0.0
+        assert all(arm.pulls == 0 for arm in tree.policy.arms.values())
+        assert tree.policy.reward_log == []
+
+        tree.incumbent = Assignment.from_values(model, np.array([1.0, 0.0]))
+        run_scheduled_heuristics(tree, node, lp)
+        assert lns_calls == ["rins", "mutation"] and set(tree.exec_rngs) == {"rins", "mutation"}
+        assert tree.stats.heurtime_s > 0.0
+        assert {h: arm.pulls for h, arm in tree.policy.arms.items() if arm.pulls} == {
+            "rins": 1, "mutation": 1}
 
 
 def test_rins_full_agreement_no_improvement():

@@ -30,17 +30,18 @@ FAMILIES = (
 
 
 @functools.lru_cache(maxsize=None)
-def _traced_spans(mode, size=(24, 4), seed=5):
+def _traced(mode, size=(24, 4), seed=5):
+    """The spans of one traced gap solve, and its result."""
     model = generate_instance("gap", size, seed)
     settings = banditmip.SolverSettings(mode=mode, seed=1, time_limit_s=None)
     tracer = spans.Tracer(banditmip)
     with tracer:
-        banditmip.bnb.solve(model, settings)
-    return tuple(tracer.spans)
+        res = banditmip.bnb.solve(model, settings)
+    return tuple(tracer.spans), res
 
 
 def _traced_names(mode):
-    return {s.name for s in _traced_spans(mode)}
+    return {s.name for s in _traced(mode)[0]}
 
 
 @pytest.mark.parametrize("mode", ["scheduler", "default"])
@@ -64,6 +65,20 @@ def test_node_lps_warm_start(mode):
     integral objective, so the guard runs on a larger gap model whose trees
     keep over 20 node LPs in both modes.
     """
-    counts, _ = spans.layer_metrics(list(_traced_spans(mode, (36, 6), 2)))
+    counts, _ = spans.layer_metrics(list(_traced(mode, (36, 6), 2)[0]))
     assert counts["simplex.node.calls"] > 20
     assert counts["simplex.node.pivots_per_call"] <= 8
+
+
+@pytest.mark.parametrize("mode", ["scheduler", "default"])
+@pytest.mark.parametrize("size, seed", [((24, 4), 5), ((36, 6), 2)], ids=["24x4-5", "36x6-2"])
+def test_traced_calls_equal_the_policys_pulls(mode, size, seed):
+    """Every traced heuristic call returned, and each one the trace counts is a pull the
+    policy charged: no pick is refused from inside a heuristic."""
+    traced, res = _traced(mode, size, seed)
+    heur = [s for s in traced if s.name.startswith("heuristics.")]
+    assert heur and all(s.attrs is not None for s in heur)
+    counts, _ = spans.layer_metrics(list(traced))
+    for h, arm in res.stats.per_heuristic.items():
+        assert counts[f"heuristics.{h}.calls"] == arm.pulls, h
+    assert sum(counts[f"heuristics.{h}.calls"] for h in spans.PORTFOLIO) > 0
