@@ -170,14 +170,14 @@ class SolverSettings:
     lambda_gap: float = _setting(0.3, ge=0)
     lambda_eff: float = _setting(0.2, ge=0)
     lambda_conf: float = _setting(0.2, ge=0)
-    # LNS working limits (f_min <= f_max); f is the share of the integers a call fixes
+    # LNS working limits (f_min <= f_init <= f_max); f is the share of the integers a call fixes
     f_init: float = _setting(0.9, ge=0)
     f_min: float = 0.3
     f_max: float = 0.9
     # a call scales f (gamma) or q (eta) by 1 -/+ rate: above 1 a shrink turns it negative
     gamma: float = _setting(0.1, ge=0, le=1)
     lns_node_budget: int = _setting(500, ge=1)  # the reward divides by the budget
-    # diving working limits (q_min <= q_max); q sets the dive's forced re-solve period
+    # diving working limits (q_min <= q_init <= q_max); q sets the dive's forced re-solve period
     # 1/q, and a failed dive shrinks it toward q_min
     q_init: float = _setting(0.05, gt=0)
     q_min: float = _setting(0.05, gt=0)
@@ -196,10 +196,14 @@ class SolverSettings:
     def __post_init__(self):
         for name, spec in SETTING_SPECS.items():
             spec.check(name, getattr(self, name))
-        if not self.f_min <= self.f_max:
-            raise InvalidSettings(f"f_min {self.f_min!r} exceeds f_max {self.f_max!r}")
-        if not self.q_min <= self.q_max:
-            raise InvalidSettings(f"q_min {self.q_min!r} exceeds q_max {self.q_max!r}")
+        # a working limit starts inside the range it adapts in
+        for init, lo, hi in (("f_init", "f_min", "f_max"), ("q_init", "q_min", "q_max")):
+            start, low, high = getattr(self, init), getattr(self, lo), getattr(self, hi)
+            if not low <= high:
+                raise InvalidSettings(f"{lo} {low!r} exceeds {hi} {high!r}")
+            if not low <= start <= high:
+                raise InvalidSettings(
+                    f"{init} must be within [{lo}, {hi}] = [{low!r}, {high!r}], got {start!r}")
 
 
 def _spec(hint, domain) -> SettingSpec:
@@ -232,7 +236,7 @@ class ConflictPool:
 class RunStats:
     """What a run measured that its ``SolveResult`` and settings do not already say."""
 
-    time_s: float = 0.0
+    time_s: float = 0.0  # wall time since ``solve`` was entered: the interval its deadline bounds
     heurtime_s: float = 0.0  # wall time of the executed portfolio calls, timed by the call loop
     per_heuristic: dict = field(default_factory=dict)  # the policy's ArmRecord per heuristic
     # largest violation of any row by any optimal LP of the search, over the row's size
@@ -292,7 +296,8 @@ def select_branch_variable(lp: LpResult, model: MipModel, int_tol: float) -> int
 
 
 class TreeSearch:
-    """Mutable state of one branch-and-bound run."""
+    """Mutable state of one branch-and-bound run; ``deadline`` (a ``time.perf_counter``
+    reading) is its one time input, which ``solve`` sets from ``settings.time_limit_s``."""
 
     def __init__(self, model: MipModel, settings: SolverSettings, *,
                  root_bounds: Optional[BoundState] = None,
@@ -308,6 +313,8 @@ class TreeSearch:
                                 f"got shapes {[np.shape(side) for side in sides]}")
         if cutoff is not None and not cutoff > -INF:  # NaN or -inf
             raise InvalidSearch(f"cutoff must be a number above -inf, got {cutoff!r}")
+        if deadline is not None and math.isnan(deadline):
+            raise InvalidSearch(f"deadline must be a number or None, got {deadline!r}")
         if ctx is not None and ctx.model is not model:
             raise InvalidSearch("ctx must be an LP context of the model searched")
         self.model = model
@@ -318,7 +325,6 @@ class TreeSearch:
         self.heur_layer = heur_layer
         self.ctx = ctx if ctx is not None else SimplexContext(
             model, shadow_check=settings.shadow_lp_check)
-        self.locks = heur.variable_locks(model)
         self.incumbent: Optional[Assignment] = None
         self.incumbent_log = []
         self.nodes_processed = 0
@@ -328,9 +334,6 @@ class TreeSearch:
         self.plunge_streak = 0
         self.cutoff_pruned = False  # a prune relied on the inherited cutoff
         self.deadline = deadline
-        if settings.time_limit_s is not None:
-            own = time.perf_counter() + settings.time_limit_s
-            self.deadline = own if deadline is None else min(deadline, own)
         self.stats = RunStats()
         self.exec_rngs = {}  # each heuristic's own generator, made on first use
         if settings.mode == "scheduler" and heur_layer == "auto":
@@ -341,11 +344,11 @@ class TreeSearch:
         self.stats.per_heuristic = self.policy.arms
 
     def exec_rng(self, h: str) -> np.random.Generator:
-        """Heuristic ``h``'s generator, seeded from the solver seed and its rank."""
+        """Heuristic ``h``'s generator, seeded from the solver seed and its ``PORTFOLIO`` index."""
         rng = self.exec_rngs.get(h)
         if rng is None:
             rng = self.exec_rngs[h] = np.random.default_rng(np.random.SeedSequence(
-                [self.settings.seed % 2**32, 100 + heur.SPEC_BY_ID[h].rank]))
+                [self.settings.seed % 2**32, 100 + heur.DEFAULT_ORDER.index(h)]))
         return rng
 
     # ------------------------------------------------------------------
@@ -440,8 +443,8 @@ class TreeSearch:
 
     def sub_solve(self, bounds: BoundState, node_limit: int):
         """Solve an LNS sub-MIP on ``bounds`` on this tree's LP context, under its cutoff,
-        deadline and settings."""
-        return solve(self.model, replace(self.settings, node_limit=node_limit, time_limit_s=None),
+        deadline and settings (``time_limit_s`` from the sub-MIP's later start ends no sooner)."""
+        return solve(self.model, replace(self.settings, node_limit=node_limit),
                      root_bounds=bounds, cutoff=self.effective_cutoff(), ctx=self.ctx,
                      heur_layer="rounding_only", deadline=self.deadline)
 
@@ -479,7 +482,6 @@ class TreeSearch:
         return min(bounds) if bounds else INF
 
     def run(self) -> SolveResult:
-        t0 = time.perf_counter()
         settings = self.settings
         root = Node(id=self.next_id, depth=0, bounds=self.root_bounds,
                     parent_dualbound=-INF)
@@ -564,7 +566,6 @@ class TreeSearch:
             if self.incumbent is not None:
                 dual = min(dual, self.incumbent.objective)
 
-        self.stats.time_s = time.perf_counter() - t0
         self.stats.max_row_residual = self.ctx.max_row_residual
         self.stats.lp_inversions = self.ctx.inversions
         self.stats.factor_reuses = self.ctx.factor_reuses
@@ -593,11 +594,20 @@ def solve(model: MipModel, settings: SolverSettings, *,
     its tree's presolved model.  ``ctx`` is the LP context to solve on, the
     calling tree's for a sub-MIP: its cut rows, and so the result's
     ``conflict_pool``, and its counters are the whole search's.
+    The search's one deadline, which its trees, dives, LPs and sub-MIPs all
+    read, is ``settings.time_limit_s`` from this call's entry, before presolve,
+    or ``deadline`` when that comes first; ``RunStats.time_s`` spans the same.
     """
+    start = time.perf_counter()
+    if settings.time_limit_s is not None:
+        own = start + settings.time_limit_s
+        deadline = own if deadline is None else min(deadline, own)  # a NaN stays for TreeSearch
     searched = model if root_bounds is not None else presolve(model, settings.feas_tol)
     tree = TreeSearch(searched, settings, root_bounds=root_bounds, cutoff=cutoff, ctx=ctx,
                       heur_layer=heur_layer, deadline=deadline)
     tree.stats.searched_rows = searched.m
     tree.stats.tightened_bounds = int(np.count_nonzero(searched.lower != model.lower)
                                       + np.count_nonzero(searched.upper != model.upper))
-    return tree.run()
+    result = tree.run()
+    result.stats.time_s = time.perf_counter() - start
+    return result

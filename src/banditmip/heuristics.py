@@ -18,9 +18,9 @@ its ``budget`` is the sub-MIP node budget or the dive's maximum depth.
 :func:`adapt_limit` adapts either multiplicatively after every call.
 
 Every heuristic reads the :class:`~banditmip.bnb.TreeSearch` it serves: its
-model, LP context, root bounds, locks, settings, deadline, incumbent and
-cutoff.  No heuristic judges its own candidates: each hands the point it
-found to ``tree.update_incumbent``, which checks feasibility, integrality and
+model (and its rounding ``locks``), LP context, root bounds, settings,
+deadline, incumbent and cutoff.  No heuristic judges its own candidates: each
+hands the point it found to ``tree.update_incumbent``, which checks feasibility, integrality and
 improvement and reports whether it was taken.  Nor does one judge what its
 failure proves: a dive asks ``tree.beats_cutoff`` whether an LP is still worth
 following, and a dive or LNS call hands the bounds it proved infeasible to
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import MipModel, fractionality, round_half_down, snap_integral
+from .model import fractionality, round_half_down, snap_integral
 from .simplex import BoundState, LpResult, LpStatus
 
 if TYPE_CHECKING:
@@ -56,17 +56,17 @@ if TYPE_CHECKING:
 class HeuristicSpec:
     id: str
     klass: str  # "lns" or "diving"
-    rank: int  # position in the default priority order
     requires_incumbent: bool
 
 
+# in the default priority order; a heuristic's position here seeds its generator
 PORTFOLIO = (
-    HeuristicSpec("rens", "lns", 0, False),
-    HeuristicSpec("rins", "lns", 1, True),
-    HeuristicSpec("mutation", "lns", 2, True),
-    HeuristicSpec("frac_dive", "diving", 3, False),
-    HeuristicSpec("coef_dive", "diving", 4, False),
-    HeuristicSpec("rand_dive", "diving", 5, False),
+    HeuristicSpec("rens", "lns", False),
+    HeuristicSpec("rins", "lns", True),
+    HeuristicSpec("mutation", "lns", True),
+    HeuristicSpec("frac_dive", "diving", False),
+    HeuristicSpec("coef_dive", "diving", False),
+    HeuristicSpec("rand_dive", "diving", False),
 )
 SPEC_BY_ID = {spec.id: spec for spec in PORTFOLIO}
 DEFAULT_ORDER = tuple(spec.id for spec in PORTFOLIO)
@@ -122,17 +122,6 @@ def adapt_limit(limit: WorkingLimit, outcome: HeurOutcome) -> WorkingLimit:
     return replace(limit, value=value)
 
 
-def variable_locks(model: MipModel):
-    """Count rows that can be violated by rounding each variable down / up."""
-    sense = model.senses[model.entry_rows]
-    pos = model.data > 0
-    # a positive entry locks rounding up in an L or E row and down in a G or E row
-    up = np.where(pos, sense != "G", sense != "L")
-    down = np.where(pos, sense != "L", sense != "G")
-    return (np.bincount(model.indices[down], minlength=model.n),
-            np.bincount(model.indices[up], minlength=model.n))
-
-
 def _open_fractional(ints: np.ndarray, x: np.ndarray, bounds, int_tol: float) -> list:
     """The integer variables, in the order of ``ints``, with an open domain and fractional x."""
     keep = ((bounds.upper[ints] - bounds.lower[ints] > 1e-9)
@@ -157,7 +146,7 @@ def run_rounding(lp: LpResult, tree: TreeSearch) -> HeurOutcome:
     """
     model = tree.model
     ints = model.integers
-    down, up = tree.locks[0][ints], tree.locks[1][ints]
+    down, up = model.locks[0][ints], model.locks[1][ints]
     x = lp.x.copy()
     v = x[ints]
     t = np.minimum(np.maximum(lock_round(v, down, up), model.lower[ints]), model.upper[ints])
@@ -175,7 +164,7 @@ def run_diving(kind: str, lp: LpResult, tree: TreeSearch, bounds: BoundState,
     model, settings = tree.model, tree.settings
     ints = model.integers
     n_int = len(ints)
-    down_locks, up_locks = tree.locks
+    down_locks, up_locks = model.locks
     q = limit.value
     force_every = math.ceil(1.0 / q)
 

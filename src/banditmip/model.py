@@ -67,8 +67,9 @@ class MipModel:
     ``integers`` holds the integer columns, sorted and unique.
     ``row_cols`` and ``row_vals`` give each row's slice of ``indices`` and
     ``data`` as a list of views, made anew on each read.  ``integral_objective``,
-    computed once, says whether every point with integral integer columns has
-    an integral objective.  ``maximize``
+    ``binary`` and the rounding ``locks`` are computed once, on first read;
+    the first says whether every point with integral integer columns has an
+    integral objective.  ``maximize``
     records that the original input was a maximization whose objective was
     negated on the way in; reported objectives should be un-negated by the
     caller when that flag is set.
@@ -195,6 +196,17 @@ class MipModel:
         mask[ints] = ((self.lower[ints] >= -DEFAULT_INT_TOL)
                       & (self.upper[ints] <= 1.0 + DEFAULT_INT_TOL))
         return mask
+
+    @cached_property
+    def locks(self) -> tuple:
+        """(down, up): per column, the count of rows that rounding it down or up may violate."""
+        sense = self.senses[self.entry_rows]
+        pos = self.data > 0
+        # a positive entry locks rounding up in an L or E row and down in a G or E row
+        up = np.where(pos, sense != "G", sense != "L")
+        down = np.where(pos, sense != "L", sense != "G")
+        return (np.bincount(self.indices[down], minlength=self.n),
+                np.bincount(self.indices[up], minlength=self.n))
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """Activities a_i . x for every row."""

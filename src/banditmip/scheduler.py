@@ -15,6 +15,8 @@ streak.  Its first pass executes every heuristic once in the default priority
 order (warmstart); afterwards its ``draw``, a modified epsilon-greedy bandit,
 takes over: with probability ``1 - eps_t`` it exploits the arm with the best
 average reward, otherwise it samples an arm proportionally to the weights.
+Its step count ``t`` is the sum of the arms' pulls, and a warmstart call is an
+arm's first pull (a draw while warmstart waits takes only arms already pulled).
 Failed calls grow a skip counter that suppresses whole invocations, so an
 unproductive portfolio is consulted less and less often.
 """
@@ -166,21 +168,19 @@ class Scheduler(Policy):
     def __init__(self, settings, rng: np.random.Generator):
         super().__init__(settings)
         self.rng = rng
-        self.t = 0  # charged pulls so far
         self.v_max = 0  # the most conflicts any call has found so far
         self.n_fail = 0
         self.skip_remaining = 0
         self.warmstart_queue = deque(DEFAULT_ORDER)
-        self._warm_call = False
 
     def draw(self, cands) -> str:
-        """One epsilon-greedy draw over the candidate arms; does not advance t.
+        """One epsilon-greedy draw over the candidate arms at step t = pulls so far + 1.
 
         Ties go to the arm that comes first in the records' order.
         """
         arms = self.arms
         cands = [h for h in arms if h in cands]
-        eps = epsilon_t(self.settings.epsilon, len(arms), self.t + 1)
+        eps = epsilon_t(self.settings.epsilon, len(arms), sum(a.pulls for a in arms.values()) + 1)
         rho = float(self.rng.random())
         if rho > eps:
             return max(cands, key=lambda h: arms[h].weight)
@@ -204,7 +204,6 @@ class Scheduler(Policy):
         exploration could then never select it again; the prior keeps every arm
         reachable while washing out as real observations accumulate.
         """
-        self.t += 1
         arm = self.arms[h]
         arm.reward_sum = (arm.reward_sum or 0.0) + reward
         if self.settings.bandit_mode == "average":
@@ -215,14 +214,12 @@ class Scheduler(Policy):
 
     def select(self, applicable) -> Optional[str]:
         """Next heuristic: warmstart queue first, then the bandit; None with no candidate."""
-        self._warm_call = False
         queue = self.warmstart_queue
         if queue:
             for _ in range(len(queue)):
                 h = queue[0]
                 if h in applicable:
                     queue.popleft()
-                    self._warm_call = True
                     return h
                 queue.rotate(-1)  # defer inapplicable entries to the end
             cands = {h for h in applicable if self.arms[h].pulls > 0}
@@ -246,23 +243,24 @@ class Scheduler(Policy):
         """Tally the call, then learn from it: reward, weight, working limit, fail streak."""
         super().record(h, outcome, ctx)
         arm = self.arms[h]
+        warm = arm.pulls == 1  # an arm's first pull is its warmstart call
         before = arm.limit
         v_max_before = self.v_max
         breakdown = compute_reward(outcome, ctx, self.settings, v_max_before, before.budget)
         self.v_max = max(v_max_before, outcome.conflicts_found)
         self.update(h, breakdown.r_total)
         after = arm.limit = adapt_limit(before, outcome)
-        if not self._warm_call:  # frozen during warmstart
+        if not warm:  # frozen during warmstart
             if outcome.found_incumbent:
                 self.n_fail = 0
             else:
                 self.n_fail += 1
                 self.skip_remaining = compute_skip_count(self.n_fail, self.settings.beta)
         self.reward_log.append({
-            "t": self.t,
+            "t": sum(a.pulls for a in self.arms.values()),
             "h": h,
             "klass": SPEC_BY_ID[h].klass,
-            "warmstart": self._warm_call,
+            "warmstart": warm,
             **asdict(breakdown),
             "found_incumbent": outcome.found_incumbent,
             "sub_mip_infeasible": outcome.sub_mip_infeasible,

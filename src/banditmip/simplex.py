@@ -370,11 +370,6 @@ class _Csc:
         return binv
 
 
-def _inverse(A, basis: np.ndarray) -> np.ndarray:
-    """B^-1 for the columns ``basis`` of A; LinAlgError when they are singular."""
-    return A.basis_inverse(basis) if isinstance(A, _Csc) else np.linalg.inv(A[:, basis])
-
-
 def _column_image(binv: np.ndarray, A, j: int) -> np.ndarray:
     """B^-1 a_j: variable j's column in the coordinates of the current basis."""
     if isinstance(A, _Csc):
@@ -411,6 +406,12 @@ class SimplexContext:
         self.max_row_residual = 0.0  # largest _row_residuals entry of any optimal solve
         self.inversions = 0  # bases inverted from scratch
         self.factor_reuses = 0  # warm starts that took (B^-1, d) from the cache
+
+    def _invert(self, A, basis: np.ndarray) -> np.ndarray:
+        """B^-1 of the columns ``basis`` of ``A``, counted in ``inversions``; LinAlgError when
+        they are singular."""
+        self.inversions += 1
+        return A.basis_inverse(basis) if isinstance(A, _Csc) else np.linalg.inv(A[:, basis])
 
     def _build(self):
         model, extra = self.model, self._extra
@@ -582,10 +583,9 @@ class SimplexContext:
             basis, vstat, val, A, lo, up = self._cold_start(lo, up)
             status, nart, d = LpStatus.OPTIMAL, len(val) - nbase, None  # nart: artificials
             if nart:  # phase 1
-                self.inversions += 1
                 status, iters, _ = self._pivot_loop(
                     A, lo, up, basis, vstat, val, np.repeat([0.0, 1.0], [nbase, nart]),
-                    iter_limit, iters, _inverse(A, basis), deadline)
+                    iter_limit, iters, self._invert(A, basis), deadline)
                 resid = float(val[nbase:].sum())
                 if status is LpStatus.OPTIMAL and resid > FEAS_TOL:
                     status = LpStatus.INFEASIBLE
@@ -594,8 +594,7 @@ class SimplexContext:
                     self._evict_artificials(A, basis, vstat, val, nbase)
                     lo[nbase:] = up[nbase:] = val[nbase:] = 0.0
                     cost = np.concatenate([cost, np.zeros(nart)])
-                self.inversions += 1
-                binv = _inverse(A, basis)
+                binv = self._invert(A, basis)
         if status is LpStatus.OPTIMAL:  # a dual loop without a pivot hands on its fresh d
             status, iters, d = self._pivot_loop(
                 A, lo, up, basis, vstat, val, cost, iter_limit, iters, binv, deadline,
@@ -737,9 +736,8 @@ class SimplexContext:
             binv, d = (a.copy() for a in cache[key])  # the loops change both in place
             self.factor_reuses += 1
         else:
-            self.inversions += 1
             try:
-                binv = _inverse(self.A, basis)
+                binv = self._invert(self.A, basis)
             except np.linalg.LinAlgError:
                 return None
             d = _reduced_costs(self.cost, basis, binv, self.A)
@@ -788,8 +786,7 @@ class SimplexContext:
                 val[basis] = _basic_values(binv, A, b, vstat, val)
                 d = _reduced_costs(cost, basis, binv, A)
                 if self._drift(val, basis, d) > DRIFT_TOL:
-                    self.inversions += 1
-                    binv = _inverse(A, basis)
+                    binv = self._invert(A, basis)
                     val[basis] = _basic_values(binv, A, b, vstat, val)
                     d = _reduced_costs(cost, basis, binv, A)
                     since_refactor = 0
@@ -871,9 +868,8 @@ class SimplexContext:
         the basis is inverted here.
         """
         if row is None:
-            self.inversions += 1
             try:
-                row = _inverse(self.A, basis)[r]
+                row = self._invert(self.A, basis)[r]
             except np.linalg.LinAlgError:
                 return -INF
         nb = np.flatnonzero(vstat != BASIC)
@@ -897,8 +893,7 @@ class SimplexContext:
     def _evict_artificials(self, A, basis, vstat, val, nbase):
         if not (basis >= nbase).any():
             return  # none basic: phase 2 inverts this same basis
-        self.inversions += 1
-        binv = _inverse(A, basis)
+        binv = self._invert(A, basis)
         since_refactor = 0
         for r in range(len(basis)):
             if basis[r] < nbase:
@@ -915,8 +910,7 @@ class SimplexContext:
             vstat[j] = BASIC
             since_refactor += 1
             if since_refactor >= REFACTOR_EVERY:
-                self.inversions += 1
-                binv = _inverse(A, basis)
+                binv = self._invert(A, basis)
                 since_refactor = 0
             else:
                 _eta_update(binv, _column_image(binv, A, j), r)
@@ -952,8 +946,7 @@ class SimplexContext:
                 if since_refactor >= REFACTOR_EVERY:
                     if deadline is not None and time.perf_counter() > deadline:
                         return LpStatus.TIME_LIMIT, iters, None
-                    self.inversions += 1
-                    binv = _inverse(A, basis)
+                    binv = self._invert(A, basis)
                     val[basis] = _basic_values(binv, A, self.b, vstat, val)
                     since_refactor, d = 0, None
                 if d is None:

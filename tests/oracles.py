@@ -261,7 +261,7 @@ def run_diving_reference(kind, lp, tree, bounds, limit, rng):
 
     model, settings = tree.model, tree.settings
     ints = model.integers
-    down_locks, up_locks = tree.locks
+    down_locks, up_locks = model.locks
     q, force_every = limit.value, math.ceil(1.0 / limit.value)
     x_ref, basis = lp.x, lp.basis
     steps = changed = conflicts = 0

@@ -51,6 +51,11 @@ def _model(c, rows, senses, rhs, lower=None, upper=None, integers=None):
     dict(f_min=0.9, f_max=0.3),
     dict(q_min=0.3, q_max=0.05),
     dict(q_init=0.0),
+    # a working limit starts inside [lo, hi]: above f_max, below f_min, below q_min, above q_max
+    dict(f_init=0.95),
+    dict(f_init=0.2),
+    dict(q_init=0.01),
+    dict(q_init=0.5),
     dict(lns_node_budget=0),
     dict(dive_max_depth=0),
     dict(default_freq=0),
@@ -184,6 +189,16 @@ def test_a_cutoff_that_is_nan_or_minus_infinity_is_rejected(cutoff):
     with pytest.raises(InvalidSearch, match="cutoff"):
         TreeSearch(model, SolverSettings(), cutoff=cutoff)
     assert solve(model, SolverSettings(), cutoff=math.inf).objective == 1.0
+
+
+@pytest.mark.parametrize("time_limit_s", [60.0, None])
+def test_a_nan_deadline_is_rejected(time_limit_s):
+    # no clock reading is past NaN: such a deadline would stop nothing
+    model = load_instance("gen:gap:n=24,m=4,seed=5")
+    with pytest.raises(InvalidSearch, match="deadline must be a number or None"):
+        solve(model, SolverSettings(time_limit_s=time_limit_s), deadline=float("nan"))
+    with pytest.raises(InvalidSearch, match="deadline"):
+        TreeSearch(model, SolverSettings(), deadline=float("nan"))
 
 
 def test_a_context_of_another_model_is_rejected():
@@ -346,26 +361,46 @@ def test_time_limit_overshoot_is_small(mode):
 
 def test_time_limit_stops_a_running_root_lp():
     """The root LP of this solve takes about 4,000 dual pivots (over 2 s) when the deadline
-    is not read inside it."""
+    is not read inside it.  The limit counts from the solve's entry; presolve and the LP
+    context's build of the dense 200 x 400 rows take about 15 ms of it."""
     model = load_instance("gen:knapsack:n=400,m=200,seed=1")
     t0 = time.perf_counter()
-    res = solve(model, SolverSettings(seed=1, time_limit_s=0.01))
+    res = solve(model, SolverSettings(seed=1, time_limit_s=0.1))
     elapsed = time.perf_counter() - t0
     assert res.status is SolveStatus.TIME_LIMIT and res.incumbent is None
-    assert res.nodes_processed <= 1 and res.dual_bound == -math.inf  # the root stays open
+    assert res.nodes_processed == 1 and res.dual_bound == -math.inf  # the root stays open
     assert elapsed <= 0.4
 
 
 def test_time_limit_overshoot_of_the_crash_start_is_small():
     """The crash basis and its inversion run before the root LP's first clock read, which
     comes before the first dual pivot; on this 1,928-row root they take a few hundredths of
-    a second."""
+    a second, after about 4 ms of presolve and LP context build, which the limit counts."""
     model = load_instance("gen:set_cover:n=6400,m=3200,seed=1")
     t0 = time.perf_counter()
-    res = solve(model, SolverSettings(seed=1, time_limit_s=0.01))
+    res = solve(model, SolverSettings(seed=1, time_limit_s=0.02))
     elapsed = time.perf_counter() - t0
     assert res.status is SolveStatus.TIME_LIMIT
+    assert res.nodes_processed == 1  # the deadline passed inside the root LP
     assert elapsed <= 0.4
+
+
+def test_time_limit_and_time_s_count_from_the_solve_entry(monkeypatch):
+    """Presolve runs under the search's one deadline: 0.05 s spent in it shows in
+    ``time_s``, and a 0.02 s limit has passed before the root LP."""
+    presolve_fn = bnb_mod.presolve
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return presolve_fn(*args, **kwargs)
+
+    monkeypatch.setattr(bnb_mod, "presolve", slow)
+    model = generate_instance("gap", (24, 4), 5)
+    res = solve(model, SolverSettings(seed=1, time_limit_s=None))
+    assert res.status is SolveStatus.OPTIMAL and res.stats.time_s >= 0.05
+    res = solve(model, SolverSettings(seed=1, time_limit_s=0.02))
+    assert res.status is SolveStatus.TIME_LIMIT and res.nodes_processed == 0
+    assert res.stats.time_s >= 0.05
 
 
 def test_lp_iteration_exhaustion_never_claims_optimality():
@@ -1151,6 +1186,31 @@ def test_inversions_and_factor_reuses_add_up_over_every_tree(monkeypatch):
     assert res.stats.lp_inversions == ctx.inversions
     assert res.stats.factor_reuses == ctx.factor_reuses
     assert 0 < res.stats.factor_reuses < res.stats.lp_inversions
+
+
+def test_every_basis_inversion_is_one_counted_call(monkeypatch):
+    """On the dense store each inversion is one ``np.linalg.inv`` call; the context makes and
+    counts every one at one site, so the calls of a search with sub-MIPs equal
+    ``RunStats.lp_inversions``."""
+    calls, contexts, subs = [], [], []
+    inv, init, sub_solve = np.linalg.inv, bnb_mod.SimplexContext.__init__, TreeSearch.sub_solve
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
+
+    def counted(tree, *args, **kwargs):
+        subs.append(tree)
+        return sub_solve(tree, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    monkeypatch.setattr(bnb_mod.SimplexContext, "__init__", recording)
+    monkeypatch.setattr(TreeSearch, "sub_solve", counted)
+    res = solve(generate_instance("gap", (120, 6), 1),
+                SolverSettings(seed=1, node_limit=60, time_limit_s=None))
+    [ctx] = contexts
+    assert isinstance(ctx.A, np.ndarray) and subs
+    assert len(calls) == res.stats.lp_inversions > 0
 
 
 @pytest.mark.parametrize("family, size, seed, node_limit", [

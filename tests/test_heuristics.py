@@ -23,7 +23,6 @@ from banditmip.heuristics import (
     run_diving,
     run_lns,
     run_rounding,
-    variable_locks,
 )
 from banditmip.model import Assignment, evaluate_solution, generate_instance, snap_integral
 from banditmip.scheduler import run_scheduled_heuristics
@@ -231,10 +230,10 @@ def test_vectorized_rounding_matches_loop():
     base = rng.integers(-4, 5, size=n).astype(float)
     x = base + rng.choice([0.0, 0.5, 1e-7, -1e-7, 0.3, 0.7], size=n)
     x = np.where(rng.random(n) < 0.3, base + rng.random(n), x)
-    locks = (rng.integers(0, 3, size=n), rng.integers(0, 3, size=n))
+    locks = model.locks = (rng.integers(0, 3, size=n), rng.integers(0, 3, size=n))
     seen = []
     lp = LpResult(LpStatus.OPTIMAL, x, 0.0, 0)
-    tree = SimpleNamespace(model=model, locks=locks, settings=SolverSettings(int_tol=1e-6),
+    tree = SimpleNamespace(model=model, settings=SolverSettings(int_tol=1e-6),
                            update_incumbent=lambda cand, src: seen.append(cand.copy()))
     run_rounding(lp, tree)
     assert np.array_equal(seen[0], _rounding_loop(x, model, locks, 1e-6))
@@ -253,7 +252,7 @@ def test_lock_round_is_the_scalar_rule_on_numbers_and_arrays():
 
 
 def _locks_loop(model):
-    """The per-row loop variable_locks replaced, kept as its reference."""
+    """The per-row loop ``MipModel.locks`` replaced, kept as its reference."""
     down = np.zeros(model.n, dtype=np.int64)
     up = np.zeros(model.n, dtype=np.int64)
     for idx, val, sense in zip(model.row_cols, model.row_vals, model.senses):
@@ -277,7 +276,7 @@ def test_vectorized_locks_match_loop(family, sense):
               "mixed": [str(s) for s in rng.choice(list("LGE"), size=model.m)]}
     vals = [np.where(rng.random(len(v)) < 0.3, -v, v) for v in model.row_vals]
     model = replace(model, senses=senses.get(sense, [sense] * model.m), data=np.concatenate(vals))
-    down, up = variable_locks(model)
+    down, up = model.locks
     ref_down, ref_up = _locks_loop(model)
     assert down.dtype == up.dtype == np.int64
     assert np.array_equal(down, ref_down) and np.array_equal(up, ref_up)
@@ -285,7 +284,7 @@ def test_vectorized_locks_match_loop(family, sense):
 
 def test_locks_prefer_fewer_violations():
     model = _model([-1], [[2]], "L", [1])
-    down, up = variable_locks(model)
+    down, up = model.locks
     assert down[0] == 0 and up[0] == 1
 
 
@@ -387,7 +386,7 @@ def test_dive_respects_max_depth():
 def test_dive_stops_once_the_deadline_has_passed():
     model = generate_instance("gap", (24, 4), 5)
     tree, lp, bounds = _root(model)
-    assert tree.deadline is not None
+    assert tree.deadline is None  # a tree has only the deadline it is given
     solves = []
     solve = tree.ctx.solve
     tree.ctx.solve = lambda *a, **k: solves.append(1) or solve(*a, **k)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import banditmip.model
-from banditmip.heuristics import variable_locks
 from banditmip.model import (
     Assignment,
     DimensionMismatch,
@@ -1065,7 +1064,7 @@ def test_sense_array_holds_the_row_senses_read_only():
     with pytest.raises(ValueError):
         model.senses[0] = "G"
     # the rounding locks read the same senses the per-row strings give
-    down, up = variable_locks(model)
+    down, up = model.locks
     sense = np.asarray(senses, dtype="U1")[model.entry_rows]
     pos = model.data > 0
     assert np.array_equal(up, np.bincount(model.indices[np.where(pos, sense != "G", sense != "L")],

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from banditmip.bnb import SolverSettings
+from banditmip.bnb import SolverSettings, solve
 from banditmip.heuristics import DEFAULT_ORDER, HeurOutcome, portfolio_limits
+from banditmip.model import load_instance
 from banditmip.scheduler import (
     ArmRecord,
     Policy,
@@ -54,6 +55,13 @@ def _pull(sched, h, reward):
 
 def _pulls(sched):
     return {h: arm.pulls for h, arm in sched.arms.items()}
+
+
+def _set_pulls(sched, t):
+    """Spread ``t`` pulls over the arms, in order: the bandit's step count is their sum."""
+    arms = list(sched.arms.values())
+    for k, arm in enumerate(arms):
+        arm.pulls = t // len(arms) + (k < t % len(arms))
 
 
 def _sched(rng=None):
@@ -181,10 +189,10 @@ def test_seventh_selection_enters_bandit_phase():
     sched = _sched(rng=np.random.default_rng(123))
     _drain_warmstart(sched, found=True)
     assert not sched.warmstart_queue
+    assert sum(_pulls(sched).values()) == 6  # six charged warmstart pulls behind us
     seventh = sched.select(ALL)
     assert seventh in DEFAULT_ORDER
-    assert not sched._warm_call
-    assert sched.t == 6  # six charged warmstart pulls behind us
+    assert sched.arms[seventh].pulls > 0  # not a first pull, so not a warmstart call
 
 
 def test_warmstart_defers_inapplicable_heuristics():
@@ -225,7 +233,7 @@ def test_epsilon_t_formula_and_decay():
 
 def test_exploit_branch_takes_argmax():
     bandit = _bandit()
-    bandit.t = 5  # next iteration is t = 6 = |H|, so eps_t = 0.7
+    _set_pulls(bandit, 5)  # next iteration is t = 6 = |H|, so eps_t = 0.7
     _set_weights(bandit, dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4])))
     pick = _draw(bandit, ALL, FakeRng(randoms=[0.9]))
     assert pick == "rins"
@@ -233,7 +241,7 @@ def test_exploit_branch_takes_argmax():
 
 def test_exploit_tie_breaks_by_default_rank():
     bandit = _bandit()
-    bandit.t = 5
+    _set_pulls(bandit, 5)
     _set_weights(bandit, {h: 0.5 for h in DEFAULT_ORDER})
     pick = _draw(bandit, ALL, FakeRng(randoms=[0.99]))
     assert pick == "rens"
@@ -273,7 +281,7 @@ def test_zero_weights_fall_back_to_uniform():
 
 def test_greedy_consistency_with_eps_zero():
     bandit = _bandit(epsilon=0.0)
-    bandit.t = 100
+    _set_pulls(bandit, 100)
     _set_weights(bandit, dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4])))
     rng = np.random.default_rng(0)
     picks = {_draw(bandit, ALL, rng) for _ in range(50)}
@@ -282,10 +290,10 @@ def test_greedy_consistency_with_eps_zero():
 
 def test_scaling_weights_changes_nothing():
     base = _bandit()
-    base.t = 10
+    _set_pulls(base, 10)
     _set_weights(base, dict(zip(DEFAULT_ORDER, [0.1, 0.9, 0.3, 0.2, 0.0, 0.4])))
     scaled = _bandit()
-    scaled.t = 10
+    _set_pulls(scaled, 10)
     _set_weights(scaled, {h: 5.0 * arm.weight for h, arm in base.arms.items()})
     base.rng, scaled.rng = np.random.default_rng(7), np.random.default_rng(7)
     # one generator per sequence, advanced across its draws, so the sequences explore too
@@ -344,7 +352,7 @@ def test_average_weight_matches_mean_fuzz():
         if rewards[h]:
             mean = (1 / 6 + math.fsum(rewards[h])) / (1 + len(rewards[h]))
             assert abs(bandit.arms[h].weight - mean) <= 1e-12
-    assert sum(_pulls(bandit).values()) == bandit.t
+    assert _pulls(bandit) == {h: len(rewards[h]) for h in DEFAULT_ORDER}
 
 
 def test_recency_mode_blends_exponentially():
@@ -471,3 +479,21 @@ def test_scheduler_records_log_entries():
     assert entry["h"] == "rens" and entry["warmstart"]
     assert entry["t"] == 1
     assert 0.0 <= entry["r_total"] <= 1.0
+
+
+def test_logged_step_and_warmstart_flag_follow_the_pulls():
+    """The bandit reads t and the warmstart flag from its arm records: on a seeded solve each
+    call record's t is the running pull count, and it is a warmstart call exactly at its
+    arm's first pull.  rins and mutation wait for an incumbent, so the draws before their
+    first calls repeat arms already pulled."""
+    res = solve(load_instance("gen:gap:n=300,m=10,seed=1"),
+                SolverSettings(seed=1, node_limit=100, time_limit_s=None))
+    log = res.scheduler_log
+    seen = set()
+    for k, rec in enumerate(log, start=1):
+        assert rec["t"] == k
+        assert rec["warmstart"] == (rec["h"] not in seen)
+        seen.add(rec["h"])
+    assert seen == ALL and len(log) == res.stats.heuristic_calls
+    last_warm = max(k for k, rec in enumerate(log) if rec["warmstart"])
+    assert any(not rec["warmstart"] for rec in log[:last_warm])

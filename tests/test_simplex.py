@@ -1,5 +1,6 @@
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from banditmip.simplex import (
     _column_image,
     _Csc,
     _eta_update,
-    _inverse,
     _nonbasic_values,
     _repair_statuses,
     solve_lp,
@@ -599,16 +599,17 @@ def test_a_passed_deadline_keeps_a_start_that_is_already_optimal(family, size, s
 
 
 def _inverse_calls(monkeypatch):
-    """The caller of each ``_inverse`` call, with the dual loop's pivot count (else None)."""
+    """The caller of each ``SimplexContext._invert`` call, with the dual loop's pivot count
+    (else None)."""
     calls = []
-    inverse = simplex._inverse
+    invert = SimplexContext._invert
 
-    def counted(A, basis):
+    def counted(self, A, basis):
         frame = sys._getframe(1)
         calls.append((frame.f_code.co_name, frame.f_locals.get("iters")))
-        return inverse(A, basis)
+        return invert(self, A, basis)
 
-    monkeypatch.setattr(simplex, "_inverse", counted)
+    monkeypatch.setattr(SimplexContext, "_invert", counted)
     return calls
 
 
@@ -1047,7 +1048,8 @@ def test_unit_column_inverse_matches_full_inverse(kind):
     binv = A.basis_inverse(basis)
     assert np.allclose(binv, np.linalg.inv(B), rtol=1e-9, atol=1e-10)
     assert np.allclose(binv @ B, np.eye(m), atol=1e-10)
-    assert np.array_equal(_inverse(A, basis), binv)
+    # a context inverts a column store this same way
+    assert np.array_equal(SimplexContext._invert(SimpleNamespace(inversions=0), A, basis), binv)
 
 
 def test_unit_column_inverse_rejects_singular_bases():
@@ -1189,13 +1191,13 @@ def test_cover_root_lp_inverts_only_small_bumps(inv_shapes):
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(752.25, abs=1e-7)
     inv_shapes.clear()
-    _inverse(ctx.A, res.basis[0])
+    ctx._invert(ctx.A, res.basis[0])
     assert inv_shapes and max(n for n, _ in inv_shapes) <= 32, inv_shapes
     small = generate_instance("gap", (24, 4), 5)
     ctx = SimplexContext(small)
     basis = ctx.solve(BoundState.from_model(small)).basis[0]
     assert isinstance(ctx.A, np.ndarray)
-    assert np.array_equal(_inverse(ctx.A, basis), REFERENCE_INV(ctx.A[:, basis]))
+    assert np.array_equal(ctx._invert(ctx.A, basis), REFERENCE_INV(ctx.A[:, basis]))
 
 
 def _solve_with_tightenings(model, rng_seed, store_rows):
